@@ -2,14 +2,15 @@
 // it into a regression gate. It executes the BenchmarkStep* hot-path
 // benchmarks (internal/noc), the BenchmarkFig* figure-reproduction
 // benchmarks (root package) and the BenchmarkSweepThroughput isolation
-// overhead benchmark (internal/experiments) -count times each, takes the per-benchmark
-// median of ns/op, B/op and allocs/op, and writes the result as a
-// BENCH_<n>.json artifact. When a previous BENCH_*.json exists in -dir,
-// the run is compared against the newest one and any benchmark whose
-// median ns/op regressed by more than -threshold fails the gate — or,
-// with -soft, emits a GitHub Actions "::warning ::" annotation and
-// exits 0 (CI uses soft mode so noisy shared runners cannot block a
-// merge on their own).
+// overhead benchmark (internal/experiments) -count times each, takes the
+// per-benchmark median of ns/op, B/op, allocs/op and every custom
+// b.ReportMetric unit (e.g. points/sec), and writes the result, with the
+// host's core count, as a BENCH_<n>.json artifact. When a previous
+// BENCH_*.json exists in -dir, the run is compared against the newest
+// one and any benchmark whose median ns/op regressed by more than
+// -threshold fails the gate — or, with -soft, emits a GitHub Actions
+// "::warning ::" annotation and exits 0 (CI uses soft mode so noisy
+// shared runners cannot block a merge on their own).
 //
 // Usage:
 //
@@ -42,7 +43,10 @@ type benchResult struct {
 	NsOp     float64 `json:"ns_op"`
 	BOp      float64 `json:"b_op"`
 	AllocsOp float64 `json:"allocs_op"`
-	Runs     int     `json:"runs"`
+	// Metrics holds the medians of custom units reported with
+	// b.ReportMetric, keyed by unit.
+	Metrics map[string]float64 `json:"metrics,omitempty"`
+	Runs    int                `json:"runs"`
 }
 
 type report struct {
@@ -51,6 +55,7 @@ type report struct {
 	GOOS       string        `json:"goos"`
 	GOARCH     string        `json:"goarch"`
 	CPU        string        `json:"cpu,omitempty"`
+	NProc      int           `json:"nproc"`
 	GOMAXPROCS int           `json:"gomaxprocs"`
 	Count      int           `json:"count"`
 	Benchmarks []benchResult `json:"benchmarks"`
@@ -94,14 +99,7 @@ func run(args []string) int {
 		{pkg: "./internal/experiments", regex: "^BenchmarkSweepThroughput", benchtime: "1x"},
 	}
 
-	rep := report{
-		Schema:     1,
-		GoVersion:  runtime.Version(),
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Count:      *count,
-	}
+	rep := newReport(*count)
 	for _, s := range suites {
 		results, cpu, err := runSuite(*dir, s, *count)
 		if err != nil {
@@ -169,9 +167,49 @@ func run(args []string) int {
 	return 0
 }
 
-// benchLine matches one `go test -bench` result line, e.g.
-// "BenchmarkStepIdle-4   4333453   275.3 ns/op   0 B/op   0 allocs/op".
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op(?:\s+([\d.]+) B/op)?(?:\s+([\d.]+) allocs/op)?`)
+// newReport starts an artifact with the host description every record
+// carries: toolchain, platform, core count and GOMAXPROCS.
+func newReport(count int) report {
+	return report{
+		Schema:     1,
+		GoVersion:  runtime.Version(),
+		GOOS:       runtime.GOOS,
+		GOARCH:     runtime.GOARCH,
+		NProc:      runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		Count:      count,
+	}
+}
+
+// procSuffix is the "-<GOMAXPROCS>" suffix go test appends to names.
+var procSuffix = regexp.MustCompile(`-\d+$`)
+
+// parseBenchLine parses one `go test -bench` result line, e.g.
+// "BenchmarkStepIdle-4   4333453   275.3 ns/op   0 B/op   0 allocs/op",
+// into the benchmark name and every "value unit" pair after the
+// iteration count, keyed by unit. Custom units from b.ReportMetric may
+// appear anywhere among the pairs. ok is false for any other line.
+func parseBenchLine(line string) (name string, sample map[string]float64, ok bool) {
+	f := strings.Fields(line)
+	if len(f) < 4 || len(f)%2 != 0 || !strings.HasPrefix(f[0], "Benchmark") {
+		return "", nil, false
+	}
+	if _, err := strconv.Atoi(f[1]); err != nil {
+		return "", nil, false
+	}
+	sample = map[string]float64{}
+	for i := 2; i < len(f); i += 2 {
+		v, err := strconv.ParseFloat(f[i], 64)
+		if err != nil {
+			return "", nil, false
+		}
+		sample[f[i+1]] = v
+	}
+	if _, ok := sample["ns/op"]; !ok {
+		return "", nil, false
+	}
+	return procSuffix.ReplaceAllString(f[0], ""), sample, true
+}
 
 func runSuite(dir string, s suite, count int) ([]benchResult, string, error) {
 	args := []string{"test", s.pkg, "-run", "^$", "-bench", s.regex,
@@ -186,45 +224,60 @@ func runSuite(dir string, s suite, count int) ([]benchResult, string, error) {
 	if err != nil {
 		return nil, "", fmt.Errorf("go %s: %v\n%s", strings.Join(args, " "), err, out)
 	}
-	samples := map[string][][3]float64{}
-	var order []string
+	lines := strings.Split(out, "\n")
 	var cpu string
-	for _, line := range strings.Split(out, "\n") {
+	for _, line := range lines {
 		if rest, ok := strings.CutPrefix(line, "cpu: "); ok {
 			cpu = strings.TrimSpace(rest)
+		}
+	}
+	return summarize(s.pkg, lines), cpu, nil
+}
+
+// summarize folds the result lines of one suite into per-benchmark
+// medians of every unit, in first-seen order.
+func summarize(pkg string, lines []string) []benchResult {
+	samples := map[string]map[string][]float64{}
+	var order []string
+	for _, line := range lines {
+		name, sample, ok := parseBenchLine(line)
+		if !ok {
 			continue
 		}
-		m := benchLine.FindStringSubmatch(line)
-		if m == nil {
-			continue
+		if samples[name] == nil {
+			samples[name] = map[string][]float64{}
+			order = append(order, name)
 		}
-		ns, _ := strconv.ParseFloat(m[2], 64)
-		bop, _ := strconv.ParseFloat(m[3], 64)
-		aop, _ := strconv.ParseFloat(m[4], 64)
-		if _, seen := samples[m[1]]; !seen {
-			order = append(order, m[1])
+		for unit, v := range sample {
+			samples[name][unit] = append(samples[name][unit], v)
 		}
-		samples[m[1]] = append(samples[m[1]], [3]float64{ns, bop, aop})
 	}
 	var results []benchResult
 	for _, name := range order {
-		runs := samples[name]
-		results = append(results, benchResult{
-			Name: name, Pkg: s.pkg,
-			NsOp:     median(runs, 0),
-			BOp:      median(runs, 1),
-			AllocsOp: median(runs, 2),
-			Runs:     len(runs),
-		})
+		units := samples[name]
+		r := benchResult{Name: name, Pkg: pkg, Runs: len(units["ns/op"])}
+		for unit, vals := range units {
+			switch unit {
+			case "ns/op":
+				r.NsOp = median(vals)
+			case "B/op":
+				r.BOp = median(vals)
+			case "allocs/op":
+				r.AllocsOp = median(vals)
+			default:
+				if r.Metrics == nil {
+					r.Metrics = map[string]float64{}
+				}
+				r.Metrics[unit] = median(vals)
+			}
+		}
+		results = append(results, r)
 	}
-	return results, cpu, nil
+	return results
 }
 
-func median(runs [][3]float64, k int) float64 {
-	vals := make([]float64, len(runs))
-	for i, r := range runs {
-		vals[i] = r[k]
-	}
+// median returns the median of vals, sorting it in place.
+func median(vals []float64) float64 {
 	sort.Float64s(vals)
 	n := len(vals)
 	if n%2 == 1 {

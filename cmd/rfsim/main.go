@@ -53,10 +53,8 @@
 // -shrink FILE replays such a repro and exits 0 only if it no longer
 // fails.
 //
-// Performance: -step-workers W fans router arbitration's proposal phase
-// out over W workers (0 = GOMAXPROCS); results are bit-identical at
-// every worker count. -cpuprofile/-memprofile write pprof profiles of
-// the run, and -bench-cycles N replaces -cycles and prints a wall-clock
+// Performance: -cpuprofile/-memprofile write pprof profiles of the
+// run, and -bench-cycles N replaces -cycles and prints a wall-clock
 // ns/cycle summary (see README "Profiling").
 package main
 
@@ -143,7 +141,6 @@ type simFlags struct {
 	resume    bool
 	timeout   time.Duration
 
-	stepWorkers int
 	cpuProfile  string
 	memProfile  string
 	benchCycles int64
@@ -272,9 +269,6 @@ func (f *simFlags) validate() error {
 	if f.soak > 0 && f.shrink != "" {
 		fail("-soak and -shrink are mutually exclusive")
 	}
-	if f.stepWorkers < 0 {
-		fail("-step-workers must be non-negative, got %d", f.stepWorkers)
-	}
 	if f.benchCycles < 0 {
 		fail("-bench-cycles must be non-negative, got %d", f.benchCycles)
 	}
@@ -327,7 +321,6 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	fs.Int64Var(&f.ckptEvery, "checkpoint-every", 10000, "auto-checkpoint interval in cycles (0 = only on interruption)")
 	fs.BoolVar(&f.resume, "resume", false, "restore from -checkpoint if the file exists, then finish the run")
 	fs.DurationVar(&f.timeout, "timeout", 0, "wall-clock budget; on expiry the run checkpoints and exits 3 (0 = none)")
-	fs.IntVar(&f.stepWorkers, "step-workers", 1, "parallel-stepping worker count (0 = GOMAXPROCS); results are bit-identical at every count")
 	fs.StringVar(&f.cpuProfile, "cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 	fs.StringVar(&f.memProfile, "memprofile", "", "write a post-run heap profile to this file (go tool pprof)")
 	fs.Int64Var(&f.benchCycles, "bench-cycles", 0, "override -cycles and print a wall-clock ns/cycle summary (0 = off)")
@@ -491,10 +484,6 @@ func runSim(f *simFlags, stdout, stderr io.Writer) int {
 		profile = p
 	}
 	cfg := experiments.Build(m, d, profile, 0)
-	cfg.StepWorkers = f.stepWorkers
-	if cfg.StepWorkers == 0 {
-		cfg.StepWorkers = runtime.GOMAXPROCS(0)
-	}
 	if f.faultRate > 0 {
 		cfg.Fault = noc.FaultConfig{MeshBER: f.faultRate, RFBER: f.faultRate, Seed: f.faultSeed}
 	}
@@ -567,8 +556,8 @@ func runSim(f *simFlags, stdout, stderr io.Writer) int {
 
 	printReport(stdout, m, net, cfg, d, gen, r, rec, frec, inj, irec)
 	if f.benchCycles > 0 && r.Stats.Cycles > 0 {
-		fmt.Fprintf(stdout, "\nbench: %d cycles (injection + drain) in %s, %.0f ns/cycle, %d step workers\n",
-			r.Stats.Cycles, elapsed.Round(time.Millisecond), float64(elapsed.Nanoseconds())/float64(r.Stats.Cycles), cfg.StepWorkers)
+		fmt.Fprintf(stdout, "\nbench: %d cycles (injection + drain) in %s, %.0f ns/cycle\n",
+			r.Stats.Cycles, elapsed.Round(time.Millisecond), float64(elapsed.Nanoseconds())/float64(r.Stats.Cycles))
 	}
 	if f.heatmap {
 		fmt.Fprintln(stdout, "\nlink-load heatmap (bottom row is mesh row 0):")

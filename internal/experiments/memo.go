@@ -17,15 +17,14 @@ import (
 )
 
 // PointFingerprint is the content address of one sweep point: the design
-// fingerprint (noc.Config.Fingerprint, which already excludes execution
-// parallelism) combined with the workload identity and every run
-// parameter that shapes the Result.
+// fingerprint (noc.Config.Fingerprint) combined with the workload
+// identity and every run parameter that shapes the Result.
 //
 // Deliberately excluded, so runs that differ only in how they execute
-// share a cache entry: StepWorkers (bit-identical at any worker count),
-// Check (the invariant checker observes, it never changes results),
-// ProfileCycles (adaptive profiling is already baked into the built
-// config's shortcut set), and all checkpoint/retry/timeout machinery.
+// share a cache entry: Check (the invariant checker observes, it never
+// changes results), ProfileCycles (adaptive profiling is already baked
+// into the built config's shortcut set), and all checkpoint/retry/timeout
+// machinery.
 //
 // workload must fully name the traffic: generators encode their pattern
 // and parameters in Name() (e.g. "2Hotspot", "x264", "uniform+mc35"),

@@ -66,22 +66,6 @@ func BenchmarkStepIdle(b *testing.B) {
 	benchStep(b, Config{Mesh: topology.New10x10(), Width: tech.Width16B}, 0.0)
 }
 
-func BenchmarkStepBaseline16BWorkers4(b *testing.B) {
-	benchStep(b, Config{Mesh: topology.New10x10(), Width: tech.Width16B, StepWorkers: 4}, 0.8)
-}
-
-func BenchmarkStepBaseline4BWorkers4(b *testing.B) {
-	benchStep(b, Config{Mesh: topology.New10x10(), Width: tech.Width4B, StepWorkers: 4}, 0.8)
-}
-
-func BenchmarkStepShortcuts4BWorkers4(b *testing.B) {
-	m := topology.New10x10()
-	edges := shortcut.SelectMaxCost(m.Graph(), shortcut.Params{
-		Budget: 16, Eligible: m.ShortcutEligible,
-	})
-	benchStep(b, Config{Mesh: m, Width: tech.Width4B, Shortcuts: edges, StepWorkers: 4}, 0.8)
-}
-
 func BenchmarkBuildRoutes(b *testing.B) {
 	m := topology.New10x10()
 	edges := shortcut.SelectMaxCost(m.Graph(), shortcut.Params{

@@ -150,16 +150,6 @@ type Config struct {
 	// long as a deadlock-free escape class is always reachable). Off by
 	// default (deterministic table routing).
 	AdaptiveRouting bool
-
-	// StepWorkers is the number of goroutines the per-cycle router
-	// proposal phase (RC/VA/SA) fans out across. The zero value defaults
-	// to 1 (serial stepping); the CLIs map an explicit "-step-workers 0"
-	// to GOMAXPROCS before building the config. Worker counts above the
-	// router count are clamped. Results are bit-identical at every worker
-	// count (see DESIGN.md, "Two-phase stepping"), so StepWorkers is not
-	// part of the checkpoint fingerprint: a snapshot taken at one worker
-	// count restores at any other.
-	StepWorkers int
 }
 
 // withDefaults returns a copy of c with zero fields defaulted.
@@ -196,9 +186,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ShortcutWidthBytes == 0 {
 		c.ShortcutWidthBytes = tech.ShortcutWidthBytes
-	}
-	if c.StepWorkers == 0 {
-		c.StepWorkers = 1
 	}
 	if c.Multicast == MulticastRF && c.MulticastReceivers == nil {
 		c.MulticastReceivers = defaultMulticastReceivers(c)
@@ -238,9 +225,6 @@ func (c Config) Validate() error {
 	}
 	if c.LocalSpeedup < 1 {
 		errs = append(errs, fmt.Errorf("noc: local speedup must be positive, got %d", c.LocalSpeedup))
-	}
-	if c.StepWorkers < 1 {
-		errs = append(errs, fmt.Errorf("noc: step workers must be positive, got %d", c.StepWorkers))
 	}
 	if c.Multicast < MulticastExpand || c.Multicast > MulticastRF {
 		errs = append(errs, fmt.Errorf("noc: unknown multicast mode %d", int(c.Multicast)))

@@ -17,11 +17,6 @@ import (
 // Fingerprint returns a stable hex digest of every configuration field
 // that shapes simulation results. Zero fields are defaulted first, so a
 // zero Config and an explicitly-defaulted one hash identically.
-//
-// Execution parameters are excluded: StepWorkers changes how cycles are
-// computed, not what they compute (results are bit-identical at every
-// worker count, see DESIGN.md "Two-phase stepping"), so runs that differ
-// only in worker count share a fingerprint — and a cache entry.
 func (c Config) Fingerprint() string {
 	c = c.withDefaults()
 	h := sha256.New()

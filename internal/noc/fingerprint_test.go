@@ -69,15 +69,3 @@ func TestFingerprintSensitivity(t *testing.T) {
 		seen[got] = name
 	}
 }
-
-// TestFingerprintIgnoresStepWorkers: execution parallelism is excluded
-// by design — results are bit-identical at every worker count, so runs
-// differing only in StepWorkers must share a cache entry.
-func TestFingerprintIgnoresStepWorkers(t *testing.T) {
-	a := Config{Mesh: topology.New10x10()}
-	b := a
-	b.StepWorkers = 8
-	if a.Fingerprint() != b.Fingerprint() {
-		t.Error("StepWorkers leaked into the fingerprint")
-	}
-}

@@ -1,0 +1,363 @@
+package noc
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"hash/fnv"
+	"math/rand"
+	"reflect"
+	"strings"
+	"testing"
+
+	"repro/internal/shortcut"
+	"repro/internal/tech"
+	"repro/internal/topology"
+)
+
+// digestObserver folds every observed event into a running FNV-1a
+// digest, giving a compact fingerprint of the full event stream (order
+// included).
+type digestObserver struct {
+	BaseObserver
+	h      uint64
+	events int64
+}
+
+func newDigestObserver() *digestObserver { return &digestObserver{h: 14695981039346656037} }
+
+func (d *digestObserver) note(format string, args ...any) {
+	h := fnv.New64a()
+	fmt.Fprintf(h, format, args...)
+	d.h = (d.h ^ h.Sum64()) * 1099511628211
+	d.events++
+}
+
+func (d *digestObserver) PacketInjected(m Message, now int64) { d.note("inj %v %d", m, now) }
+func (d *digestObserver) FlitSent(r, p int, now int64)        { d.note("sent %d %d %d", r, p, now) }
+func (d *digestObserver) FlitEjected(r int, lat int64)        { d.note("ej %d %d", r, lat) }
+func (d *digestObserver) PacketDelivered(m Message, at int64, hops int) {
+	d.note("del %v %d %d", m, at, hops)
+}
+func (d *digestObserver) MulticastDelivered(m Message, at int64) { d.note("mdel %v %d", m, at) }
+func (d *digestObserver) FlitCorrupted(r, p int, now int64)      { d.note("corr %d %d %d", r, p, now) }
+func (d *digestObserver) Retransmit(r, p, a int, now int64)      { d.note("retx %d %d %d %d", r, p, a, now) }
+func (d *digestObserver) IntegrityRetransmit(s, t, a int, now int64) {
+	d.note("iretx %d %d %d %d", s, t, a, now)
+}
+func (d *digestObserver) PacketLost(m Message, now int64)       { d.note("lost %v %d", m, now) }
+func (d *digestObserver) WatchdogRecovery(st, a int, now int64) { d.note("wd %d %d %d", st, a, now) }
+func (d *digestObserver) LinkFailed(r, p int, now int64)        { d.note("lf %d %d %d", r, p, now) }
+func (d *digestObserver) DegradedReroute(r, p int, now int64)   { d.note("rr %d %d %d", r, p, now) }
+func (d *digestObserver) DuplicateInjected(r int, now int64)    { d.note("dup %d %d", r, now) }
+func (d *digestObserver) PacketMisrouted(r, p int, now int64)   { d.note("mr %d %d %d", r, p, now) }
+func (d *digestObserver) CreditLeaked(r, p int, now int64)      { d.note("leak %d %d %d", r, p, now) }
+func (d *digestObserver) VCStuck(r, p int, now int64)           { d.note("stuck %d %d %d", r, p, now) }
+func (d *digestObserver) PacketMisdelivered(r int, m Message, now int64) {
+	d.note("md %d %v %d", r, m, now)
+}
+func (d *digestObserver) DuplicateDropped(r int, m Message, now int64) {
+	d.note("dd %d %v %d", r, m, now)
+}
+
+// goldenRun is everything one seeded run exposes: the final statistics,
+// the sha256 of a mid-run checkpoint (hex), and the observer event count
+// and digest.
+type goldenRun struct {
+	stats  Stats
+	snap   string
+	events int64
+	digest uint64
+}
+
+// runGolden drives cfg with a fixed seeded workload: 1200 cycles of
+// random unicast traffic (plus periodic multicasts on multicast
+// configs), a checkpoint of the mid-run microarchitectural state, then
+// a bounded drain.
+func runGolden(t *testing.T, cfg Config, seed int64) goldenRun {
+	t.Helper()
+	n, err := NewChecked(cfg)
+	if err != nil {
+		t.Fatalf("NewChecked: %v", err)
+	}
+	obs := newDigestObserver()
+	n.AttachObserver(obs)
+	rng := rand.New(rand.NewSource(seed))
+	classes := []Class{Request, Data, MemLine}
+	for cyc := 0; cyc < 1200; cyc++ {
+		if rng.Float64() < 0.7 {
+			src, dst := rng.Intn(cfg.Mesh.N()), rng.Intn(cfg.Mesh.N())
+			if src != dst {
+				n.Inject(Message{Src: src, Dst: dst, Class: classes[rng.Intn(len(classes))], Inject: n.Now()})
+			}
+		}
+		if (cfg.Multicast == MulticastRF || cfg.Multicast == MulticastVCT) && cyc%40 == 7 {
+			banks := cfg.Mesh.Caches()
+			n.Inject(Message{
+				Src: banks[rng.Intn(len(banks))], Class: Invalidate, Multicast: true,
+				DBV: rng.Uint64() | 1, Inject: n.Now(),
+			})
+		}
+		n.Step()
+	}
+	// Checkpoint mid-flight so in-flight wormholes, reservations, wheel
+	// entries and NI queues are pinned, not just the drained end state.
+	snap, err := n.CheckpointState()
+	if err != nil {
+		t.Fatalf("CheckpointState: %v", err)
+	}
+	if !n.Drain(2_000_000) {
+		t.Fatalf("drain failed (in flight %d)", n.InFlight())
+	}
+	sum := sha256.Sum256(snap)
+	return goldenRun{stats: n.Stats(), snap: hex.EncodeToString(sum[:]), events: obs.events, digest: obs.h}
+}
+
+// statsLiteral renders s as a Go composite literal of its non-zero
+// fields, the form the golden table below is written in.
+func statsLiteral(s Stats) string {
+	var b strings.Builder
+	b.WriteString("Stats{\n")
+	v := reflect.ValueOf(s)
+	for i := 0; i < v.NumField(); i++ {
+		if f := v.Field(i); !f.IsZero() {
+			fmt.Fprintf(&b, "\t%s: %#v,\n", v.Type().Field(i).Name, f.Interface())
+		}
+	}
+	b.WriteString("}")
+	return b.String()
+}
+
+// TestStepGolden pins the serial arbitration schedule: router index
+// order, active-list order within a router, and same-cycle credit
+// turnaround between routers are all visible in the results, so any
+// change to the per-cycle pass shows up here as a changed Stats,
+// checkpoint or event stream. The constants were recorded from the
+// reference simulator; a deliberate model change must re-record them
+// (a failure prints the new Stats literal).
+func TestStepGolden(t *testing.T) {
+	m := topology.New10x10()
+	edges := shortcut.SelectMaxCost(m.Graph(), shortcut.Params{
+		Budget: 16, Eligible: m.ShortcutEligible,
+	})
+	cases := []struct {
+		name string
+		cfg  Config
+		want goldenRun
+	}{
+		{"baseline-mesh", Config{Mesh: m, Width: tech.Width16B}, goldenRun{
+			stats: Stats{
+				Cycles:           1248,
+				PacketsInjected:  819,
+				PacketsEjected:   819,
+				FlitsInjected:    3637,
+				FlitsEjected:     3637,
+				PacketLatency:    33969,
+				FlitLatency:      139044,
+				HopSum:           5317,
+				RouterTraversals: 27474,
+				MeshFlitHops:     23837,
+				LocalFlitHops:    7274,
+				MsgsByDistance:   []int64{0, 32, 68, 73, 81, 83, 91, 89, 80, 71, 56, 36, 24, 12, 11, 6, 3, 3, 0},
+			},
+			snap:   "ecdb7ac244c3d466cf65ed6a5abbf9b8d118befbe4cde589699bef3d05bcf803",
+			events: 32749, digest: 0x3b87defeb7e7114b,
+		}},
+		{"shortcuts-4B", Config{Mesh: m, Width: tech.Width4B, Shortcuts: edges}, goldenRun{
+			stats: Stats{
+				Cycles:           1285,
+				PacketsInjected:  819,
+				PacketsEjected:   819,
+				FlitsInjected:    12625,
+				FlitsEjected:     12625,
+				PacketLatency:    39760,
+				FlitLatency:      422792,
+				HopSum:           3771,
+				RouterTraversals: 71106,
+				MeshFlitHops:     51839,
+				LocalFlitHops:    25250,
+				RFShortcutBits:   212544,
+				MsgsByDistance:   []int64{0, 32, 68, 73, 81, 83, 91, 89, 80, 71, 56, 36, 24, 12, 11, 6, 3, 3, 0},
+			},
+			snap:   "0c3c835a6efefc3a436bc9d23044b6f5e30aa8388800c5faec17b3a5b0555cd7",
+			events: 85369, digest: 0x86fcf7b3b6cd0e18,
+		}},
+		{"adaptive-shortcuts", Config{Mesh: m, Width: tech.Width4B, Shortcuts: edges, AdaptiveRouting: true}, goldenRun{
+			stats: Stats{
+				Cycles:           1257,
+				PacketsInjected:  819,
+				PacketsEjected:   819,
+				FlitsInjected:    12625,
+				FlitsEjected:     12625,
+				PacketLatency:    38613,
+				FlitLatency:      411439,
+				HopSum:           3771,
+				RouterTraversals: 71106,
+				MeshFlitHops:     51050,
+				LocalFlitHops:    25250,
+				RFShortcutBits:   237792,
+				MsgsByDistance:   []int64{0, 32, 68, 73, 81, 83, 91, 89, 80, 71, 56, 36, 24, 12, 11, 6, 3, 3, 0},
+			},
+			snap:   "d4b632da4a6068ffac4f27fe29523f265110a01b4c164e0b08862cb377540e21",
+			events: 85369, digest: 0x71ca6e4ba26c1769,
+		}},
+		{"rf-multicast", Config{Mesh: m, Width: tech.Width16B, Multicast: MulticastRF, RFEnabled: m.RFPlacement(50)}, goldenRun{
+			stats: Stats{
+				Cycles:                  1271,
+				PacketsInjected:         824,
+				PacketsEjected:          824,
+				FlitsInjected:           4138,
+				FlitsEjected:            4138,
+				PacketLatency:           34343,
+				FlitLatency:             140739,
+				HopSum:                  5365,
+				RouterTraversals:        28748,
+				MeshFlitHops:            24610,
+				LocalFlitHops:           8276,
+				RFMulticastBits:         7680,
+				RFMulticastRxBits:       288384,
+				RFGatedRxFlits:          747,
+				MulticastMessages:       30,
+				MulticastDeliveries:     944,
+				MulticastLatency:        15895,
+				MulticastFlitsDelivered: 944,
+				MulticastFlitLatency:    15895,
+				MsgsByDistance:          []int64{0, 34, 65, 72, 80, 94, 87, 89, 79, 75, 51, 35, 23, 14, 10, 9, 4, 3, 0},
+			},
+			snap:   "d2446724b21aea8744c186a90276cebbcbbd21981a595881f6ba827654097216",
+			events: 35478, digest: 0xf760b6f5ec0a6ad9,
+		}},
+		{"vct-multicast", Config{Mesh: m, Width: tech.Width16B, Multicast: MulticastVCT}, goldenRun{
+			stats: Stats{
+				Cycles:                  1293,
+				PacketsInjected:         824,
+				PacketsEjected:          824,
+				FlitsInjected:           4796,
+				FlitsEjected:            4796,
+				PacketLatency:           34381,
+				FlitLatency:             140976,
+				HopSum:                  5365,
+				RouterTraversals:        30873,
+				MeshFlitHops:            26077,
+				LocalFlitHops:           9592,
+				MulticastMessages:       30,
+				MulticastDeliveries:     944,
+				MulticastLatency:        77641,
+				MulticastFlitsDelivered: 944,
+				MulticastFlitLatency:    77641,
+				VCTMisses:               30,
+				MsgsByDistance:          []int64{0, 34, 65, 72, 80, 94, 87, 89, 79, 75, 51, 35, 23, 14, 10, 9, 4, 3, 0},
+			},
+			snap:   "3b9b8a6c600a52cb4ee44c4e0bdd757a2488585a5b4c87d1f34981e913ff6ad2",
+			events: 38261, digest: 0x104a37fb5c189838,
+		}},
+		{"faulty-integrity", Config{
+			Mesh: m, Width: tech.Width16B, Shortcuts: edges,
+			Integrity: true,
+			Fault:     FaultConfig{MeshBER: 2e-4, RFBER: 1e-3, DuplicateRate: 2e-3, Seed: 7},
+			Watchdog:  WatchdogConfig{Enabled: true},
+		}, goldenRun{
+			stats: Stats{
+				Cycles:           1244,
+				PacketsInjected:  819,
+				PacketsEjected:   819,
+				FlitsInjected:    3637,
+				FlitsEjected:     3637,
+				PacketLatency:    26295,
+				FlitLatency:      104290,
+				HopSum:           3771,
+				RouterTraversals: 20472,
+				MeshFlitHops:     14919,
+				LocalFlitHops:    7274,
+				RFShortcutBits:   245248,
+				FlitsCorrupted:   10,
+				Retransmits:      10,
+				MsgsByDistance:   []int64{0, 32, 68, 73, 81, 83, 91, 89, 80, 71, 56, 36, 24, 12, 11, 6, 3, 3, 0},
+			},
+			snap:   "d9d229502d5d904c0f486a014cfc076be4480f603d3ab030de4f1fa4f8bff2d6",
+			events: 25767, digest: 0x8343efd8d0595bdd,
+		}},
+		// Misroute and misdeliver draw from the fault RNG during route
+		// computation, pinning the RNG draw order within a cycle.
+		{"misroute-fallback", Config{
+			Mesh: m, Width: tech.Width16B, Shortcuts: edges,
+			Integrity: true,
+			Fault:     FaultConfig{MisrouteRate: 2e-3, MisdeliverRate: 1e-3, Seed: 11},
+		}, goldenRun{
+			stats: Stats{
+				Cycles:           1243,
+				PacketsInjected:  819,
+				PacketsEjected:   819,
+				FlitsInjected:    3637,
+				FlitsEjected:     3637,
+				PacketLatency:    26337,
+				FlitLatency:      104508,
+				HopSum:           3781,
+				RouterTraversals: 20506,
+				MeshFlitHops:     14953,
+				LocalFlitHops:    7274,
+				RFShortcutBits:   245248,
+				MisroutedPackets: 6,
+				MsgsByDistance:   []int64{0, 32, 68, 73, 81, 83, 91, 89, 80, 71, 56, 36, 24, 12, 11, 6, 3, 3, 0},
+			},
+			snap:   "cf613ae3af76d85334837c3ef7c68c3e4fe9848b0aa958a4d63f6b6d4ab88610",
+			events: 25787, digest: 0x13bbbcb1ff33f27c,
+		}},
+		// Stuck VCs wedge heads in route computation until the watchdog
+		// unsticks them, long past their VC-allocation slot: RC and a
+		// booked VA failure then land in the same cycle. The audit at
+		// cycle 1198 releases them one cycle before the mid-run
+		// checkpoint, which records that VA-failure bookkeeping.
+		{"stuck-vc-watchdog", Config{
+			Mesh: m, Width: tech.Width4B, Shortcuts: edges,
+			Integrity: true,
+			Fault:     FaultConfig{StuckVCRate: 0.02, CreditLeakRate: 0.01, Seed: 5},
+			Watchdog:  WatchdogConfig{Enabled: true, CheckEvery: 599, StallHorizon: 400, Grace: 256},
+		}, goldenRun{
+			stats: Stats{
+				Cycles:                1283,
+				PacketsInjected:       819,
+				PacketsEjected:        819,
+				FlitsInjected:         12625,
+				FlitsEjected:          12625,
+				PacketLatency:         41015,
+				FlitLatency:           424904,
+				HopSum:                3771,
+				RouterTraversals:      71106,
+				MeshFlitHops:          51839,
+				LocalFlitHops:         25250,
+				RFShortcutBits:        212544,
+				CreditLeaks:           15,
+				StuckVCs:              21,
+				WatchdogRecoveries:    1,
+				RecoveryCreditRepairs: 15,
+				RecoveryVCUnsticks:    21,
+				MsgsByDistance:        []int64{0, 32, 68, 73, 81, 83, 91, 89, 80, 71, 56, 36, 24, 12, 11, 6, 3, 3, 0},
+			},
+			snap:   "670255d59eb96b6935b073769ec1f847f758f62743cda3af96e91cc560b3333c",
+			events: 85406, digest: 0x9743188c57264b6,
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			t.Parallel()
+			got := runGolden(t, c.cfg, 42)
+			if got.events == 0 {
+				t.Fatal("run observed no events")
+			}
+			if c.name == "stuck-vc-watchdog" && got.stats.RecoveryVCUnsticks == 0 {
+				t.Error("watchdog never unstuck a VC; the late-RC path is not exercised")
+			}
+			if !reflect.DeepEqual(got.stats, c.want.stats) {
+				t.Errorf("stats diverge from golden:\n got %s\nwant %s", statsLiteral(got.stats), statsLiteral(c.want.stats))
+			}
+			if got.snap != c.want.snap {
+				t.Errorf("mid-run checkpoint sha256 = %q, want %q", got.snap, c.want.snap)
+			}
+			if got.events != c.want.events || got.digest != c.want.digest {
+				t.Errorf("event stream = %d events, digest %#x; want %d, %#x",
+					got.events, got.digest, c.want.events, c.want.digest)
+			}
+		})
+	}
+}

@@ -70,14 +70,6 @@ type Network struct {
 
 	inFlightPackets int64 // injected (incl. internal) minus retired
 
-	// stepWorkers is the resolved proposal-phase worker count
-	// (Config.StepWorkers clamped to the router count); pool is the
-	// lazily created worker pool and proposeFn its preallocated shard
-	// function.
-	stepWorkers int
-	pool        *stepPool
-	proposeFn   func(int)
-
 	// Hot-path freelists and scratch (see pool.go): retired packets and
 	// destination-set backings are recycled, mcGroups is the per-port
 	// destination scratch of spawnMulticastChildren, and niActive lists
@@ -115,11 +107,6 @@ type routerState struct {
 	// grantScratch is reused by switch allocation to avoid per-cycle
 	// allocations.
 	grantScratch []*vcState
-	// freedAt[port] is the cycle at which a VC on that input port was
-	// last released by a tail departure — the stamp the commit phase's
-	// VC-allocation audit checks to detect same-cycle releases the
-	// frozen proposal view missed (see commitRouter). Initialized to -1.
-	freedAt [numPorts]int64
 }
 
 // feeding tracks one packet streaming from the NI into a local input VC.
@@ -163,13 +150,8 @@ type vcState struct {
 	count int
 
 	phase       vcPhase
-	inActive    bool // member of the router's active list
-	// vaFrozen marks a VC allocation won optimistically against the
-	// frozen proposal view this cycle, pending the commit-phase audit
-	// that either certifies it or unwinds and replays it live. Always
-	// false outside arbitrateAll.
-	vaFrozen bool
-	cands    []int8 // adaptive-routing minimal candidate ports
+	inActive    bool   // member of the router's active list
+	cands       []int8 // adaptive-routing minimal candidate ports
 	arrivedAt   int64
 	rcExtra     int64 // extra RC cycles (VCT tree setup)
 	vaFirstFail int64
@@ -269,9 +251,6 @@ func NewChecked(cfg Config) (*Network, error) {
 		rs := &n.routers[r]
 		rs.id = r
 		for p := 0; p < numPorts; p++ {
-			rs.freedAt[p] = -1
-		}
-		for p := 0; p < numPorts; p++ {
 			rs.vcs[p] = make([]*vcState, vcsTotal)
 			for i := 0; i < vcsTotal; i++ {
 				cl := vcClassNormal
@@ -284,10 +263,6 @@ func NewChecked(cfg Config) (*Network, error) {
 				}
 			}
 		}
-	}
-	n.stepWorkers = cfg.StepWorkers
-	if n.stepWorkers > m.N() {
-		n.stepWorkers = m.N()
 	}
 	n.routes = buildRoutes(n)
 	if cfg.Multicast == MulticastRF {
@@ -567,7 +542,9 @@ func (n *Network) Step() {
 	}
 	n.deliverArrivals()
 	n.injectFromNIs()
-	n.arbitrateAll()
+	for r := range n.routers {
+		n.advanceRouter(&n.routers[r])
+	}
 	if n.mc != nil {
 		n.mc.step()
 	}

@@ -10,22 +10,15 @@ package noc
 // per hop; body and tail flits are eligible one cycle after arrival, for
 // the 3-cycle body latency.
 
-// propose runs one router's proposal phase for this cycle: active-list
-// compaction, the RC state machine, and an *optimistic* VC allocation
-// against the view of downstream VC state frozen at the start of
-// arbitration. RC reads only state that is static within a cycle
-// (routing tables, link-fault state), so its results are exact. A VA
-// success mutates optimistically (reservation, phase, switch
-// eligibility) and is marked vaFrozen for the commit phase to audit; a
-// VA failure mutates nothing — its bookkeeping (vaFirstFail, the escape
-// switch) is deferred to commit, which sees live state. Proposal writes
-// only this router's VCs and the reserved bit of downstream VCs it wins
-// (each of which has this router as its only possible writer), so
-// shards may run concurrently (see parallel.go).
-func (n *Network) propose(rs *routerState) {
-	if len(rs.active) == 0 {
-		return
-	}
+// advanceRouter runs one router's cycle: active-list compaction, the
+// RC and VA stages of every live head, then switch allocation and the
+// departures themselves. Step calls it for every router in index order,
+// and that order is part of the model: a tail departing from a
+// lower-index router frees its downstream VC before higher-index routers
+// allocate (same-cycle credit turnaround), so a pass that froze VC state
+// at the start of the cycle and allocated against it would change
+// results, not just timing.
+func (n *Network) advanceRouter(rs *routerState) {
 	compact := rs.active[:0]
 	for _, vc := range rs.active {
 		if vc.pkt == nil {
@@ -33,144 +26,13 @@ func (n *Network) propose(rs *routerState) {
 			continue
 		}
 		compact = append(compact, vc)
-		if vc.stuck {
-			continue // stuck-VC fault: wedged out of arbitration
+		if !vc.stuck { // stuck-VC fault: wedged out of arbitration
+			n.advanceVC(rs, vc)
 		}
-		n.proposeVC(rs, vc)
 	}
 	rs.active = compact
-}
-
-// proposeVC runs the RC stage and the optimistic (frozen-view) VA stage
-// for the packet occupying vc. It must mirror advanceVC exactly except
-// that VA failures leave no trace: commit either certifies the frozen
-// outcome (when no same-cycle release touched the probed ports, the
-// frozen view equals the view the serial simulator would have used) or
-// unwinds and replays VA against live state.
-func (n *Network) proposeVC(rs *routerState, vc *vcState) {
-	switch vc.phase {
-	case phaseRC:
-		if n.now >= vc.arrivedAt+1+vc.rcExtra {
-			vc.outPort = n.route(rs.id, vc)
-			vc.cands = vc.cands[:0]
-			if n.faults != nil {
-				if n.drawMisdeliver(rs.id, vc) {
-					vc.outPort = portLocal
-					vc.phase = phaseVA
-					return
-				}
-				if wrong := n.misroutePort(rs.id, vc); wrong >= 0 {
-					vc.outPort = wrong
-					vc.phase = phaseVA
-					return
-				}
-			}
-			if n.cfg.AdaptiveRouting && vc.outPort != portLocal &&
-				vc.pkt.class == vcClassNormal && vc.pkt.destSet == nil {
-				vc.cands = n.adaptiveCandidates(rs.id, vc.pkt.msg.Dst, vc.cands)
-			}
-			vc.phase = phaseVA
-		}
-	case phaseVA:
-		if n.now < vc.arrivedAt+2+vc.rcExtra {
-			return
-		}
-		if vc.outPort == portLocal {
-			vc.outVC = nil
-			vc.phase = phaseActive
-			return
-		}
-		if len(vc.cands) > 1 {
-			best, bestFree := vc.outPort, -1
-			for _, p := range vc.cands {
-				if free := n.freeVCCount(rs.id, int(p), vc.pkt.class); free > bestFree {
-					best, bestFree = int(p), free
-				}
-			}
-			if bestFree > 0 {
-				vc.outPort = best
-			}
-		}
-		if down := n.downstreamVC(rs.id, vc.outPort, vc.pkt.class); down != nil {
-			down.reserved = true
-			vc.outVC = down
-			vc.phase = phaseActive
-			vc.vaFrozen = true
-			// SA no earlier than the cycle after VA completes.
-			if f := vc.front(); f != nil && f.eligibleAt < n.now+1 {
-				f.eligibleAt = n.now + 1
-			}
-		}
-		// On failure: nothing. If the failure is certified by commit it
-		// books there (vaFail); if the probed ports saw a same-cycle
-		// release, commit replays VA live and may succeed instead.
-	}
-}
-
-// commitRouter runs one router's commit phase: the VC-allocation audit,
-// switch allocation, and the departures themselves — the latter two
-// against live credit state (lower-id routers' departures this cycle
-// are already visible, the same-cycle credit turnaround the serial
-// simulator always had). Commit runs serially in fixed router order,
-// which pins the allocation, wheel-append, and observer orders and
-// makes results bit-identical at every worker count — and, because the
-// audit reconstructs exactly the serial view, bit-identical to the
-// purely serial simulator as well.
-func (n *Network) commitRouter(rs *routerState, audit bool) {
-	if len(rs.active) == 0 {
-		return
-	}
-
-	// Audit this cycle's VC allocation (parallel proposal only — the
-	// interleaved serial schedule proposes against live state, so its
-	// outcomes are authoritative as-is). The proposal phase saw a view
-	// frozen at the start of arbitration; the only events it can have
-	// missed are releases made by lower-id routers' departures this
-	// cycle (everything else that affects a VC's freeness happens
-	// outside arbitration, and reservations by other routers are
-	// confined to VCs this router never probes). If none of the ports
-	// this router probed saw such a release, the frozen outcomes are
-	// exactly what the serial simulator would have computed: certify
-	// successes and book failures. Otherwise unwind this router's
-	// optimistic wins and replay VA in active-list order against live
-	// state, which reconstructs the serial sequence verbatim.
-	dirty := false
-	if audit {
-		for _, vc := range rs.active {
-			if vc.pkt == nil || vc.stuck {
-				continue
-			}
-			if vc.vaFrozen || (vc.phase == phaseVA && n.now >= vc.arrivedAt+2+vc.rcExtra) {
-				if n.vaProbeDirty(rs, vc) {
-					dirty = true
-					break
-				}
-			}
-		}
-	}
-	if dirty {
-		for _, vc := range rs.active {
-			if vc.vaFrozen {
-				vc.vaFrozen = false
-				vc.outVC.reserved = false
-				vc.outVC = nil
-				vc.phase = phaseVA
-			}
-		}
-		for _, vc := range rs.active {
-			if vc.pkt != nil && !vc.stuck && vc.phase == phaseVA {
-				n.advanceVC(rs, vc)
-			}
-		}
-	} else {
-		for _, vc := range rs.active {
-			if vc.vaFrozen {
-				vc.vaFrozen = false
-			} else if vc.pkt != nil && !vc.stuck && vc.phase == phaseVA &&
-				n.now >= vc.arrivedAt+2+vc.rcExtra && vc.outPort != portLocal {
-				n.vaFail(rs, vc)
-			}
-		}
+	if len(compact) == 0 {
+		return // the round-robin pointer only turns while VCs are live
 	}
 
 	// Switch allocation: one grant per output port and one flit per input
@@ -218,37 +80,20 @@ func (n *Network) commitRouter(rs *routerState, audit bool) {
 	rs.grantScratch = granted[:0]
 }
 
-// advanceVC runs the RC and VA stages for the packet occupying vc
-// against live state — the authoritative serial path, used by the
-// commit phase to replay allocation when the frozen proposal view went
-// stale (see proposeVC).
+// advanceVC runs the RC and VA stages for the packet occupying vc.
 func (n *Network) advanceVC(rs *routerState, vc *vcState) {
 	switch vc.phase {
 	case phaseRC:
-		if n.now >= vc.arrivedAt+1+vc.rcExtra {
-			vc.outPort = n.route(rs.id, vc)
-			vc.cands = vc.cands[:0]
-			if n.faults != nil {
-				if n.drawMisdeliver(rs.id, vc) {
-					// RF band mis-tune: the packet ejects here, at the
-					// wrong router; retire detects the mismatch.
-					vc.outPort = portLocal
-					vc.phase = phaseVA
-					return
-				}
-				if wrong := n.misroutePort(rs.id, vc); wrong >= 0 {
-					// Adversarial misroute: divert the whole packet and
-					// skip adaptive candidates so VA cannot heal it.
-					vc.outPort = wrong
-					vc.phase = phaseVA
-					return
-				}
-			}
-			if n.cfg.AdaptiveRouting && vc.outPort != portLocal &&
-				vc.pkt.class == vcClassNormal && vc.pkt.destSet == nil {
-				vc.cands = n.adaptiveCandidates(rs.id, vc.pkt.msg.Dst, vc.cands)
-			}
-			vc.phase = phaseVA
+		if n.now < vc.arrivedAt+1+vc.rcExtra {
+			return
+		}
+		n.computeRoute(rs, vc)
+		vc.phase = phaseVA
+		// A head held in RC past its VA slot (a stuck VC the watchdog
+		// released) books that slot as a failed allocation now; VA
+		// itself runs from the next cycle.
+		if n.now >= vc.arrivedAt+2+vc.rcExtra && vc.outPort != portLocal {
+			n.vaFail(rs, vc)
 		}
 	case phaseVA:
 		if n.now < vc.arrivedAt+2+vc.rcExtra {
@@ -287,11 +132,35 @@ func (n *Network) advanceVC(rs *routerState, vc *vcState) {
 	}
 }
 
+// computeRoute is the RC stage: it sets vc's output port and, for
+// adaptive routing, the minimal candidate ports VA chooses among.
+func (n *Network) computeRoute(rs *routerState, vc *vcState) {
+	vc.outPort = n.route(rs.id, vc)
+	vc.cands = vc.cands[:0]
+	if n.faults != nil {
+		if n.drawMisdeliver(rs.id, vc) {
+			// RF band mis-tune: the packet ejects here, at the wrong
+			// router; retire detects the mismatch.
+			vc.outPort = portLocal
+			return
+		}
+		if wrong := n.misroutePort(rs.id, vc); wrong >= 0 {
+			// Adversarial misroute: divert the whole packet and skip
+			// adaptive candidates so VA cannot heal it.
+			vc.outPort = wrong
+			return
+		}
+	}
+	if n.cfg.AdaptiveRouting && vc.outPort != portLocal &&
+		vc.pkt.class == vcClassNormal && vc.pkt.destSet == nil {
+		vc.cands = n.adaptiveCandidates(rs.id, vc.pkt.msg.Dst, vc.cands)
+	}
+}
+
 // vaFail books a VC-allocation failure: track how long the head has
 // been stuck, and after the escape timeout re-route normal-class
 // packets onto the escape VCs (XY over conventional mesh links only),
-// the paper's deadlock-avoidance mechanism. Runs only in the serial
-// commit phase, so it may touch global statistics.
+// the paper's deadlock-avoidance mechanism.
 func (n *Network) vaFail(rs *routerState, vc *vcState) {
 	if vc.vaFirstFail < 0 {
 		vc.vaFirstFail = n.now
@@ -303,37 +172,6 @@ func (n *Network) vaFail(rs *routerState, vc *vcState) {
 		vc.vaFirstFail = n.now
 		n.stats.EscapeSwitches++
 	}
-}
-
-// vaProbeDirty reports whether any downstream input port this head's VA
-// probed this cycle saw a release during the current commit phase — the
-// one class of event the frozen proposal view can miss. Adaptive heads
-// probe the downstream free-VC counts of every minimal candidate port,
-// so any of them going stale invalidates the port choice too.
-func (n *Network) vaProbeDirty(rs *routerState, vc *vcState) bool {
-	if len(vc.cands) > 1 {
-		for _, p := range vc.cands {
-			if n.portFreedThisCycle(rs.id, int(p)) {
-				return true
-			}
-		}
-	}
-	return n.portFreedThisCycle(rs.id, vc.outPort)
-}
-
-// portFreedThisCycle reports whether the downstream input port behind
-// output port out of router r had a VC released this cycle (stamped by
-// depart at tail release).
-func (n *Network) portFreedThisCycle(r, out int) bool {
-	switch out {
-	case portLocal:
-		return false
-	case portRF:
-		dst := n.shortcutFrom[r]
-		return dst >= 0 && n.routers[dst].freedAt[portRF] == n.now
-	}
-	nb := neighborThrough(n, r, out)
-	return nb >= 0 && n.routers[nb].freedAt[oppositePort(out)] == n.now
 }
 
 // route computes the output port for the packet at the head of vc.
@@ -444,10 +282,6 @@ func (n *Network) depart(rs *routerState, vc *vcState) {
 		if f.isTail {
 			n.retire(rs, p)
 			vc.release()
-			// Stamp the release for the VC-allocation audit: the upstream
-			// feeder of this input port may probe it later this commit
-			// phase (see commitRouter).
-			rs.freedAt[vc.port] = n.now
 		}
 		return
 	}
@@ -480,7 +314,6 @@ func (n *Network) depart(rs *routerState, vc *vcState) {
 	}
 	if f.isTail {
 		vc.release()
-		rs.freedAt[vc.port] = n.now
 	}
 }
 
