@@ -1,8 +1,10 @@
 // Command bench runs the repository's pinned benchmark suite and turns
 // it into a regression gate. It executes the BenchmarkStep* hot-path
 // benchmarks (internal/noc), the BenchmarkFig* figure-reproduction
-// benchmarks (root package) and the BenchmarkSweepThroughput isolation
-// overhead benchmark (internal/experiments) -count times each, takes the
+// benchmarks (root package), the BenchmarkSweepThroughput isolation
+// overhead benchmark (internal/experiments) and the per-point set-up
+// benchmarks (BenchmarkShortcutSelection*, BenchmarkAdaptiveShortcuts,
+// BenchmarkBuildRoutes) -count times each, takes the
 // per-benchmark median of ns/op, B/op, allocs/op and every custom
 // b.ReportMetric unit (e.g. points/sec), and writes the result, with the
 // host's core count, as a BENCH_<n>.json artifact. When a previous
@@ -97,6 +99,12 @@ func run(args []string) int {
 		// Sweep throughput, in-process vs worker-process isolation: pins
 		// the subprocess tax so -isolate overhead regressions fail the gate.
 		{pkg: "./internal/experiments", regex: "^BenchmarkSweepThroughput", benchtime: "1x"},
+		// Per-point set-up: shortcut selection (the static heuristics and
+		// the adaptive selection a Summary repeats per workload) and
+		// network construction with its route tables.
+		{pkg: ".", regex: "^BenchmarkShortcutSelection"},
+		{pkg: "./internal/experiments", regex: "^BenchmarkAdaptiveShortcuts"},
+		{pkg: "./internal/noc", regex: "^BenchmarkBuildRoutes"},
 	}
 
 	rep := newReport(*count)

@@ -831,12 +831,15 @@ func (s *server) streamSweep(ctx context.Context, w http.ResponseWriter, pts []e
 
 	var mu sync.Mutex // serializes stream writes from supervisor workers
 	newline := []byte{'\n'}
-	emitBlob := func(blob []byte) {
-		mu.Lock()
-		defer mu.Unlock()
+	writeLocked := func(blob []byte) {
 		w.Write(blob)
 		w.Write(newline)
 		rc.Flush()
+	}
+	emitBlob := func(blob []byte) {
+		mu.Lock()
+		defer mu.Unlock()
+		writeLocked(blob)
 	}
 	emit := func(line interface{}) {
 		blob, err := json.Marshal(line)
@@ -931,14 +934,23 @@ func (s *server) streamSweep(ctx context.Context, w http.ResponseWriter, pts []e
 			line.Result = &o.Result
 			// Tee into the durable log. First producer to finish the
 			// index owns its frame and streams the logged bytes (with
-			// their seq, fsync'd before emitBlob runs); a collision —
-			// an index an earlier run already logged — streams its own
-			// transient view instead.
-			if blob, appended := s.jobs.appendOutcome(ent, line, true); appended {
-				emitBlob(blob)
-			} else {
-				emit(line)
+			// their seq, fsync'd before the write); a collision — an
+			// index an earlier run already logged — streams its own
+			// transient view instead. Logging and writing happen under
+			// one lock: a client takes seqs in stream order as its
+			// resume cursor, so a frame written ahead of one logged
+			// before it would make the client drop the earlier frame as
+			// already seen.
+			mu.Lock()
+			defer mu.Unlock()
+			blob, appended := s.jobs.appendOutcome(ent, line, true)
+			if !appended {
+				var err error
+				if blob, err = json.Marshal(line); err != nil {
+					return
+				}
 			}
+			writeLocked(blob)
 		},
 	}
 	if s.pool != nil {

@@ -841,3 +841,41 @@ func TestServiceChaos(t *testing.T) {
 	}
 	t.Logf("\n%s", out.String())
 }
+
+// TestSweepStreamSeqsInOrder: outcome frames reach the stream in seq
+// order even when several workers finish points at once. A client takes
+// the highest seq it has read as its resume cursor and drops anything at
+// or below it as already seen, so a frame overtaking one logged before
+// it would lose that point. Cache hits finish near-simultaneously, which
+// is when the frames race.
+func TestSweepStreamSeqsInOrder(t *testing.T) {
+	_, ts := e2eServer(t, serverConfig{workers: 4})
+	const points = 16
+	for round := 0; round < 300; round++ {
+		req := SweepRequest{}
+		for i := 0; i < points; i++ {
+			req.Points = append(req.Points, PointSpec{Workload: "uniform", Cycles: 60, Seed: int64(i + 1)})
+		}
+		// One fresh point per round makes each request a new job.
+		req.Points[0].Seed = int64(1000 + round)
+		resp, body := postSweep(t, ts, req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("round %d: status %d, body %s", round, resp.StatusCode, body)
+		}
+		var last int64
+		seen := 0
+		for _, line := range decodeStream(t, body) {
+			if line.Type != "outcome" || line.Seq == 0 {
+				continue
+			}
+			if line.Seq <= last {
+				t.Fatalf("round %d: outcome seq %d streamed after seq %d", round, line.Seq, last)
+			}
+			last = line.Seq
+			seen++
+		}
+		if seen != points {
+			t.Fatalf("round %d: %d logged outcomes streamed, want %d", round, seen, points)
+		}
+	}
+}

@@ -165,43 +165,17 @@ func (c *Controller) ReconfigureForWorkload(profile traffic.Generator) (*State, 
 }
 
 // adaptiveSelect mirrors experiments.AdaptiveShortcuts without importing
-// it (experiments sits above core): both Figure 3 heuristics under the
-// F*W objective, keeping the better set.
+// it (experiments sits above core).
 func adaptiveSelect(m *topology.Mesh, rfEnabled []int, freq [][]int64, budget int) []shortcut.Edge {
 	rf := map[int]bool{}
 	for _, id := range rfEnabled {
 		rf[id] = true
 	}
-	p := shortcut.Params{
+	return shortcut.SelectAdaptive(m.Graph(), shortcut.Params{
 		Budget:   budget,
 		Eligible: func(id int) bool { return rf[id] && m.ShortcutEligible(id) },
 		Freq:     freq,
 		MeshW:    m.W,
 		MeshH:    m.H,
-	}
-	g := m.Graph()
-	region := shortcut.SelectRegionBased(g, p)
-	greedy := shortcut.SelectGreedyPermutation(g, p)
-	if weightedCost(m, region, freq) <= weightedCost(m, greedy, freq) {
-		return region
-	}
-	return greedy
-}
-
-func weightedCost(m *topology.Mesh, edges []shortcut.Edge, freq [][]int64) int64 {
-	g := shortcut.Apply(m.Graph(), edges)
-	apsp := g.AllPairs()
-	var total int64
-	for s, row := range freq {
-		if row == nil {
-			continue
-		}
-		for d, f := range row {
-			if f == 0 || s == d {
-				continue
-			}
-			total += f * int64(apsp[s][d])
-		}
-	}
-	return total
+	})
 }

@@ -8,7 +8,9 @@ import (
 	"time"
 
 	"repro/internal/noc"
+	"repro/internal/tech"
 	"repro/internal/topology"
+	"repro/internal/traffic"
 )
 
 // BenchmarkSweepThroughput measures supervised sweep throughput in
@@ -71,4 +73,22 @@ func benchPortablePoint(b *testing.B, seed, cycles int64) SweepPoint {
 		b.Fatal(err)
 	}
 	return pt
+}
+
+// BenchmarkAdaptiveShortcuts times one application-specific selection,
+// the call a Summary makes 28 times: HotBiDF profile, 50 RF-enabled
+// routers, budget 16.
+func BenchmarkAdaptiveShortcuts(b *testing.B) {
+	m := topology.New10x10()
+	opts := Options{}.WithDefaults()
+	profile := traffic.NewProbabilistic(m, traffic.HotBiDF, opts.Rate, opts.Seed)
+	freq := traffic.FrequencyMatrix(profile, m.N(), opts.ProfileCycles)
+	rf := m.RFPlacement(50)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if got := AdaptiveShortcuts(m, rf, freq, tech.ShortcutBudget); len(got) == 0 {
+			b.Fatal("selection failed")
+		}
+	}
 }

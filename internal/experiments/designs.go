@@ -9,7 +9,6 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/graph"
 	"repro/internal/noc"
 	"repro/internal/shortcut"
 	"repro/internal/tech"
@@ -151,32 +150,19 @@ func StaticShortcuts(m *topology.Mesh, budget int) []shortcut.Edge {
 }
 
 // AdaptiveShortcuts returns the application-specific shortcut set
-// (Section 3.2.2) restricted to RF-enabled routers. Candidates are
-// generated with both of the paper's Figure 3 heuristics under the
-// F(x,y)*W(x,y) objective -- the region-based alternating selector and
-// the permutation-graph greedy -- and the set with the lower weighted
-// objective is kept. (The paper found its two heuristics comparable and
-// kept the cheaper one; ours differ slightly per workload, so a
-// one-APSP comparison buys the better set at negligible cost.)
+// (Section 3.2.2) restricted to RF-enabled routers: the better of the
+// paper's two Figure 3 heuristics under the F(x,y)*W(x,y) objective (see
+// shortcut.SelectAdaptive).
 func AdaptiveShortcuts(m *topology.Mesh, rfEnabled []int, freq [][]int64, budget int) []shortcut.Edge {
 	rf := map[int]bool{}
 	for _, id := range rfEnabled {
 		rf[id] = true
 	}
-	p := shortcut.Params{
+	return shortcut.SelectAdaptive(m.Graph(), shortcut.Params{
 		Budget:   budget,
 		Eligible: func(id int) bool { return rf[id] && m.ShortcutEligible(id) },
 		Freq:     freq,
 		MeshW:    m.W,
 		MeshH:    m.H,
-	}
-	g := m.Graph()
-	region := shortcut.SelectRegionBased(g, p)
-	greedy := shortcut.SelectGreedyPermutation(g, p)
-	cr := graph.WeightedCost(shortcut.Apply(g, region).AllPairs(), freq)
-	cg := graph.WeightedCost(shortcut.Apply(g, greedy).AllPairs(), freq)
-	if cr <= cg {
-		return region
-	}
-	return greedy
+	})
 }

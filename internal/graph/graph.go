@@ -10,7 +10,6 @@
 package graph
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 )
@@ -113,23 +112,7 @@ func (g *Digraph) Clone() *Digraph {
 // dist[v] == Infinity for unreachable v.
 func (g *Digraph) ShortestFrom(src int) []int {
 	dist := make([]int, g.n)
-	for i := range dist {
-		dist[i] = Infinity
-	}
-	dist[src] = 0
-	pq := &vertexHeap{{v: src, d: 0}}
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(vertexItem)
-		if it.d > dist[it.v] {
-			continue
-		}
-		for _, e := range g.adj[it.v] {
-			if nd := it.d + e.Weight; nd < dist[e.To] {
-				dist[e.To] = nd
-				heap.Push(pq, vertexItem{v: e.To, d: nd})
-			}
-		}
-	}
+	g.shortestFromInto(src, dist, &vertexHeap{})
 	return dist
 }
 
@@ -141,16 +124,16 @@ func (g *Digraph) shortestFromInto(src int, dist []int, pq *vertexHeap) {
 	}
 	dist[src] = 0
 	*pq = (*pq)[:0]
-	heap.Push(pq, vertexItem{v: src, d: 0})
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(vertexItem)
+	pq.push(vertexItem{v: src, d: 0})
+	for len(*pq) > 0 {
+		it := pq.pop()
 		if it.d > dist[it.v] {
 			continue
 		}
 		for _, e := range g.adj[it.v] {
 			if nd := it.d + e.Weight; nd < dist[e.To] {
 				dist[e.To] = nd
-				heap.Push(pq, vertexItem{v: e.To, d: nd})
+				pq.push(vertexItem{v: e.To, d: nd})
 			}
 		}
 	}
@@ -166,6 +149,32 @@ func (g *Digraph) AllPairs() [][]int {
 		g.shortestFromInto(u, out[u], pq)
 	}
 	return out
+}
+
+// Relax updates an all-pairs distance matrix in place for one added
+// edge e, so that it equals AllPairs of the augmented graph:
+//
+//	d'(x,y) = min( d(x,y), d(x,u) + w + d(v,y) )   for e = (u,v,w).
+//
+// A single new edge can only be used once on a shortest path, so the
+// identity is exact. It reads column u and row v, and neither changes
+// (d'(x,u) would need d(v,u)+w < 0, d'(v,y) likewise), so updating in
+// place is safe. Unreachable entries stay Infinity; sums with Infinity
+// are never formed.
+func Relax(apsp [][]int, e Edge) {
+	rowV := apsp[e.To]
+	for _, rowX := range apsp {
+		dxu := rowX[e.From]
+		if dxu >= Infinity {
+			continue
+		}
+		via := dxu + e.Weight
+		for y, dvy := range rowV {
+			if dvy < Infinity && via+dvy < rowX[y] {
+				rowX[y] = via + dvy
+			}
+		}
+	}
 }
 
 // TotalPairCost sums the shortest-path distance over all ordered vertex
@@ -299,23 +308,49 @@ func (g *Digraph) reverse() *Digraph {
 	return r
 }
 
-// vertexItem/vertexHeap implement the Dijkstra priority queue.
+// vertexItem/vertexHeap implement the Dijkstra priority queue: a binary
+// min-heap on d, typed so that pushes do not box their items.
 type vertexItem struct {
 	v, d int
 }
 
 type vertexHeap []vertexItem
 
-func (h vertexHeap) Len() int            { return len(h) }
-func (h vertexHeap) Less(i, j int) bool  { return h[i].d < h[j].d }
-func (h vertexHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *vertexHeap) Push(x interface{}) { *h = append(*h, x.(vertexItem)) }
-func (h *vertexHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+func (h *vertexHeap) push(it vertexItem) {
+	*h = append(*h, it)
+	q := *h
+	for i := len(q) - 1; i > 0; {
+		p := (i - 1) / 2
+		if q[p].d <= q[i].d {
+			break
+		}
+		q[p], q[i] = q[i], q[p]
+		i = p
+	}
+}
+
+func (h *vertexHeap) pop() vertexItem {
+	q := *h
+	top := q[0]
+	last := len(q) - 1
+	q[0] = q[last]
+	q = q[:last]
+	for i := 0; ; {
+		m, l, r := i, 2*i+1, 2*i+2
+		if l < len(q) && q[l].d < q[m].d {
+			m = l
+		}
+		if r < len(q) && q[r].d < q[m].d {
+			m = r
+		}
+		if m == i {
+			break
+		}
+		q[i], q[m] = q[m], q[i]
+		i = m
+	}
+	*h = q
+	return top
 }
 
 // Grid builds a 2D mesh digraph of w x h vertices with bidirectional

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -263,4 +264,41 @@ func abs(x int) int {
 		return -x
 	}
 	return x
+}
+
+// Property: after every weighted edge insertion, Relax leaves the matrix
+// equal to a from-scratch AllPairs of the augmented graph. Half the
+// graphs are a random spanning cycle plus chords (strongly connected);
+// the rest are sparse random digraphs whose unreachable pairs must stay
+// exactly Infinity.
+func TestPropertyRelaxMatchesAllPairs(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for c := 0; c < 60; c++ {
+		n := 2 + rng.Intn(30)
+		g := New(n)
+		if c%2 == 0 {
+			perm := rng.Perm(n)
+			for i := range perm {
+				g.AddEdge(perm[i], perm[(i+1)%n], 1+rng.Intn(5))
+			}
+		}
+		for k := rng.Intn(2 * n); k > 0; k-- {
+			g.AddEdge(rng.Intn(n), rng.Intn(n), 1+rng.Intn(9))
+		}
+		apsp := g.AllPairs()
+		for k := 0; k < 1+rng.Intn(2*n); k++ {
+			e := Edge{From: rng.Intn(n), To: rng.Intn(n), Weight: 1 + rng.Intn(9)}
+			g.AddEdge(e.From, e.To, e.Weight)
+			Relax(apsp, e)
+			want := g.AllPairs()
+			for x := range want {
+				for y := range want[x] {
+					if apsp[x][y] != want[x][y] {
+						t.Fatalf("graph %d, insertion %d (%v): d(%d,%d) = %d, want %d",
+							c, k, e, x, y, apsp[x][y], want[x][y])
+					}
+				}
+			}
+		}
+	}
 }

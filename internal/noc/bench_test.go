@@ -72,6 +72,7 @@ func BenchmarkBuildRoutes(b *testing.B) {
 		Budget: 16, Eligible: m.ShortcutEligible,
 	})
 	cfg := Config{Mesh: m, Width: tech.Width16B, Shortcuts: edges}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n := New(cfg)

@@ -152,6 +152,13 @@ type Config struct {
 	AdaptiveRouting bool
 }
 
+// Bounds of the VC knobs: a VC's index within its port is an int8 and its
+// flit counters are int32 (see vcState).
+const (
+	maxVCsPerClass = 63
+	maxBufDepth    = 1 << 16
+)
+
 // withDefaults returns a copy of c with zero fields defaulted.
 func (c Config) withDefaults() Config {
 	if c.Mesh == nil {
@@ -205,11 +212,11 @@ func (c Config) Validate() error {
 	if !c.Width.Valid() {
 		errs = append(errs, fmt.Errorf("noc: invalid link width %d", int(c.Width)))
 	}
-	if c.VCsPerClass < 1 {
-		errs = append(errs, fmt.Errorf("noc: VCs per class must be positive, got %d", c.VCsPerClass))
+	if c.VCsPerClass < 1 || c.VCsPerClass > maxVCsPerClass {
+		errs = append(errs, fmt.Errorf("noc: VCs per class must be in [1,%d], got %d", maxVCsPerClass, c.VCsPerClass))
 	}
-	if c.BufDepth < 1 {
-		errs = append(errs, fmt.Errorf("noc: VC buffer depth must be positive, got %d", c.BufDepth))
+	if c.BufDepth < 1 || c.BufDepth > maxBufDepth {
+		errs = append(errs, fmt.Errorf("noc: VC buffer depth must be in [1,%d], got %d", maxBufDepth, c.BufDepth))
 	}
 	if c.EscapeTimeout < 1 {
 		errs = append(errs, fmt.Errorf("noc: escape timeout must be positive, got %d", c.EscapeTimeout))

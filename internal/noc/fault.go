@@ -213,19 +213,19 @@ func (n *Network) retransmit(rs *routerState, vc *vcState) {
 	fs := n.faults
 	n.stats.FlitsCorrupted++
 	for _, o := range n.observers {
-		o.FlitCorrupted(rs.id, vc.outPort, n.now)
+		o.FlitCorrupted(rs.id, int(vc.outPort), n.now)
 	}
 	vc.retries++
-	if vc.retries >= fs.cfg.RetryLimit {
-		if vc.outPort == portRF || n.meshKillable(rs.id, vc.outPort) {
+	if int(vc.retries) >= fs.cfg.RetryLimit {
+		if vc.outPort == portRF || n.meshKillable(rs.id, int(vc.outPort)) {
 			// Budget exhausted: the link dies. The declaration is
 			// deferred to the end of the cycle (the grant loop may still
 			// hold references to VCs the reroute would reset); the flit
 			// stays put and either re-routes with its packet or drains
 			// over the then-dead link.
-			fs.queueKill(rs.id, vc.outPort)
+			fs.queueKill(rs.id, int(vc.outPort))
 			if f := vc.front(); f != nil {
-				f.eligibleAt = n.now + 1
+				f.setEligibleAt(n.now + 1)
 			}
 			return
 		}
@@ -235,12 +235,12 @@ func (n *Network) retransmit(rs *routerState, vc *vcState) {
 		vc.retries = 0
 	}
 	n.stats.Retransmits++
-	delay := fs.backoff(vc.retries)
+	delay := fs.backoff(int(vc.retries))
 	if f := vc.front(); f != nil {
-		f.eligibleAt = n.now + delay
+		f.setEligibleAt(n.now + delay)
 	}
 	for _, o := range n.observers {
-		o.Retransmit(rs.id, vc.outPort, vc.retries, n.now)
+		o.Retransmit(rs.id, int(vc.outPort), int(vc.retries), n.now)
 	}
 }
 
@@ -432,11 +432,11 @@ func (n *Network) rerouteInFlight() {
 				vc.arrivedAt = n.now
 				vc.vaFirstFail = -1
 				vc.retries = 0
-				vc.cands = vc.cands[:0]
+				vc.ncands = 0
 				rs.enlist(vc)
 				n.stats.DegradedReroutes++
 				for _, o := range n.observers {
-					o.DegradedReroute(r, vc.outPort, n.now)
+					o.DegradedReroute(r, int(vc.outPort), n.now)
 				}
 			}
 		}
@@ -451,10 +451,10 @@ func (fs *faultState) stale(r int, vc *vcState) bool {
 		}
 		return p != portLocal && fs.meshDead[r][p]
 	}
-	if dead(vc.outPort) {
+	if dead(int(vc.outPort)) {
 		return true
 	}
-	for _, c := range vc.cands {
+	for _, c := range vc.candidates() {
 		if dead(int(c)) {
 			return true
 		}
@@ -654,7 +654,7 @@ func (n *Network) misroutePort(r int, vc *vcState) int {
 	var cands [numPorts]int
 	nc := 0
 	for port := portNorth; port <= portWest; port++ {
-		if port == vc.outPort || fs.meshDead[r][port] {
+		if port == int(vc.outPort) || fs.meshDead[r][port] {
 			continue
 		}
 		if neighborThrough(n, r, port) < 0 {
@@ -749,13 +749,13 @@ func (n *Network) stepChaos() {
 
 // leakCredit removes one credit from vc if it has headroom to lose.
 func (n *Network) leakCredit(vc *vcState) bool {
-	if vc.count+vc.incoming+vc.leaked >= cap(vc.buf) {
+	if vc.count+vc.incoming+vc.leaked >= vc.depth() {
 		return false
 	}
 	vc.leaked++
 	n.stats.CreditLeaks++
 	for _, o := range n.observers {
-		o.CreditLeaked(vc.router.id, vc.port, n.now)
+		o.CreditLeaked(vc.router.id, int(vc.port), n.now)
 	}
 	return true
 }
@@ -768,7 +768,7 @@ func (n *Network) stickVC(vc *vcState) bool {
 	vc.stuck = true
 	n.stats.StuckVCs++
 	for _, o := range n.observers {
-		o.VCStuck(vc.router.id, vc.port, n.now)
+		o.VCStuck(vc.router.id, int(vc.port), n.now)
 	}
 	return true
 }

@@ -107,6 +107,10 @@ type routerState struct {
 	// grantScratch is reused by switch allocation to avoid per-cycle
 	// allocations.
 	grantScratch []*vcState
+	// slots holds the flit buffers of the router's input VCs, depth
+	// flits each: a VC's ring buffer is slots[base : base+depth].
+	slots []flitSlot
+	depth int32
 }
 
 // feeding tracks one packet streaming from the NI into a local input VC.
@@ -134,64 +138,100 @@ const (
 	phaseActive         // VC allocated; flits stream through SA
 )
 
-// vcState is one input virtual channel.
+// vcState is one input virtual channel. A network keeps all of its VCs
+// in one array and their flit buffers in another (see NewChecked); the
+// fields are ordered and narrowed to keep the struct small, since it is
+// most of a network's memory.
 type vcState struct {
 	router *routerState
-	port   int
-	idx    int
-	class  int
+	pkt    *packet
+	outVC  *vcState // nil for eject/absorb
 
-	pkt      *packet
-	reserved bool
-	incoming int
-
-	buf   []flitSlot // ring buffer, capacity BufDepth
-	head  int
-	count int
-
-	phase       vcPhase
-	inActive    bool   // member of the router's active list
-	cands       []int8 // adaptive-routing minimal candidate ports
 	arrivedAt   int64
-	rcExtra     int64 // extra RC cycles (VCT tree setup)
 	vaFirstFail int64
-	outPort     int
-	outVC       *vcState // nil for eject/absorb
+
+	// The ring buffer is router.slots[base : base+router.depth]; head
+	// indexes its front flit.
+	base     int32
+	head     int32
+	count    int32
+	incoming int32
 
 	// sent counts flits of the current packet already sent downstream
 	// (wormhole progress: a packet with sent > 0 cannot be re-routed).
 	// retries counts consecutive corrupted transmissions of the front
 	// flit; the link-layer retry budget is charged against it.
-	sent    int
-	retries int
+	sent    int32
+	retries int32
 
 	// leaked is the number of buffer credits this VC has silently lost
 	// to the credit-leak fault (effective capacity shrinks by leaked
 	// until watchdog stage 1 repairs it). stuck wedges the VC out of
 	// arbitration entirely (stuck-VC fault; stage 1 unsticks it).
-	leaked int
+	leaked int32
 	stuck  bool
+
+	port    int8
+	idx     int8
+	class   int8
+	outPort int8
+	rcExtra int8 // extra RC cycles (VCT tree setup)
+
+	phase    vcPhase
+	reserved bool
+	inActive bool // member of the router's active list
+
+	// cands[:ncands] are the adaptive-routing minimal candidate ports.
+	ncands int8
+	cands  [numPorts]int8
 }
 
-type flitSlot struct {
-	eligibleAt int64
-	isHead     bool
-	isTail     bool
+// flitSlot is one buffered flit: the cycle it becomes switch-eligible
+// and its head/tail marks, packed as eligibleAt<<2 | head<<1 | tail.
+type flitSlot int64
+
+func newFlitSlot(eligibleAt int64, head, tail bool) flitSlot {
+	s := flitSlot(eligibleAt << 2)
+	if head {
+		s |= 2
+	}
+	if tail {
+		s |= 1
+	}
+	return s
 }
+
+func (s flitSlot) eligibleAt() int64 { return int64(s >> 2) }
+func (s flitSlot) isHead() bool      { return s&2 != 0 }
+func (s flitSlot) isTail() bool      { return s&1 != 0 }
+
+func (s *flitSlot) setEligibleAt(at int64) { *s = flitSlot(at<<2) | *s&3 }
+
+// candidates returns the adaptive-routing candidate ports.
+func (v *vcState) candidates() []int8 { return v.cands[:v.ncands] }
 
 func (v *vcState) free() bool {
 	return v.pkt == nil && !v.reserved && v.incoming == 0 && v.count == 0
 }
 
+// depth is the VC's buffer capacity in flits.
+func (v *vcState) depth() int32 { return v.router.depth }
+
+// slot returns the i-th flit of the ring buffer, counting from the
+// front.
+func (v *vcState) slot(i int32) *flitSlot {
+	return &v.router.slots[v.base+(v.head+i)%v.router.depth]
+}
+
 func (v *vcState) space() bool {
-	return v.count+v.incoming+v.leaked < cap(v.buf)
+	return v.count+v.incoming+v.leaked < v.depth()
 }
 
 func (v *vcState) push(s flitSlot) {
-	if v.count >= cap(v.buf) {
+	if v.count >= v.depth() {
 		panic("noc: VC buffer overflow")
 	}
-	v.buf[(v.head+v.count)%cap(v.buf)] = s
+	*v.slot(v.count) = s
 	v.count++
 }
 
@@ -199,12 +239,12 @@ func (v *vcState) front() *flitSlot {
 	if v.count == 0 {
 		return nil
 	}
-	return &v.buf[v.head]
+	return &v.router.slots[v.base+v.head]
 }
 
 func (v *vcState) pop() flitSlot {
-	s := v.buf[v.head]
-	v.head = (v.head + 1) % cap(v.buf)
+	s := v.router.slots[v.base+v.head]
+	v.head = (v.head + 1) % v.depth()
 	v.count--
 	return s
 }
@@ -246,21 +286,30 @@ func NewChecked(cfg Config) (*Network, error) {
 	n.linkUse = make([][numPorts]int64, m.N())
 	n.freq = make([][]int64, m.N())
 	n.stats.MsgsByDistance = make([]int64, m.W+m.H-1)
+	// All VCs, their pointers and their flit buffers live in three
+	// arrays per network rather than one allocation per VC.
 	vcsTotal := 2 * cfg.VCsPerClass
+	perRouter := numPorts * vcsTotal
+	vcs := make([]vcState, m.N()*perRouter)
+	ptrs := make([]*vcState, len(vcs))
+	slots := make([]flitSlot, len(vcs)*cfg.BufDepth)
 	for r := range n.routers {
 		rs := &n.routers[r]
 		rs.id = r
+		k := r * perRouter
+		rs.slots = slots[k*cfg.BufDepth : (k+perRouter)*cfg.BufDepth]
+		rs.depth = int32(cfg.BufDepth)
 		for p := 0; p < numPorts; p++ {
-			rs.vcs[p] = make([]*vcState, vcsTotal)
+			rs.vcs[p] = ptrs[k : k+vcsTotal : k+vcsTotal]
 			for i := 0; i < vcsTotal; i++ {
-				cl := vcClassNormal
+				vc := &vcs[k]
+				vc.router, vc.port, vc.idx = rs, int8(p), int8(i)
+				vc.base = int32((p*vcsTotal + i) * cfg.BufDepth)
 				if i >= cfg.VCsPerClass {
-					cl = vcClassEscape
+					vc.class = vcClassEscape
 				}
-				rs.vcs[p][i] = &vcState{
-					router: rs, port: p, idx: i, class: cl,
-					buf: make([]flitSlot, cfg.BufDepth),
-				}
+				ptrs[k] = vc
+				k++
 			}
 		}
 	}
@@ -643,9 +692,9 @@ func (n *Network) deliverArrivals() {
 			vc.sent = 0
 			vc.retries = 0
 			vc.router.enlist(vc)
-			vc.push(flitSlot{eligibleAt: n.now + 3 + vc.rcExtra, isHead: true, isTail: t.isTail})
+			vc.push(newFlitSlot(n.now+3+int64(vc.rcExtra), true, t.isTail))
 		} else {
-			vc.push(flitSlot{eligibleAt: n.now + 1, isTail: t.isTail})
+			vc.push(newFlitSlot(n.now+1, false, t.isTail))
 		}
 	}
 }
@@ -703,9 +752,9 @@ func (n *Network) injectFromNIs() {
 				isTail := f.fed == vc.pkt.numFlits-1
 				el := n.now + 1
 				if isHead {
-					el = n.now + 3 + vc.rcExtra
+					el = n.now + 3 + int64(vc.rcExtra)
 				}
-				vc.push(flitSlot{eligibleAt: el, isHead: isHead, isTail: isTail})
+				vc.push(newFlitSlot(el, isHead, isTail))
 				n.stats.FlitsInjected++
 				n.stats.LocalFlitHops++
 				f.fed++

@@ -255,13 +255,13 @@ func (n *Network) Audit() AuditReport {
 					rep.StuckVCs++
 				}
 				if vc.count < 0 || vc.incoming < 0 || vc.leaked < 0 ||
-					vc.count+vc.incoming+vc.leaked > cap(vc.buf) {
+					vc.count+vc.incoming+vc.leaked > vc.depth() {
 					rep.CreditViolations++
 				}
 				if vc.pkt != nil {
 					if age := n.now - vc.arrivedAt; age > rep.OldestHeadAge {
 						rep.OldestHeadAge = age
-						rep.OldestRouter, rep.OldestPort, rep.OldestVC = r, p, vc.idx
+						rep.OldestRouter, rep.OldestPort, rep.OldestVC = r, p, int(vc.idx)
 					}
 				}
 			}
@@ -290,7 +290,7 @@ func (n *Network) DumpRouter(r int) string {
 			if vc.pkt != nil {
 				fmt.Fprintf(&b, " pkt %d->%d flits=%d age=%d out=%s",
 					vc.pkt.msg.Src, vc.pkt.msg.Dst, vc.pkt.numFlits,
-					n.now-vc.arrivedAt, portName(vc.outPort))
+					n.now-vc.arrivedAt, portName(int(vc.outPort)))
 			}
 			b.WriteByte('\n')
 		}

@@ -60,7 +60,7 @@ func (n *Network) advanceRouter(rs *routerState) {
 			continue
 		}
 		f := vc.front()
-		if f == nil || f.eligibleAt > n.now {
+		if f == nil || f.eligibleAt() > n.now {
 			continue
 		}
 		if outLeft[vc.outPort] == 0 {
@@ -84,7 +84,7 @@ func (n *Network) advanceRouter(rs *routerState) {
 func (n *Network) advanceVC(rs *routerState, vc *vcState) {
 	switch vc.phase {
 	case phaseRC:
-		if n.now < vc.arrivedAt+1+vc.rcExtra {
+		if n.now < vc.arrivedAt+1+int64(vc.rcExtra) {
 			return
 		}
 		n.computeRoute(rs, vc)
@@ -92,11 +92,11 @@ func (n *Network) advanceVC(rs *routerState, vc *vcState) {
 		// A head held in RC past its VA slot (a stuck VC the watchdog
 		// released) books that slot as a failed allocation now; VA
 		// itself runs from the next cycle.
-		if n.now >= vc.arrivedAt+2+vc.rcExtra && vc.outPort != portLocal {
+		if n.now >= vc.arrivedAt+2+int64(vc.rcExtra) && vc.outPort != portLocal {
 			n.vaFail(rs, vc)
 		}
 	case phaseVA:
-		if n.now < vc.arrivedAt+2+vc.rcExtra {
+		if n.now < vc.arrivedAt+2+int64(vc.rcExtra) {
 			return
 		}
 		if vc.outPort == portLocal {
@@ -104,27 +104,27 @@ func (n *Network) advanceVC(rs *routerState, vc *vcState) {
 			vc.phase = phaseActive
 			return
 		}
-		if len(vc.cands) > 1 {
+		if vc.ncands > 1 {
 			// Adaptive VA: prefer the minimal port with the most free
 			// downstream VCs this cycle.
 			best, bestFree := vc.outPort, -1
-			for _, p := range vc.cands {
+			for _, p := range vc.candidates() {
 				if free := n.freeVCCount(rs.id, int(p), vc.pkt.class); free > bestFree {
-					best, bestFree = int(p), free
+					best, bestFree = p, free
 				}
 			}
 			if bestFree > 0 {
 				vc.outPort = best
 			}
 		}
-		down := n.downstreamVC(rs.id, vc.outPort, vc.pkt.class)
+		down := n.downstreamVC(rs.id, int(vc.outPort), vc.pkt.class)
 		if down != nil {
 			down.reserved = true
 			vc.outVC = down
 			vc.phase = phaseActive
 			// SA no earlier than the cycle after VA completes.
-			if f := vc.front(); f != nil && f.eligibleAt < n.now+1 {
-				f.eligibleAt = n.now + 1
+			if f := vc.front(); f != nil && f.eligibleAt() < n.now+1 {
+				f.setEligibleAt(n.now + 1)
 			}
 			return
 		}
@@ -135,8 +135,8 @@ func (n *Network) advanceVC(rs *routerState, vc *vcState) {
 // computeRoute is the RC stage: it sets vc's output port and, for
 // adaptive routing, the minimal candidate ports VA chooses among.
 func (n *Network) computeRoute(rs *routerState, vc *vcState) {
-	vc.outPort = n.route(rs.id, vc)
-	vc.cands = vc.cands[:0]
+	vc.outPort = int8(n.route(rs.id, vc))
+	vc.ncands = 0
 	if n.faults != nil {
 		if n.drawMisdeliver(rs.id, vc) {
 			// RF band mis-tune: the packet ejects here, at the wrong
@@ -147,13 +147,13 @@ func (n *Network) computeRoute(rs *routerState, vc *vcState) {
 		if wrong := n.misroutePort(rs.id, vc); wrong >= 0 {
 			// Adversarial misroute: divert the whole packet and skip
 			// adaptive candidates so VA cannot heal it.
-			vc.outPort = wrong
+			vc.outPort = int8(wrong)
 			return
 		}
 	}
 	if n.cfg.AdaptiveRouting && vc.outPort != portLocal &&
 		vc.pkt.class == vcClassNormal && vc.pkt.destSet == nil {
-		vc.cands = n.adaptiveCandidates(rs.id, vc.pkt.msg.Dst, vc.cands)
+		vc.ncands = int8(len(n.adaptiveCandidates(rs.id, vc.pkt.msg.Dst, vc.cands[:0])))
 	}
 }
 
@@ -168,7 +168,7 @@ func (n *Network) vaFail(rs *routerState, vc *vcState) {
 	if vc.pkt.class == vcClassNormal && vc.pkt.destSet == nil &&
 		n.now-vc.vaFirstFail >= n.cfg.EscapeTimeout {
 		vc.pkt.class = vcClassEscape
-		vc.outPort = n.escapeRoute(rs.id, vc.pkt.msg.Dst)
+		vc.outPort = int8(n.escapeRoute(rs.id, vc.pkt.msg.Dst))
 		vc.vaFirstFail = n.now
 		n.stats.EscapeSwitches++
 	}
@@ -243,7 +243,7 @@ func oppositePort(p int) int {
 
 // depart sends vc's front flit through the crossbar.
 func (n *Network) depart(rs *routerState, vc *vcState) {
-	if n.faults != nil && vc.outPort != portLocal && n.faults.corrupts(rs.id, vc.outPort) {
+	if n.faults != nil && vc.outPort != portLocal && n.faults.corrupts(rs.id, int(vc.outPort)) {
 		// CRC failure on the link: the flit never leaves the sender VC
 		// (the grant and link cycle are wasted), and the link layer
 		// retransmits after a NACK round trip plus backoff.
@@ -258,7 +258,7 @@ func (n *Network) depart(rs *routerState, vc *vcState) {
 	n.linkUse[rs.id][vc.outPort]++
 	if len(n.observers) != 0 {
 		for _, o := range n.observers {
-			o.FlitSent(rs.id, vc.outPort, n.now)
+			o.FlitSent(rs.id, int(vc.outPort), n.now)
 		}
 	}
 
@@ -279,7 +279,7 @@ func (n *Network) depart(rs *routerState, vc *vcState) {
 				}
 			}
 		}
-		if f.isTail {
+		if f.isTail() {
 			n.retire(rs, p)
 			vc.release()
 		}
@@ -304,21 +304,21 @@ func (n *Network) depart(rs *routerState, vc *vcState) {
 	}
 
 	n.schedule(transfer{
-		to: vc.outVC, pkt: headPkt(f, p), isHead: f.isHead, isTail: f.isTail,
+		to: vc.outVC, pkt: headPkt(f, p), isHead: f.isHead(), isTail: f.isTail(),
 	}, lat)
-	if f.isHead {
+	if f.isHead() {
 		p.hops++
 		if vc.outPort == portRF && n.faults != nil {
 			n.maybeDuplicate(rs.id, p) // RF band re-trigger
 		}
 	}
-	if f.isTail {
+	if f.isTail() {
 		vc.release()
 	}
 }
 
 func headPkt(f flitSlot, p *packet) *packet {
-	if f.isHead {
+	if f.isHead() {
 		return p
 	}
 	return nil
@@ -331,7 +331,7 @@ func (v *vcState) release() {
 	v.outVC = nil
 	v.outPort = 0
 	v.vaFirstFail = -1
-	v.cands = v.cands[:0]
+	v.ncands = 0
 	v.sent = 0
 	v.retries = 0
 }

@@ -53,9 +53,13 @@ type routeTable struct {
 
 // buildRoutes constructs the normal-class routing table. Without
 // shortcuts this degenerates to XY; with shortcuts it is deterministic
-// min-hop over the augmented graph with mesh-preferring tie-breaks
-// (mesh edges are inserted into the graph before shortcut edges, and
-// graph.NextHops prefers earlier adjacency entries).
+// min-hop over the augmented graph with mesh-preferring tie-breaks: the
+// next hop is the first out-edge, in adjacency order, that lies on a
+// shortest path (graph.NextHops' rule), and mesh edges are inserted into
+// the graph before shortcut edges.
+//
+// The distances are the mesh's (manhattan, or APSP of the surviving mesh)
+// updated in place once per live shortcut (graph.Relax), which is exact.
 //
 // When the plain mesh distance equals the augmented distance for a pair,
 // the XY path is used outright: this keeps zero-gain traffic off the
@@ -67,65 +71,78 @@ type routeTable struct {
 // cross a dead link).
 func buildRoutes(n *Network) *routeTable {
 	m := n.cfg.Mesh
-	t := &routeTable{port: make([][]int8, m.N())}
+	N := m.N()
 	live := n.liveShortcutEdges()
 	meshFaulty := n.faults != nil && n.faults.meshFaults > 0
-	if len(live) == 0 && !meshFaulty {
-		// Pure XY; distances are manhattan.
-		t.dist = make([][]int, m.N())
-		for d := 0; d < m.N(); d++ {
-			t.dist[d] = make([]int, m.N())
-			for r := 0; r < m.N(); r++ {
-				t.dist[d][r] = m.Manhattan(r, d)
+	t := &routeTable{port: make([][]int8, N)}
+	ports := make([]int8, N*N)
+	for r := range t.port {
+		t.port[r] = ports[r*N : (r+1)*N : (r+1)*N]
+	}
+	// dist[r][d] is the distance from r to d; the table stores its
+	// transpose, made in place at the end.
+	var dist [][]int
+	if meshFaulty {
+		dist = n.meshGraph().AllPairs()
+	} else {
+		dist = make([][]int, N)
+		cells := make([]int, N*N)
+		for r := range dist {
+			dist[r] = cells[r*N : (r+1)*N : (r+1)*N]
+			for d := range dist[r] {
+				dist[r][d] = m.Manhattan(r, d)
 			}
 		}
-		for r := 0; r < m.N(); r++ {
-			t.port[r] = make([]int8, m.N())
-			for d := 0; d < m.N(); d++ {
+	}
+	if len(live) == 0 && !meshFaulty {
+		// Pure XY.
+		for r := range t.port {
+			for d := range t.port[r] {
 				t.port[r][d] = int8(xyPort(n, r, d))
 			}
 		}
+		t.dist = dist // manhattan is symmetric
 		return t
 	}
 	g := n.meshGraph()
 	for _, e := range live {
 		g.AddEdge(e.From, e.To, 1)
+		graph.Relax(dist, graph.Edge{From: e.From, To: e.To, Weight: 1})
 	}
-	meshDist := n.meshGraph().AllPairs()
 	for r := range t.port {
-		t.port[r] = make([]int8, m.N())
-	}
-	t.dist = make([][]int, m.N())
-	for d := 0; d < m.N(); d++ {
-		next := g.NextHops(d)
-		distTo := distancesTo(g, d)
-		t.dist[d] = distTo
-		for r := 0; r < m.N(); r++ {
-			if r == d {
+		for d := range t.port[r] {
+			switch {
+			case r == d:
 				t.port[r][d] = portLocal
-				continue
-			}
-			if meshDist[r][d] == distTo[r] && !meshFaulty {
+			case !meshFaulty && m.Manhattan(r, d) == dist[r][d]:
 				// No shortcut gain from here: route XY.
 				t.port[r][d] = int8(xyPort(n, r, d))
-				continue
+			default:
+				t.port[r][d] = int8(portToward(n, r, nextHop(g, dist, r, d)))
 			}
-			t.port[r][d] = int8(portToward(n, r, next[r]))
 		}
 	}
+	for r := range dist {
+		for d := r + 1; d < N; d++ {
+			dist[r][d], dist[d][r] = dist[d][r], dist[r][d]
+		}
+	}
+	t.dist = dist
 	return t
 }
 
-// distancesTo returns the distance from every vertex to dst in g.
-func distancesTo(g *graph.Digraph, dst int) []int {
-	// Transpose trick via NextHops would recompute; do it directly.
-	rev := graph.New(g.N())
-	for v := 0; v < g.N(); v++ {
-		for _, e := range g.OutEdges(v) {
-			rev.AddEdge(e.To, e.From, e.Weight)
+// nextHop is the first out-edge of r, in adjacency order, on a shortest
+// path to d (-1 when d is unreachable from r).
+func nextHop(g *graph.Digraph, dist [][]int, r, d int) int {
+	if dist[r][d] >= graph.Infinity {
+		return -1
+	}
+	for _, e := range g.OutEdges(r) {
+		if dist[e.To][d] < graph.Infinity && e.Weight+dist[e.To][d] == dist[r][d] {
+			return e.To
 		}
 	}
-	return rev.ShortestFrom(dst)
+	panic(fmt.Sprintf("noc: no consistent next hop from %d to %d", r, d))
 }
 
 // portToward maps a next-hop router to an output port at r: a mesh port

@@ -27,6 +27,7 @@ package noc
 import (
 	"fmt"
 	"hash/crc64"
+	"math"
 	"sort"
 
 	"repro/internal/checkpoint"
@@ -145,16 +146,16 @@ func (n *Network) CheckpointState() ([]byte, error) {
 		e.Int(rs.rrOffset)
 		e.Int(len(rs.feedings))
 		for _, f := range rs.feedings {
-			e.Int(f.vc.port)
-			e.Int(f.vc.idx)
+			e.Int(int(f.vc.port))
+			e.Int(int(f.vc.idx))
 			e.Int(f.fed)
 		}
 		// The active list in order: round-robin switch allocation walks
 		// it, so its order is determinism-bearing.
 		e.Int(len(rs.active))
 		for _, vc := range rs.active {
-			e.Int(vc.port)
-			e.Int(vc.idx)
+			e.Int(int(vc.port))
+			e.Int(int(vc.idx))
 		}
 		for p := 0; p < numPorts; p++ {
 			for _, vc := range rs.vcs[p] {
@@ -170,8 +171,8 @@ func (n *Network) CheckpointState() ([]byte, error) {
 		e.Int(len(slot))
 		for _, t := range slot {
 			e.Int(t.to.router.id)
-			e.Int(t.to.port)
-			e.Int(t.to.idx)
+			e.Int(int(t.to.port))
+			e.Int(int(t.to.idx))
 			e.Int(pktIdx(t.pkt))
 			e.Bool(t.isHead)
 			e.Bool(t.isTail)
@@ -290,33 +291,33 @@ func encodeVC(e *checkpoint.Encoder, vc *vcState, pktIdx func(*packet) int) {
 	}
 	e.Int(pktIdx(vc.pkt))
 	e.Bool(vc.reserved)
-	e.Int(vc.incoming)
-	e.Int(vc.count)
-	for i := 0; i < vc.count; i++ {
-		s := vc.buf[(vc.head+i)%cap(vc.buf)]
-		e.I64(s.eligibleAt)
-		e.Bool(s.isHead)
-		e.Bool(s.isTail)
+	e.Int(int(vc.incoming))
+	e.Int(int(vc.count))
+	for i := int32(0); i < vc.count; i++ {
+		s := *vc.slot(i)
+		e.I64(s.eligibleAt())
+		e.Bool(s.isHead())
+		e.Bool(s.isTail())
 	}
 	e.Byte(byte(vc.phase))
-	e.Int(len(vc.cands))
-	for _, c := range vc.cands {
+	e.Int(int(vc.ncands))
+	for _, c := range vc.candidates() {
 		e.Int(int(c))
 	}
 	e.I64(vc.arrivedAt)
-	e.I64(vc.rcExtra)
+	e.I64(int64(vc.rcExtra))
 	e.I64(vc.vaFirstFail)
-	e.Int(vc.outPort)
+	e.Int(int(vc.outPort))
 	if vc.outVC == nil {
 		e.Int(-1)
 	} else {
 		e.Int(vc.outVC.router.id)
-		e.Int(vc.outVC.port)
-		e.Int(vc.outVC.idx)
+		e.Int(int(vc.outVC.port))
+		e.Int(int(vc.outVC.idx))
 	}
-	e.Int(vc.sent)
-	e.Int(vc.retries)
-	e.Int(vc.leaked)
+	e.Int(int(vc.sent))
+	e.Int(int(vc.retries))
+	e.Int(int(vc.leaked))
 	e.Bool(vc.stuck)
 }
 
@@ -885,28 +886,31 @@ func (n *Network) restoreVC(d *checkpoint.Decoder, vc *vcState, pktAt func(strin
 	inActive := vc.inActive // set by the active-list pass
 	*vc = vcState{
 		router: vc.router, port: vc.port, idx: vc.idx, class: vc.class,
-		buf: vc.buf, inActive: inActive, vaFirstFail: -1,
-		cands: vc.cands[:0],
+		base: vc.base, inActive: inActive, vaFirstFail: -1,
 	}
 	if !d.Bool() {
 		return d.Err()
 	}
 	vc.pkt = pktAt("VC")
 	vc.reserved = d.Bool()
-	vc.incoming = d.Int()
+	incoming := d.Int()
 	cnt := d.Int()
 	if d.Err() != nil {
 		return d.Err()
 	}
-	if vc.incoming < 0 || cnt < 0 || cnt > cap(vc.buf) || vc.incoming+cnt > cap(vc.buf) {
-		return fmt.Errorf("noc: snapshot VC buffer accounting invalid (%d buffered, %d incoming, depth %d)", cnt, vc.incoming, cap(vc.buf))
+	depth := int(vc.depth())
+	if incoming < 0 || cnt < 0 || cnt > depth || incoming+cnt > depth {
+		return fmt.Errorf("noc: snapshot VC buffer accounting invalid (%d buffered, %d incoming, depth %d)", cnt, incoming, depth)
 	}
-	vc.head = 0
-	vc.count = 0
+	vc.incoming = int32(incoming)
 	for i := 0; i < cnt; i++ {
-		s := flitSlot{eligibleAt: d.I64(), isHead: d.Bool(), isTail: d.Bool()}
+		at := d.I64()
+		s := newFlitSlot(at, d.Bool(), d.Bool())
 		if d.Err() != nil {
 			return d.Err()
+		}
+		if s.eligibleAt() != at {
+			return fmt.Errorf("noc: snapshot flit eligibility cycle %d out of range", at)
 		}
 		vc.push(s)
 	}
@@ -925,15 +929,21 @@ func (n *Network) restoreVC(d *checkpoint.Decoder, vc *vcState, pktAt func(strin
 		if d.Err() == nil && (c < 0 || c >= numPorts) {
 			return fmt.Errorf("noc: snapshot adaptive candidate port %d invalid", c)
 		}
-		vc.cands = append(vc.cands, int8(c))
+		vc.cands[vc.ncands] = int8(c)
+		vc.ncands++
 	}
 	vc.arrivedAt = d.I64()
-	vc.rcExtra = d.I64()
-	vc.vaFirstFail = d.I64()
-	vc.outPort = d.Int()
-	if d.Err() == nil && (vc.outPort < 0 || vc.outPort >= numPorts) {
-		return fmt.Errorf("noc: snapshot VC output port %d invalid", vc.outPort)
+	rcExtra := d.I64()
+	if d.Err() == nil && (rcExtra < 0 || rcExtra > math.MaxInt8) {
+		return fmt.Errorf("noc: snapshot VC route-computation delay %d out of range", rcExtra)
 	}
+	vc.rcExtra = int8(rcExtra)
+	vc.vaFirstFail = d.I64()
+	outPort := d.Int()
+	if d.Err() == nil && (outPort < 0 || outPort >= numPorts) {
+		return fmt.Errorf("noc: snapshot VC output port %d invalid", outPort)
+	}
+	vc.outPort = int8(outPort)
 	or := d.Int()
 	if or != -1 {
 		if d.Err() == nil && (or < 0 || or >= len(n.routers)) {
@@ -943,17 +953,21 @@ func (n *Network) restoreVC(d *checkpoint.Decoder, vc *vcState, pktAt func(strin
 			vc.outVC = n.vcRef(d, &n.routers[or], "downstream VC")
 		}
 	}
-	vc.sent = d.Int()
-	vc.retries = d.Int()
-	if d.Err() == nil && (vc.sent < 0 || vc.retries < 0) {
+	sent, retries := d.Int(), d.Int()
+	if d.Err() == nil && (sent < 0 || retries < 0) {
 		return fmt.Errorf("noc: snapshot VC progress counters negative")
 	}
-	vc.leaked = d.Int()
-	vc.stuck = d.Bool()
-	if d.Err() == nil && (vc.leaked < 0 || vc.count+vc.incoming+vc.leaked > cap(vc.buf)) {
-		return fmt.Errorf("noc: snapshot VC credit accounting invalid (%d buffered, %d incoming, %d leaked, depth %d)",
-			vc.count, vc.incoming, vc.leaked, cap(vc.buf))
+	if d.Err() == nil && (sent > math.MaxInt32 || retries > math.MaxInt32) {
+		return fmt.Errorf("noc: snapshot VC progress counters out of range")
 	}
+	vc.sent, vc.retries = int32(sent), int32(retries)
+	leaked := d.Int()
+	vc.stuck = d.Bool()
+	if d.Err() == nil && (leaked < 0 || cnt+incoming+leaked > depth) {
+		return fmt.Errorf("noc: snapshot VC credit accounting invalid (%d buffered, %d incoming, %d leaked, depth %d)",
+			cnt, incoming, leaked, depth)
+	}
+	vc.leaked = int32(leaked)
 	return d.Err()
 }
 

@@ -122,7 +122,7 @@ func (n *Network) recoverCreditsAndVCs() int {
 			for _, vc := range rs.vcs[p] {
 				if vc.leaked > 0 {
 					n.stats.RecoveryCreditRepairs += int64(vc.leaked)
-					actions += vc.leaked
+					actions += int(vc.leaked)
 					vc.leaked = 0
 				}
 				if vc.stuck {
@@ -185,8 +185,8 @@ func (n *Network) recoverForceEscape() int {
 			vc.outVC = nil
 		}
 		vc.pkt.class = vcClassEscape
-		vc.outPort = n.escapeRoute(vc.router.id, vc.pkt.msg.Dst)
-		vc.cands = vc.cands[:0]
+		vc.outPort = int8(n.escapeRoute(vc.router.id, vc.pkt.msg.Dst))
+		vc.ncands = 0
 		vc.phase = phaseVA
 		vc.vaFirstFail = n.now
 		n.stats.RecoveryEscapes++
@@ -326,7 +326,7 @@ func (n *Network) scrubPacket(p *packet) int {
 		rs.feedings = keep
 	}
 	for vc := range vcSet {
-		scrubbed += vc.count
+		scrubbed += int(vc.count)
 		vc.head, vc.count = 0, 0
 		vc.pkt = nil
 		vc.reserved = false
@@ -334,7 +334,7 @@ func (n *Network) scrubPacket(p *packet) int {
 		vc.outVC = nil
 		vc.outPort = 0
 		vc.vaFirstFail = -1
-		vc.cands = vc.cands[:0]
+		vc.ncands = 0
 		vc.sent, vc.retries = 0, 0
 		// leaked/stuck are independent faults; stage 1 owns them.
 	}
