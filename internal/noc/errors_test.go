@@ -26,6 +26,10 @@ func TestConfigValidate(t *testing.T) {
 		{"bad width", func(c *Config) { c.Width = 5 }, "invalid link width 5"},
 		{"negative vcs", func(c *Config) { c.VCsPerClass = -1 }, "VCs per class"},
 		{"negative depth", func(c *Config) { c.BufDepth = -2 }, "buffer depth"},
+		{"most vcs ok", func(c *Config) { c.VCsPerClass, c.BufDepth = maxVCsPerClass, 1 }, ""},
+		{"deepest buffer ok", func(c *Config) { c.VCsPerClass, c.BufDepth = 1, maxBufDepth }, ""},
+		{"too many vcs", func(c *Config) { c.VCsPerClass = maxVCsPerClass + 1 }, "VCs per class"},
+		{"too deep", func(c *Config) { c.BufDepth = maxBufDepth + 1 }, "buffer depth"},
 		{"negative escape timeout", func(c *Config) { c.EscapeTimeout = -1 }, "escape timeout"},
 		{"negative epoch", func(c *Config) { c.MulticastEpoch = -8 }, "multicast epoch"},
 		{"negative vct table", func(c *Config) { c.VCTTableSize = -1 }, "VCT table size"},
@@ -172,4 +176,21 @@ func TestInjectChecked(t *testing.T) {
 			t.Errorf("PacketsInjected = %d, want 1", got)
 		}
 	})
+}
+
+// TestLargestVCConfigRuns builds a network at the VC-count bound (VC
+// indices up to 125 in their int8 field) and delivers traffic through it.
+func TestLargestVCConfigRuns(t *testing.T) {
+	m := topology.New(6, 6)
+	n := New(Config{Mesh: m, VCsPerClass: maxVCsPerClass, BufDepth: 2})
+	for i := 0; i < 50; i++ {
+		n.Inject(Message{Src: i % m.N(), Dst: (7 * i) % m.N(), Class: Data, Inject: n.Now()})
+		n.Step()
+	}
+	if !n.Drain(10000) {
+		t.Fatal("no drain")
+	}
+	if got := n.Stats().PacketsEjected; got == 0 {
+		t.Fatal("no packets delivered")
+	}
 }
