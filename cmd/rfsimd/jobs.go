@@ -11,7 +11,7 @@ package main
 //     (sha256 over the compiled point fingerprints), so identical
 //     re-POSTs resolve to the same log either way;
 //   - frames: each point index is appended at most once, by whichever
-//     producer (live handler, journal replay, keyed re-run) finishes it
+//     producer (live handler, boot replay, keyed re-run) finishes it
 //     first; the frame's 1-based seq is its position, and the bytes at
 //     a given seq never change — the resume contract;
 //   - visibility: streams see frames only up to the durable watermark
@@ -19,23 +19,29 @@ package main
 //     has already consumed;
 //   - completion: exactly one summary frame, appended only when every
 //     index has a logged success. A run that is cancelled or fails
-//     points leaves the job idle and incomplete; the next POST with the
-//     same identity re-runs it through normal admission, resuming the
-//     log where it stopped (and hitting the result cache / checkpoints
-//     for the points already done);
+//     points leaves the job idle and incomplete, settled with an 'X'
+//     frame; the next POST with the same identity re-runs it through
+//     normal admission, resuming the log where it stopped (and hitting
+//     the result cache / checkpoints for the points already done). A
+//     drain settles nothing: the open log is what boot replay resumes;
 //   - lifecycle: entries (and their *.results files, via resultPinned)
-//     are pinned while a producer is active, a stream is attached, or
-//     within the -results-keep window of the last touch; past that the
-//     registry forgets them and the janitor may collect the file. A
-//     later GET or keyed POST reloads the log from disk.
+//     are pinned while a producer is active, a stream is attached, a
+//     boot replay is pending, or within the -results-keep window of the
+//     last touch; past that the registry forgets them and the janitor
+//     may collect the file. A later GET or keyed POST reloads the log
+//     from disk.
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -104,6 +110,8 @@ type jobEntry struct {
 	durable int          // frames covered by an fsync: the visible prefix
 	seen    map[int]bool // point indices with a logged outcome
 	done    bool
+	settled bool      // the log's last frame is an 'X'
+	held    bool      // open at boot and not yet replayed
 	active  int       // producers (handlers/replay) appending now
 	readers int       // attached streams
 	last    time.Time // last producer/reader activity, for the keep window
@@ -143,6 +151,7 @@ func (e *jobEntry) absorbLocked(d resultLogData) {
 	e.lines = d.lines
 	e.durable = len(d.lines) // everything on disk is synced
 	e.done = d.done
+	e.settled = d.settled
 	e.seen = make(map[int]bool, len(d.lines))
 	for _, blob := range d.lines {
 		var li lineIndex
@@ -210,8 +219,10 @@ func (r *jobRegistry) lookup(id string) *jobEntry {
 // attach resolves (creating if needed) the entry for a POST. It is the
 // conflict gate: a keyed request whose body fingerprint differs from
 // the job's recorded one is refused. The returned state tells the
-// handler whether to serve the existing job (live/done) or run it.
-func (r *jobRegistry) attach(id, reqFP string, points int) (*jobEntry, jobState, error) {
+// handler whether to serve the existing job (live/done) or run it. A
+// new entry's header records spec, the raw request, and the accept
+// time; startProducer makes them durable.
+func (r *jobRegistry) attach(id, reqFP string, points int, spec json.RawMessage) (*jobEntry, jobState, error) {
 	r.mu.Lock()
 	e, ok := r.entries[id]
 	if !ok && r.dir != "" {
@@ -222,7 +233,9 @@ func (r *jobRegistry) attach(id, reqFP string, points int) (*jobEntry, jobState,
 		}
 	}
 	if !ok {
-		e = r.newEntryLocked(id, resultLogHeader{Job: id, Req: reqFP, Points: points})
+		e = r.newEntryLocked(id, resultLogHeader{
+			Job: id, Req: reqFP, Points: points, Spec: spec, Accepted: r.now().UnixNano(),
+		})
 	}
 	r.mu.Unlock()
 
@@ -244,10 +257,10 @@ func (r *jobRegistry) newEntryLocked(id string, hdr resultLogHeader) *jobEntry {
 }
 
 // startProducer registers a producer on the entry (a live handler past
-// admission, or a journal replay) and opens the durable log if the
-// artifact directory has one. The error path means the log exists but
-// cannot be opened — the job has no durability and must be refused the
-// way a journal write failure is.
+// admission, or a boot replay) and opens the durable log if the
+// artifact directory has one, writing the header of a new log. The
+// error path means the log cannot be opened or created — the job has
+// no durability and must be refused.
 func (r *jobRegistry) startProducer(e *jobEntry) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -268,13 +281,77 @@ func (r *jobRegistry) startProducer(e *jobEntry) error {
 }
 
 // endProducer retires a producer; waiting streams re-evaluate (an idle
-// incomplete job ends their tail with an "idle" line).
-func (r *jobRegistry) endProducer(e *jobEntry) {
+// incomplete job ends their tail with an "idle" line). settle marks a
+// terminal exit that is not a drain: the last producer out of an
+// unsealed job appends an 'X' so boot replay leaves the log alone —
+// unless the job still awaits its own boot replay.
+func (r *jobRegistry) endProducer(e *jobEntry, settle bool) {
 	e.mu.Lock()
 	e.active--
+	if settle && e.active == 0 && !e.held && !e.done && !e.settled && e.log != nil {
+		e.appendLocked(resultFrameSettled, nil, true)
+	}
 	e.last = r.now()
 	e.cond.Broadcast()
 	e.mu.Unlock()
+}
+
+// recoverOpen registers every open log in the artifact directory under
+// a replay hold and returns them oldest accept first. A log that does
+// not parse is skipped: its job cannot be recompiled.
+func (r *jobRegistry) recoverOpen() ([]*jobEntry, error) {
+	if r.dir == "" {
+		return nil, nil
+	}
+	files, err := os.ReadDir(r.dir)
+	if err != nil && !os.IsNotExist(err) {
+		return nil, fmt.Errorf("scanning result logs: %w", err)
+	}
+	var open []*jobEntry
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, f := range files {
+		id, ok := strings.CutSuffix(f.Name(), resultLogSuffix)
+		if !ok || !validJobID(id) {
+			continue
+		}
+		d, err := loadResultLog(r.path(id))
+		if err != nil || d.header.Job != id || !d.open() {
+			continue
+		}
+		e := r.newEntryLocked(id, d.header)
+		e.absorbLocked(d)
+		e.held = true
+		open = append(open, e)
+	}
+	slices.SortFunc(open, func(a, b *jobEntry) int {
+		return cmp.Or(cmp.Compare(a.header.Accepted, b.header.Accepted), strings.Compare(a.id, b.id))
+	})
+	return open, nil
+}
+
+// releaseHold ends an entry's boot-replay hold.
+func (r *jobRegistry) releaseHold(e *jobEntry) {
+	e.mu.Lock()
+	e.held = false
+	e.last = r.now()
+	e.mu.Unlock()
+}
+
+// heldEntries counts the recovered jobs still awaiting or running
+// their boot replay.
+func (r *jobRegistry) heldEntries() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	n := 0
+	for _, e := range r.entries {
+		e.mu.Lock()
+		if e.held {
+			n++
+		}
+		e.mu.Unlock()
+	}
+	return n
 }
 
 // appendOutcome logs one successful point outcome, assigning its seq.
@@ -282,7 +359,7 @@ func (r *jobRegistry) endProducer(e *jobEntry) {
 // producers get appended=false and stream their own (transient,
 // seq-less) line instead. expose means the caller will put the returned
 // blob on a client stream itself, so the frame must be synced before
-// returning; without it, appends from an unattended producer (journal
+// returning; without it, appends from an unattended producer (boot
 // replay) may batch.
 func (r *jobRegistry) appendOutcome(e *jobEntry, line outcomeLine, expose bool) (blob []byte, appended bool) {
 	e.mu.Lock()
@@ -322,17 +399,21 @@ func (r *jobRegistry) appendSummary(e *jobEntry, sum summaryLine, expose bool) (
 }
 
 // appendLocked writes one frame to memory and (when backed) to disk,
-// advancing the durable watermark only once the frame is fsync'd. A
+// advancing the durable watermark only once the frame is fsync'd. An
+// 'X' frame is on disk only: it has no seq and is never streamed. A
 // disk append failure degrades the entry to memory-only durability —
 // honest degraded service beats refusing results we already computed;
 // the on-disk prefix stays valid for a later resume. Callers hold e.mu.
 func (e *jobEntry) appendLocked(kind byte, blob []byte, force bool) {
-	e.lines = append(e.lines, blob)
+	e.settled = kind == resultFrameSettled
+	if !e.settled {
+		e.lines = append(e.lines, blob)
+	}
 	if e.log != nil {
 		// Group commit: sync immediately whenever a stream is waiting on
 		// this frame (readers, the producer's own follower, or a direct
-		// response about to carry it), batch otherwise (journal replay
-		// with nobody attached).
+		// response about to carry it), batch otherwise (boot replay with
+		// nobody attached).
 		synced, err := e.log.Append(kind, blob, force)
 		if err != nil {
 			e.log.Close()
@@ -379,7 +460,8 @@ func (r *jobRegistry) dropReader(e *jobEntry) {
 }
 
 // resultPinned is the janitor gate for <id>.results files: live,
-// attached or recently-touched jobs must keep their logs.
+// attached, replay-pending or recently-touched jobs must keep their
+// logs.
 func (r *jobRegistry) resultPinned(name string) bool {
 	id := name[:len(name)-len(resultLogSuffix)]
 	r.mu.Lock()
@@ -390,19 +472,18 @@ func (r *jobRegistry) resultPinned(name string) bool {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.active > 0 || e.readers > 0 || r.now().Sub(e.last) < r.keep
+	return e.held || e.active > 0 || e.readers > 0 || r.now().Sub(e.last) < r.keep
 }
 
 // prune forgets idle entries past the keep window, closing their log
-// handles. Runs under the janitor's cadence (the server's Compact hook)
-// and on shutdown via closeAll.
+// handles. The daemon runs it every -gc-interval.
 func (r *jobRegistry) prune() {
 	now := r.now()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for id, e := range r.entries {
 		e.mu.Lock()
-		idle := e.active == 0 && e.readers == 0 && now.Sub(e.last) >= r.keep
+		idle := !e.held && e.active == 0 && e.readers == 0 && now.Sub(e.last) >= r.keep
 		if idle && e.log != nil {
 			e.log.Sync()
 			e.log.Close()

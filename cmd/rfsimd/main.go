@@ -10,7 +10,8 @@
 //	       [-cache-entries N] [-dir DIR] [-checkpoint-every N] [-check]
 //	       [-read-header-timeout D] [-read-timeout D] [-idle-timeout D]
 //	       [-gc-max-bytes N] [-gc-max-age D] [-gc-interval D]
-//	       [-isolate] [-worker-mem N] [-worker-deadline D] [-journal FILE]
+//	       [-isolate] [-worker-mem N] [-worker-deadline D]
+//	       [-results-keep D] [-results-sync N]
 //	rfsimd -loadtest [-requests N] [-clients N] [-unique N]
 //	       [-lt-cycles N] [-lt-out DIR] ...
 //	rfsimd -loadtest -chaos [-chaos-seed N] ...
@@ -44,11 +45,13 @@
 // stop heartbeating or overrun -worker-deadline, and a worker whose
 // heap passes -worker-mem self-terminates with an OOM crash dump — so
 // a pathological config kills a disposable child, never the service.
-// With -journal, every accepted sweep is fsync'd to an append-only WAL
-// before it runs and settled when it finishes; a daemon that dies
-// mid-job (even kill -9) replays the unfinished jobs at next boot,
-// resuming from -dir checkpoints, so an accepted job is eventually
-// simulated exactly once even across crashes.
+// With -dir, every accepted sweep's request is fsync'd into the header
+// of its per-job result log before it runs, and the log is sealed or
+// settled when the job ends; a daemon that dies mid-job (even kill -9)
+// replays the logs still open at next boot, resuming from -dir
+// checkpoints, so an accepted job is eventually simulated exactly once
+// even across crashes. -journal is accepted for compatibility and
+// ignored.
 //
 // Loadtest mode: spins up an in-process instance and slams it with
 // -requests sweeps from -clients concurrent clients, ~90% of them
@@ -112,7 +115,6 @@ type daemonFlags struct {
 	isolate        bool
 	workerMem      int64
 	workerDeadline time.Duration
-	journalPath    string
 
 	// Exactly-once delivery knobs (PR 9).
 	resultsKeep time.Duration
@@ -267,7 +269,6 @@ func (f *daemonFlags) serverConfig() serverConfig {
 		workerDeadline:     f.workerDeadline,
 		workerCommand:      f.workerCommand,
 		workerEnv:          f.workerEnv,
-		journalPath:        f.journalPath,
 		resultsKeep:        f.resultsKeep,
 		resultsSync:        f.resultsSync,
 	}
@@ -316,7 +317,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	fs.BoolVar(&f.isolate, "isolate", false, "run every simulation attempt in a supervised worker process (crash-only mode)")
 	fs.Int64Var(&f.workerMem, "worker-mem", 0, "per-worker soft memory limit in bytes; over it the worker self-terminates with an OOM crash dump (0 = none, requires -isolate)")
 	fs.DurationVar(&f.workerDeadline, "worker-deadline", 0, "hard wall-clock budget per worker attempt before SIGKILL (0 = none, requires -isolate)")
-	fs.StringVar(&f.journalPath, "journal", "", "durable job journal (WAL) path; accepted sweeps survive a crash and replay at boot (empty = disabled)")
+	fs.String("journal", "", "ignored (deprecated): accepted sweeps survive a crash through their result logs in -dir")
 	fs.DurationVar(&f.resultsKeep, "results-keep", 5*time.Minute, "how long an idle job's result log stays pinned after its last producer or reader (0 = default 5m)")
 	fs.IntVar(&f.resultsSync, "results-sync", 16, "fsync batch for result-log appends nobody is streaming; live streams sync every frame (0 = default 16)")
 	fs.BoolVar(&f.resumeStorm, "resume-storm", false, "loadtest: drive resuming clients through a fault-injecting TCP proxy with a mid-storm daemon restart, asserting exactly-once delivery")
@@ -389,9 +390,9 @@ func serve(f *daemonFlags, stdout, stderr io.Writer) error {
 	defer srv.close()
 
 	// The disk-quota janitor runs whenever there is a directory to
-	// protect and at least one quota to enforce. In-flight points are
-	// pinned through the server's refcounts; the journal compacts under
-	// the janitor's cadence.
+	// protect and at least one quota to enforce. In-flight points and
+	// live, recent or replay-pending result logs are pinned through the
+	// server.
 	if f.dir != "" && (f.gcMaxBytes > 0 || f.gcMaxAge > 0) {
 		jan, jerr := janitor.New(janitor.Config{
 			Dir:      f.dir,
@@ -399,7 +400,6 @@ func serve(f *daemonFlags, stdout, stderr io.Writer) error {
 			MaxAge:   f.gcMaxAge,
 			Interval: f.gcInterval,
 			Pinned:   srv.artifactPinned,
-			Compact:  srv.compactJournal,
 		})
 		if jerr != nil {
 			return fmt.Errorf("janitor: %w", jerr)
@@ -408,16 +408,28 @@ func serve(f *daemonFlags, stdout, stderr io.Writer) error {
 		go jan.Run(drainCtx)
 	}
 
-	// Replay the journal's unfinished jobs concurrently with serving:
-	// they take run slots through the same bound as live traffic, so a
-	// busy boot interleaves recovery with new work instead of blocking
-	// the listener.
-	if srv.journal != nil {
-		if n := len(srv.replay); n > 0 {
-			fmt.Fprintf(stdout, "rfsimd journal: replaying %d unfinished job(s)\n", n)
+	// Forget idle job entries past -results-keep, so their logs unpin.
+	go func() {
+		t := time.NewTicker(f.gcInterval)
+		defer t.Stop()
+		for {
+			select {
+			case <-drainCtx.Done():
+				return
+			case <-t.C:
+				srv.jobs.prune()
+			}
 		}
-		go srv.replayJournal(drainCtx)
+	}()
+
+	// Replay the open logs concurrently with serving: they take run
+	// slots through the same bound as live traffic, so a busy boot
+	// interleaves recovery with new work instead of blocking the
+	// listener.
+	if n := len(srv.replay); n > 0 {
+		fmt.Fprintf(stdout, "rfsimd: replaying %d unfinished job(s)\n", n)
 	}
+	go srv.replayRecovered(drainCtx)
 
 	// The header and idle timeouts are the slow-loris guard: a client
 	// that dribbles header bytes (or none) can no longer hold a

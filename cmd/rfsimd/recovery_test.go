@@ -1,8 +1,9 @@
 package main
 
 // Crash-only e2e tests: isolated (out-of-process) sweeps produce
-// bit-identical results, a daemon "kill -9" between WAL accept and
-// completion is healed by boot replay, and the chaos harness holds its
+// bit-identical results, a daemon "kill -9" between a job's accept and
+// its completion is healed by boot replay of its open result log, and
+// the chaos harness holds its
 // invariants with worker-hostile faults crossing the process boundary.
 // The worker child in all of these is this test binary re-exec'd with
 // RFSIMD_TEST_WORKER=1 (see TestMain).
@@ -10,6 +11,8 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -19,6 +22,7 @@ import (
 	"time"
 
 	"repro/internal/experiments"
+	"repro/internal/janitor"
 )
 
 // isolateConfig points the worker pool at the test binary's worker gate.
@@ -88,14 +92,46 @@ func TestSweepIsolatedBitIdentical(t *testing.T) {
 	}
 }
 
-// TestJournalCrashRecovery is the durability property test: a daemon
-// killed between a job's fsync'd WAL accept and its completion must,
+// crashMidJob runs req on a server over dir whose drain context is
+// cancelled the instant the simulation starts — the same order of
+// events kill -9 produces (log header fsync'd, nothing settled) — and
+// discards its in-memory state. It returns the job's result-log path.
+func crashMidJob(t *testing.T, dir string, req SweepRequest) string {
+	t.Helper()
+	drainCtx, drainCancel := context.WithCancel(context.Background())
+	defer drainCancel()
+	srv, err := newServer(drainCtx, serverConfig{dir: dir, checkpointEvery: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.onCompute = func(string) { drainCancel() }
+	ts := httptest.NewServer(srv.handler())
+	resp, body := postSweep(t, ts, req)
+	ts.Close()
+	srv.close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("interrupted sweep status %d: %s", resp.StatusCode, body)
+	}
+	return onlyResultLog(t, dir)
+}
+
+// onlyResultLog returns the path of the single result log in dir.
+func onlyResultLog(t *testing.T, dir string) string {
+	t.Helper()
+	logs, _ := filepath.Glob(filepath.Join(dir, "*"+resultLogSuffix))
+	if len(logs) != 1 {
+		t.Fatalf("%d result logs in %s, want 1", len(logs), dir)
+	}
+	return logs[0]
+}
+
+// TestResultLogCrashRecovery is the durability property test: a daemon
+// killed between a job's fsync'd log header and its completion must,
 // on restart over the same state directory, replay the job to
 // completion and then serve the re-submitted request from the cache
 // with a result bit-identical to an uninterrupted run.
-func TestJournalCrashRecovery(t *testing.T) {
+func TestResultLogCrashRecovery(t *testing.T) {
 	dir := t.TempDir()
-	wal := filepath.Join(dir, "journal.wal")
 	req := SweepRequest{Points: []PointSpec{{Workload: "uniform", Cycles: 20_000, Seed: 77}}}
 
 	// Reference: an uninterrupted run on an unrelated server.
@@ -106,37 +142,23 @@ func TestJournalCrashRecovery(t *testing.T) {
 	}
 	ref := resultBlobs(t, refBody)
 
-	// The crash: server B journals the accept, then its drain context is
-	// cancelled the instant the simulation starts — the same order of
-	// events kill -9 produces (accept fsync'd, no done record) — and its
-	// in-memory state is discarded.
-	drainCtx, drainCancel := context.WithCancel(context.Background())
-	defer drainCancel()
-	srvB, err := newServer(drainCtx, serverConfig{dir: dir, checkpointEvery: 1000, journalPath: wal})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srvB.onCompute = func(string) { drainCancel() }
-	tsB := httptest.NewServer(srvB.handler())
-	respB, bodyB := postSweep(t, tsB, req)
-	tsB.Close()
-	srvB.close()
-	if respB.StatusCode != http.StatusOK {
-		t.Fatalf("interrupted sweep status %d: %s", respB.StatusCode, bodyB)
-	}
-	if js := srvB.journal.Stats(); js.Accepted != 1 || js.Completed != 0 {
-		t.Fatalf("journal before restart: %+v, want 1 accepted, 0 completed", js)
+	path := crashMidJob(t, dir, req)
+	if d, err := loadResultLog(path); err != nil || !d.open() {
+		t.Fatalf("log before restart: open=%v err=%v, want an open log", d.open(), err)
 	}
 
-	// Restart: server C over the same directory and WAL recovers the
-	// open job and replays it to completion.
-	srvC, tsC := e2eServer(t, serverConfig{dir: dir, checkpointEvery: 1000, journalPath: wal})
+	// Restart: server C over the same directory recovers the open log
+	// and replays it to completion.
+	srvC, tsC := e2eServer(t, serverConfig{dir: dir, checkpointEvery: 1000})
 	if n := len(srvC.replay); n != 1 {
-		t.Fatalf("journal recovered %d jobs, want 1", n)
+		t.Fatalf("recovered %d jobs, want 1", n)
 	}
-	srvC.replayJournal(context.Background())
-	if got := srvC.journal.OpenJobs(); got != 0 {
+	srvC.replayRecovered(context.Background())
+	if got := srvC.jobs.heldEntries(); got != 0 {
 		t.Fatalf("%d jobs still open after replay", got)
+	}
+	if d, err := loadResultLog(path); err != nil || !d.done {
+		t.Fatalf("log after replay: sealed=%v err=%v, want sealed", d.done, err)
 	}
 
 	// The re-submitted request is a cache hit with the reference bytes.
@@ -157,25 +179,91 @@ func TestJournalCrashRecovery(t *testing.T) {
 	}
 }
 
-// TestJournalReplaySkipsSettledWork: a job whose done record made it to
-// disk must NOT replay — replay is exactly the open set.
-func TestJournalReplaySkipsSettledWork(t *testing.T) {
-	dir := t.TempDir()
-	wal := filepath.Join(dir, "journal.wal")
+// TestResultLogReplaySkipsSettledWork: only open logs replay. A job
+// that finished cleanly (sealed), one whose client went away, and one
+// whose points failed (both settled with an 'X') must NOT replay.
+func TestResultLogReplaySkipsSettledWork(t *testing.T) {
 	req := SweepRequest{Points: []PointSpec{{Workload: "uniform", Cycles: 300, Seed: 78}}}
-
-	srvA, tsA := e2eServer(t, serverConfig{dir: dir, journalPath: wal})
-	if resp, body := postSweep(t, tsA, req); resp.StatusCode != http.StatusOK {
-		t.Fatalf("sweep status %d: %s", resp.StatusCode, body)
+	cases := []struct {
+		name string
+		run  func(t *testing.T, srv *server, ts *httptest.Server)
+	}{
+		{"finished", func(t *testing.T, _ *server, ts *httptest.Server) {
+			if resp, body := postSweep(t, ts, req); resp.StatusCode != http.StatusOK {
+				t.Fatalf("sweep status %d: %s", resp.StatusCode, body)
+			}
+		}},
+		{"client-cancelled", func(t *testing.T, srv *server, ts *httptest.Server) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			srv.onCompute = func(string) { cancel() }
+			body, _ := json.Marshal(SweepRequest{Points: []PointSpec{{Workload: "uniform", Cycles: 60_000, Seed: 79}}})
+			hreq, _ := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/sweep", bytes.NewReader(body))
+			if resp, err := ts.Client().Do(hreq); err == nil {
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+			}
+		}},
+		{"points-failed", func(t *testing.T, srv *server, ts *httptest.Server) {
+			srv.chaosPanic = func(string) bool { return true }
+			resp, body := postSweep(t, ts, req)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("sweep status %d: %s", resp.StatusCode, body)
+			}
+			if !bytes.Contains(body, []byte(`"failed":1`)) {
+				t.Fatalf("sweep did not fail its point:\n%s", body)
+			}
+		}},
 	}
-	if js := srvA.journal.Stats(); js.Accepted != 1 || js.Completed != 1 {
-		t.Fatalf("journal after clean run: %+v, want 1 accepted, 1 completed", js)
-	}
-	srvA.close()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			srvA, err := newServer(context.Background(), serverConfig{dir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tsA := httptest.NewServer(srvA.handler())
+			tc.run(t, srvA, tsA)
+			tsA.Close() // waits for the handler to settle the job
+			srvA.close()
+			if d, err := loadResultLog(onlyResultLog(t, dir)); err != nil || d.open() {
+				t.Fatalf("log after %s: open=%v err=%v, want settled or sealed", tc.name, d.open(), err)
+			}
 
-	srvB, _ := e2eServer(t, serverConfig{dir: dir, journalPath: wal})
-	if n := len(srvB.replay); n != 0 {
-		t.Fatalf("settled job replayed: %d recovered jobs, want 0", n)
+			srvB, _ := e2eServer(t, serverConfig{dir: dir})
+			if n := len(srvB.replay); n != 0 {
+				t.Fatalf("settled job replayed: %d recovered jobs, want 0", n)
+			}
+		})
+	}
+}
+
+// TestReplayHoldPinsOpenLog: the janitor must not collect an open log
+// before boot replay settles it, however small -gc-max-age is; once
+// replayed (and past -results-keep) the log is ordinary garbage.
+func TestReplayHoldPinsOpenLog(t *testing.T) {
+	dir := t.TempDir()
+	req := SweepRequest{Points: []PointSpec{{Workload: "uniform", Cycles: 5_000, Seed: 80}}}
+	path := crashMidJob(t, dir, req)
+
+	srv, _ := e2eServer(t, serverConfig{dir: dir, resultsKeep: time.Nanosecond})
+	jan, err := janitor.New(janitor.Config{Dir: dir, MaxAge: time.Nanosecond, Pinned: srv.artifactPinned})
+	if err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(time.Millisecond)
+	jan.Sweep()
+	if _, err := os.Stat(path); err != nil {
+		t.Fatalf("janitor collected the open log before replay: %v", err)
+	}
+	srv.replayRecovered(context.Background())
+	if d, err := loadResultLog(path); err != nil || !d.done {
+		t.Fatalf("log after replay: sealed=%v err=%v, want sealed", d.done, err)
+	}
+	time.Sleep(time.Millisecond)
+	jan.Sweep()
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("replayed log outlived -results-keep and -gc-max-age: %v", err)
 	}
 }
 

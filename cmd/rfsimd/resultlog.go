@@ -7,27 +7,39 @@ package main
 // the job completes. The log is the server half of exactly-once
 // delivery: GET /v1/jobs/{id}/results?from=<cursor> replays it from any
 // cursor, so a client that lost its connection — or outlived a daemon
-// restart — re-reads only what it missed, bit-identical.
+// restart — re-reads only what it missed, bit-identical. It is also the
+// only durable record that a job was accepted: the header carries the
+// raw request, so a log that is still open at boot is a job to replay.
 //
 // File layout (<dir>/<jobID>.results):
 //
-//	frame 'H'  resultLogHeader JSON   (job ID, request fingerprint, points)
+//	frame 'H'  resultLogHeader JSON   (job ID, request fingerprint, points,
+//	                                   raw request, accept time)
 //	frame 'O'  one outcome NDJSON line, carrying its 1-based "seq"
+//	frame 'X'  empty: settled incomplete (no seq, never streamed)
 //	...
 //	frame 'S'  the summary NDJSON line (present only when complete)
 //
+// A log is sealed when it ends in 'S', settled when it ends in 'X' (the
+// client disconnected, the deadline passed, points failed, or the spec
+// no longer compiles at replay), and open otherwise. A later producer
+// may append 'O' frames after an 'X', which opens the log again.
+//
 // Durability contract, shared with jobs.go:
 //
+//   - the header is fsync'd, and so is the directory entry of a new
+//     file, before any simulation runs;
 //   - a frame's seq is exposed to a stream only AFTER the fsync covering
 //     it returns, so a crash can tear off only frames no client has ever
 //     seen — the resume cursor never moves backwards;
 //   - appends are fsync-batched (-results-sync) only while nothing is
-//     attached (journal replay); a live stream syncs every frame;
-//   - a torn tail (crash mid-append) is truncated at reopen and counted,
-//     like cmd/rfsimd/journal.go — losing the record the crash
-//     interrupted is the crash-only contract, losing the log is not;
+//     attached (boot replay); a live stream syncs every frame;
+//   - a torn tail (crash mid-append) is truncated at reopen and counted
+//     — losing the record the crash interrupted is the crash-only
+//     contract, losing the log is not;
 //   - the janitor GCs *.results under the disk quotas, but never while
-//     the job is live or recently read (jobRegistry.resultPinned).
+//     the job is live, recently read or awaiting boot replay
+//     (jobRegistry.resultPinned).
 
 import (
 	"bytes"
@@ -35,6 +47,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 
 	"repro/internal/checkpoint"
 )
@@ -44,6 +57,7 @@ const (
 	resultFrameHeader  = 'H'
 	resultFrameOutcome = 'O'
 	resultFrameSummary = 'S'
+	resultFrameSettled = 'X'
 )
 
 // defaultResultsSyncEvery is the unattached-append fsync batch size.
@@ -55,21 +69,31 @@ const resultLogSuffix = ".results"
 
 // resultLogHeader is the 'H' frame: enough identity to detect an
 // Idempotency-Key reused with a different request body (409) across
-// restarts, and the point count a resumed stream reports in its job
-// line.
+// restarts, the point count a resumed stream reports in its job line,
+// and the accepted request a boot replay recompiles. Logs written
+// before Spec existed parse with none and are never replayed.
 type resultLogHeader struct {
-	Job    string `json:"job"`    // job ID (hex, also the file's base name)
-	Req    string `json:"req"`    // request content fingerprint
-	Points int    `json:"points"` // requested point count
+	Job      string          `json:"job"`                // job ID (hex, also the file's base name)
+	Req      string          `json:"req"`                // request content fingerprint
+	Points   int             `json:"points"`             // requested point count
+	Spec     json.RawMessage `json:"spec,omitempty"`     // the raw SweepRequest
+	Accepted int64           `json:"accepted,omitempty"` // accept time, Unix nanoseconds
 }
 
 // resultLogData is the parsed prefix of one log file.
 type resultLogData struct {
-	header resultLogHeader
-	lines  [][]byte // 'O' and 'S' frame payloads in order; seq = index+1
-	done   bool     // the last line is the summary frame
-	torn   int64    // bytes of torn/corrupt tail beyond the good prefix
-	good   int64    // byte length of the parseable prefix
+	header  resultLogHeader
+	lines   [][]byte // 'O' and 'S' frame payloads in order; seq = index+1
+	done    bool     // the last line is the summary frame
+	settled bool     // the last frame is an 'X'
+	torn    int64    // bytes of torn/corrupt tail beyond the good prefix
+	good    int64    // byte length of the parseable prefix
+}
+
+// open reports whether the log is an accepted job nobody settled: boot
+// replay runs exactly these.
+func (d resultLogData) open() bool {
+	return len(d.header.Spec) > 0 && !d.done && !d.settled
 }
 
 // parseResultLog walks the frames of data, stopping at the first torn or
@@ -104,6 +128,9 @@ func parseResultLog(data []byte) (resultLogData, error) {
 			sawHeader = true
 		case kind == resultFrameOutcome && !d.done:
 			d.lines = append(d.lines, payload)
+			d.settled = false
+		case kind == resultFrameSettled && !d.done:
+			d.settled = true
 		case kind == resultFrameSummary && !d.done:
 			d.lines = append(d.lines, payload)
 			d.done = true
@@ -183,6 +210,12 @@ func openResultLog(path string, hdr resultLogHeader, syncEvery int) (*resultLog,
 			f.Close()
 			return nil, d, fmt.Errorf("result log: %w", err)
 		}
+		// The log is the job's only accept record: make its directory
+		// entry as durable as its header.
+		if err := syncDir(filepath.Dir(path)); err != nil {
+			f.Close()
+			return nil, d, err
+		}
 		d.header = hdr
 		return lg, d, nil
 	}
@@ -202,6 +235,19 @@ func openResultLog(path string, hdr resultLogHeader, syncEvery int) (*resultLog,
 		return nil, d, fmt.Errorf("result log: %w", err)
 	}
 	return lg, d, nil
+}
+
+// syncDir fsyncs a directory, making the entries created in it durable.
+func syncDir(dir string) error {
+	df, err := os.Open(dir)
+	if err != nil {
+		return fmt.Errorf("result log: %w", err)
+	}
+	defer df.Close()
+	if err := df.Sync(); err != nil {
+		return fmt.Errorf("result log: %w", err)
+	}
+	return nil
 }
 
 // Append writes one frame. force (or a summary frame, or syncEvery of

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -52,15 +51,14 @@ func refOutcomes(t *testing.T, req SweepRequest) map[int][]byte {
 // TestResumeExactlyOnceAcrossRestart is the acceptance property test,
 // made deterministic: every proxied connection is cut (CutProb=1) at a
 // random offset, and the daemon is killed the way kill -9 kills it —
-// drain-cancel at the second fresh compute, journal accept left
-// unpaired — then restarted over the same directory and WAL while the
+// drain-cancel at the second fresh compute, result log left open —
+// then restarted over the same directory while the
 // client is still retrying. The client must converge with every
 // outcome delivered exactly once and byte-identical to the reference,
 // and the restarted daemon must answer cursor GETs purely from the
 // durable log.
 func TestResumeExactlyOnceAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
-	wal := filepath.Join(dir, "journal.wal")
 	req := SweepRequest{Points: []PointSpec{
 		{Workload: "uniform", Cycles: 20_000, Seed: 901},
 		{Design: "static", Workload: "bidf", Cycles: 20_000, Seed: 902},
@@ -73,9 +71,9 @@ func TestResumeExactlyOnceAcrossRestart(t *testing.T) {
 	ref := refOutcomes(t, req)
 
 	// Daemon incarnation A, rigged to die mid-sweep: the drain context
-	// is cancelled at the second fresh compute, so point results and a
-	// journal accept are on disk but the job is unfinished.
-	cfg := serverConfig{dir: dir, checkpointEvery: 1000, journalPath: wal}
+	// is cancelled at the second fresh compute, so point results and the
+	// accepted request are on disk but the job is unfinished.
+	cfg := serverConfig{dir: dir, checkpointEvery: 1000}
 	drainACtx, drainACancel := context.WithCancel(context.Background())
 	defer drainACancel()
 	srvA, err := newServer(drainACtx, cfg)
@@ -105,7 +103,7 @@ func TestResumeExactlyOnceAcrossRestart(t *testing.T) {
 
 	// The controller: on the kill signal, tear daemon A down without
 	// settling anything, bring daemon B up over the same state, point
-	// the proxy at it, and replay the journal.
+	// the proxy at it, and replay the open logs.
 	var srvB *server
 	var tsB *httptest.Server
 	var computesB atomic.Int64
@@ -126,14 +124,14 @@ func TestResumeExactlyOnceAcrossRestart(t *testing.T) {
 			return
 		}
 		if len(srvB.replay) == 0 {
-			t.Error("journal recovered no open jobs — the kill landed after settle")
+			t.Error("no open result log recovered — the kill landed after settle")
 		}
 		srvB.onCompute = func(string) { computesB.Add(1) }
 		tsB = httptest.NewServer(srvB.handler())
 		proxy.SetTarget(strings.TrimPrefix(tsB.URL, "http://"))
 		go func() {
 			defer close(replayDone)
-			srvB.replayJournal(context.Background())
+			srvB.replayRecovered(context.Background())
 		}()
 	}()
 
@@ -190,15 +188,15 @@ func TestResumeExactlyOnceAcrossRestart(t *testing.T) {
 	select {
 	case <-replayDone:
 	case <-time.After(60 * time.Second):
-		t.Fatal("journal replay never finished")
+		t.Fatal("boot replay never finished")
 	}
 	if srvB == nil {
 		t.Fatal("no restarted server")
 	}
 	defer srvB.close()
 	defer tsB.Close()
-	if open := srvB.journal.OpenJobs(); open != 0 {
-		t.Fatalf("%d journal jobs still open after replay", open)
+	if open := srvB.jobs.heldEntries(); open != 0 {
+		t.Fatalf("%d recovered logs still open after replay", open)
 	}
 
 	// GET after restart: the durable log answers from the cursor with

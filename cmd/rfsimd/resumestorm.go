@@ -7,7 +7,7 @@ package main
 // stalls their streams at random byte offsets — and a third of the way
 // through the storm the daemon itself is killed the way SIGKILL kills
 // it (drain-cancel with no settle) and restarted over the same state
-// directory and journal, with the proxy retargeted to the new listener
+// directory, with the proxy retargeted to the new listener
 // the way a crashed daemon comes back behind a stable address.
 //
 // Invariants asserted at the end (exit 1 on any violation):
@@ -21,12 +21,12 @@ package main
 //     reference run of the same specs on a pristine server;
 //   - the faults really fired (proxy cuts > 0) and the resume path was
 //     really exercised (cursor GETs > 0, keyed attaches > 0);
-//   - after the storm the journal has no open jobs, and no queue
+//   - after the storm no recovered log is still open, and no queue
 //     slot, admission slot, janitor pin or result-log entry is
 //     stranded; the PR-7 queue bound held throughout;
 //   - GET /v1/jobs/{id}/results on the restarted daemon serves
 //     entirely from the durable result logs — zero recomputation —
-//     and re-POSTing a journal-replayed spec is answered from the
+//     and re-POSTing a boot-replayed spec is answered from the
 //     cache the replay rebuilt, "cached":true on every point;
 //   - no goroutine leaks, and the artifact directory ends under the
 //     janitor's byte quota.
@@ -124,9 +124,6 @@ func runResumeStorm(f *daemonFlags, stdout, stderr io.Writer) error {
 
 	cfg := f.serverConfig()
 	cfg.dir = dir
-	if cfg.journalPath == "" {
-		cfg.journalPath = filepath.Join(dir, "journal.wal")
-	}
 
 	specs := stormSpecs(f.unique, f.ltCycles)
 
@@ -147,8 +144,8 @@ func runResumeStorm(f *daemonFlags, stdout, stderr io.Writer) error {
 
 	// The mid-storm kill trigger, armed before the listener opens: it
 	// fires from the compute seam midway through the first wave of
-	// fresh points, so producers die mid-simulation with their journal
-	// accepts still unpaired — the exact state kill -9 leaves behind.
+	// fresh points, so producers die mid-simulation with their result
+	// logs still open — the exact state kill -9 leaves behind.
 	killComputes := int64(f.unique*stormPoints) / 2
 	if killComputes < 1 {
 		killComputes = 1
@@ -237,7 +234,7 @@ func runResumeStorm(f *daemonFlags, stdout, stderr io.Writer) error {
 		defer close(restartDone)
 		begin := time.Now()
 		// The kill: drain-cancel first — in-flight computes abort with
-		// their journal accepts unpaired, exactly the state kill -9
+		// their result logs left open, exactly the state kill -9
 		// leaves behind — then tear down the listener and the process
 		// state. The proxy keeps listening; its clients see resets and
 		// refused dials, the shape a real restart has on the wire.
@@ -251,8 +248,8 @@ func runResumeStorm(f *daemonFlags, stdout, stderr io.Writer) error {
 			close(replayDone)
 			return
 		}
-		for _, rj := range srvB.replay {
-			replayKeys = append(replayKeys, rj.Key)
+		for _, ent := range srvB.replay {
+			replayKeys = append(replayKeys, ent.id)
 		}
 		srvB.onCompute = func(string) { computes.Add(1) }
 		janB, restartErr = janitor.New(janitor.Config{
@@ -273,7 +270,7 @@ func runResumeStorm(f *daemonFlags, stdout, stderr io.Writer) error {
 		restartTook = time.Since(begin)
 		go func() {
 			defer close(replayDone)
-			srvB.replayJournal(drainBCtx)
+			srvB.replayRecovered(drainBCtx)
 		}()
 	}
 	// killCh always closes: the first storm wave computes every fresh
@@ -315,7 +312,7 @@ func runResumeStorm(f *daemonFlags, stdout, stderr io.Writer) error {
 	select {
 	case <-replayDone:
 	case <-time.After(60 * time.Second):
-		violate("journal replay did not finish after the storm")
+		violate("boot replay did not finish after the storm")
 	}
 
 	// Per-run verdicts: convergence, exactly-once, byte-identity.
@@ -385,8 +382,8 @@ func runResumeStorm(f *daemonFlags, stdout, stderr io.Writer) error {
 		if n := srvB.jobs.liveEntries(); n != 0 {
 			violate("stranded result-log entries: %d still live after drain", n)
 		}
-		if open := srvB.journal.OpenJobs(); open != 0 {
-			violate("journal still holds %d open jobs after replay and drain", open)
+		if open := srvB.jobs.heldEntries(); open != 0 {
+			violate("%d recovered logs still open after replay and drain", open)
 		}
 		maxQueue := int64(cfg.withDefaults().maxQueue)
 		if queuePeakA > maxQueue || snapB.QueuePeak > maxQueue {
@@ -396,7 +393,7 @@ func runResumeStorm(f *daemonFlags, stdout, stderr io.Writer) error {
 		if snapB.JobsAttached == 0 && f.requests > f.unique {
 			violate("no keyed POST ever attached to an existing job")
 		}
-		fmt.Fprintf(stdout, "resume-storm: restart took %v, %d journaled jobs replayed\n",
+		fmt.Fprintf(stdout, "resume-storm: restart took %v, %d open logs replayed\n",
 			restartTook.Round(time.Millisecond), len(replayKeys))
 		fmt.Fprintln(stdout, snapB.Render())
 	}
@@ -459,7 +456,6 @@ func stormReference(f *daemonFlags, specs []ltSpec) ([]map[int][]byte, error) {
 	defer cancel()
 	cfg := f.serverConfig()
 	cfg.dir = refDir
-	cfg.journalPath = ""
 	srv, err := newServer(ctx, cfg)
 	if err != nil {
 		return nil, err
@@ -519,12 +515,12 @@ func stormQuiesce(srv *server, violate func(string, ...interface{})) {
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		snap := srv.metrics.Snapshot()
-		if snap.QueueDepth == 0 && snap.ActiveJobs == 0 && srv.journal.OpenJobs() == 0 {
+		if snap.QueueDepth == 0 && snap.ActiveJobs == 0 && srv.jobs.heldEntries() == 0 {
 			return
 		}
 		if time.Now().After(deadline) {
-			violate("storm never quiesced: queue %d, active %d, open journal jobs %d",
-				snap.QueueDepth, snap.ActiveJobs, srv.journal.OpenJobs())
+			violate("storm never quiesced: queue %d, active %d, open recovered logs %d",
+				snap.QueueDepth, snap.ActiveJobs, srv.jobs.heldEntries())
 			return
 		}
 		time.Sleep(20 * time.Millisecond)
@@ -534,7 +530,7 @@ func stormQuiesce(srv *server, violate func(string, ...interface{})) {
 // probeDurableReads asserts the restart left nothing that needs
 // recomputing: every job's cursor GET replays the durable log
 // byte-identically with zero computes, and a re-POST of a spec the
-// journal replayed is answered from the rebuilt cache, cached:true on
+// boot replay re-ran is answered from the rebuilt cache, cached:true on
 // every point.
 func probeDurableReads(ts *httptest.Server, srv *server, computes *atomic.Int64,
 	results []stormRun, ref []map[int][]byte, replayKeys []string, specs []ltSpec,
@@ -571,7 +567,7 @@ func probeDurableReads(ts *httptest.Server, srv *server, computes *atomic.Int64,
 		violate("GET /v1/jobs/{id}/results recomputed %d points — reads must come from the durable log", c1-c0)
 	}
 
-	// Journal-replayed specs: the replay recomputed them into the
+	// Boot-replayed specs: the replay recomputed them into the
 	// cache, so an unkeyed re-POST must be all cache hits.
 	probed := 0
 	for _, key := range replayKeys {
@@ -600,10 +596,10 @@ func probeDurableReads(ts *httptest.Server, srv *server, computes *atomic.Int64,
 		probed++
 	}
 	if len(replayKeys) == 0 {
-		// The kill can land in an instant with no open accepts (every
+		// The kill can land in an instant with no open logs (every
 		// in-flight run attached to a done job). The surgical e2e test
 		// pins this path deterministically; here it is only a note.
-		fmt.Fprintln(stdout, "resume-storm: note: no journaled jobs were open at the kill; replay probe skipped")
+		fmt.Fprintln(stdout, "resume-storm: note: no result logs were open at the kill; replay probe skipped")
 	} else {
 		fmt.Fprintf(stdout, "resume-storm: %d replayed specs re-served from cache with zero recomputation\n", probed)
 	}

@@ -129,10 +129,6 @@ type serverConfig struct {
 	// RFSIMD_TEST_WORKER=1.
 	workerCommand []string
 	workerEnv     []string
-	// journalPath enables the durable job journal ("" disables it);
-	// journalCompactAt tunes its compaction threshold (0 = default).
-	journalPath      string
-	journalCompactAt int
 
 	// Exactly-once delivery knobs (PR 9).
 	//
@@ -141,7 +137,7 @@ type serverConfig struct {
 	// past it the janitor may collect the log (0 = 5 minutes).
 	resultsKeep time.Duration
 	// resultsSync is the fsync batch for result-log appends nobody is
-	// streaming (journal replay); live streams sync every frame (0 = 16).
+	// streaming (boot replay); live streams sync every frame (0 = 16).
 	resultsSync int
 }
 
@@ -223,14 +219,15 @@ type server struct {
 	// supervised worker process.
 	pool *experiments.WorkerPool
 
-	// journal, when non-nil (-journal), is the durable job WAL; replay
-	// holds the jobs recovered at open until replayJournal drains them.
-	journal *journal
-	replay  []replayJob
-
 	// jobs is the per-job result-log registry behind exactly-once
 	// delivery: stable job IDs, durable outcome frames, cursor resume.
 	jobs *jobRegistry
+
+	// replay holds the open result logs found at boot, oldest accept
+	// first, until replayRecovered drains them; replayed counts the
+	// ones it actually re-ran.
+	replay   []*jobEntry
+	replayed atomic.Int64
 
 	runTok chan struct{} // concurrency bound: running jobs
 
@@ -281,6 +278,11 @@ func newServer(drainCtx context.Context, cfg serverConfig) (*server, error) {
 		drainCtx: drainCtx,
 	}
 	s.jobs = newJobRegistry(cfg.dir, cfg.resultsKeep, cfg.resultsSync, s.metrics)
+	replay, err := s.jobs.recoverOpen()
+	if err != nil {
+		return nil, err
+	}
+	s.replay = replay
 	if cfg.isolate {
 		cmd := cfg.workerCommand
 		if len(cmd) == 0 {
@@ -322,20 +324,6 @@ func newServer(drainCtx context.Context, cfg serverConfig) (*server, error) {
 		}
 		s.pool = pool
 	}
-	if cfg.journalPath != "" {
-		j, jobs, err := openJournal(cfg.journalPath, cfg.journalCompactAt)
-		if err != nil {
-			if s.pool != nil {
-				s.pool.Close()
-			}
-			return nil, err
-		}
-		s.journal = j
-		s.replay = jobs
-		for i := int64(0); i < j.Stats().TornSkipped; i++ {
-			s.metrics.JournalTornSkipped()
-		}
-	}
 	return s, nil
 }
 
@@ -357,29 +345,12 @@ func (s *server) workerEvent(e experiments.WorkerEvent) {
 	}
 }
 
-// compactJournal is the janitor's Compact hook: fold the WAL once
-// enough settled records accumulate, and forget idle job entries past
-// the keep window (their *.results files then unpin for the sweep that
-// follows).
-func (s *server) compactJournal() {
-	s.jobs.prune()
-	if s.journal == nil {
-		return
-	}
-	if s.journal.CompactIfNeeded() {
-		s.metrics.JournalCompacted()
-	}
-}
-
 // close releases the server's process-level resources (worker pool,
-// journal handle, result-log handles). Open journal entries and result
-// logs stay on disk for replay and resume.
+// result-log handles). Open result logs stay on disk for replay and
+// resume.
 func (s *server) close() {
 	if s.pool != nil {
 		s.pool.Close()
-	}
-	if s.journal != nil {
-		s.journal.Close()
 	}
 	s.jobs.closeAll()
 }
@@ -394,23 +365,45 @@ func (s *server) handler() http.Handler {
 	return mux
 }
 
-// pinArtifacts pins the given point IDs for the janitor and returns the
+// pinArtifacts pins the points' IDs for the janitor and returns the
 // matching unpin.
-func (s *server) pinArtifacts(ids []string) (unpin func()) {
+func (s *server) pinArtifacts(pts []experiments.SweepPoint) (unpin func()) {
 	s.pinsMu.Lock()
-	for _, id := range ids {
-		s.pins[id]++
+	for i := range pts {
+		s.pins[pts[i].ID]++
 	}
 	s.pinsMu.Unlock()
 	return func() {
 		s.pinsMu.Lock()
-		for _, id := range ids {
+		for i := range pts {
+			id := pts[i].ID
 			if s.pins[id]--; s.pins[id] <= 0 {
 				delete(s.pins, id)
 			}
 		}
 		s.pinsMu.Unlock()
 	}
+}
+
+// supervise runs pts through the checkpointing supervisor with the
+// server's pool, cache and retry policy; every producer uses it.
+func (s *server) supervise(ctx context.Context, pts []experiments.SweepPoint, onOutcome func(int, experiments.PointOutcome)) error {
+	sc := experiments.SuperviseConfig{
+		Workers:         s.cfg.workers,
+		Retries:         s.cfg.retries,
+		PointTimeout:    s.cfg.pointTimeout,
+		Dir:             s.cfg.dir,
+		CheckpointEvery: s.cfg.checkpointEvery,
+		Cache:           s.cache,
+		OnOutcome:       onOutcome,
+	}
+	if s.pool != nil {
+		// A concrete nil must never land in the interface field, or the
+		// supervisor would "dispatch" every point into a nil deref.
+		sc.Exec = s.pool
+	}
+	_, err := experiments.Supervise(ctx, sc, pts)
+	return err
 }
 
 // artifactPinned is the janitor's Pinned callback: a checkpoint or
@@ -514,13 +507,20 @@ func (s *server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	w.Write([]byte("ready\n"))
 }
 
+// recoveryStats is the /v1/metrics view of boot replay: open_jobs
+// counts recovered logs still awaiting or running their replay.
+type recoveryStats struct {
+	OpenJobs int   `json:"open_jobs"`
+	Replayed int64 `json:"replayed"`
+}
+
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	resp := struct {
-		Service obs.ServiceSnapshot           `json:"service"`
-		Cache   sweepcache.Stats              `json:"cache"`
-		Janitor *janitor.Stats                `json:"janitor,omitempty"`
-		Workers *experiments.WorkerPoolStats  `json:"workers,omitempty"`
-		Journal *journalStats                 `json:"journal,omitempty"`
+		Service  obs.ServiceSnapshot          `json:"service"`
+		Cache    sweepcache.Stats             `json:"cache"`
+		Janitor  *janitor.Stats               `json:"janitor,omitempty"`
+		Workers  *experiments.WorkerPoolStats `json:"workers,omitempty"`
+		Recovery *recoveryStats               `json:"recovery,omitempty"`
 	}{Service: s.metrics.Snapshot(), Cache: s.cache.Stats()}
 	if s.jan != nil {
 		st := s.jan.Stats()
@@ -530,9 +530,8 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		st := s.pool.Stats()
 		resp.Workers = &st
 	}
-	if s.journal != nil {
-		st := s.journal.Stats()
-		resp.Journal = &st
+	if s.cfg.dir != "" {
+		resp.Recovery = &recoveryStats{OpenJobs: s.jobs.heldEntries(), Replayed: s.replayed.Load()}
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(resp)
@@ -633,7 +632,8 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// Job identity: an explicit Idempotency-Key names the job, otherwise
 	// it is content-addressed from the compiled points. Either way the
 	// body's fingerprint is recorded so a reused key with a different
-	// body is a 409, never a silent wrong answer.
+	// body is a 409, never a silent wrong answer; so is the request
+	// itself, which a boot replay recompiles.
 	reqFP := contentIdentity(pts)
 	jobKey := reqFP
 	keyed := false
@@ -641,7 +641,8 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		jobKey = jobIDFromKey(k)
 		keyed = true
 	}
-	ent, state, err := s.jobs.attach(jobKey, reqFP, len(pts))
+	spec, _ := json.Marshal(req) // a request that decoded always re-encodes
+	ent, state, err := s.jobs.attach(jobKey, reqFP, len(pts), spec)
 	if err != nil {
 		httpError(w, http.StatusConflict, "job %s: %v", jobKey, err)
 		return
@@ -649,7 +650,7 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if keyed && state != jobIdle {
 		// Exactly-once attach: the keyed job is already running or done.
 		// Serve its result log — tailing a live producer — instead of
-		// recomputing; no admission slot, no journal record, no
+		// recomputing; no admission slot, no new producer, no
 		// simulation. (Unkeyed re-POSTs keep the pre-PR-9 behaviour of
 		// re-running through the result cache.)
 		s.metrics.JobAttached()
@@ -729,43 +730,17 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	s.metrics.JobAdmitted()
 	defer s.adm.release()
 
-	// Durability point: the accept record is fsync'd before any
-	// simulation starts, so from here on a daemon crash leaves the job
-	// in the journal for the next boot to replay. A job we cannot
-	// journal is a job we cannot promise, so a WAL write failure refuses
-	// the request. settle pairs the accept with a done record at every
-	// terminal exit — except a server drain, which deliberately leaves
-	// the job open so the restarted daemon finishes it.
-	jobID := int64(-1)
-	if s.journal != nil {
-		raw, err := json.Marshal(req)
-		if err == nil {
-			jobID, err = s.journal.Accept(jobKey, raw)
-		}
-		if err != nil {
-			s.metrics.JobDone(false, true)
-			httpError(w, http.StatusServiceUnavailable, "job journal write failed: %v", err)
-			return
-		}
-		s.metrics.JournalAccepted()
-	}
-	settle := func(failed bool) {
-		if s.journal == nil || jobID < 0 || s.drainCtx.Err() != nil {
-			return
-		}
-		if s.journal.Done(jobID, failed) == nil {
-			s.metrics.JournalCompleted()
-		}
-	}
-
-	// Producer claim: opens (or resumes) the job's durable result log.
-	// From here every successful outcome is fsync'd into the log before
-	// its seq reaches a client, so a crash can never retract a frame a
-	// client consumed. A job whose log will not open has no exactly-once
-	// story — refuse it the way a journal write failure is refused.
+	// Durability point: the producer claim opens (or resumes) the job's
+	// result log, whose header — request included — is fsync'd before
+	// any simulation starts, so from here on a daemon crash leaves an
+	// open log for the next boot to replay. Every successful outcome is
+	// fsync'd into the log before its seq reaches a client, so a crash
+	// can never retract a frame a client consumed. A job whose log will
+	// not open is a job we cannot promise: refuse it. Every terminal
+	// exit settles the log except a server drain, which deliberately
+	// leaves it open so the restarted daemon finishes the job.
 	if err := s.jobs.startProducer(ent); err != nil {
 		s.metrics.JobDone(false, true)
-		settle(true)
 		httpError(w, http.StatusServiceUnavailable, "result log open failed: %v", err)
 		return
 	}
@@ -773,11 +748,7 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// Pin this job's artifacts for the janitor while it is in flight:
 	// a queued job may resume from a checkpoint the janitor would
 	// otherwise see as cold.
-	ids := make([]string, len(pts))
-	for i := range pts {
-		ids[i] = pts[i].ID
-	}
-	defer s.pinArtifacts(ids)()
+	defer s.pinArtifacts(pts)()
 
 	// The job dies with the client connection, its deadline or a server
 	// drain, whichever comes first; either way running points
@@ -796,9 +767,8 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	select {
 	case s.runTok <- struct{}{}:
 	case <-ctx.Done():
-		s.jobs.endProducer(ent)
+		s.jobs.endProducer(ent, s.drainCtx.Err() == nil)
 		s.metrics.JobDone(false, true)
-		settle(true)
 		httpError(w, http.StatusServiceUnavailable, "cancelled while queued: %v", ctx.Err())
 		return
 	}
@@ -806,9 +776,8 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	defer func() { <-s.runTok }()
 
 	failed := s.streamSweep(ctx, w, pts, claims, ent)
-	s.jobs.endProducer(ent)
+	s.jobs.endProducer(ent, s.drainCtx.Err() == nil)
 	s.metrics.JobDone(true, failed)
-	settle(failed)
 }
 
 // streamSweep runs the admitted job and streams NDJSON outcomes,
@@ -884,81 +853,67 @@ func (s *server) streamSweep(ctx context.Context, w http.ResponseWriter, pts []e
 	}
 
 	var failures atomic.Int64
-	sc := experiments.SuperviseConfig{
-		Workers:         s.cfg.workers,
-		Retries:         s.cfg.retries,
-		PointTimeout:    s.cfg.pointTimeout,
-		Dir:             s.cfg.dir,
-		CheckpointEvery: s.cfg.checkpointEvery,
-		Cache:           s.cache,
-		OnOutcome: func(i int, o experiments.PointOutcome) {
-			s.metrics.PointDone(o.Cached, o.Err != nil, time.Duration(walls[i].Load()))
-			// Feed the quarantine verdict-by-verdict: a computed success
-			// forgives the config, a panic counts toward the trip, and
-			// anything else — cancellation, checkpoint I/O, or a cache
-			// hit that never re-ran the simulator — is no verdict: it
-			// settles only this request's own probe claim, if it held
-			// one, and never touches a probe another request is running.
-			if cfgFP := pts[i].Meta["config"]; cfgFP != "" {
-				probe := claims.settle(cfgFP)
-				switch {
-				case o.Err == nil && !o.Cached:
-					s.quar.reportSuccess(cfgFP)
-				case o.Panicked:
-					s.quar.reportPanic(cfgFP, o.CrashDump, probe)
-				default:
-					if probe {
-						s.quar.reportAbort(cfgFP)
-					}
+	err := s.supervise(ctx, pts, func(i int, o experiments.PointOutcome) {
+		s.metrics.PointDone(o.Cached, o.Err != nil, time.Duration(walls[i].Load()))
+		// Feed the quarantine verdict-by-verdict: a computed success
+		// forgives the config, a panic counts toward the trip, and
+		// anything else — cancellation, checkpoint I/O, or a cache
+		// hit that never re-ran the simulator — is no verdict: it
+		// settles only this request's own probe claim, if it held
+		// one, and never touches a probe another request is running.
+		if cfgFP := pts[i].Meta["config"]; cfgFP != "" {
+			probe := claims.settle(cfgFP)
+			switch {
+			case o.Err == nil && !o.Cached:
+				s.quar.reportSuccess(cfgFP)
+			case o.Panicked:
+				s.quar.reportPanic(cfgFP, o.CrashDump, probe)
+			default:
+				if probe {
+					s.quar.reportAbort(cfgFP)
 				}
 			}
-			line := outcomeLine{
-				Type:        "outcome",
-				Index:       i,
-				ID:          o.ID,
-				Fingerprint: o.Fingerprint,
-				Cached:      o.Cached,
-				Recovered:   o.Recovered,
-				Attempts:    o.Attempts,
-				CrashDump:   o.CrashDump,
-			}
-			if o.Err != nil {
-				// Failures are transient (no seq, never logged): the job
-				// stays incomplete and a later POST re-runs just the
-				// failed indices through the cache.
-				failures.Add(1)
-				line.Error = o.Err.Error()
-				emit(line)
+		}
+		line := outcomeLine{
+			Type:        "outcome",
+			Index:       i,
+			ID:          o.ID,
+			Fingerprint: o.Fingerprint,
+			Cached:      o.Cached,
+			Recovered:   o.Recovered,
+			Attempts:    o.Attempts,
+			CrashDump:   o.CrashDump,
+		}
+		if o.Err != nil {
+			// Failures are transient (no seq, never logged): the job
+			// stays incomplete and a later POST re-runs just the
+			// failed indices through the cache.
+			failures.Add(1)
+			line.Error = o.Err.Error()
+			emit(line)
+			return
+		}
+		line.Result = &o.Result
+		// Tee into the durable log. First producer to finish the
+		// index owns its frame and streams the logged bytes (with
+		// their seq, fsync'd before the write); a collision — an
+		// index an earlier run already logged — streams its own
+		// transient view instead. Logging and writing happen under
+		// one lock: a client takes seqs in stream order as its
+		// resume cursor, so a frame written ahead of one logged
+		// before it would make the client drop the earlier frame as
+		// already seen.
+		mu.Lock()
+		defer mu.Unlock()
+		blob, appended := s.jobs.appendOutcome(ent, line, true)
+		if !appended {
+			var err error
+			if blob, err = json.Marshal(line); err != nil {
 				return
 			}
-			line.Result = &o.Result
-			// Tee into the durable log. First producer to finish the
-			// index owns its frame and streams the logged bytes (with
-			// their seq, fsync'd before the write); a collision — an
-			// index an earlier run already logged — streams its own
-			// transient view instead. Logging and writing happen under
-			// one lock: a client takes seqs in stream order as its
-			// resume cursor, so a frame written ahead of one logged
-			// before it would make the client drop the earlier frame as
-			// already seen.
-			mu.Lock()
-			defer mu.Unlock()
-			blob, appended := s.jobs.appendOutcome(ent, line, true)
-			if !appended {
-				var err error
-				if blob, err = json.Marshal(line); err != nil {
-					return
-				}
-			}
-			writeLocked(blob)
-		},
-	}
-	if s.pool != nil {
-		// A concrete nil must never land in the interface field, or the
-		// supervisor would "dispatch" every point into a nil deref.
-		sc.Exec = s.pool
-	}
-	_, err := experiments.Supervise(ctx, sc, pts)
+		}
+		writeLocked(blob)
+	})
 
 	summary := summaryLine{
 		Type:         "summary",
@@ -1077,139 +1032,112 @@ func (s *server) handleJobResults(w http.ResponseWriter, r *http.Request) {
 // every save, which is the closest portable stand-in for a full disk.
 const enospcWall = "enospc.wall"
 
-// replayJournal drains the jobs the journal recovered at boot: each is
-// recompiled from its journaled SweepRequest and re-run through the
-// same run-slot, pinning and cache machinery a live request uses — no
-// HTTP response, the results land in the cache and checkpoint dir where
-// the re-submitting client will find them. Admission control is
-// bypassed on purpose (these jobs were already admitted, and a full
-// queue at boot must not orphan them), but the metrics job ledger still
-// balances: every replay counts as admitted and done. A drain during
-// replay leaves the remaining jobs journaled for the next boot.
-func (s *server) replayJournal(ctx context.Context) {
+// replayRecovered drains the open logs found at boot, oldest accept
+// first: each job is recompiled from the request in its log header and
+// re-run through the same run-slot, pinning and cache machinery a live
+// request uses — no HTTP response, the outcomes resume the job's log
+// where the crashed run stopped, so a client that was mid-stream
+// re-reads the missed frames via GET and a re-submitted request hits
+// the cache. Admission control is bypassed on purpose (these jobs were
+// already admitted, and a full queue at boot must not orphan them), but
+// the metrics job ledger still balances: every replay counts as
+// admitted and done. A drain during replay leaves the remaining logs
+// open for the next boot.
+func (s *server) replayRecovered(ctx context.Context) {
 	jobs := s.replay
 	s.replay = nil
-	for _, rj := range jobs {
+	for _, ent := range jobs {
 		if ctx.Err() != nil {
 			return
 		}
-		s.replayOne(ctx, rj)
+		s.replayOne(ctx, ent)
 	}
 }
 
-func (s *server) replayOne(ctx context.Context, rj replayJob) {
+func (s *server) replayOne(ctx context.Context, ent *jobEntry) {
+	if ent.snapshotFrom(0).done {
+		// A keyed re-POST sealed the job after boot.
+		s.jobs.releaseHold(ent)
+		return
+	}
 	var req SweepRequest
 	var pts []experiments.SweepPoint
-	if err := json.Unmarshal(rj.Spec, &req); err == nil {
+	if err := json.Unmarshal(ent.header.Spec, &req); err == nil {
 		pts, err = compileRequest(req, s.mesh,
 			specLimits{maxPoints: s.cfg.maxPoints, maxCycles: s.cfg.maxCycles}, s.cfg.check)
 		if err != nil {
 			pts = nil
 		}
 	}
-	if len(pts) == 0 {
-		// The journaled spec no longer compiles (caps tightened across
-		// the restart, or the record predates a format change). Settle it
-		// as failed so it cannot replay forever.
-		if s.journal.Done(rj.ID, true) == nil {
-			s.metrics.JournalCompleted()
+	if len(pts) == 0 || contentIdentity(pts) != ent.header.Req {
+		// The logged spec no longer compiles to the same job (caps
+		// tightened across the restart, or the compiler changed).
+		// Settle it so it cannot replay forever.
+		s.jobs.releaseHold(ent)
+		if s.jobs.startProducer(ent) == nil {
+			s.jobs.endProducer(ent, true)
 		}
 		return
 	}
-	s.metrics.JournalReplayed()
+	s.replayed.Add(1)
 	s.metrics.JobAdmitted()
 
 	select {
 	case s.runTok <- struct{}{}:
 	case <-ctx.Done():
-		// Drained before the replay started: the job stays open in the
-		// journal; only the metrics ledger settles.
+		// Drained before the replay started: the log stays open; only
+		// the metrics ledger settles.
 		s.metrics.JobDone(false, true)
 		return
 	}
 	s.metrics.JobStarted()
 	defer func() { <-s.runTok }()
 
-	// Reattach the job's durable result log so replayed outcomes resume
-	// it exactly where the crashed run stopped: a client that was
-	// mid-stream re-reads the missed frames via GET instead of
-	// re-submitting. Old journals (pre-PR 9) carry no key — the job is
-	// content-addressed, same as an unkeyed POST. Appends batch
-	// (-results-sync) unless a resumed reader is already tailing.
-	reqFP := contentIdentity(pts)
-	id := rj.Key
-	if !validJobID(id) {
-		id = reqFP
-	}
-	ent, _, attachErr := s.jobs.attach(id, reqFP, len(pts))
-	if attachErr == nil {
-		if err := s.jobs.startProducer(ent); err != nil {
-			ent = nil
-		}
-	} else {
-		ent = nil
-	}
-
-	ids := make([]string, len(pts))
-	for i := range pts {
-		ids[i] = pts[i].ID
-	}
-	defer s.pinArtifacts(ids)()
-
-	var failures atomic.Int64
-	sc := experiments.SuperviseConfig{
-		Workers:         s.cfg.workers,
-		Retries:         s.cfg.retries,
-		PointTimeout:    s.cfg.pointTimeout,
-		Dir:             s.cfg.dir,
-		CheckpointEvery: s.cfg.checkpointEvery,
-		Cache:           s.cache,
-		OnOutcome: func(i int, o experiments.PointOutcome) {
-			s.metrics.PointDone(o.Cached, o.Err != nil, 0)
-			if o.Err != nil {
-				failures.Add(1)
-				return
-			}
-			if ent != nil {
-				line := outcomeLine{
-					Type:        "outcome",
-					Index:       i,
-					ID:          o.ID,
-					Fingerprint: o.Fingerprint,
-					Cached:      o.Cached,
-					Recovered:   o.Recovered,
-					Attempts:    o.Attempts,
-					Result:      &o.Result,
-				}
-				s.jobs.appendOutcome(ent, line, false)
-			}
-		},
-	}
-	if s.pool != nil {
-		sc.Exec = s.pool
-	}
-	start := time.Now()
-	_, err := experiments.Supervise(ctx, sc, pts)
-	failed := err != nil || failures.Load() > 0
-	if ent != nil {
-		if !failed {
-			s.jobs.appendSummary(ent, summaryLine{
-				Type:         "summary",
-				Points:       len(pts),
-				CacheHitRate: s.cache.Stats().HitRate(),
-				ElapsedMS:    time.Since(start).Milliseconds(),
-			}, false)
-		}
-		s.jobs.syncEntry(ent)
-		s.jobs.endProducer(ent)
-	}
-	s.metrics.JobDone(true, failed)
-	if ctx.Err() != nil {
-		// Drained mid-replay: running points checkpointed; leave the job
-		// open so the next boot resumes from those checkpoints.
+	// Appends batch (-results-sync) unless a resumed reader is already
+	// tailing. A log that will not reopen stays open for the next boot.
+	if err := s.jobs.startProducer(ent); err != nil {
+		s.jobs.releaseHold(ent)
+		s.metrics.JobDone(true, true)
 		return
 	}
-	if s.journal.Done(rj.ID, failed) == nil {
-		s.metrics.JournalCompleted()
+
+	defer s.pinArtifacts(pts)()
+
+	var failures atomic.Int64
+	start := time.Now()
+	err := s.supervise(ctx, pts, func(i int, o experiments.PointOutcome) {
+		s.metrics.PointDone(o.Cached, o.Err != nil, 0)
+		if o.Err != nil {
+			failures.Add(1)
+			return
+		}
+		s.jobs.appendOutcome(ent, outcomeLine{
+			Type:        "outcome",
+			Index:       i,
+			ID:          o.ID,
+			Fingerprint: o.Fingerprint,
+			Cached:      o.Cached,
+			Recovered:   o.Recovered,
+			Attempts:    o.Attempts,
+			Result:      &o.Result,
+		}, false)
+	})
+	failed := err != nil || failures.Load() > 0
+	if !failed {
+		s.jobs.appendSummary(ent, summaryLine{
+			Type:         "summary",
+			Points:       len(pts),
+			CacheHitRate: s.cache.Stats().HitRate(),
+			ElapsedMS:    time.Since(start).Milliseconds(),
+		}, false)
 	}
+	s.jobs.syncEntry(ent)
+	// Drained mid-replay: running points checkpointed; the log stays
+	// open (and held) so the next boot resumes from those checkpoints.
+	drained := ctx.Err() != nil
+	if !drained {
+		s.jobs.releaseHold(ent)
+	}
+	s.jobs.endProducer(ent, !drained)
+	s.metrics.JobDone(true, failed)
 }

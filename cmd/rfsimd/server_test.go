@@ -443,6 +443,8 @@ func TestRealMainFlagValidation(t *testing.T) {
 		{[]string{"-results-keep", "-1s"}, "-results-keep must be non-negative"},
 		{[]string{"-results-sync", "-1"}, "-results-sync must be non-negative"},
 		{[]string{"-resume-storm"}, "-resume-storm requires -loadtest"},
+		// The deprecated -journal still parses (and is ignored).
+		{[]string{"-journal", "state/journal.wal", "-queue", "0"}, "-queue must be positive"},
 	}
 	for _, tc := range cases {
 		var out, errb bytes.Buffer

@@ -75,12 +75,6 @@ type Config struct {
 
 	// Now is the clock (default time.Now); injectable for age tests.
 	Now func() time.Time
-
-	// Compact, when non-nil, runs at the end of every sweep: the hook
-	// the sweep service uses to fold the job journal's settled records
-	// away under the same cadence that bounds the artifact directory.
-	// It must be safe for concurrent use with the service's own writes.
-	Compact func()
 }
 
 // DefaultMatch is the default file filter: the three artifact kinds the
@@ -189,9 +183,6 @@ type managedFile struct {
 // never fatal (a janitor that dies on the first bad file stops
 // protecting the disk exactly when the disk is misbehaving).
 func (j *Janitor) Sweep() Report {
-	if j.cfg.Compact != nil {
-		defer j.cfg.Compact()
-	}
 	var rep Report
 	now := j.cfg.Now()
 

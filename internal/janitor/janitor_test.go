@@ -341,23 +341,3 @@ func TestNewRequiresDir(t *testing.T) {
 		t.Fatal("New without Dir succeeded")
 	}
 }
-
-// TestSweepRunsCompactHook: the Compact hook fires once per sweep, even
-// an empty or failed one — journal compaction must not depend on the
-// directory having deletable artifacts.
-func TestSweepRunsCompactHook(t *testing.T) {
-	ffs := newFakeFS()
-	ffs.add("a.ckpt", 100, t0.Add(-time.Hour))
-	calls := 0
-	j := newTestJanitor(t, ffs, Config{MaxBytes: 1000, Compact: func() { calls++ }})
-	j.Sweep()
-	j.Sweep()
-	if calls != 2 {
-		t.Fatalf("Compact ran %d times over 2 sweeps, want 2", calls)
-	}
-	ffs.readDirErr = errors.New("disk gone")
-	j.Sweep()
-	if calls != 3 {
-		t.Fatalf("Compact ran %d times over 3 sweeps (one failed), want 3", calls)
-	}
-}

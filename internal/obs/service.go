@@ -41,12 +41,6 @@ type ServiceMetrics struct {
 	workersOOM             int64
 	workerRestartBackoffs  int64
 
-	journalAccepted    int64
-	journalCompleted   int64
-	journalReplayed    int64
-	journalTornSkipped int64
-	journalCompactions int64
-
 	jobsAttached        int64
 	resumeReads         int64
 	resultFrames        int64
@@ -177,22 +171,6 @@ func (m *ServiceMetrics) WorkerOOM() { m.bump(&m.workersOOM) }
 // WorkerRestartBackoff records a respawn delayed by crash backoff.
 func (m *ServiceMetrics) WorkerRestartBackoff() { m.bump(&m.workerRestartBackoffs) }
 
-// JournalAccepted records one accept record appended to the job WAL.
-func (m *ServiceMetrics) JournalAccepted() { m.bump(&m.journalAccepted) }
-
-// JournalCompleted records one done record appended to the job WAL.
-func (m *ServiceMetrics) JournalCompleted() { m.bump(&m.journalCompleted) }
-
-// JournalReplayed records one unfinished job re-enqueued at boot.
-func (m *ServiceMetrics) JournalReplayed() { m.bump(&m.journalReplayed) }
-
-// JournalTornSkipped records a torn or corrupt WAL record skipped
-// during replay.
-func (m *ServiceMetrics) JournalTornSkipped() { m.bump(&m.journalTornSkipped) }
-
-// JournalCompacted records one journal compaction.
-func (m *ServiceMetrics) JournalCompacted() { m.bump(&m.journalCompactions) }
-
 // JobAttached records a POST served from an existing job (live tail or
 // completed result log) instead of recomputation — the idempotent
 // re-submit path.
@@ -238,12 +216,6 @@ type ServiceSnapshot struct {
 	WorkersOOM             int64 `json:"workers_oom,omitempty"`
 	WorkerRestartBackoffs  int64 `json:"worker_restart_backoffs,omitempty"`
 
-	JournalAccepted    int64 `json:"journal_accepted,omitempty"`
-	JournalCompleted   int64 `json:"journal_completed,omitempty"`
-	JournalReplayed    int64 `json:"journal_replayed,omitempty"`
-	JournalTornSkipped int64 `json:"journal_torn_skipped,omitempty"`
-	JournalCompactions int64 `json:"journal_compactions,omitempty"`
-
 	JobsAttached        int64 `json:"jobs_attached,omitempty"`
 	ResumeReads         int64 `json:"resume_reads,omitempty"`
 	ResultFrames        int64 `json:"result_frames,omitempty"`
@@ -278,12 +250,6 @@ func (m *ServiceMetrics) Snapshot() ServiceSnapshot {
 		WorkersOOM:             m.workersOOM,
 		WorkerRestartBackoffs:  m.workerRestartBackoffs,
 
-		JournalAccepted:    m.journalAccepted,
-		JournalCompleted:   m.journalCompleted,
-		JournalReplayed:    m.journalReplayed,
-		JournalTornSkipped: m.journalTornSkipped,
-		JournalCompactions: m.journalCompactions,
-
 		JobsAttached:        m.jobsAttached,
 		ResumeReads:         m.resumeReads,
 		ResultFrames:        m.resultFrames,
@@ -309,11 +275,6 @@ func (s ServiceSnapshot) Render() string {
 			"\nworkers: %d spawned, %d crashed (%d heartbeat kills, %d deadline kills, %d oom), %d restart backoffs",
 			s.WorkersSpawned, s.WorkersCrashed, s.WorkersKilledHeartbeat, s.WorkersKilledDeadline,
 			s.WorkersOOM, s.WorkerRestartBackoffs)
-	}
-	if s.JournalAccepted > 0 || s.JournalReplayed > 0 || s.JournalTornSkipped > 0 {
-		out += fmt.Sprintf(
-			"\njournal: %d accepted, %d completed, %d replayed, %d torn skipped, %d compactions",
-			s.JournalAccepted, s.JournalCompleted, s.JournalReplayed, s.JournalTornSkipped, s.JournalCompactions)
 	}
 	if s.ResultFrames > 0 || s.JobsAttached > 0 || s.ResumeReads > 0 {
 		out += fmt.Sprintf(

@@ -140,9 +140,9 @@ func TestServiceSnapshotRenderAndJSON(t *testing.T) {
 	}
 }
 
-// TestServiceMetricsWorkerJournalCounters: the isolation-era counters
+// TestServiceMetricsWorkerCounters: the isolation-era counters
 // accumulate independently and show up in both snapshot and render.
-func TestServiceMetricsWorkerJournalCounters(t *testing.T) {
+func TestServiceMetricsWorkerCounters(t *testing.T) {
 	m := NewServiceMetrics()
 	m.WorkerSpawned()
 	m.WorkerSpawned()
@@ -151,31 +151,21 @@ func TestServiceMetricsWorkerJournalCounters(t *testing.T) {
 	m.WorkerKilledDeadline()
 	m.WorkerOOM()
 	m.WorkerRestartBackoff()
-	m.JournalAccepted()
-	m.JournalAccepted()
-	m.JournalCompleted()
-	m.JournalReplayed()
-	m.JournalTornSkipped()
-	m.JournalCompacted()
 
 	s := m.Snapshot()
 	if s.WorkersSpawned != 2 || s.WorkersCrashed != 1 || s.WorkersKilledHeartbeat != 1 ||
 		s.WorkersKilledDeadline != 1 || s.WorkersOOM != 1 || s.WorkerRestartBackoffs != 1 {
 		t.Errorf("worker counters wrong: %+v", s)
 	}
-	if s.JournalAccepted != 2 || s.JournalCompleted != 1 || s.JournalReplayed != 1 ||
-		s.JournalTornSkipped != 1 || s.JournalCompactions != 1 {
-		t.Errorf("journal counters wrong: %+v", s)
-	}
 	out := s.Render()
-	for _, want := range []string{"workers: 2 spawned", "journal: 2 accepted", "1 torn skipped"} {
+	for _, want := range []string{"workers: 2 spawned", "1 crashed (1 heartbeat kills, 1 deadline kills, 1 oom), 1 restart backoffs"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q:\n%s", want, out)
 		}
 	}
-	// A service that never isolates or journals keeps its render clean.
+	// A service that never isolates keeps its render clean.
 	clean := NewServiceMetrics().Snapshot().Render()
-	if strings.Contains(clean, "workers:") || strings.Contains(clean, "journal:") {
+	if strings.Contains(clean, "workers:") {
 		t.Errorf("idle render shows isolation lines:\n%s", clean)
 	}
 }
