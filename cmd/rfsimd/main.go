@@ -12,9 +12,6 @@
 //	       [-gc-max-bytes N] [-gc-max-age D] [-gc-interval D]
 //	       [-isolate] [-worker-mem N] [-worker-deadline D]
 //	       [-results-keep D] [-results-sync N]
-//	rfsimd -loadtest [-requests N] [-clients N] [-unique N]
-//	       [-lt-cycles N] [-lt-out DIR] ...
-//	rfsimd -loadtest -chaos [-chaos-seed N] ...
 //	rfsimd -worker   (internal: spawned by the daemon under -isolate)
 //
 // Serve mode: clients POST sweep specs to /v1/sweep and read per-point
@@ -52,18 +49,6 @@
 // checkpoints, so an accepted job is eventually simulated exactly once
 // even across crashes. -journal is accepted for compatibility and
 // ignored.
-//
-// Loadtest mode: spins up an in-process instance and slams it with
-// -requests sweeps from -clients concurrent clients, ~90% of them
-// colliding on -unique distinct (fingerprint, seed) specs, then checks
-// the service invariants — every unique spec simulated exactly once,
-// every response well-formed NDJSON, no failed points — and reports the
-// cache hit rate. With -chaos, the harness instead injects service-level
-// faults (slow-loris clients, mid-body disconnects, simulated disk
-// full, worker panics, cache corruption) and asserts the self-protection
-// invariants: bounded queue and disk, zero stranded jobs or goroutines,
-// a terminal NDJSON summary on every accepted request, and 422 for
-// quarantined configs. Exit 1 on any violation, 2 on bad flags.
 package main
 
 import (
@@ -125,19 +110,6 @@ type daemonFlags struct {
 	// production resolves this executable + "-worker").
 	workerCommand []string
 	workerEnv     []string
-
-	loadtest  bool
-	requests  int
-	clients   int
-	unique    int
-	ltCycles  int64
-	ltOut     string
-	chaos     bool
-	chaosSeed int64
-	// resumeStorm drives a fleet of resuming rfclients through a
-	// fault-injecting TCP proxy, killing and restarting the daemon
-	// mid-storm, and asserts exactly-once delivery end to end.
-	resumeStorm bool
 }
 
 func (f *daemonFlags) validate() error {
@@ -223,26 +195,6 @@ func (f *daemonFlags) validate() error {
 	if f.resultsSync < 0 {
 		fail("-results-sync must be non-negative, got %d", f.resultsSync)
 	}
-	if f.chaos && !f.loadtest {
-		fail("-chaos requires -loadtest (it extends the load harness)")
-	}
-	if f.resumeStorm && !f.loadtest {
-		fail("-resume-storm requires -loadtest (it extends the load harness)")
-	}
-	if f.loadtest {
-		if f.requests <= 0 {
-			fail("-requests must be positive, got %d", f.requests)
-		}
-		if f.clients <= 0 {
-			fail("-clients must be positive, got %d", f.clients)
-		}
-		if f.unique <= 0 {
-			fail("-unique must be positive, got %d", f.unique)
-		}
-		if f.ltCycles <= 0 {
-			fail("-lt-cycles must be positive, got %d", f.ltCycles)
-		}
-	}
 	return errors.Join(errs...)
 }
 
@@ -305,14 +257,6 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	fs.Int64Var(&f.gcMaxBytes, "gc-max-bytes", 0, "janitor: byte quota over checkpoints+crash dumps in -dir (0 = no byte quota)")
 	fs.DurationVar(&f.gcMaxAge, "gc-max-age", 0, "janitor: delete artifacts older than this (0 = no age quota)")
 	fs.DurationVar(&f.gcInterval, "gc-interval", 30*time.Second, "janitor: sweep cadence")
-	fs.BoolVar(&f.loadtest, "loadtest", false, "run the load-soak harness against an in-process instance")
-	fs.IntVar(&f.requests, "requests", 1000, "loadtest: total sweep requests")
-	fs.IntVar(&f.clients, "clients", 64, "loadtest: concurrent client goroutines")
-	fs.IntVar(&f.unique, "unique", 0, "loadtest: distinct specs (0 = requests/10, ~90% collisions)")
-	fs.Int64Var(&f.ltCycles, "lt-cycles", 300, "loadtest: injection cycles per point")
-	fs.StringVar(&f.ltOut, "lt-out", "", "loadtest: directory for NDJSON response artifacts (empty = discard)")
-	fs.BoolVar(&f.chaos, "chaos", false, "loadtest: inject service-level faults and check the self-protection invariants")
-	fs.Int64Var(&f.chaosSeed, "chaos-seed", 1, "chaos: RNG seed for fault assignment")
 	fs.BoolVar(&f.worker, "worker", false, "run as a sweep worker child process (internal: the daemon re-execs itself with this flag)")
 	fs.BoolVar(&f.isolate, "isolate", false, "run every simulation attempt in a supervised worker process (crash-only mode)")
 	fs.Int64Var(&f.workerMem, "worker-mem", 0, "per-worker soft memory limit in bytes; over it the worker self-terminates with an OOM crash dump (0 = none, requires -isolate)")
@@ -320,7 +264,6 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	fs.String("journal", "", "ignored (deprecated): accepted sweeps survive a crash through their result logs in -dir")
 	fs.DurationVar(&f.resultsKeep, "results-keep", 5*time.Minute, "how long an idle job's result log stays pinned after its last producer or reader (0 = default 5m)")
 	fs.IntVar(&f.resultsSync, "results-sync", 16, "fsync batch for result-log appends nobody is streaming; live streams sync every frame (0 = default 16)")
-	fs.BoolVar(&f.resumeStorm, "resume-storm", false, "loadtest: drive resuming clients through a fault-injecting TCP proxy with a mid-storm daemon restart, asserting exactly-once delivery")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -329,38 +272,11 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		// Everything else about the flag set is irrelevant in the child.
 		return experiments.WorkerMain(os.Stdin, stdout, stderr)
 	}
-	if f.unique == 0 {
-		f.unique = f.requests / 10
-		if f.unique == 0 {
-			f.unique = 1
-		}
-	}
 	if err := f.validate(); err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
 
-	if f.resumeStorm {
-		if err := runResumeStorm(&f, stdout, stderr); err != nil {
-			fmt.Fprintf(stderr, "resume-storm: %v\n", err)
-			return 1
-		}
-		return 0
-	}
-	if f.chaos {
-		if err := runChaos(&f, stdout, stderr); err != nil {
-			fmt.Fprintf(stderr, "chaos: %v\n", err)
-			return 1
-		}
-		return 0
-	}
-	if f.loadtest {
-		if err := runLoadtest(&f, stdout, stderr); err != nil {
-			fmt.Fprintf(stderr, "loadtest: %v\n", err)
-			return 1
-		}
-		return 0
-	}
 	if err := serve(&f, stdout, stderr); err != nil {
 		fmt.Fprintf(stderr, "rfsimd: %v\n", err)
 		return 1

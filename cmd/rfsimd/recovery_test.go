@@ -2,9 +2,7 @@ package main
 
 // Crash-only e2e tests: isolated (out-of-process) sweeps produce
 // bit-identical results, a daemon "kill -9" between a job's accept and
-// its completion is healed by boot replay of its open result log, and
-// the chaos harness holds its
-// invariants with worker-hostile faults crossing the process boundary.
+// its completion is healed by boot replay of its open result log.
 // The worker child in all of these is this test binary re-exec'd with
 // RFSIMD_TEST_WORKER=1 (see TestMain).
 
@@ -17,7 +15,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 
@@ -265,36 +262,4 @@ func TestReplayHoldPinsOpenLog(t *testing.T) {
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Fatalf("replayed log outlived -results-keep and -gc-max-age: %v", err)
 	}
-}
-
-// TestServiceChaosIsolate is the worker-hostile chaos run: the full
-// storm with the poison directives crossing the process boundary
-// (worker panic, memory-limit OOM, heartbeat-stopping hang) plus the
-// post-storm SIGKILL of a busy worker. Every self-protection invariant
-// must still hold.
-func TestServiceChaosIsolate(t *testing.T) {
-	if testing.Short() {
-		t.Skip("service chaos")
-	}
-	f := daemonFlags{
-		queue: 16, active: 2, maxPoints: 8, cacheEntries: 4096,
-		checkpointEvery: 500, retries: 1, intReserve: 4,
-		quarFailures: 2, maxJobCycles: 500_000,
-		readHeaderTimeout: 500 * time.Millisecond,
-		readTimeout:       30 * time.Second,
-		idleTimeout:       30 * time.Second,
-		loadtest:          true, chaos: true, chaosSeed: 11,
-		requests: 80, clients: 8, unique: 12, ltCycles: 200,
-		isolate:       true,
-		workerCommand: []string{os.Args[0]},
-		workerEnv:     []string{"RFSIMD_TEST_WORKER=1"},
-	}
-	var out bytes.Buffer
-	if err := runChaos(&f, &out, &out); err != nil {
-		t.Fatalf("isolate chaos failed: %v\n%s", err, out.String())
-	}
-	if !strings.Contains(out.String(), "all invariants held") {
-		t.Errorf("chaos output missing the invariant verdict:\n%s", out.String())
-	}
-	t.Logf("\n%s", out.String())
 }

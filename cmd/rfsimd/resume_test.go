@@ -241,32 +241,3 @@ func readAll(t *testing.T, resp *http.Response) ([]byte, error) {
 	_, err := buf.ReadFrom(resp.Body)
 	return buf.Bytes(), err
 }
-
-// TestResumeStorm drives the full `-loadtest -resume-storm` harness:
-// a client fleet with colliding idempotency keys, random cuts, stalls
-// and truncations, a mid-storm daemon kill+restart, and every
-// exactly-once and stranded-state invariant checked at the end.
-func TestResumeStorm(t *testing.T) {
-	if testing.Short() {
-		t.Skip("resume storm")
-	}
-	f := daemonFlags{
-		queue: 16, active: 4, maxPoints: 8, cacheEntries: 4096,
-		checkpointEvery: 500, retries: 1, intReserve: 4,
-		quarFailures: 3, quarCooldown: time.Minute,
-		readHeaderTimeout: 2 * time.Second,
-		readTimeout:       30 * time.Second,
-		idleTimeout:       30 * time.Second,
-		resultsKeep:       5 * time.Minute, resultsSync: 16,
-		loadtest: true, resumeStorm: true, chaosSeed: 11,
-		requests: 24, clients: 6, unique: 4, ltCycles: 300,
-	}
-	var out bytes.Buffer
-	if err := runResumeStorm(&f, &out, &out); err != nil {
-		t.Fatalf("resume storm failed: %v\n%s", err, out.String())
-	}
-	if !strings.Contains(out.String(), "all invariants held") {
-		t.Errorf("storm output missing the invariant verdict:\n%s", out.String())
-	}
-	t.Logf("\n%s", out.String())
-}

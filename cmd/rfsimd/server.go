@@ -243,8 +243,7 @@ type server struct {
 	draining atomic.Bool
 
 	// onCompute, when non-nil, observes every actual simulation attempt
-	// with the point's fingerprint — the load-test harness's
-	// exactly-once probe.
+	// with the point's fingerprint — the rig tests' exactly-once probe.
 	onCompute func(fingerprint string)
 
 	// chaosPanic and chaosCheckpointFail are the chaos harness's fault
@@ -433,8 +432,7 @@ func (s *server) pinCount() int {
 // and durable lines carry a seq — the 1-based position of the frame in
 // the job's result log, the cursor a client resumes from. A line with
 // no seq is transient (a failure, or a duplicate computation's view)
-// and will not replay on a resumed GET. streamLine is the decode-side
-// union (the loadtest harness and tests read responses through it).
+// and will not replay on a resumed GET.
 type outcomeLine struct {
 	Type        string              `json:"type"` // "outcome"
 	Seq         int64               `json:"seq,omitempty"`
@@ -457,22 +455,6 @@ type summaryLine struct {
 	CacheHitRate float64 `json:"cache_hit_rate"`
 	ElapsedMS    int64   `json:"elapsed_ms"`
 	Error        string  `json:"error,omitempty"`
-}
-
-type streamLine struct {
-	Type        string              `json:"type"`
-	Seq         int64               `json:"seq"`
-	Index       int                 `json:"index"`
-	ID          string              `json:"id"`
-	Fingerprint string              `json:"fingerprint"`
-	Cached      bool                `json:"cached"`
-	Recovered   bool                `json:"recovered"`
-	Attempts    int                 `json:"attempts"`
-	Error       string              `json:"error"`
-	CrashDump   string              `json:"crash_dump"`
-	Result      *experiments.Result `json:"result"`
-	Points      int                 `json:"points"`
-	Failed      int                 `json:"failed"`
 }
 
 // httpError is the JSON error envelope for non-streaming failures.

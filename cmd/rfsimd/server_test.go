@@ -25,18 +25,6 @@ import (
 	"repro/internal/noc"
 )
 
-func e2eServer(t *testing.T, cfg serverConfig) (*server, *httptest.Server) {
-	t.Helper()
-	srv, err := newServer(context.Background(), cfg)
-	if err != nil {
-		t.Fatalf("newServer: %v", err)
-	}
-	t.Cleanup(srv.close)
-	ts := httptest.NewServer(srv.handler())
-	t.Cleanup(ts.Close)
-	return srv, ts
-}
-
 func postSweep(t *testing.T, ts *httptest.Server, req SweepRequest) (*http.Response, []byte) {
 	t.Helper()
 	body, err := json.Marshal(req)
@@ -95,21 +83,12 @@ func TestSweepHappyPath(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
 		t.Errorf("Content-Type %q, want application/x-ndjson", ct)
 	}
-	fps, err := validateNDJSON(body, len(req.Points))
+	recs, err := checkNDJSON(body, len(req.Points), false)
 	if err != nil {
 		t.Fatalf("first response: %v\n%s", err, body)
 	}
-	if fps[0] == fps[1] {
-		t.Errorf("distinct specs share fingerprint %s", fps[0])
-	}
-
-	// Decode the outcomes for content checks.
 	var first []streamLine
-	for _, line := range bytes.Split(bytes.TrimSpace(body), []byte("\n")) {
-		var rec streamLine
-		if err := json.Unmarshal(line, &rec); err != nil {
-			t.Fatalf("unmarshal %s: %v", line, err)
-		}
+	for _, rec := range recs {
 		if rec.Type == "outcome" {
 			if rec.Cached {
 				t.Errorf("point %d cached on a cold cache", rec.Index)
@@ -120,20 +99,20 @@ func TestSweepHappyPath(t *testing.T) {
 			first = append(first, rec)
 		}
 	}
+	if first[0].Fingerprint == first[1].Fingerprint {
+		t.Errorf("distinct specs share fingerprint %s", first[0].Fingerprint)
+	}
 
 	// Repeat: everything is a hit with identical results.
 	resp2, body2 := postSweep(t, ts, req)
 	if resp2.StatusCode != http.StatusOK {
 		t.Fatalf("repeat status %d", resp2.StatusCode)
 	}
-	if _, err := validateNDJSON(body2, len(req.Points)); err != nil {
+	recs2, err := checkNDJSON(body2, len(req.Points), false)
+	if err != nil {
 		t.Fatalf("repeat response: %v", err)
 	}
-	for _, line := range bytes.Split(bytes.TrimSpace(body2), []byte("\n")) {
-		var rec streamLine
-		if err := json.Unmarshal(line, &rec); err != nil {
-			t.Fatal(err)
-		}
+	for _, rec := range recs2 {
 		if rec.Type != "outcome" {
 			continue
 		}
@@ -370,7 +349,7 @@ func TestSweepResumeAfterRestart(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("resumed sweep status %d: %s", resp.StatusCode, body)
 	}
-	if _, err := validateNDJSON(body, 1); err != nil {
+	if _, err := checkNDJSON(body, 1, false); err != nil {
 		t.Fatalf("resumed response: %v\n%s", err, body)
 	}
 
@@ -421,8 +400,6 @@ func TestRealMainFlagValidation(t *testing.T) {
 		{[]string{"-active", "-1"}, "-active must be positive"},
 		{[]string{"-retries", "-2"}, "-retries must be non-negative"},
 		{[]string{"-max-points", "0"}, "-max-points must be positive"},
-		{[]string{"-loadtest", "-requests", "0"}, "-requests must be positive"},
-		{[]string{"-loadtest", "-lt-cycles", "0"}, "-lt-cycles must be positive"},
 		{[]string{"-nonsense"}, "flag provided but not defined"},
 		{[]string{"-read-header-timeout", "-1s"}, "-read-header-timeout must be non-negative"},
 		{[]string{"-read-timeout", "-1s"}, "-read-timeout must be non-negative"},
@@ -435,14 +412,22 @@ func TestRealMainFlagValidation(t *testing.T) {
 		{[]string{"-gc-max-bytes", "-1"}, "-gc-max-bytes must be non-negative"},
 		{[]string{"-gc-max-age", "-1s"}, "-gc-max-age must be non-negative"},
 		{[]string{"-gc-interval", "0s"}, "-gc-interval must be positive"},
-		{[]string{"-chaos"}, "-chaos requires -loadtest"},
 		{[]string{"-worker-mem", "-1"}, "-worker-mem must be non-negative"},
 		{[]string{"-worker-deadline", "-1s"}, "-worker-deadline must be non-negative"},
 		{[]string{"-worker-mem", "1048576"}, "-worker-mem requires -isolate"},
 		{[]string{"-worker-deadline", "30s"}, "-worker-deadline requires -isolate"},
 		{[]string{"-results-keep", "-1s"}, "-results-keep must be non-negative"},
 		{[]string{"-results-sync", "-1"}, "-results-sync must be non-negative"},
-		{[]string{"-resume-storm"}, "-resume-storm requires -loadtest"},
+		// The test rigs' flags are gone from the binary.
+		{[]string{"-loadtest"}, "flag provided but not defined: -loadtest"},
+		{[]string{"-requests", "1000"}, "flag provided but not defined: -requests"},
+		{[]string{"-clients", "64"}, "flag provided but not defined: -clients"},
+		{[]string{"-unique", "100"}, "flag provided but not defined: -unique"},
+		{[]string{"-lt-cycles", "200"}, "flag provided but not defined: -lt-cycles"},
+		{[]string{"-lt-out", "artifacts"}, "flag provided but not defined: -lt-out"},
+		{[]string{"-chaos"}, "flag provided but not defined: -chaos"},
+		{[]string{"-chaos-seed", "7"}, "flag provided but not defined: -chaos-seed"},
+		{[]string{"-resume-storm"}, "flag provided but not defined: -resume-storm"},
 		// The deprecated -journal still parses (and is ignored).
 		{[]string{"-journal", "state/journal.wal", "-queue", "0"}, "-queue must be positive"},
 	}
@@ -455,29 +440,6 @@ func TestRealMainFlagValidation(t *testing.T) {
 			t.Errorf("realMain(%v) stderr %q does not contain %q", tc.args, errb.String(), tc.want)
 		}
 	}
-}
-
-// TestLoadSoak is the in-test load soak: hundreds of colliding requests
-// against an in-process instance, every invariant checked. The CI
-// rfsimd-soak job runs the binary flavor with the full 1000-request
-// budget.
-func TestLoadSoak(t *testing.T) {
-	if testing.Short() {
-		t.Skip("load soak")
-	}
-	f := daemonFlags{
-		queue: 16, active: 2, maxPoints: 8, cacheEntries: 4096,
-		checkpointEvery: 10000,
-		loadtest:        true, requests: 300, clients: 32, unique: 30, ltCycles: 200,
-	}
-	var out bytes.Buffer
-	if err := runLoadtest(&f, &out, &out); err != nil {
-		t.Fatalf("load soak failed: %v\n%s", err, out.String())
-	}
-	if !strings.Contains(out.String(), "all invariants held") {
-		t.Errorf("soak output missing the invariant verdict:\n%s", out.String())
-	}
-	t.Logf("\n%s", out.String())
 }
 
 // decodeStream splits an NDJSON body into records for content checks.
@@ -780,7 +742,7 @@ func TestSweepQuarantine(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("half-open probe: status %d, body %s", resp.StatusCode, body)
 	}
-	if _, err := validateNDJSON(body, 1); err != nil {
+	if _, err := checkNDJSON(body, 1, false); err != nil {
 		t.Fatalf("probe response: %v\n%s", err, body)
 	}
 	if srv.quar.quarantined(cfgFP) {
@@ -814,34 +776,6 @@ func TestReadyzDraining(t *testing.T) {
 			t.Errorf("%s while draining = %d, want 503", ep, resp.StatusCode)
 		}
 	}
-}
-
-// TestServiceChaos is the in-test service-chaos run: all five fault
-// kinds over an in-process instance, every self-protection invariant
-// checked. The CI rfsimd-chaos job runs the binary flavor with the
-// full 500-request budget.
-func TestServiceChaos(t *testing.T) {
-	if testing.Short() {
-		t.Skip("service chaos")
-	}
-	f := daemonFlags{
-		queue: 16, active: 2, maxPoints: 8, cacheEntries: 4096,
-		checkpointEvery: 500, retries: 1, intReserve: 4,
-		quarFailures: 2, maxJobCycles: 500_000,
-		readHeaderTimeout: 500 * time.Millisecond,
-		readTimeout:       30 * time.Second,
-		idleTimeout:       30 * time.Second,
-		loadtest:          true, chaos: true, chaosSeed: 7,
-		requests: 150, clients: 16, unique: 20, ltCycles: 200,
-	}
-	var out bytes.Buffer
-	if err := runChaos(&f, &out, &out); err != nil {
-		t.Fatalf("service chaos failed: %v\n%s", err, out.String())
-	}
-	if !strings.Contains(out.String(), "all invariants held") {
-		t.Errorf("chaos output missing the invariant verdict:\n%s", out.String())
-	}
-	t.Logf("\n%s", out.String())
 }
 
 // TestSweepStreamSeqsInOrder: outcome frames reach the stream in seq
