@@ -4,7 +4,7 @@
 //
 //	experiments -artifact fig1|fig7|fig8|table2|fig9|fig10a|fig10b|app|summary|ablations|all
 //	            [-cycles N] [-rate R] [-seed S] [-format text|csv]
-//	experiments -supervise [-resume-dir DIR] [-retries N] [-workers N]
+//	experiments -supervise [-crash-dir DIR] [-retries N] [-workers N]
 //	            [-cycles N] [-rate R] [-seed S]
 //
 // Each artifact prints the same rows/series the paper reports, normalized
@@ -13,9 +13,9 @@
 //
 // -supervise runs the design x workload sweep under the fault-isolating
 // supervisor instead: points execute on a worker pool, a panicking or
-// failing point is retried -retries times (resuming from its checkpoint
-// in -resume-dir), and a point that keeps failing is recorded — with a
-// crash dump in -resume-dir — while the rest of the sweep completes.
+// failing point is retried -retries times from cycle 0, and a point that
+// keeps failing is recorded — with a crash dump in -crash-dir when a
+// panic caused it — while the rest of the sweep completes.
 // Partial results are always printed; the exit code is 1 if any point
 // ultimately failed and 0 otherwise. Bad flags exit with 2.
 package main
@@ -45,7 +45,7 @@ type expFlags struct {
 	invCheck bool
 
 	supervise bool
-	resumeDir string
+	crashDir  string
 	retries   int
 	workers   int
 }
@@ -81,8 +81,8 @@ func (f *expFlags) validate() error {
 	if f.workers < 0 {
 		fail("-workers must be non-negative, got %d", f.workers)
 	}
-	if f.resumeDir != "" && !f.supervise {
-		fail("-resume-dir only makes sense with -supervise")
+	if f.crashDir != "" && !f.supervise {
+		fail("-crash-dir only makes sense with -supervise")
 	}
 	return errors.Join(errs...)
 }
@@ -103,7 +103,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	fs.BoolVar(&f.hist, "hist", false, "collect latency histograms (adds p50/p99/max tail columns to -artifact app)")
 	fs.BoolVar(&f.invCheck, "check", false, "attach an invariant checker to every simulation (panics on violation)")
 	fs.BoolVar(&f.supervise, "supervise", false, "run the design x workload sweep under the fault-isolating supervisor")
-	fs.StringVar(&f.resumeDir, "resume-dir", "", "directory for per-point checkpoints and crash dumps (supervised mode)")
+	fs.StringVar(&f.crashDir, "crash-dir", "", "directory for crash dumps of panicking points (supervised mode)")
 	fs.IntVar(&f.retries, "retries", 1, "retry budget per failed sweep point (supervised mode)")
 	fs.IntVar(&f.workers, "workers", 0, "supervisor worker pool size (0 = default)")
 	if err := fs.Parse(args); err != nil {
@@ -260,16 +260,16 @@ func sweepGrid(m *topology.Mesh, opts experiments.Options) []experiments.SweepPo
 }
 
 func runSupervised(f *expFlags, m *topology.Mesh, opts experiments.Options, stdout, stderr io.Writer) int {
-	if f.resumeDir != "" {
-		if err := os.MkdirAll(f.resumeDir, 0o755); err != nil {
-			fmt.Fprintf(stderr, "resume dir: %v\n", err)
+	if f.crashDir != "" {
+		if err := os.MkdirAll(f.crashDir, 0o755); err != nil {
+			fmt.Fprintf(stderr, "crash dir: %v\n", err)
 			return 1
 		}
 	}
 	pts := sweepGrid(m, opts)
 	outs, err := experiments.Supervise(context.Background(), experiments.SuperviseConfig{
 		Workers: f.workers, Retries: f.retries,
-		Dir: f.resumeDir, CheckpointEvery: 10000,
+		Dir: f.crashDir,
 	}, pts)
 
 	fmt.Fprintln(stdout, "== Supervised sweep: design x workload ==")

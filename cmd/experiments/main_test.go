@@ -22,7 +22,8 @@ func TestBadFlagsExit2(t *testing.T) {
 		{"unknown artifact", []string{"-artifact", "fig99"}, `unknown artifact "fig99"`},
 		{"negative retries", []string{"-supervise", "-retries", "-1"}, "-retries must be non-negative"},
 		{"negative workers", []string{"-supervise", "-workers", "-2"}, "-workers must be non-negative"},
-		{"resume-dir without supervise", []string{"-resume-dir", "/tmp/x"}, "-resume-dir only makes sense with -supervise"},
+		{"crash-dir without supervise", []string{"-crash-dir", "/tmp/x"}, "-crash-dir only makes sense with -supervise"},
+		{"resume-dir without supervise", []string{"-resume-dir", "/tmp/x"}, "flag provided but not defined: -resume-dir"},
 		{"undefined flag", []string{"-bogus"}, ""},
 	}
 	for _, tc := range cases {
@@ -48,7 +49,7 @@ func TestSupervisedSweepSmoke(t *testing.T) {
 	dir := t.TempDir()
 	var out, errBuf bytes.Buffer
 	code := realMain([]string{"-supervise", "-cycles", "500",
-		"-resume-dir", dir, "-retries", "0"}, &out, &errBuf)
+		"-crash-dir", dir, "-retries", "0"}, &out, &errBuf)
 	if code != 0 {
 		t.Fatalf("exit code = %d, stderr: %s", code, errBuf.String())
 	}
@@ -63,5 +64,34 @@ func TestSupervisedSweepSmoke(t *testing.T) {
 	}
 	if strings.Contains(got, "FAILED") {
 		t.Errorf("unexpected failed point:\n%s", got)
+	}
+}
+
+// TestSupervisedRerunInSameCrashDir: a second supervised sweep in the
+// same -crash-dir with a different seed must print exactly what a fresh
+// run with that seed prints — nothing a previous run left in the
+// directory may stand in for a result.
+func TestSupervisedRerunInSameCrashDir(t *testing.T) {
+	if testing.Short() {
+		t.Skip("supervised sweep smoke is not -short")
+	}
+	sweep := func(dir, seed string) string {
+		t.Helper()
+		var out, errBuf bytes.Buffer
+		if code := realMain([]string{"-supervise", "-cycles", "500", "-seed", seed,
+			"-crash-dir", dir, "-retries", "0"}, &out, &errBuf); code != 0 {
+			t.Fatalf("seed %s: exit code = %d, stderr: %s", seed, code, errBuf.String())
+		}
+		return out.String()
+	}
+	shared := t.TempDir()
+	first := sweep(shared, "1")
+	second := sweep(shared, "2")
+	fresh := sweep(t.TempDir(), "2")
+	if first == fresh {
+		t.Fatal("seeds 1 and 2 print the same table; the test cannot tell runs apart")
+	}
+	if second != fresh {
+		t.Errorf("rerun in a used crash dir differs from a fresh run:\n--- rerun\n%s\n--- fresh\n%s", second, fresh)
 	}
 }

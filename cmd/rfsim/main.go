@@ -8,8 +8,7 @@
 //	      2hotspot|4hotspot|x264|bodytrack|fluidanimate|streamcluster|
 //	      specjbb|coherence] [-trace file] [-multicast none|expand|vct|rf]
 //	      [-cycles N] [-rate R] [-seed S] [-mclocality 20]
-//	      [-hist] [-check] [-timeline file] [-window N]
-//	      [-checkpoint file] [-checkpoint-every N] [-resume] [-timeout D]
+//	      [-hist] [-check] [-timeline file] [-window N] [-timeout D]
 //
 // With -trace, the workload is replayed from a file captured by
 // cmd/tracegen instead of generated.
@@ -30,12 +29,10 @@
 // fault/recovery summary (retransmission rate, availability, MTTR,
 // post-fault latency delta).
 //
-// Checkpointing: -checkpoint saves the complete simulator state to a
-// file every -checkpoint-every cycles and on interruption; -resume
-// restores from that file (if present) and finishes the run with
-// exactly the statistics of an uninterrupted one. -timeout bounds the
-// run's wall-clock time; a timed-out run saves its checkpoint, prints
-// partial results and exits with status 3. Bad flags exit with 2.
+// -timeout bounds the run's wall-clock time; a timed-out run prints
+// partial results and exits with status 3. A run is deterministic, so
+// re-running it from cycle 0 gives the same result. Bad flags exit
+// with 2.
 //
 // Self-healing: -integrity adds per-packet sequence numbers and an
 // end-to-end checksum (receiver-side dedup, misdelivery detection,
@@ -70,7 +67,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/checkpoint"
 	"repro/internal/coherence"
 	"repro/internal/experiments"
 	"repro/internal/fault"
@@ -82,7 +78,7 @@ import (
 )
 
 // Exit codes: 0 success, 1 runtime failure, 2 bad flags, 3 interrupted
-// by -timeout (checkpoint saved when -checkpoint is set).
+// by -timeout.
 const (
 	exitOK          = 0
 	exitRunError    = 1
@@ -136,10 +132,7 @@ type simFlags struct {
 	shrink       string
 	shrinkBudget int
 
-	ckptPath  string
-	ckptEvery int64
-	resume    bool
-	timeout   time.Duration
+	timeout time.Duration
 
 	cpuProfile  string
 	memProfile  string
@@ -214,14 +207,8 @@ func (f *simFlags) validate() error {
 	if f.window <= 0 {
 		fail("-window must be positive, got %d", f.window)
 	}
-	if f.ckptEvery < 0 {
-		fail("-checkpoint-every must be non-negative, got %d", f.ckptEvery)
-	}
 	if f.timeout < 0 {
 		fail("-timeout must be non-negative, got %s", f.timeout)
-	}
-	if f.resume && f.ckptPath == "" {
-		fail("-resume requires -checkpoint")
 	}
 	for _, s := range f.killLinks {
 		if _, err := fault.ParseLinkKill(s); err != nil {
@@ -317,10 +304,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&f.soakDir, "soak-dir", "", "directory for soak crash dumps and shrunken repro JSONs (empty: no artifacts)")
 	fs.StringVar(&f.shrink, "shrink", "", "replay a soak repro JSON; exits 0 only if it no longer fails")
 	fs.IntVar(&f.shrinkBudget, "shrink-budget", 0, "max candidate runs the shrinker may spend per failure (0 = default 64)")
-	fs.StringVar(&f.ckptPath, "checkpoint", "", "save complete simulator state to this file (enables crash recovery)")
-	fs.Int64Var(&f.ckptEvery, "checkpoint-every", 10000, "auto-checkpoint interval in cycles (0 = only on interruption)")
-	fs.BoolVar(&f.resume, "resume", false, "restore from -checkpoint if the file exists, then finish the run")
-	fs.DurationVar(&f.timeout, "timeout", 0, "wall-clock budget; on expiry the run checkpoints and exits 3 (0 = none)")
+	fs.DurationVar(&f.timeout, "timeout", 0, "wall-clock budget; on expiry the run prints partial results and exits 3 (0 = none)")
 	fs.StringVar(&f.cpuProfile, "cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 	fs.StringVar(&f.memProfile, "memprofile", "", "write a post-run heap profile to this file (go tool pprof)")
 	fs.Int64Var(&f.benchCycles, "bench-cycles", 0, "override -cycles and print a wall-clock ns/cycle summary (0 = off)")
@@ -505,9 +489,6 @@ func runSim(f *simFlags, stdout, stderr io.Writer) int {
 		return exitBadFlags
 	}
 
-	// Assemble observers up front; RunCheckpointed attaches them after a
-	// potential restore (observer state is not part of the checkpoint, so
-	// on a resumed run they cover only the remainder — see DESIGN.md).
 	var observers []noc.Observer
 	var rec *obs.LatencyRecorder
 	if f.hist {
@@ -517,15 +498,11 @@ func runSim(f *simFlags, stdout, stderr io.Writer) int {
 	var inj *fault.Injector
 	var frec *obs.FaultRecorder
 	var irec *obs.IntegrityRecorder
-	spec := experiments.CheckpointSpec{Path: f.ckptPath, Every: f.ckptEvery, Resume: f.resume}
 	if faulty {
 		inj = fault.NewInjector(schedule)
 		inj.AutoReplan = f.replan
 		frec = obs.NewFaultRecorder()
 		observers = append(observers, inj, frec)
-		if spec.Path != "" {
-			spec.Extra = append(spec.Extra, checkpoint.Part{Name: "faults", State: inj})
-		}
 	}
 	if f.adversarial() {
 		irec = obs.NewIntegrityRecorder()
@@ -537,7 +514,7 @@ func runSim(f *simFlags, stdout, stderr io.Writer) int {
 		observers = append(observers, tl)
 	}
 	var net *noc.Network
-	spec.OnNetwork = func(n *noc.Network) { net = n }
+	spec := experiments.CheckpointSpec{OnNetwork: func(n *noc.Network) { net = n }}
 
 	ctx := context.Background()
 	if f.timeout > 0 {
@@ -546,7 +523,7 @@ func runSim(f *simFlags, stdout, stderr io.Writer) int {
 		defer cancel()
 	}
 	start := time.Now()
-	r, err := experiments.RunCheckpointed(ctx, cfg, gen, opts, spec, observers...)
+	r, err := experiments.RunContext(ctx, cfg, gen, opts, spec, observers...)
 	elapsed := time.Since(start)
 	interrupted := r.Interrupted && errors.Is(err, context.DeadlineExceeded)
 	if err != nil && !interrupted {
@@ -575,12 +552,7 @@ func runSim(f *simFlags, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "\ntimeline: %s (%s)\n", f.timeline, tl)
 	}
 	if interrupted {
-		if f.ckptPath != "" {
-			fmt.Fprintf(stderr, "timeout after %s: partial results above; checkpoint saved to %s (rerun with -resume to finish)\n",
-				f.timeout, f.ckptPath)
-		} else {
-			fmt.Fprintf(stderr, "timeout after %s: partial results above (set -checkpoint to make timed-out runs resumable)\n", f.timeout)
-		}
+		fmt.Fprintf(stderr, "timeout after %s: partial results above\n", f.timeout)
 		return exitInterrupted
 	}
 	return exitOK

@@ -30,9 +30,7 @@ func TestBadFlagsExit2(t *testing.T) {
 		{"negative rate", []string{"-rate", "-1"}, "-rate must be non-negative"},
 		{"mcrate above one", []string{"-mcrate", "2"}, "-mcrate must be in [0,1]"},
 		{"mclocality above 100", []string{"-mclocality", "150"}, "-mclocality must be in [0,100]"},
-		{"negative checkpoint-every", []string{"-checkpoint-every", "-1"}, "-checkpoint-every must be non-negative"},
 		{"negative timeout", []string{"-timeout", "-1s"}, "-timeout must be non-negative"},
-		{"resume without checkpoint", []string{"-resume"}, "-resume requires -checkpoint"},
 		{"malformed kill-link", []string{"-kill-link", "nonsense"}, "nonsense"},
 		{"malformed kill-band", []string{"-kill-band", "x@y"}, "x@y"},
 		{"undefined flag", []string{"-no-such-flag"}, ""},
@@ -46,6 +44,9 @@ func TestBadFlagsExit2(t *testing.T) {
 		{"negative shrink budget", []string{"-shrink-budget", "-2"}, "-shrink-budget must be non-negative"},
 		{"soak with shrink", []string{"-soak", "1", "-shrink", "x.json"}, "mutually exclusive"},
 		{"missing repro file", []string{"-shrink", "/no/such/repro.json"}, "no such file"},
+		{"removed checkpoint", []string{"-checkpoint", "x.ckpt"}, "flag provided but not defined: -checkpoint"},
+		{"negative checkpoint-every", []string{"-checkpoint-every", "-1"}, "flag provided but not defined: -checkpoint-every"},
+		{"resume without checkpoint", []string{"-resume"}, "flag provided but not defined: -resume"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -78,12 +79,9 @@ func TestValidateAccumulates(t *testing.T) {
 }
 
 // TestGoodRunSmoke: a tiny run through the real entry point succeeds,
-// including the checkpoint path, and a resumed run of a finished
-// checkpoint reproduces the same report.
+// and running it again from cycle 0 reproduces the same report.
 func TestGoodRunSmoke(t *testing.T) {
-	ck := filepath.Join(t.TempDir(), "ck.bin")
-	args := []string{"-cycles", "400", "-workload", "uniform", "-design", "static",
-		"-checkpoint", ck, "-checkpoint-every", "100", "-seed", "9"}
+	args := []string{"-cycles", "400", "-workload", "uniform", "-design", "static", "-seed", "9"}
 	var out1, out2 bytes.Buffer
 	if code := realMain(args, &out1, io.Discard); code != exitOK {
 		t.Fatalf("exit code = %d, want 0", code)
@@ -91,12 +89,24 @@ func TestGoodRunSmoke(t *testing.T) {
 	if !strings.Contains(out1.String(), "avg latency") {
 		t.Errorf("report missing latency line:\n%s", out1.String())
 	}
-	// Resuming a completed run re-reports the same finished state.
-	if code := realMain(append(args, "-resume"), &out2, io.Discard); code != exitOK {
-		t.Fatalf("resume exit code = %d, want 0", code)
+	if code := realMain(args, &out2, io.Discard); code != exitOK {
+		t.Fatalf("rerun exit code = %d, want 0", code)
 	}
 	if out1.String() != out2.String() {
-		t.Errorf("resumed report differs from original:\n--- first\n%s\n--- resumed\n%s", out1.String(), out2.String())
+		t.Errorf("rerun report differs from the first:\n--- first\n%s\n--- rerun\n%s", out1.String(), out2.String())
+	}
+}
+
+// TestTimeoutExit3: a run that outlives -timeout prints its partial
+// results and exits 3.
+func TestTimeoutExit3(t *testing.T) {
+	var out, errBuf bytes.Buffer
+	args := []string{"-cycles", "50000000", "-design", "static", "-timeout", "50ms"}
+	if code := realMain(args, &out, &errBuf); code != exitInterrupted {
+		t.Fatalf("exit code = %d, want %d (stderr: %s)", code, exitInterrupted, errBuf.String())
+	}
+	if !strings.Contains(out.String(), "INTERRUPTED") || !strings.Contains(errBuf.String(), "partial results above") {
+		t.Errorf("partial report missing:\n%s\n%s", out.String(), errBuf.String())
 	}
 }
 

@@ -2,16 +2,13 @@ package main
 
 // The service-chaos rig: the load soak re-run with deliberate
 // service-level faults, checking not that everything succeeds but that
-// the service degrades instead of wedging. Five fault kinds:
+// the service degrades instead of wedging. Four fault kinds:
 //
 //   - slow-loris clients: raw connections that dribble header bytes and
 //     never finish; the read-header timeout must hang up.
 //   - mid-body / mid-stream disconnects: clients that cut the
 //     connection halfway through the request body, or walk away while
 //     the NDJSON response is still streaming.
-//   - simulated disk full: a fraction of points have their checkpoint
-//     path redirected under a regular file (enospc.wall), so every
-//     save fails the way ENOSPC would.
 //   - worker panics: poison configs panic the simulator on every
 //     attempt, driving crash dumps and the quarantine breaker. Under
 //     isolation the poison crosses the process boundary instead — one
@@ -39,7 +36,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -82,12 +78,9 @@ func runChaos(t *testing.T, isolate bool, requests, clients, unique int, seed in
 	}
 	noGoroutineLeak(t)
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, enospcWall), []byte("chaos: simulated full disk\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
 	cfg := serverConfig{
 		maxQueue: 16, maxActive: 4, interactiveReserve: 4,
-		retries: 1, checkpointEvery: 500, cacheEntries: 4096,
+		retries: 1, cacheEntries: 4096,
 		maxJobCycles: 500_000, quarK: 2, dir: dir, check: true,
 		// The breaker stays open for the rest of the run, so "not
 		// re-simulated while quarantined" is deterministic; half-open
@@ -101,26 +94,20 @@ func runChaos(t *testing.T, isolate bool, requests, clients, unique int, seed in
 		cfg.workerMem = 64 << 20
 	}
 	srv, ts := e2eServer(t, cfg)
-	// Tight enough that the storm's checkpoints overflow it and the
-	// janitor visibly reclaims.
+	// Tight enough that the storm's result logs and crash dumps
+	// overflow it and the janitor visibly reclaims.
 	startJanitor(t, context.Background(), srv, 1<<20)
 	client := ts.Client()
 	addr := strings.TrimPrefix(ts.URL, "http://")
 
 	// Compile the spec pool exactly the way the server will, so the
-	// seams key on the service's own fingerprints, and pick the ENOSPC
-	// points.
+	// seams key on the service's own fingerprints.
 	rng := rand.New(rand.NewSource(seed))
 	pool := sweeps(unique, 1, 200)
 	poolFPs := make([]string, len(pool))
-	enospc := map[string]bool{}
 	for i, req := range pool {
 		poolFPs[i] = compileOne(t, srv, req).Fingerprint
-		if rng.Float64() < 0.2 {
-			enospc[poolFPs[i]] = true
-		}
 	}
-	srv.chaosCheckpointFail = func(fp string) bool { return enospc[fp] }
 
 	// Poison configs use the adaptive design, which the pool never
 	// does: the panic seam keys on the config fingerprint, so the
@@ -299,7 +286,7 @@ func runChaos(t *testing.T, isolate bool, requests, clients, unique int, seed in
 	// recomputed answer marked recovered in the stream.
 	corrupted, recovered := 0, 0
 	for i, req := range pool {
-		if i%7 != 0 || enospc[poolFPs[i]] || !srv.cache.Corrupt(poolFPs[i]) {
+		if i%7 != 0 || !srv.cache.Corrupt(poolFPs[i]) {
 			continue
 		}
 		corrupted++
@@ -373,7 +360,7 @@ func midBodyCut(addr string) {
 }
 
 // midStreamCut starts a long sweep and abandons it while the response
-// is streaming; the server must cancel the simulation and checkpoint.
+// is streaming; the server must cancel the simulation.
 func midStreamCut(client *http.Client, baseURL string, i int) {
 	spec := PointSpec{Workload: "uniform", Cycles: 100_000, Seed: int64(5_000_000 + i)}
 	body, _ := json.Marshal(SweepRequest{Points: []PointSpec{spec}})

@@ -22,7 +22,7 @@ package main
 //     points leaves the job idle and incomplete, settled with an 'X'
 //     frame; the next POST with the same identity re-runs it through
 //     normal admission, resuming the log where it stopped (and hitting
-//     the result cache / checkpoints for the points already done). A
+//     the result cache for the points already done). A
 //     drain settles nothing: the open log is what boot replay resumes;
 //   - lifecycle: entries (and their *.results files, via resultPinned)
 //     are pinned while a producer is active, a stream is attached, a

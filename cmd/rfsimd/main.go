@@ -7,7 +7,7 @@
 //	       [-point-timeout D] [-max-points N] [-max-cycles N]
 //	       [-max-deadline D] [-max-job-cycles N] [-interactive-reserve N]
 //	       [-quarantine-failures K] [-quarantine-cooldown D]
-//	       [-cache-entries N] [-dir DIR] [-checkpoint-every N] [-check]
+//	       [-cache-entries N] [-dir DIR] [-check]
 //	       [-read-header-timeout D] [-read-timeout D] [-idle-timeout D]
 //	       [-gc-max-bytes N] [-gc-max-age D] [-gc-interval D]
 //	       [-isolate] [-worker-mem N] [-worker-deadline D]
@@ -20,7 +20,10 @@
 // 429 with a load-derived Retry-After); batch-priority jobs are shed
 // earlier, once only the -interactive-reserve tail of the queue
 // remains. At most -active sweeps run at once, each fanning its points
-// across a -workers supervisor pool. Per-request deadlines (spec
+// across a -workers supervisor pool. A point attempt that outlives
+// -point-timeout fails and is retried from cycle 0 (up to -retries
+// times), so a point that cannot finish within -point-timeout fails
+// with a deadline error. Per-request deadlines (spec
 // deadline_ms or the X-Sweep-Deadline-Ms header, capped by
 // -max-deadline) cancel overdue jobs; -max-job-cycles rejects oversized
 // sweeps with 413 at admission. Configs that keep panicking the
@@ -29,12 +32,12 @@
 // single probe retries) and answered 422 with the crash-dump reference.
 // Results are memoized in a content-addressed cache keyed by design
 // fingerprint + seed. When -dir is set, a background janitor enforces
-// -gc-max-bytes / -gc-max-age quotas over checkpoints and crash dumps
-// (oldest first, in-flight points never deleted). GET /v1/metrics
-// reports service, cache and janitor counters; GET /readyz turns 503
-// before the queue saturates; SIGINT/SIGTERM drains running points to
-// checkpoints in -dir before exiting, so a restarted server resumes
-// them.
+// -gc-max-bytes / -gc-max-age quotas over crash dumps and settled
+// result logs (oldest first, in-flight points never deleted). GET
+// /v1/metrics reports service, cache and janitor counters; GET /readyz
+// turns 503 before the queue saturates; SIGINT/SIGTERM cancels running
+// points and leaves their jobs' result logs open, so a restarted server
+// with the same -dir replays them.
 //
 // Crash-only mode: with -isolate every simulation attempt runs in a
 // supervised child process (this executable re-exec'd with -worker)
@@ -45,10 +48,12 @@
 // With -dir, every accepted sweep's request is fsync'd into the header
 // of its per-job result log before it runs, and the log is sealed or
 // settled when the job ends; a daemon that dies mid-job (even kill -9)
-// replays the logs still open at next boot, resuming from -dir
-// checkpoints, so an accepted job is eventually simulated exactly once
-// even across crashes. -journal is accepted for compatibility and
-// ignored.
+// replays the logs still open at next boot, so an accepted job is
+// eventually simulated exactly once even across crashes. The finished
+// point is the unit of durability: points already in the log or the
+// result cache are not re-run, and a point that was running re-runs
+// from cycle 0, which gives the same bytes because points are
+// deterministic. -journal is accepted for compatibility and ignored.
 package main
 
 import (
@@ -69,18 +74,17 @@ import (
 )
 
 type daemonFlags struct {
-	addr            string
-	queue           int
-	active          int
-	workers         int
-	retries         int
-	pointTimeout    time.Duration
-	maxPoints       int
-	maxCycles       int64
-	cacheEntries    int
-	dir             string
-	checkpointEvery int64
-	check           bool
+	addr         string
+	queue        int
+	active       int
+	workers      int
+	retries      int
+	pointTimeout time.Duration
+	maxPoints    int
+	maxCycles    int64
+	cacheEntries int
+	dir          string
+	check        bool
 
 	// Self-protection knobs (PR 7).
 	readHeaderTimeout time.Duration
@@ -140,9 +144,6 @@ func (f *daemonFlags) validate() error {
 	}
 	if f.cacheEntries < 0 {
 		fail("-cache-entries must be non-negative, got %d", f.cacheEntries)
-	}
-	if f.checkpointEvery < 0 {
-		fail("-checkpoint-every must be non-negative, got %d", f.checkpointEvery)
 	}
 	if f.readHeaderTimeout < 0 {
 		fail("-read-header-timeout must be non-negative, got %v", f.readHeaderTimeout)
@@ -208,7 +209,6 @@ func (f *daemonFlags) serverConfig() serverConfig {
 		pointTimeout:       f.pointTimeout,
 		maxDeadline:        f.maxDeadline,
 		maxJobCycles:       f.maxJobCycles,
-		checkpointEvery:    f.checkpointEvery,
 		dir:                f.dir,
 		maxPoints:          f.maxPoints,
 		maxCycles:          f.maxCycles,
@@ -243,8 +243,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&f.maxPoints, "max-points", 256, "max points in one sweep request")
 	fs.Int64Var(&f.maxCycles, "max-cycles", 0, "max cycles a point may request (0 = unlimited)")
 	fs.IntVar(&f.cacheEntries, "cache-entries", 4096, "result cache capacity in entries (0 = unbounded)")
-	fs.StringVar(&f.dir, "dir", "", "directory for checkpoints and crash dumps (empty = disabled)")
-	fs.Int64Var(&f.checkpointEvery, "checkpoint-every", 10000, "auto-checkpoint cadence in cycles")
+	fs.StringVar(&f.dir, "dir", "", "directory for per-job result logs and crash dumps (empty = disabled)")
 	fs.BoolVar(&f.check, "check", false, "attach an invariant checker to every simulation")
 	fs.DurationVar(&f.readHeaderTimeout, "read-header-timeout", 5*time.Second, "http: time budget for reading request headers (slow-loris guard)")
 	fs.DurationVar(&f.readTimeout, "read-timeout", 0, "http: time budget for reading one request's headers+body (0 = none); the server clears the deadline once the body is decoded, so sweeps may stream longer than this")
@@ -254,7 +253,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&f.intReserve, "interactive-reserve", -1, "queue slots reserved for interactive jobs; batch is shed past queue-reserve (-1 = queue/4, 0 = none)")
 	fs.IntVar(&f.quarFailures, "quarantine-failures", 3, "panicking failures before a config's circuit breaker opens")
 	fs.DurationVar(&f.quarCooldown, "quarantine-cooldown", time.Minute, "open-breaker cooldown before a half-open probe is admitted")
-	fs.Int64Var(&f.gcMaxBytes, "gc-max-bytes", 0, "janitor: byte quota over checkpoints+crash dumps in -dir (0 = no byte quota)")
+	fs.Int64Var(&f.gcMaxBytes, "gc-max-bytes", 0, "janitor: byte quota over crash dumps and settled result logs in -dir (0 = no byte quota)")
 	fs.DurationVar(&f.gcMaxAge, "gc-max-age", 0, "janitor: delete artifacts older than this (0 = no age quota)")
 	fs.DurationVar(&f.gcInterval, "gc-interval", 30*time.Second, "janitor: sweep cadence")
 	fs.BoolVar(&f.worker, "worker", false, "run as a sweep worker child process (internal: the daemon re-execs itself with this flag)")
@@ -285,17 +284,17 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 }
 
 // serve runs the HTTP service until SIGINT/SIGTERM, then drains:
-// in-flight points checkpoint to -dir and the server shuts down
-// gracefully.
+// in-flight points are cancelled, their jobs' result logs stay open for
+// the next boot to replay, and the server shuts down gracefully.
 func serve(f *daemonFlags, stdout, stderr io.Writer) error {
 	if f.dir != "" {
 		if err := os.MkdirAll(f.dir, 0o755); err != nil {
-			return fmt.Errorf("checkpoint dir: %w", err)
+			return fmt.Errorf("state dir: %w", err)
 		}
 	}
 
 	// drainCtx cancels on the first signal; running points see it and
-	// checkpoint.
+	// stop.
 	drainCtx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 
@@ -380,7 +379,7 @@ func serve(f *daemonFlags, stdout, stderr io.Writer) error {
 	case <-drainCtx.Done():
 	}
 	srv.draining.Store(true)
-	fmt.Fprintln(stdout, "rfsimd draining: checkpointing running points...")
+	fmt.Fprintln(stdout, "rfsimd draining: cancelling running points...")
 
 	// Give in-flight responses time to finish writing their summary
 	// lines (the cancelled drainCtx already interrupted the

@@ -97,7 +97,7 @@ func crashMidJob(t *testing.T, dir string, req SweepRequest) string {
 	t.Helper()
 	drainCtx, drainCancel := context.WithCancel(context.Background())
 	defer drainCancel()
-	srv, err := newServer(drainCtx, serverConfig{dir: dir, checkpointEvery: 1000})
+	srv, err := newServer(drainCtx, serverConfig{dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestResultLogCrashRecovery(t *testing.T) {
 
 	// Restart: server C over the same directory recovers the open log
 	// and replays it to completion.
-	srvC, tsC := e2eServer(t, serverConfig{dir: dir, checkpointEvery: 1000})
+	srvC, tsC := e2eServer(t, serverConfig{dir: dir})
 	if n := len(srvC.replay); n != 1 {
 		t.Fatalf("recovered %d jobs, want 1", n)
 	}

@@ -2,9 +2,9 @@ package main
 
 // The durable per-job result log: every point outcome a job produces is
 // appended, exactly once per point index, as a CRC64-framed record
-// (internal/checkpoint framing — the same frame format the worker pipe
-// speaks) in the artifact directory, followed by one summary frame when
-// the job completes. The log is the server half of exactly-once
+// (internal/frame — the same frame format the worker pipe speaks) in
+// the artifact directory, followed by one summary frame when the job
+// completes. The log is the server half of exactly-once
 // delivery: GET /v1/jobs/{id}/results?from=<cursor> replays it from any
 // cursor, so a client that lost its connection — or outlived a daemon
 // restart — re-reads only what it missed, bit-identical. It is also the
@@ -49,7 +49,7 @@ import (
 	"os"
 	"path/filepath"
 
-	"repro/internal/checkpoint"
+	"repro/internal/frame"
 )
 
 // Result-log frame kinds.
@@ -108,7 +108,7 @@ func parseResultLog(data []byte) (resultLogData, error) {
 	r := bytes.NewReader(data)
 	sawHeader := false
 	for {
-		kind, payload, err := checkpoint.ReadFrame(r)
+		kind, payload, err := frame.Read(r)
 		if err == io.EOF {
 			break
 		}
@@ -202,7 +202,7 @@ func openResultLog(path string, hdr resultLogHeader, syncEvery int) (*resultLog,
 			f.Close()
 			return nil, d, fmt.Errorf("result log: %w", err)
 		}
-		if err := checkpoint.WriteFrame(f, resultFrameHeader, blob); err != nil {
+		if err := frame.Write(f, resultFrameHeader, blob); err != nil {
 			f.Close()
 			return nil, d, fmt.Errorf("result log: %w", err)
 		}
@@ -254,7 +254,7 @@ func syncDir(dir string) error {
 // accumulated debt) fsyncs before returning; the caller must expose the
 // frame's seq to streams only when synced is true.
 func (lg *resultLog) Append(kind byte, payload []byte, force bool) (synced bool, err error) {
-	if err := checkpoint.WriteFrame(lg.f, kind, payload); err != nil {
+	if err := frame.Write(lg.f, kind, payload); err != nil {
 		return false, fmt.Errorf("result log: %w", err)
 	}
 	lg.pending++

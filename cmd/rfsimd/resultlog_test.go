@@ -14,7 +14,7 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/checkpoint"
+	"repro/internal/frame"
 	"repro/internal/obs"
 )
 
@@ -61,13 +61,13 @@ func TestResultLogTornTail(t *testing.T) {
 	writeLog(t, path, hdr, resultFrameOutcome, resultFrameOutcome)
 	whole, _ := os.Stat(path)
 
-	var frame bytes.Buffer
-	checkpoint.WriteFrame(&frame, resultFrameOutcome, []byte(`{"type":"outcome","index":2}`))
+	var torn bytes.Buffer
+	frame.Write(&torn, resultFrameOutcome, []byte(`{"type":"outcome","index":2}`))
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.Write(frame.Bytes()[:frame.Len()/2])
+	f.Write(torn.Bytes()[:torn.Len()/2])
 	f.Close()
 
 	if d := mustLoad(t, path); len(d.lines) != 2 || d.torn == 0 || d.good != whole.Size() {
@@ -123,7 +123,7 @@ func frameOffset(t *testing.T, data []byte, n int) int {
 	t.Helper()
 	r := bytes.NewReader(data)
 	for i := 0; i < n; i++ {
-		if _, _, err := checkpoint.ReadFrame(r); err != nil {
+		if _, _, err := frame.Read(r); err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
 	}
@@ -170,8 +170,8 @@ func TestResultLogHeaderSpec(t *testing.T) {
 
 	old := filepath.Join(dir, "old"+resultLogSuffix)
 	var b bytes.Buffer
-	checkpoint.WriteFrame(&b, resultFrameHeader, []byte(`{"job":"old","req":"r","points":1}`))
-	checkpoint.WriteFrame(&b, resultFrameOutcome, []byte(`{"type":"outcome","seq":1,"index":0}`))
+	frame.Write(&b, resultFrameHeader, []byte(`{"job":"old","req":"r","points":1}`))
+	frame.Write(&b, resultFrameOutcome, []byte(`{"type":"outcome","seq":1,"index":0}`))
 	os.WriteFile(old, b.Bytes(), 0o644)
 	d = mustLoad(t, old)
 	if d.header.Job != "old" || len(d.header.Spec) != 0 || len(d.lines) != 1 {

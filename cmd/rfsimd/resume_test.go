@@ -73,7 +73,7 @@ func TestResumeExactlyOnceAcrossRestart(t *testing.T) {
 	// Daemon incarnation A, rigged to die mid-sweep: the drain context
 	// is cancelled at the second fresh compute, so point results and the
 	// accepted request are on disk but the job is unfinished.
-	cfg := serverConfig{dir: dir, checkpointEvery: 1000}
+	cfg := serverConfig{dir: dir}
 	drainACtx, drainACancel := context.WithCancel(context.Background())
 	defer drainACancel()
 	srvA, err := newServer(drainACtx, cfg)

@@ -57,7 +57,7 @@ func TestResumeStorm(t *testing.T) {
 	noGoroutineLeak(t)
 	cfg := serverConfig{
 		maxQueue: 16, maxActive: 4, interactiveReserve: 4,
-		retries: 1, checkpointEvery: 500, cacheEntries: 4096, dir: t.TempDir(),
+		retries: 1, cacheEntries: 4096, dir: t.TempDir(),
 	}
 	reqs := sweeps(unique, points, 300)
 	bodies := make([][]byte, unique)

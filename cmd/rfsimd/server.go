@@ -3,7 +3,7 @@ package main
 // The HTTP layer of the sweep service. One POST /v1/sweep call is one
 // job: it passes admission control (priority-aware bounded queue, 429
 // past the bound), waits for a run slot, fans its points across the
-// checkpoint-backed supervisor worker pool, and streams per-point
+// supervisor worker pool, and streams per-point
 // outcomes back as NDJSON while later points are still running. The
 // content-addressed result cache (internal/sweepcache) is shared by all
 // jobs, so colliding points — the common case at service scale — are
@@ -36,12 +36,12 @@ package main
 //   - The poison-config quarantine (quarantine.go): configs that keep
 //     panicking the simulator are answered 422 with the crash-dump
 //     reference instead of being re-run.
-//   - In-flight checkpoint/crash-dump pinning, so the disk-quota
-//     janitor (internal/janitor) never deletes state a running point is
-//     about to save or resume from.
+//   - In-flight crash-dump pinning, so the disk-quota janitor
+//     (internal/janitor) never deletes a dump a running point has just
+//     written and a 422 may still name.
 //
 // A client disconnect, deadline expiry or server drain cancels the
-// job's context at any state; running points checkpoint and the
+// job's context at any state; running points stop and the
 // admission/run slots are released.
 
 import (
@@ -52,7 +52,6 @@ import (
 	"math"
 	"net/http"
 	"os"
-	"path/filepath"
 	"runtime"
 	"strconv"
 	"strings"
@@ -93,9 +92,7 @@ type serverConfig struct {
 	// maxJobCycles caps one request's summed cost estimate in simulated
 	// cycles (0 = unlimited); requests over it get 413.
 	maxJobCycles int64
-	// checkpointEvery is the auto-checkpoint cadence in cycles.
-	checkpointEvery int64
-	// dir holds checkpoints and crash dumps ("" disables both).
+	// dir holds per-job result logs and crash dumps ("" disables both).
 	dir string
 	// maxPoints and maxCycles cap one request's demand.
 	maxPoints int
@@ -150,9 +147,6 @@ func (c serverConfig) withDefaults() serverConfig {
 	}
 	if c.maxPoints <= 0 {
 		c.maxPoints = 256
-	}
-	if c.checkpointEvery == 0 {
-		c.checkpointEvery = 10000
 	}
 	if c.interactiveReserve < 0 {
 		c.interactiveReserve = c.maxQueue / 4
@@ -232,13 +226,13 @@ type server struct {
 	runTok chan struct{} // concurrency bound: running jobs
 
 	// pins refcounts the point IDs (fingerprints) of admitted jobs, so
-	// the janitor never deletes a checkpoint or crash dump an in-flight
-	// point may resume from or is about to write.
+	// the janitor never deletes a crash dump an in-flight point has just
+	// written.
 	pinsMu sync.Mutex
 	pins   map[string]int
 
-	// drainCtx is cancelled on graceful shutdown: running points
-	// checkpoint and return Interrupted, and new requests are refused.
+	// drainCtx is cancelled on graceful shutdown: running points return
+	// Interrupted, and new requests are refused.
 	drainCtx context.Context
 	draining atomic.Bool
 
@@ -246,13 +240,10 @@ type server struct {
 	// with the point's fingerprint — the rig tests' exactly-once probe.
 	onCompute func(fingerprint string)
 
-	// chaosPanic and chaosCheckpointFail are the chaos harness's fault
-	// seams, nil in production. chaosPanic(configFingerprint) panics the
-	// attempt before the simulator starts (a worker-crash fault);
-	// chaosCheckpointFail(pointFingerprint) redirects the checkpoint
-	// path under a regular file so every save fails like a full disk.
-	chaosPanic          func(configFingerprint string) bool
-	chaosCheckpointFail func(pointFingerprint string) bool
+	// chaosPanic is the chaos harness's fault seam, nil in production:
+	// chaosPanic(configFingerprint) panics the attempt before the
+	// simulator starts (a worker-crash fault).
+	chaosPanic func(configFingerprint string) bool
 
 	// chaosWorkerJob, when non-nil under -isolate, tags dispatched
 	// points with a worker-hostile fault directive ("panic", "alloc",
@@ -384,17 +375,16 @@ func (s *server) pinArtifacts(pts []experiments.SweepPoint) (unpin func()) {
 	}
 }
 
-// supervise runs pts through the checkpointing supervisor with the
-// server's pool, cache and retry policy; every producer uses it.
+// supervise runs pts through the supervisor with the server's pool,
+// cache and retry policy; every producer uses it.
 func (s *server) supervise(ctx context.Context, pts []experiments.SweepPoint, onOutcome func(int, experiments.PointOutcome)) error {
 	sc := experiments.SuperviseConfig{
-		Workers:         s.cfg.workers,
-		Retries:         s.cfg.retries,
-		PointTimeout:    s.cfg.pointTimeout,
-		Dir:             s.cfg.dir,
-		CheckpointEvery: s.cfg.checkpointEvery,
-		Cache:           s.cache,
-		OnOutcome:       onOutcome,
+		Workers:      s.cfg.workers,
+		Retries:      s.cfg.retries,
+		PointTimeout: s.cfg.pointTimeout,
+		Dir:          s.cfg.dir,
+		Cache:        s.cache,
+		OnOutcome:    onOutcome,
 	}
 	if s.pool != nil {
 		// A concrete nil must never land in the interface field, or the
@@ -405,14 +395,14 @@ func (s *server) supervise(ctx context.Context, pts []experiments.SweepPoint, on
 	return err
 }
 
-// artifactPinned is the janitor's Pinned callback: a checkpoint or
-// crash dump whose base name is an in-flight point ID must survive, and
-// a result log must survive while its job is live or recently read.
+// artifactPinned is the janitor's Pinned callback: a crash dump whose
+// base name is an in-flight point ID must survive, and a result log
+// must survive while its job is live or recently read.
 func (s *server) artifactPinned(name string) bool {
 	if strings.HasSuffix(name, resultLogSuffix) {
 		return s.jobs.resultPinned(name)
 	}
-	id := strings.TrimSuffix(strings.TrimSuffix(name, ".ckpt"), ".crash.json")
+	id := strings.TrimSuffix(name, ".crash.json")
 	s.pinsMu.Lock()
 	defer s.pinsMu.Unlock()
 	return s.pins[id] > 0
@@ -727,14 +717,13 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Pin this job's artifacts for the janitor while it is in flight:
-	// a queued job may resume from a checkpoint the janitor would
-	// otherwise see as cold.
+	// Pin this job's crash dumps for the janitor while it is in flight.
 	defer s.pinArtifacts(pts)()
 
 	// The job dies with the client connection, its deadline or a server
-	// drain, whichever comes first; either way running points
-	// checkpoint. The deadline wraps the context *before* the queue
+	// drain, whichever comes first; either way running points stop
+	// (a drained job re-runs them from cycle 0 at next boot). The
+	// deadline wraps the context *before* the queue
 	// wait, so time spent queued counts against the budget.
 	ctx, cancel := context.WithCancel(r.Context())
 	defer cancel()
@@ -806,9 +795,8 @@ func (s *server) streamSweep(ctx context.Context, w http.ResponseWriter, pts []e
 
 	// Per-point wall clocks, written by the instrumented Run wrappers
 	// (cache hits never run, so their latency stays 0 — honest: a hit
-	// costs nothing). The wrappers also host the chaos fault seams:
-	// injected panics exercise the crash-dump + quarantine path, and
-	// checkpoint-path poisoning makes every save fail like a full disk.
+	// costs nothing). The wrappers also host the chaos fault seam:
+	// injected panics exercise the crash-dump + quarantine path.
 	walls := make([]atomic.Int64, len(pts))
 	for i := range pts {
 		i, orig := i, pts[i].Run
@@ -817,12 +805,6 @@ func (s *server) streamSweep(ctx context.Context, w http.ResponseWriter, pts []e
 		pts[i].Run = func(ctx context.Context, spec experiments.CheckpointSpec) (experiments.Result, error) {
 			if s.onCompute != nil {
 				s.onCompute(fp)
-			}
-			if s.chaosCheckpointFail != nil && spec.Path != "" && s.chaosCheckpointFail(fp) {
-				// Redirect the checkpoint under a regular file
-				// (<dir>/enospc.wall) so CreateTemp fails the way a full
-				// disk would; the simulation then fails honestly at save.
-				spec.Path = filepath.Join(s.cfg.dir, enospcWall, filepath.Base(spec.Path))
 			}
 			if s.chaosPanic != nil && s.chaosPanic(cfgFP) {
 				panic(fmt.Sprintf("chaos: injected simulator panic (config %s)", cfgFP))
@@ -839,7 +821,7 @@ func (s *server) streamSweep(ctx context.Context, w http.ResponseWriter, pts []e
 		s.metrics.PointDone(o.Cached, o.Err != nil, time.Duration(walls[i].Load()))
 		// Feed the quarantine verdict-by-verdict: a computed success
 		// forgives the config, a panic counts toward the trip, and
-		// anything else — cancellation, checkpoint I/O, or a cache
+		// anything else — cancellation, a timeout, or a cache
 		// hit that never re-ran the simulator — is no verdict: it
 		// settles only this request's own probe claim, if it held
 		// one, and never touches a probe another request is running.
@@ -1009,11 +991,6 @@ func (s *server) handleJobResults(w http.ResponseWriter, r *http.Request) {
 	s.serveJobStream(r.Context(), w, ent, from)
 }
 
-// enospcWall is the regular file the ENOSPC chaos fault hides the
-// checkpoint directory behind: CreateTemp under a non-directory fails
-// every save, which is the closest portable stand-in for a full disk.
-const enospcWall = "enospc.wall"
-
 // replayRecovered drains the open logs found at boot, oldest accept
 // first: each job is recompiled from the request in its log header and
 // re-run through the same run-slot, pinning and cache machinery a live
@@ -1114,8 +1091,8 @@ func (s *server) replayOne(ctx context.Context, ent *jobEntry) {
 		}, false)
 	}
 	s.jobs.syncEntry(ent)
-	// Drained mid-replay: running points checkpointed; the log stays
-	// open (and held) so the next boot resumes from those checkpoints.
+	// Drained mid-replay: running points were cancelled; the log stays
+	// open (and held) so the next boot re-runs them from cycle 0.
 	drained := ctx.Err() != nil
 	if !drained {
 		s.jobs.releaseHold(ent)

@@ -2,8 +2,7 @@ package main
 
 // End-to-end tests of the sweep service over real HTTP (httptest):
 // happy-path streaming, spec validation, admission control under a full
-// queue, mid-stream client disconnect cancelling the simulation, and
-// resume-after-restart from the checkpoint directory.
+// queue, and mid-stream client disconnect cancelling the simulation.
 
 import (
 	"bytes"
@@ -20,9 +19,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"repro/internal/experiments"
-	"repro/internal/noc"
 )
 
 func postSweep(t *testing.T, ts *httptest.Server, req SweepRequest) (*http.Response, []byte) {
@@ -251,19 +247,14 @@ func TestSweepQueueFull429(t *testing.T) {
 }
 
 // TestSweepClientDisconnectCancels: dropping the connection mid-sweep
-// cancels the simulation through the request context; the interrupted
-// point checkpoints to disk and the job is accounted as failed.
+// cancels the simulation through the request context, and the job is
+// accounted as failed.
 func TestSweepClientDisconnectCancels(t *testing.T) {
 	dir := t.TempDir()
-	srv, ts := e2eServer(t, serverConfig{dir: dir, checkpointEvery: 1000})
+	srv, ts := e2eServer(t, serverConfig{dir: dir})
 
 	spec := PointSpec{Cycles: 2_000_000, Seed: 42} // far longer than the test
 	body, _ := json.Marshal(SweepRequest{Points: []PointSpec{spec}})
-	pts, err := compileRequest(SweepRequest{Points: []PointSpec{spec}}, srv.mesh, specLimits{}, false)
-	if err != nil {
-		t.Fatalf("compile: %v", err)
-	}
-	fp := pts[0].Fingerprint
 
 	started := make(chan struct{})
 	srv.onCompute = func(string) { close(started) }
@@ -289,104 +280,17 @@ func TestSweepClientDisconnectCancels(t *testing.T) {
 		t.Fatal("request did not settle after cancellation")
 	}
 
-	// The server notices, fails the job and checkpoints the point.
-	ckpt := filepath.Join(dir, fp+".ckpt")
+	// The server notices and fails the job.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		m := fetchMetrics(t, ts)
-		if _, err := os.Stat(ckpt); err == nil &&
-			m.Service.JobsFailed == 1 && m.Service.QueueDepth == 0 && m.Service.ActiveJobs == 0 {
+		if m.Service.JobsFailed == 1 && m.Service.QueueDepth == 0 && m.Service.ActiveJobs == 0 {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("cancellation never drained: metrics %+v, checkpoint err %v", m, err)
+			t.Fatalf("cancellation never drained: metrics %+v", m)
 		}
 		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-// TestSweepResumeAfterRestart: a checkpoint left by an interrupted run
-// is picked up by a freshly started server for the same spec, and the
-// resumed result is bit-identical to an uninterrupted run.
-func TestSweepResumeAfterRestart(t *testing.T) {
-	dir := t.TempDir()
-	meshSrv, err := newServer(context.Background(), serverConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mesh := meshSrv.mesh
-	spec := PointSpec{Workload: "uniform", Cycles: 6000, Seed: 5}
-	req := SweepRequest{Points: []PointSpec{spec}}
-	pts, err := compileRequest(req, mesh, specLimits{}, false)
-	if err != nil {
-		t.Fatalf("compile: %v", err)
-	}
-	pt := pts[0]
-	ckpt := filepath.Join(dir, pt.Fingerprint+".ckpt")
-
-	// Interrupt a run deterministically mid-flight: an observer cancels
-	// the context at cycle 2000, and RunCheckpointed saves on the way
-	// out.
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	res, err := pt.Run(ctx, experiments.CheckpointSpec{
-		Path: ckpt, Every: 1000, Resume: true,
-		OnNetwork: func(n *noc.Network) {
-			n.AttachObserver(&cancelAt{cancel: cancel, cycle: 2000})
-		},
-	})
-	if err == nil || !res.Interrupted {
-		t.Fatalf("priming run: err=%v interrupted=%v, want an interruption", err, res.Interrupted)
-	}
-	if _, err := os.Stat(ckpt); err != nil {
-		t.Fatalf("no checkpoint after interruption: %v", err)
-	}
-
-	// "Restart": a brand-new server over the same checkpoint dir
-	// completes the point from the checkpoint.
-	_, ts := e2eServer(t, serverConfig{dir: dir, checkpointEvery: 1000})
-	resp, body := postSweep(t, ts, req)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("resumed sweep status %d: %s", resp.StatusCode, body)
-	}
-	if _, err := checkNDJSON(body, 1, false); err != nil {
-		t.Fatalf("resumed response: %v\n%s", err, body)
-	}
-
-	// The checkpoint contract: resumed == uninterrupted, bit for bit.
-	fresh, err := pt.Run(context.Background(), experiments.CheckpointSpec{})
-	if err != nil {
-		t.Fatalf("fresh run: %v", err)
-	}
-	freshBlob, _ := experiments.MarshalResult(fresh)
-	for _, line := range bytes.Split(bytes.TrimSpace(body), []byte("\n")) {
-		var rec streamLine
-		if err := json.Unmarshal(line, &rec); err != nil {
-			t.Fatal(err)
-		}
-		if rec.Type != "outcome" {
-			continue
-		}
-		gotBlob, _ := experiments.MarshalResult(*rec.Result)
-		if !bytes.Equal(gotBlob, freshBlob) {
-			t.Errorf("resumed result diverges from an uninterrupted run\nresumed: %s\nfresh:   %s",
-				gotBlob, freshBlob)
-		}
-	}
-}
-
-// cancelAt cancels a context once the simulation reaches a cycle.
-type cancelAt struct {
-	noc.BaseObserver
-	cancel context.CancelFunc
-	cycle  int64
-	fired  bool
-}
-
-func (c *cancelAt) FlitSent(router, outPort int, now int64) {
-	if !c.fired && now >= c.cycle {
-		c.fired = true
-		c.cancel()
 	}
 }
 
@@ -430,6 +334,8 @@ func TestRealMainFlagValidation(t *testing.T) {
 		{[]string{"-resume-storm"}, "flag provided but not defined: -resume-storm"},
 		// The deprecated -journal still parses (and is ignored).
 		{[]string{"-journal", "state/journal.wal", "-queue", "0"}, "-queue must be positive"},
+		// Points are not checkpointed mid-run; the flag does not exist.
+		{[]string{"-checkpoint-every", "10000"}, "flag provided but not defined: -checkpoint-every"},
 	}
 	for _, tc := range cases {
 		var out, errb bytes.Buffer

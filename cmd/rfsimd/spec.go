@@ -23,7 +23,7 @@ type SweepRequest struct {
 
 	// DeadlineMS bounds the whole job's wall-clock time in
 	// milliseconds, queue wait included; past it the job is cancelled
-	// and running points checkpoint. Zero falls back to the
+	// and running points stop. Zero falls back to the
 	// X-Sweep-Deadline-Ms header, then to the server's -max-deadline.
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 
@@ -257,9 +257,8 @@ func (p PointSpec) compile(m *topology.Mesh, lim specLimits, check bool) (experi
 		"config": cfg.Fingerprint(),
 	}
 	// The fingerprint doubles as the point ID (NewPortableSweepPoint sets
-	// both), so checkpoint files are keyed by content — a restarted
-	// server resumes any client's interrupted point, and colliding
-	// clients share one file.
+	// both), so crash dumps are keyed by content, and the quarantine's
+	// dump reference names the point that panicked.
 	return experiments.NewPortableSweepPoint(cfg, gen, opts, meta)
 }
 

@@ -197,7 +197,7 @@ func (p *Protocol) write(now int64, core, block int, inject func(noc.Message)) {
 // Expired blocks are flushed in ascending block order — iterating the
 // directory map directly would emit fills in a different order each run,
 // and injection order changes VC allocation downstream, breaking
-// replay/restore determinism.
+// replay determinism.
 func (p *Protocol) flushWindows(now int64, inject func(noc.Message)) {
 	var due []int
 	for block, e := range p.dir {

@@ -23,7 +23,7 @@ import (
 // Deliberately excluded, so runs that differ only in how they execute
 // share a cache entry: Check (the invariant checker observes, it never
 // changes results), ProfileCycles (adaptive profiling is already baked
-// into the built config's shortcut set), and all checkpoint/retry/timeout
+// into the built config's shortcut set), and all retry/timeout
 // machinery.
 //
 // workload must fully name the traffic: generators encode their pattern

@@ -93,7 +93,7 @@ func TestMemoizedResultBitIdentical(t *testing.T) {
 		}
 
 		// Fresh, cache-free run of the same point.
-		fresh, err := RunCheckpointed(context.Background(), cfg, mkGen(), opts, CheckpointSpec{})
+		fresh, err := RunContext(context.Background(), cfg, mkGen(), opts, CheckpointSpec{})
 		if err != nil {
 			t.Fatalf("trial %d: fresh run: %v", trial, err)
 		}
@@ -161,7 +161,7 @@ func TestSuperviseSingleFlight(t *testing.T) {
 			Fingerprint: fp,
 			Run: func(ctx context.Context, spec CheckpointSpec) (Result, error) {
 				runs.Add(1)
-				return RunCheckpointed(ctx, cfg, mkGen(), opts, spec)
+				return RunContext(ctx, cfg, mkGen(), opts, spec)
 			},
 		}
 	}
@@ -238,7 +238,7 @@ func TestSuperviseRecoversCorruptCacheEntry(t *testing.T) {
 		Fingerprint: fp,
 		Run: func(ctx context.Context, spec CheckpointSpec) (Result, error) {
 			runs.Add(1)
-			return RunCheckpointed(ctx, cfg, mkGen(), opts, spec)
+			return RunContext(ctx, cfg, mkGen(), opts, spec)
 		},
 	}
 	cache := sweepcache.New(0)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -169,10 +170,50 @@ func Run(cfg noc.Config, gen traffic.Generator, opts Options) Result {
 
 // RunObserved is Run with additional observers attached to the network
 // for the duration of the simulation (latency recorders, link
-// timelines, invariant checkers, or custom instrumentation).
+// timelines, invariant checkers, or custom instrumentation). It panics
+// on an invalid config, as noc.New does.
 func RunObserved(cfg noc.Config, gen traffic.Generator, opts Options, observers ...noc.Observer) Result {
+	r, err := RunContext(context.Background(), cfg, gen, opts, CheckpointSpec{}, observers...)
+	if err != nil {
+		panic(err)
+	}
+	return r
+}
+
+// CheckpointSpec carries per-attempt hooks from the supervisor into one
+// run. It configures no checkpointing: the finished point is the only
+// unit of durability (the result cache and rfsimd's result log hold
+// it), and an interrupted point re-runs from cycle 0, which gives the
+// same bytes because points are deterministic. The name stays because
+// rfbench's sweep workload wraps SweepPoint.Run, whose signature
+// carries it. The zero value attaches nothing.
+type CheckpointSpec struct {
+	// OnNetwork, when non-nil, receives the network right after
+	// construction. The supervisor uses it to capture state for crash
+	// dumps; tests use it to attach probes.
+	OnNetwork func(*noc.Network)
+
+	// Exec, when non-nil, asks portable sweep points to dispatch this
+	// attempt through the executor (a worker-process pool) instead of
+	// running in the calling goroutine. The supervisor threads it from
+	// SuperviseConfig.Exec; RunContext itself ignores it, so wrappers
+	// composed around SweepPoint.Run see it pass through unchanged.
+	Exec Executor
+}
+
+// RunContext is the one run loop behind Run, RunObserved and every
+// sweep point: opts.Cycles of injection, then a drain bounded by
+// opts.DrainCycles, checking ctx every 256 cycles.
+//
+// On context cancellation the partial Result (Interrupted set) is
+// returned together with the context's error; an invalid config returns
+// a zero Result and the error.
+func RunContext(ctx context.Context, cfg noc.Config, gen traffic.Generator, opts Options, spec CheckpointSpec, observers ...noc.Observer) (Result, error) {
 	opts = opts.WithDefaults()
-	n := noc.New(cfg)
+	n, err := noc.NewChecked(cfg)
+	if err != nil {
+		return Result{}, err
+	}
 	var rec *obs.LatencyRecorder
 	if opts.Histograms {
 		rec = obs.NewLatencyRecorder()
@@ -184,12 +225,69 @@ func RunObserved(cfg noc.Config, gen traffic.Generator, opts Options, observers 
 	for _, o := range observers {
 		n.AttachObserver(o)
 	}
+	if spec.OnNetwork != nil {
+		spec.OnNetwork(n)
+	}
+
+	var drain noc.DrainReport
+	interrupted := func() (Result, error) {
+		r := buildResult(n, gen, cfg, settleDrain(n, drain, false), rec)
+		r.Interrupted = true
+		return r, ctx.Err()
+	}
+	inject := n.Inject // one method value, not one per cycle
 	for now := int64(0); now < opts.Cycles; now++ {
-		gen.Tick(now, n.Inject)
+		if now%256 == 0 && ctx.Err() != nil {
+			return interrupted()
+		}
+		gen.Tick(now, inject)
 		n.Step()
 	}
-	drain := n.DrainWithReport(opts.DrainCycles)
-	return buildResult(n, gen, cfg, drain, rec)
+	for ; n.InFlight() > 0 && drain.CyclesUsed < opts.DrainCycles; drain.CyclesUsed++ {
+		if drain.CyclesUsed%256 == 0 && ctx.Err() != nil {
+			return interrupted()
+		}
+		n.Step()
+	}
+	return buildResult(n, gen, cfg, settleDrain(n, drain, true), rec), nil
+}
+
+// settleDrain fills in the drain post-mortem once the loop has stopped:
+// a run is drained only if it finished with nothing in flight, and a
+// stranded run records how old its oldest head flit is (the difference
+// between "almost done" and "wedged").
+func settleDrain(n *noc.Network, rep noc.DrainReport, finished bool) noc.DrainReport {
+	rep.Stranded = n.InFlight()
+	rep.Drained = finished && rep.Stranded == 0
+	if rep.Stranded > 0 {
+		rep.OldestHeadAge = n.Audit().OldestHeadAge
+	}
+	return rep
+}
+
+// buildResult computes the measurement record from a finished (or
+// interrupted) network.
+func buildResult(n *noc.Network, gen traffic.Generator, cfg noc.Config, drain noc.DrainReport, rec *obs.LatencyRecorder) Result {
+	s := n.Stats()
+	b := power.Compute(n.Config(), s)
+	a := power.ComputeArea(n.Config())
+	r := Result{
+		Workload:   gen.Name(),
+		Design:     cfg.Width.String(),
+		AvgLatency: s.AvgFlitLatency(),
+		PowerW:     b.Total(),
+		AreaMM2:    a.Total(),
+		Stats:      s,
+		Breakdown:  b,
+		Area:       a,
+		Drained:    drain.Drained,
+		Drain:      drain,
+	}
+	if rec != nil {
+		r.PacketLatencyDist = rec.Packets.Summary()
+		r.FlitLatencyDist = rec.Flits.Summary()
+	}
+	return r
 }
 
 // RunDesign builds and simulates design d under the named probabilistic

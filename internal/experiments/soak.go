@@ -219,7 +219,7 @@ func RunSoakSpec(ctx context.Context, spec SoakSpec, ck CheckpointSpec) (res Res
 		Seed:        spec.Seed,
 		Check:       true,
 	}
-	return RunCheckpointed(ctx, cfg, gen, opts, ck, observers...)
+	return RunContext(ctx, cfg, gen, opts, ck, observers...)
 }
 
 // CheckSoak is the soak health verdict for a completed run: the drain
@@ -406,7 +406,7 @@ type SoakConfig struct {
 	// reproducible end to end.
 	Seed int64
 
-	// Dir receives crash dumps, checkpoints and shrunken repro JSONs.
+	// Dir receives crash dumps and shrunken repro JSONs.
 	// Empty disables persistence (failures are still reported).
 	Dir string
 

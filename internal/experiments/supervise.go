@@ -19,8 +19,8 @@ import (
 // SweepPoint is one independently runnable simulation in a supervised
 // sweep.
 type SweepPoint struct {
-	// ID names the point; it keys the checkpoint file and the crash dump
-	// and must be unique within a sweep and safe as a file name.
+	// ID names the point; it keys the crash dump and must be unique
+	// within a sweep and safe as a file name.
 	ID string
 
 	// Fingerprint is the point's content address (PointFingerprint):
@@ -39,9 +39,9 @@ type SweepPoint struct {
 	// service sums Cost over a request to enforce its per-job ceiling.
 	Cost int64
 
-	// Run executes the point. It must honor ctx and should pass spec
-	// through to RunCheckpointed (or equivalent) so retries resume from
-	// the last checkpoint instead of starting over.
+	// Run executes the point from cycle 0. It must honor ctx and should
+	// pass spec through to RunContext (or equivalent), so the supervisor's
+	// hooks reach the network and the executor.
 	Run func(ctx context.Context, spec CheckpointSpec) (Result, error)
 
 	// Payload, when non-nil, is the point's portable wire description
@@ -51,11 +51,10 @@ type SweepPoint struct {
 	Payload *PointPayload
 }
 
-// NewSweepPoint builds the standard point: RunCheckpointed over a config
-// and a deterministic generator factory (a fresh generator per attempt,
-// so a resumed retry restores generator state from the checkpoint). The
-// fingerprint is derived from the config, the generator's name and the
-// run options.
+// NewSweepPoint builds the standard point: RunContext over a config and
+// a deterministic generator factory (a fresh generator per attempt, so a
+// retry replays the same stream from cycle 0). The fingerprint is
+// derived from the config, the generator's name and the run options.
 func NewSweepPoint(id string, cfg noc.Config, mkGen func() traffic.Generator, opts Options, meta map[string]string) SweepPoint {
 	return SweepPoint{
 		ID:          id,
@@ -63,7 +62,7 @@ func NewSweepPoint(id string, cfg noc.Config, mkGen func() traffic.Generator, op
 		Meta:        meta,
 		Cost:        opts.EstimatedCycles(),
 		Run: func(ctx context.Context, spec CheckpointSpec) (Result, error) {
-			return RunCheckpointed(ctx, cfg, mkGen(), opts, spec)
+			return RunContext(ctx, cfg, mkGen(), opts, spec)
 		},
 	}
 }
@@ -96,16 +95,15 @@ type SuperviseConfig struct {
 	RetryBackoff time.Duration
 
 	// PointTimeout bounds each attempt's wall-clock time. Zero means no
-	// per-point limit. A timed-out attempt checkpoints and the retry
-	// resumes from there.
+	// per-point limit. A timed-out attempt is a failed attempt: the retry
+	// starts again from cycle 0, so a point that cannot finish within
+	// PointTimeout fails after Retries+1 attempts with an error wrapping
+	// context.DeadlineExceeded.
 	PointTimeout time.Duration
 
-	// Dir is where checkpoints (<id>.ckpt) and crash dumps
-	// (<id>.crash.json) live. Empty disables both.
+	// Dir is where crash dumps (<id>.crash.json) are written. Empty
+	// disables them.
 	Dir string
-
-	// CheckpointEvery is the auto-checkpoint interval in cycles.
-	CheckpointEvery int64
 
 	// Cache, when non-nil, memoizes successful results by point
 	// fingerprint: a point whose fingerprint is already cached returns
@@ -125,8 +123,8 @@ type SuperviseConfig struct {
 	// Exec, when non-nil, dispatches portable points (NewPortableSweepPoint)
 	// to an out-of-process executor instead of running them on this
 	// process's goroutines. A worker death (*WorkerCrash) is treated like
-	// an in-process panic: crash dump, Panicked outcome, retry with
-	// resume. Non-portable points ignore it and run in-process.
+	// an in-process panic: crash dump, Panicked outcome, retry from
+	// cycle 0. Non-portable points ignore it and run in-process.
 	Exec Executor
 }
 
@@ -165,9 +163,9 @@ type CrashDump struct {
 
 // Supervise runs a sweep under fault isolation: points execute on a
 // bounded worker pool; a panicking point is caught, dumped to
-// Dir/<id>.crash.json and retried with exponential backoff, resuming
-// from its last checkpoint; a point that keeps failing is recorded and
-// the rest of the sweep completes. The outcome slice is index-aligned
+// Dir/<id>.crash.json and retried from cycle 0 with exponential backoff;
+// a point that keeps failing is recorded and the rest of the sweep
+// completes. The outcome slice is index-aligned
 // with points. The returned error is non-nil if any point ultimately
 // failed (partial results are still in the outcomes) or if ctx was
 // cancelled.
@@ -283,16 +281,11 @@ func supervisePoint(ctx context.Context, sc SuperviseConfig, pt SweepPoint, out 
 	}
 }
 
-// runPointAttempts is the retry loop: each attempt is panic-guarded,
-// failed attempts back off exponentially and resume from the point's
-// checkpoint.
+// runPointAttempts is the retry loop: each attempt is panic-guarded and
+// starts from cycle 0; failed attempts back off exponentially.
 func runPointAttempts(ctx context.Context, sc SuperviseConfig, pt SweepPoint, out *PointOutcome) {
-	spec := CheckpointSpec{Every: sc.CheckpointEvery, Resume: true, Exec: sc.Exec}
-	if sc.Dir != "" {
-		spec.Path = filepath.Join(sc.Dir, pt.ID+".ckpt")
-	}
 	var net *noc.Network
-	spec.OnNetwork = func(n *noc.Network) { net = n }
+	spec := CheckpointSpec{Exec: sc.Exec, OnNetwork: func(n *noc.Network) { net = n }}
 
 	for attempt := 0; attempt <= sc.Retries; attempt++ {
 		if err := ctx.Err(); err != nil {
@@ -312,11 +305,6 @@ func runPointAttempts(ctx context.Context, sc SuperviseConfig, pt SweepPoint, ou
 		out.Err = err
 		if ctx.Err() != nil {
 			return // parent cancelled: not the point's fault, don't retry
-		}
-		if errors.Is(err, ErrResume) && spec.Path != "" {
-			// The checkpoint itself is unusable; retrying a load loop is
-			// futile. Drop it and let the retry start fresh.
-			os.Remove(spec.Path)
 		}
 		if attempt < sc.Retries {
 			backoff := sc.RetryBackoff << uint(attempt)
@@ -365,7 +353,7 @@ func runPointGuarded(ctx context.Context, sc SuperviseConfig, pt SweepPoint, spe
 	res, err = pt.Run(pctx, spec)
 
 	// A worker-process death takes the same path as an in-process panic:
-	// dump, Panicked, retry-with-resume, quarantine. The dump's Cycle is
+	// dump, Panicked, retry, quarantine. The dump's Cycle is
 	// -1 (the network died with the worker) and its Stack is the worker's
 	// stderr tail, which holds the Go runtime's own panic/fatal output.
 	var wc *WorkerCrash

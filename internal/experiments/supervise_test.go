@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -11,153 +13,34 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/checkpoint"
-	"repro/internal/fault"
 	"repro/internal/noc"
 	"repro/internal/shortcut"
 	"repro/internal/topology"
 	"repro/internal/traffic"
 )
 
-// ckptOpts keeps checkpoint tests fast while exercising both phases.
-func ckptOpts() Options {
-	return Options{Cycles: 3000, DrainCycles: 50000, Rate: 0.01, Seed: 42}
-}
-
-func ckptConfig(m *topology.Mesh) noc.Config {
+// testConfig is a small shortcut design for supervisor tests.
+func testConfig(m *topology.Mesh) noc.Config {
 	return noc.Config{
 		Mesh:      m,
 		Shortcuts: []shortcut.Edge{{From: 0, To: 99}, {From: 90, To: 9}},
 	}
 }
 
-// cancelAt cancels a context once the network clock reaches a cycle,
-// interrupting a run mid-flight at a deterministic point.
-type cancelAt struct {
-	noc.BaseObserver
-	at     int64
-	cancel context.CancelFunc
-}
-
-func (c *cancelAt) CycleEnd(n *noc.Network) {
-	if n.Now() >= c.at {
-		c.cancel()
-	}
-}
-
-// TestRunCheckpointedResumeBitIdentical is the tentpole property at the
-// experiments layer: interrupt a run mid-flight (with a live fault
-// schedule driving permanent kills), resume it from the checkpoint file
-// with fresh objects, and require the final statistics to be exactly
-// those of an uninterrupted run.
-func TestRunCheckpointedResumeBitIdentical(t *testing.T) {
+// TestRunContextRejects: an invalid config is an error from the run
+// loop, not a panic.
+func TestRunContextRejects(t *testing.T) {
 	m := topology.New10x10()
-	opts := ckptOpts()
-	cfg := ckptConfig(m)
-	schedule := fault.Schedule{
-		{Cycle: 500, Kind: fault.KillBand, A: 0},
-		{Cycle: 1500, Kind: fault.KillMeshLink, A: 12, B: 13},
-	}
-	mkGen := func() traffic.Generator {
-		return traffic.NewProbabilistic(m, traffic.Hotspot2, opts.Rate, opts.Seed)
-	}
-
-	// Uninterrupted reference.
-	refInj := fault.NewInjector(schedule)
-	ref, err := RunCheckpointed(context.Background(), cfg, mkGen(), opts,
-		CheckpointSpec{}, refInj)
-	if err != nil {
-		t.Fatalf("reference run: %v", err)
-	}
-	if len(refInj.Applied()) != 2 {
-		t.Fatalf("reference applied %d faults, want 2", len(refInj.Applied()))
-	}
-
-	for _, cut := range []int64{700, 2200} {
-		path := filepath.Join(t.TempDir(), "run.ckpt")
-		ctx, cancel := context.WithCancel(context.Background())
-		liveInj := fault.NewInjector(schedule)
-		partial, err := RunCheckpointed(ctx, cfg, mkGen(), opts,
-			CheckpointSpec{Path: path, Every: 400,
-				Extra: []checkpoint.Part{{Name: "faults", State: liveInj}}},
-			liveInj, &cancelAt{at: cut, cancel: cancel})
-		cancel()
-		if err == nil {
-			t.Fatalf("cut %d: interrupted run returned no error", cut)
-		}
-		if !partial.Interrupted {
-			t.Fatalf("cut %d: partial result not marked Interrupted", cut)
-		}
-		if _, err := os.Stat(path); err != nil {
-			t.Fatalf("cut %d: no checkpoint file: %v", cut, err)
-		}
-
-		resInj := fault.NewInjector(schedule)
-		got, err := RunCheckpointed(context.Background(), cfg, mkGen(), opts,
-			CheckpointSpec{Path: path, Resume: true,
-				Extra: []checkpoint.Part{{Name: "faults", State: resInj}}},
-			resInj)
-		if err != nil {
-			t.Fatalf("cut %d: resumed run: %v", cut, err)
-		}
-		if !reflect.DeepEqual(got.Stats, ref.Stats) {
-			t.Errorf("cut %d: resumed stats diverge from uninterrupted run", cut)
-		}
-		if got.Drained != ref.Drained || got.AvgLatency != ref.AvgLatency || got.PowerW != ref.PowerW {
-			t.Errorf("cut %d: resumed result fields diverge", cut)
-		}
-		if !reflect.DeepEqual(resInj.Applied(), refInj.Applied()) {
-			t.Errorf("cut %d: resumed injector applied %v, want %v", cut, resInj.Applied(), refInj.Applied())
-		}
-	}
-}
-
-// TestRunCheckpointedRejects covers the error paths: unserializable
-// generators, invalid configs, corrupt resume files.
-func TestRunCheckpointedRejects(t *testing.T) {
-	m := topology.New10x10()
-	opts := ckptOpts()
-	gen := func() traffic.Generator {
-		return traffic.NewProbabilistic(m, traffic.Uniform, opts.Rate, opts.Seed)
-	}
-	path := filepath.Join(t.TempDir(), "x.ckpt")
+	opts := Options{Cycles: 3000, DrainCycles: 50000, Rate: 0.01, Seed: 42}
+	gen := traffic.NewProbabilistic(m, traffic.Uniform, opts.Rate, opts.Seed)
 
 	t.Run("bad config", func(t *testing.T) {
 		bad := noc.Config{Mesh: m, Shortcuts: []shortcut.Edge{{From: 5, To: 5}}}
-		if _, err := RunCheckpointed(context.Background(), bad, gen(), opts, CheckpointSpec{}); err == nil {
+		if _, err := RunContext(context.Background(), bad, gen, opts, CheckpointSpec{}); err == nil {
 			t.Fatal("invalid config accepted")
 		}
 	})
-	t.Run("opaque generator", func(t *testing.T) {
-		_, err := RunCheckpointed(context.Background(), ckptConfig(m), opaque{}, opts,
-			CheckpointSpec{Path: path})
-		if err == nil || !strings.Contains(err.Error(), "does not support checkpointing") {
-			t.Fatalf("opaque generator: %v", err)
-		}
-	})
-	t.Run("corrupt resume", func(t *testing.T) {
-		if err := os.WriteFile(path, []byte("not a checkpoint"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		_, err := RunCheckpointed(context.Background(), ckptConfig(m), gen(),
-			opts, CheckpointSpec{Path: path, Resume: true})
-		if err == nil {
-			t.Fatal("corrupt checkpoint accepted")
-		}
-	})
-	t.Run("reserved extra name", func(t *testing.T) {
-		_, err := RunCheckpointed(context.Background(), ckptConfig(m), gen(), opts,
-			CheckpointSpec{Path: path, Extra: []checkpoint.Part{{Name: "network"}}})
-		if err == nil || !strings.Contains(err.Error(), "reserved") {
-			t.Fatalf("reserved extra name: %v", err)
-		}
-	})
 }
-
-type opaque struct{}
-
-func (opaque) Name() string                    { return "opaque" }
-func (opaque) Tick(int64, func(m noc.Message)) {}
 
 // panicOnceGen panics the first time the run crosses a trigger tick,
 // then behaves like its base forever after (the panic consumed a flag
@@ -176,10 +59,6 @@ func (g *panicOnceGen) Tick(now int64, inject func(m noc.Message)) {
 	}
 	g.base.Tick(now, inject)
 }
-func (g *panicOnceGen) CheckpointState() ([]byte, error) { return g.base.CheckpointState() }
-func (g *panicOnceGen) RestoreCheckpointState(b []byte) error {
-	return g.base.RestoreCheckpointState(b)
-}
 
 // TestSuperviseIsolatesPanics: a sweep with one persistently panicking
 // point must complete every other point, write a crash dump for the bad
@@ -193,7 +72,7 @@ func TestSuperviseIsolatesPanics(t *testing.T) {
 		return traffic.NewProbabilistic(m, traffic.Uniform, opts.Rate, opts.Seed)
 	}
 	points := []SweepPoint{
-		NewSweepPoint("good-a", ckptConfig(m), mkGen, opts, map[string]string{"design": "rf"}),
+		NewSweepPoint("good-a", testConfig(m), mkGen, opts, map[string]string{"design": "rf"}),
 		{
 			ID:   "bad",
 			Meta: map[string]string{"design": "broken"},
@@ -206,7 +85,7 @@ func TestSuperviseIsolatesPanics(t *testing.T) {
 
 	outs, err := Supervise(context.Background(), SuperviseConfig{
 		Workers: 2, Retries: 1, RetryBackoff: time.Millisecond,
-		Dir: dir, CheckpointEvery: 300,
+		Dir: dir,
 	}, points)
 	if err == nil {
 		t.Fatal("Supervise returned nil error despite a failed point")
@@ -245,16 +124,19 @@ func TestSuperviseIsolatesPanics(t *testing.T) {
 	}
 }
 
-// TestSuperviseRetryResumesFromCheckpoint: a point that crashes once
-// mid-run must, on retry, resume from its checkpoint and finish with
-// exactly the uninterrupted run's statistics.
-func TestSuperviseRetryResumesFromCheckpoint(t *testing.T) {
+// TestSuperviseRetryRerunsFromCycleZero: a point that crashes once
+// mid-run is retried from cycle 0, and the retry's result encodes to
+// exactly the bytes of an uninterrupted run.
+func TestSuperviseRetryRerunsFromCycleZero(t *testing.T) {
 	m := topology.New10x10()
 	opts := Options{Cycles: 2000, DrainCycles: 50000, Rate: 0.01, Seed: 5}
-	cfg := ckptConfig(m)
+	cfg := testConfig(m)
 	dir := t.TempDir()
 
-	ref := Run(cfg, traffic.NewProbabilistic(m, traffic.BiDF, opts.Rate, opts.Seed), opts)
+	want, err := MarshalResult(Run(cfg, traffic.NewProbabilistic(m, traffic.BiDF, opts.Rate, opts.Seed), opts))
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	var armed atomic.Bool
 	armed.Store(true)
@@ -266,12 +148,11 @@ func TestSuperviseRetryResumesFromCheckpoint(t *testing.T) {
 				trigger: 1100,
 				armed:   &armed,
 			}
-			return RunCheckpointed(ctx, cfg, gen, opts, spec)
+			return RunContext(ctx, cfg, gen, opts, spec)
 		},
 	}
 	outs, err := Supervise(context.Background(), SuperviseConfig{
-		Workers: 1, Retries: 2, RetryBackoff: time.Millisecond,
-		Dir: dir, CheckpointEvery: 250,
+		Workers: 1, Retries: 2, RetryBackoff: time.Millisecond, Dir: dir,
 	}, []SweepPoint{pt})
 	if err != nil {
 		t.Fatalf("Supervise: %v (outcome err: %v)", err, outs[0].Err)
@@ -280,11 +161,63 @@ func TestSuperviseRetryResumesFromCheckpoint(t *testing.T) {
 	if out.Attempts != 2 || !out.Panicked {
 		t.Errorf("attempts=%d panicked=%v, want a crash then a clean retry", out.Attempts, out.Panicked)
 	}
-	if !reflect.DeepEqual(out.Result.Stats, ref.Stats) {
-		t.Error("retried run's stats diverge from uninterrupted reference")
+	got, err := MarshalResult(out.Result)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Error("retried run's result bytes diverge from the uninterrupted run's")
 	}
 	if dumpPath := filepath.Join(dir, "flaky.crash.json"); out.CrashDump != dumpPath {
 		t.Errorf("crash dump path %q, want %q", out.CrashDump, dumpPath)
+	}
+}
+
+// TestSupervisePointTimeout: a point longer than PointTimeout fails every
+// attempt, each starting from cycle 0, and ends after Retries+1 attempts
+// with an error wrapping context.DeadlineExceeded. A timeout is not a
+// crash: no dump is written.
+func TestSupervisePointTimeout(t *testing.T) {
+	m := topology.New10x10()
+	opts := Options{Cycles: 50_000_000, Rate: 0.01, Seed: 3}
+	dir := t.TempDir()
+	mkGen := func() traffic.Generator {
+		return traffic.NewProbabilistic(m, traffic.Uniform, opts.Rate, opts.Seed)
+	}
+	pt := NewSweepPoint("slow", testConfig(m), mkGen, opts, nil)
+	run := pt.Run
+	var startCycles []int64
+	pt.Run = func(ctx context.Context, spec CheckpointSpec) (Result, error) {
+		hook := spec.OnNetwork
+		spec.OnNetwork = func(n *noc.Network) {
+			startCycles = append(startCycles, n.Now())
+			hook(n)
+		}
+		return run(ctx, spec)
+	}
+
+	outs, err := Supervise(context.Background(), SuperviseConfig{
+		Workers: 1, Retries: 1, RetryBackoff: time.Millisecond,
+		PointTimeout: 50 * time.Millisecond, Dir: dir,
+	}, []SweepPoint{pt})
+	if err == nil {
+		t.Fatal("Supervise returned nil error for a point that always times out")
+	}
+	out := outs[0]
+	if out.Attempts != 2 {
+		t.Errorf("attempts = %d, want 2 (Retries+1)", out.Attempts)
+	}
+	if !errors.Is(out.Err, context.DeadlineExceeded) {
+		t.Errorf("outcome error %v does not wrap context.DeadlineExceeded", out.Err)
+	}
+	if !reflect.DeepEqual(startCycles, []int64{0, 0}) {
+		t.Errorf("attempts started at cycles %v, want [0 0]", startCycles)
+	}
+	if out.Panicked || out.CrashDump != "" {
+		t.Errorf("timeout reported as a crash: panicked=%v dump=%q", out.Panicked, out.CrashDump)
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+		t.Errorf("crash dir holds %v (err %v), want nothing", entries, err)
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 // Wire layer of the worker-process protocol: a sweep point that can be
 // described entirely by serializable data (a GenSpec instead of a
 // generator closure) can be shipped to an out-of-process worker. The
-// frames themselves are built on internal/checkpoint's frame format;
+// frames themselves are internal/frame's format;
 // payloads are JSON because they cross a version boundary only with
 // ourselves (parent and child are the same binary) and debuggability on
 // a crashed pipe beats compactness.
@@ -102,10 +102,11 @@ type PointPayload struct {
 
 // Executor dispatches one sweep-point attempt somewhere other than the
 // calling goroutine — in practice, to a worker process pool. Execute
-// must honor ctx (cancelling the remote attempt so it checkpoints) and
-// returns *WorkerCrash when the attempt died instead of answering.
+// must honor ctx (cancelling the remote attempt, which answers with its
+// Interrupted result) and returns *WorkerCrash when the attempt died
+// instead of answering.
 type Executor interface {
-	Execute(ctx context.Context, payload *PointPayload, fingerprint string, spec CheckpointSpec) (Result, error)
+	Execute(ctx context.Context, payload *PointPayload, fingerprint string) (Result, error)
 }
 
 // NewPortableSweepPoint is NewSweepPoint for points that must be able to
@@ -135,13 +136,13 @@ func NewPortableSweepPoint(cfg noc.Config, gen GenSpec, opts Options, meta map[s
 		Payload:     payload,
 		Run: func(ctx context.Context, spec CheckpointSpec) (Result, error) {
 			if spec.Exec != nil {
-				return spec.Exec.Execute(ctx, payload, fp, spec)
+				return spec.Exec.Execute(ctx, payload, fp)
 			}
 			g, err := gen.Build(cfg.Mesh)
 			if err != nil {
 				return Result{}, err
 			}
-			return RunCheckpointed(ctx, cfg, g, opts, spec)
+			return RunContext(ctx, cfg, g, opts, spec)
 		},
 	}, nil
 }
@@ -150,12 +151,6 @@ func NewPortableSweepPoint(cfg noc.Config, gen GenSpec, opts Options, meta map[s
 type workerJob struct {
 	Fingerprint string       `json:"fingerprint"`
 	Point       PointPayload `json:"point"`
-
-	// Checkpoint wiring, mirroring CheckpointSpec (Extra and OnNetwork
-	// cannot cross the process boundary and portable points use neither).
-	CkptPath  string `json:"ckpt_path,omitempty"`
-	CkptEvery int64  `json:"ckpt_every,omitempty"`
-	Resume    bool   `json:"resume,omitempty"`
 
 	// MemLimit is the child's soft Go memory limit in bytes
 	// (debug.SetMemoryLimit); the child self-terminates with an OOM
@@ -179,7 +174,6 @@ type workerOutcome struct {
 
 	Err      string `json:"err,omitempty"`      // "" on success
 	Canceled bool   `json:"canceled,omitempty"` // Err is the cancel, not a failure
-	Resume   bool   `json:"resume,omitempty"`   // Err wraps ErrResume
 
 	// OOM marks a memory-limit self-termination; the child exits right
 	// after sending this frame. Evidence carries its final runtime state.

@@ -7,12 +7,11 @@ import (
 	"errors"
 	"io"
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
-	"repro/internal/checkpoint"
+	"repro/internal/frame"
 	"repro/internal/noc"
 	"repro/internal/topology"
 )
@@ -223,28 +222,23 @@ func TestWorkerHeartbeatLossKilled(t *testing.T) {
 	}
 }
 
-// TestWorkerCancelCheckpoints: cancelling a running isolated point asks
-// the child to checkpoint; the partial result comes back Interrupted
-// and the checkpoint file exists for the resume.
-func TestWorkerCancelCheckpoints(t *testing.T) {
+// TestWorkerCancelInterrupts: cancelling a running isolated point asks
+// the child to stop; the partial result comes back Interrupted and the
+// cancel is not counted as a crash.
+func TestWorkerCancelInterrupts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns worker processes")
 	}
-	dir := t.TempDir()
 	pool := testWorkerPool(t, WorkerPoolConfig{Workers: 1})
 	pt := portablePoint(t, 51, 5_000_000) // far longer than the timeout
 	ctx, cancel := context.WithTimeout(context.Background(), 400*time.Millisecond)
 	defer cancel()
-	spec := CheckpointSpec{Path: filepath.Join(dir, pt.ID+".ckpt"), Every: 1000, Resume: true}
-	res, err := pool.Execute(ctx, pt.Payload, pt.Fingerprint, spec)
+	res, err := pool.Execute(ctx, pt.Payload, pt.Fingerprint)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("Execute err = %v, want deadline exceeded", err)
 	}
 	if !res.Interrupted {
 		t.Error("partial result not marked Interrupted")
-	}
-	if _, serr := os.Stat(spec.Path); serr != nil {
-		t.Errorf("no checkpoint saved on graceful cancel: %v", serr)
 	}
 	if st := pool.Stats(); st.Crashed != 0 {
 		t.Errorf("pool stats = %+v: graceful cancel must not count as a crash", st)
@@ -275,12 +269,12 @@ func TestWorkerMainProtocol(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := checkpoint.WriteFrame(inW, FrameJob, blob); err != nil {
+	if err := frame.Write(inW, FrameJob, blob); err != nil {
 		t.Fatal(err)
 	}
 	var out workerOutcome
 	for {
-		kind, payload, err := checkpoint.ReadFrame(outR)
+		kind, payload, err := frame.Read(outR)
 		if err != nil {
 			t.Fatalf("reading worker frame: %v", err)
 		}

@@ -12,7 +12,7 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/checkpoint"
+	"repro/internal/frame"
 	"repro/internal/topology"
 )
 
@@ -32,7 +32,7 @@ func WorkerMain(stdin io.Reader, stdout, stderr io.Writer) int {
 	go func() {
 		defer close(frames)
 		for {
-			kind, payload, err := checkpoint.ReadFrame(stdin)
+			kind, payload, err := frame.Read(stdin)
 			if err != nil {
 				readErr <- err
 				return
@@ -81,7 +81,7 @@ type workerProc struct {
 func (w *workerProc) send(kind byte, payload []byte) error {
 	w.outMu.Lock()
 	defer w.outMu.Unlock()
-	return checkpoint.WriteFrame(w.stdout, kind, payload)
+	return frame.Write(w.stdout, kind, payload)
 }
 
 func (w *workerProc) sendOutcome(o workerOutcome) error {
@@ -109,9 +109,9 @@ func (w *workerProc) runJob(job *workerJob, frames <-chan wireFrame) error {
 	var watchers sync.WaitGroup
 
 	// Cancel watcher: a FrameCancel while the job runs cancels its
-	// context so RunCheckpointed checkpoints and returns the partial
-	// result. It keeps draining until the job settles, so a cancel that
-	// races the outcome is swallowed here, not misread as a next job.
+	// context so RunContext returns the partial, Interrupted result. It
+	// keeps draining until the job settles, so a cancel that races the
+	// outcome is swallowed here, not misread as a next job.
 	watchers.Add(1)
 	go func() {
 		defer watchers.Done()
@@ -191,8 +191,7 @@ func (w *workerProc) execute(ctx context.Context, job *workerJob) workerOutcome 
 	if err != nil {
 		return workerOutcome{Err: err.Error()}
 	}
-	spec := CheckpointSpec{Path: job.CkptPath, Every: job.CkptEvery, Resume: job.Resume}
-	res, err := RunCheckpointed(ctx, cfg, gen, job.Point.Opts, spec)
+	res, err := RunContext(ctx, cfg, gen, job.Point.Opts, CheckpointSpec{})
 	out := workerOutcome{}
 	if err == nil || ctx.Err() != nil {
 		if blob, merr := MarshalResult(res); merr == nil {
@@ -202,7 +201,6 @@ func (w *workerProc) execute(ctx context.Context, job *workerJob) workerOutcome 
 	if err != nil {
 		out.Err = err.Error()
 		out.Canceled = ctx.Err() != nil && errors.Is(err, ctx.Err())
-		out.Resume = errors.Is(err, ErrResume)
 	}
 	return out
 }

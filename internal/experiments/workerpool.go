@@ -12,7 +12,7 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/checkpoint"
+	"repro/internal/frame"
 )
 
 // WorkerEvent classifies worker-pool lifecycle events for metrics.
@@ -20,12 +20,12 @@ type WorkerEvent int
 
 // Worker-pool events, in rough lifecycle order.
 const (
-	WorkerSpawned        WorkerEvent = iota // a child process started
-	WorkerCrashed                           // a child died (or was killed) mid-job
-	WorkerKilledHeartbeat                   // SIGKILL: heartbeats stopped
-	WorkerKilledDeadline                    // SIGKILL: hard wall-clock deadline
-	WorkerOOM                               // child self-terminated at its memory limit
-	WorkerRestartBackoff                    // a respawn was delayed by crash backoff
+	WorkerSpawned         WorkerEvent = iota // a child process started
+	WorkerCrashed                            // a child died (or was killed) mid-job
+	WorkerKilledHeartbeat                    // SIGKILL: heartbeats stopped
+	WorkerKilledDeadline                     // SIGKILL: hard wall-clock deadline
+	WorkerOOM                                // child self-terminated at its memory limit
+	WorkerRestartBackoff                     // a respawn was delayed by crash backoff
 )
 
 // WorkerPoolConfig tunes a WorkerPool.
@@ -57,8 +57,8 @@ type WorkerPoolConfig struct {
 	Heartbeat       time.Duration
 	HeartbeatMisses int
 
-	// CancelGrace is how long a cancelled job may keep running while the
-	// child checkpoints, before the SIGKILL (default 2s).
+	// CancelGrace is how long a cancelled job may take to answer with its
+	// Interrupted result before the SIGKILL (default 2s).
 	CancelGrace time.Duration
 
 	// RestartBackoff is the base respawn delay after a crash, doubling
@@ -149,10 +149,10 @@ func NewWorkerPool(cfg WorkerPoolConfig) (*WorkerPool, error) {
 
 // worker is one child process.
 type worker struct {
-	cmd    *exec.Cmd
-	stdin  io.WriteCloser
-	frames chan wireFrame // closed when stdout breaks (child death)
-	stderr *tailBuffer
+	cmd     *exec.Cmd
+	stdin   io.WriteCloser
+	frames  chan wireFrame // closed when stdout breaks (child death)
+	stderr  *tailBuffer
 	waitErr chan error // buffered 1: cmd.Wait result, sent before frames closes
 }
 
@@ -212,7 +212,7 @@ func (p *WorkerPool) Stats() WorkerPoolStats {
 }
 
 // Execute implements Executor.
-func (p *WorkerPool) Execute(ctx context.Context, payload *PointPayload, fp string, spec CheckpointSpec) (Result, error) {
+func (p *WorkerPool) Execute(ctx context.Context, payload *PointPayload, fp string) (Result, error) {
 	select {
 	case p.slots <- struct{}{}:
 	case <-ctx.Done():
@@ -228,9 +228,6 @@ func (p *WorkerPool) Execute(ctx context.Context, payload *PointPayload, fp stri
 	job := workerJob{
 		Fingerprint: fp,
 		Point:       *payload,
-		CkptPath:    spec.Path,
-		CkptEvery:   spec.Every,
-		Resume:      spec.Resume,
 		MemLimit:    p.cfg.MemLimit,
 		HeartbeatMS: p.cfg.Heartbeat.Milliseconds(),
 	}
@@ -245,7 +242,7 @@ func (p *WorkerPool) Execute(ctx context.Context, payload *PointPayload, fp stri
 	p.mu.Lock()
 	p.stats.JobsDispatched++
 	p.mu.Unlock()
-	if err := checkpoint.WriteFrame(w.stdin, FrameJob, blob); err != nil {
+	if err := frame.Write(w.stdin, FrameJob, blob); err != nil {
 		return Result{}, p.crashed(w, "rejected its job: "+err.Error(), false)
 	}
 	return p.supervise(ctx, w)
@@ -313,9 +310,10 @@ func (p *WorkerPool) supervise(ctx context.Context, w *worker) (Result, error) {
 			p.event(WorkerKilledDeadline)
 			return Result{}, p.crashed(w, fmt.Sprintf("overran the %v hard deadline", p.cfg.Deadline), true)
 		case <-ctxDone:
-			// Graceful first: ask the child to checkpoint and answer.
+			// Graceful first: ask the child to stop and answer, which
+			// keeps the worker for the next job.
 			ctxDone = nil
-			_ = checkpoint.WriteFrame(w.stdin, FrameCancel, nil)
+			_ = frame.Write(w.stdin, FrameCancel, nil)
 			graceC = time.After(p.cfg.CancelGrace)
 		case <-graceC:
 			// The child ignored the cancel; reclaim the worker. This is a
@@ -344,8 +342,6 @@ func convertOutcome(ctx context.Context, o workerOutcome) (Result, error) {
 			return res, err
 		}
 		return res, context.Canceled
-	case o.Resume:
-		return res, fmt.Errorf("%w: worker: %s", ErrResume, o.Err)
 	default:
 		return res, errors.New(o.Err)
 	}
@@ -433,7 +429,7 @@ func (p *WorkerPool) spawn() (*worker, error) {
 	}
 	go func() {
 		for {
-			kind, payload, err := checkpoint.ReadFrame(stdout)
+			kind, payload, err := frame.Read(stdout)
 			if err != nil {
 				w.waitErr <- cmd.Wait()
 				close(w.frames)

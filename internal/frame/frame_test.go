@@ -1,4 +1,4 @@
-package checkpoint
+package frame
 
 import (
 	"bytes"
@@ -12,14 +12,14 @@ func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	payloads := [][]byte{nil, {}, []byte("x"), bytes.Repeat([]byte{0xAB}, 4096)}
 	for i, p := range payloads {
-		if err := WriteFrame(&buf, byte(i+1), p); err != nil {
-			t.Fatalf("WriteFrame(%d): %v", i, err)
+		if err := Write(&buf, byte(i+1), p); err != nil {
+			t.Fatalf("Write(%d): %v", i, err)
 		}
 	}
 	for i, p := range payloads {
-		kind, got, err := ReadFrame(&buf)
+		kind, got, err := Read(&buf)
 		if err != nil {
-			t.Fatalf("ReadFrame(%d): %v", i, err)
+			t.Fatalf("Read(%d): %v", i, err)
 		}
 		if kind != byte(i+1) {
 			t.Errorf("frame %d: kind = %d, want %d", i, kind, i+1)
@@ -28,31 +28,31 @@ func TestFrameRoundTrip(t *testing.T) {
 			t.Errorf("frame %d: payload %d bytes, want %d", i, len(got), len(p))
 		}
 	}
-	if _, _, err := ReadFrame(&buf); err != io.EOF {
-		t.Fatalf("ReadFrame at end = %v, want io.EOF", err)
+	if _, _, err := Read(&buf); err != io.EOF {
+		t.Fatalf("Read at end = %v, want io.EOF", err)
 	}
 }
 
 func TestFrameTruncation(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, 7, []byte("hello world")); err != nil {
+	if err := Write(&buf, 7, []byte("hello world")); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
 	for cut := 1; cut < len(full); cut++ {
-		_, _, err := ReadFrame(bytes.NewReader(full[:cut]))
+		_, _, err := Read(bytes.NewReader(full[:cut]))
 		if err == nil {
-			t.Fatalf("ReadFrame of %d/%d bytes succeeded", cut, len(full))
+			t.Fatalf("Read of %d/%d bytes succeeded", cut, len(full))
 		}
 		if err == io.EOF {
-			t.Fatalf("ReadFrame of %d/%d bytes returned clean io.EOF", cut, len(full))
+			t.Fatalf("Read of %d/%d bytes returned clean io.EOF", cut, len(full))
 		}
 	}
 }
 
 func TestFrameCorruption(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, 7, []byte("hello world")); err != nil {
+	if err := Write(&buf, 7, []byte("hello world")); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
@@ -61,7 +61,7 @@ func TestFrameCorruption(t *testing.T) {
 	for i := range full {
 		mut := bytes.Clone(full)
 		mut[i] ^= 0x40
-		if _, _, err := ReadFrame(bytes.NewReader(mut)); err == nil {
+		if _, _, err := Read(bytes.NewReader(mut)); err == nil {
 			t.Fatalf("bit flip at byte %d went undetected", i)
 		}
 	}
@@ -69,8 +69,8 @@ func TestFrameCorruption(t *testing.T) {
 
 func TestFrameImplausibleLength(t *testing.T) {
 	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(MaxFramePayload)+64)
-	_, _, err := ReadFrame(bytes.NewReader(hdr[:]))
+	binary.LittleEndian.PutUint32(hdr[:], uint32(MaxPayload)+64)
+	_, _, err := Read(bytes.NewReader(hdr[:]))
 	if err == nil || errors.Is(err, io.EOF) {
 		t.Fatalf("oversized frame length: err = %v, want descriptive error", err)
 	}

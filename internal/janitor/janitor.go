@@ -1,8 +1,8 @@
 // Package janitor enforces disk quotas over the sweep service's
-// artifact directories. Checkpoints (<id>.ckpt) and crash dumps
-// (<id>.crash.json) are keyed by content fingerprint, so they
-// accumulate without bound as distinct specs flow through the service;
-// the janitor reclaims them under two quotas — a maximum age and a
+// artifact directories. Crash dumps (<id>.crash.json) are keyed by
+// content fingerprint and per-job result logs (<job>.results) by job,
+// so both accumulate without bound as distinct specs flow through the
+// service; the janitor reclaims them under two quotas — a maximum age and a
 // maximum total byte footprint — deleting least-recently-written files
 // first (LRU by mtime) and never touching a file whose fingerprint is
 // pinned (in flight).
@@ -60,13 +60,12 @@ type Config struct {
 	Interval time.Duration
 
 	// Pinned, when non-nil, reports whether a file (by base name) must
-	// be kept: the service pins every in-flight point's checkpoint and
-	// crash dump so the janitor never deletes state a running
-	// simulation is about to save or resume from.
+	// be kept: the service pins every in-flight point's crash dump and
+	// every live or recently read job's result log.
 	Pinned func(name string) bool
 
 	// Match, when non-nil, selects which files the janitor manages.
-	// The default matches "*.ckpt" and "*.crash.json" and nothing
+	// The default matches "*.crash.json" and "*.results" and nothing
 	// else, so foreign files in the directory are never deleted.
 	Match func(name string) bool
 
@@ -77,13 +76,10 @@ type Config struct {
 	Now func() time.Time
 }
 
-// DefaultMatch is the default file filter: the three artifact kinds the
-// sweep service writes. Per-job result logs (*.results) are managed
-// like checkpoints — the service pins live and recently-read jobs
-// through the Pinned callback.
+// DefaultMatch is the default file filter: the two artifact kinds the
+// sweep service writes, crash dumps and per-job result logs.
 func DefaultMatch(name string) bool {
-	return strings.HasSuffix(name, ".ckpt") || strings.HasSuffix(name, ".crash.json") ||
-		strings.HasSuffix(name, ".results")
+	return strings.HasSuffix(name, ".crash.json") || strings.HasSuffix(name, ".results")
 }
 
 func (c Config) withDefaults() Config {

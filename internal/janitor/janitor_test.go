@@ -140,10 +140,10 @@ func newTestJanitor(t *testing.T, ffs *fakeFS, cfg Config) *Janitor {
 // first, and deletion stops as soon as the directory fits.
 func TestSweepByteQuotaLRU(t *testing.T) {
 	ffs := newFakeFS()
-	ffs.add("a.ckpt", 100, t0.Add(-4*time.Hour)) // oldest
-	ffs.add("b.ckpt", 100, t0.Add(-3*time.Hour))
+	ffs.add("a.results", 100, t0.Add(-4*time.Hour)) // oldest
+	ffs.add("b.results", 100, t0.Add(-3*time.Hour))
 	ffs.add("c.crash.json", 100, t0.Add(-2*time.Hour))
-	ffs.add("d.ckpt", 100, t0.Add(-1*time.Hour)) // newest
+	ffs.add("d.results", 100, t0.Add(-1*time.Hour)) // newest
 
 	j := newTestJanitor(t, ffs, Config{MaxBytes: 250})
 	rep := j.Sweep()
@@ -154,7 +154,7 @@ func TestSweepByteQuotaLRU(t *testing.T) {
 	if rep.LiveBytes != 200 {
 		t.Errorf("live bytes %d, want 200", rep.LiveBytes)
 	}
-	want := []string{"c.crash.json", "d.ckpt"}
+	want := []string{"c.crash.json", "d.results"}
 	if got := ffs.names(); len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
 		t.Errorf("survivors %v, want %v (LRU order violated)", got, want)
 	}
@@ -164,16 +164,16 @@ func TestSweepByteQuotaLRU(t *testing.T) {
 // quota is satisfied.
 func TestSweepAgeQuota(t *testing.T) {
 	ffs := newFakeFS()
-	ffs.add("old.ckpt", 10, t0.Add(-48*time.Hour))
-	ffs.add("fresh.ckpt", 10, t0.Add(-time.Minute))
+	ffs.add("old.results", 10, t0.Add(-48*time.Hour))
+	ffs.add("fresh.results", 10, t0.Add(-time.Minute))
 
 	j := newTestJanitor(t, ffs, Config{MaxAge: 24 * time.Hour})
 	rep := j.Sweep()
 	if rep.Deleted != 1 {
 		t.Fatalf("deleted %d, want 1", rep.Deleted)
 	}
-	if got := ffs.names(); len(got) != 1 || got[0] != "fresh.ckpt" {
-		t.Errorf("survivors %v, want [fresh.ckpt]", got)
+	if got := ffs.names(); len(got) != 1 || got[0] != "fresh.results" {
+		t.Errorf("survivors %v, want [fresh.results]", got)
 	}
 }
 
@@ -182,17 +182,17 @@ func TestSweepAgeQuota(t *testing.T) {
 // and the byte pass would have deleted it.
 func TestSweepPinnedNeverDeleted(t *testing.T) {
 	ffs := newFakeFS()
-	ffs.add("pinned.ckpt", 100, t0.Add(-48*time.Hour)) // oldest AND over-age
-	ffs.add("loose.ckpt", 100, t0.Add(-1*time.Hour))
+	ffs.add("pinned.results", 100, t0.Add(-48*time.Hour)) // oldest AND over-age
+	ffs.add("loose.results", 100, t0.Add(-1*time.Hour))
 
 	j := newTestJanitor(t, ffs, Config{
 		MaxBytes: 50, // both files are over quota
 		MaxAge:   24 * time.Hour,
-		Pinned:   func(name string) bool { return name == "pinned.ckpt" },
+		Pinned:   func(name string) bool { return name == "pinned.results" },
 	})
 	rep := j.Sweep()
-	if got := ffs.names(); len(got) != 1 || got[0] != "pinned.ckpt" {
-		t.Fatalf("survivors %v, want [pinned.ckpt]", got)
+	if got := ffs.names(); len(got) != 1 || got[0] != "pinned.results" {
+		t.Fatalf("survivors %v, want [pinned.results]", got)
 	}
 	if rep.Pinned != 1 {
 		t.Errorf("Pinned = %d, want 1 (one spared file, even though both quotas hit it)", rep.Pinned)
@@ -207,7 +207,7 @@ func TestSweepPinnedNeverDeleted(t *testing.T) {
 func TestSweepForeignFilesUntouched(t *testing.T) {
 	ffs := newFakeFS()
 	ffs.add("precious.txt", 1<<20, t0.Add(-999*time.Hour))
-	ffs.add("a.ckpt", 10, t0.Add(-1*time.Hour))
+	ffs.add("a.results", 10, t0.Add(-1*time.Hour))
 
 	j := newTestJanitor(t, ffs, Config{MaxBytes: 5, MaxAge: time.Hour})
 	rep := j.Sweep()
@@ -230,9 +230,9 @@ func TestSweepForeignFilesUntouched(t *testing.T) {
 // bytes stay live, and the sweep still deletes what it can.
 func TestSweepRemoveErrorCounted(t *testing.T) {
 	ffs := newFakeFS()
-	ffs.add("stuck.ckpt", 100, t0.Add(-3*time.Hour))
-	ffs.add("ok.ckpt", 100, t0.Add(-2*time.Hour))
-	ffs.removeErr["stuck.ckpt"] = errors.New("injected EIO")
+	ffs.add("stuck.results", 100, t0.Add(-3*time.Hour))
+	ffs.add("ok.results", 100, t0.Add(-2*time.Hour))
+	ffs.removeErr["stuck.results"] = errors.New("injected EIO")
 
 	j := newTestJanitor(t, ffs, Config{MaxBytes: 50})
 	rep := j.Sweep()
@@ -266,9 +266,9 @@ func TestSweepReadDirError(t *testing.T) {
 // counted), not treated as zero-sized.
 func TestSweepInfoErrorSkipsFile(t *testing.T) {
 	ffs := newFakeFS()
-	ffs.add("ghost.ckpt", 100, t0.Add(-3*time.Hour))
-	ffs.add("ok.ckpt", 100, t0.Add(-2*time.Hour))
-	ffs.infoErr["ghost.ckpt"] = true
+	ffs.add("ghost.results", 100, t0.Add(-3*time.Hour))
+	ffs.add("ok.results", 100, t0.Add(-2*time.Hour))
+	ffs.infoErr["ghost.results"] = true
 
 	j := newTestJanitor(t, ffs, Config{MaxBytes: 1000})
 	rep := j.Sweep()
@@ -280,11 +280,11 @@ func TestSweepInfoErrorSkipsFile(t *testing.T) {
 // TestStatsAccumulate: counters add up across sweeps.
 func TestStatsAccumulate(t *testing.T) {
 	ffs := newFakeFS()
-	ffs.add("a.ckpt", 100, t0.Add(-2*time.Hour))
-	ffs.add("b.ckpt", 100, t0.Add(-1*time.Hour))
+	ffs.add("a.results", 100, t0.Add(-2*time.Hour))
+	ffs.add("b.results", 100, t0.Add(-1*time.Hour))
 	j := newTestJanitor(t, ffs, Config{MaxBytes: 100})
 	j.Sweep()
-	ffs.add("c.ckpt", 100, t0.Add(-time.Minute))
+	ffs.add("c.results", 100, t0.Add(-time.Minute))
 	j.Sweep()
 	s := j.Stats()
 	if s.Sweeps != 2 || s.Deleted != 2 || s.FreedBytes != 200 {
@@ -299,7 +299,7 @@ func TestStatsAccumulate(t *testing.T) {
 // Run with a cancelled context (one immediate sweep, then exit).
 func TestJanitorRealFS(t *testing.T) {
 	dir := t.TempDir()
-	old := filepath.Join(dir, "old.ckpt")
+	old := filepath.Join(dir, "old.results")
 	if err := os.WriteFile(old, make([]byte, 64), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +307,7 @@ func TestJanitorRealFS(t *testing.T) {
 	if err := os.Chtimes(old, past, past); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "fresh.ckpt"), make([]byte, 64), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "fresh.results"), make([]byte, 64), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(dir, "keep.me"), make([]byte, 64), 0o644); err != nil {
@@ -325,7 +325,7 @@ func TestJanitorRealFS(t *testing.T) {
 	if _, err := os.Stat(old); !errors.Is(err, fs.ErrNotExist) {
 		t.Errorf("over-age file still present: %v", err)
 	}
-	for _, name := range []string{"fresh.ckpt", "keep.me"} {
+	for _, name := range []string{"fresh.results", "keep.me"} {
 		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
 			t.Errorf("%s unexpectedly deleted: %v", name, err)
 		}

@@ -1,11 +1,8 @@
 package noc
 
 // This file gives a Config a public, content-addressed identity for
-// result memoization (the sweep service's cache key), distinct from the
-// private checkpoint fingerprint in snapshot.go. The two differ on
-// purpose: a checkpoint excludes the shortcut plan (Reconfigure mutates
-// it at runtime, so the installed plan travels as state), while a cache
-// key must include it — two designs with different shortcut sets produce
+// result memoization (the sweep service's cache key). The key includes
+// the shortcut plan: two designs with different shortcut sets produce
 // different results and must never share a cache entry.
 
 import (
@@ -63,8 +60,7 @@ func (c Config) Fingerprint() string {
 }
 
 // fpEncoder streams fixed-width little-endian primitives into a hash.
-// Unlike checkpoint.Encoder it never buffers or errors: hash writes
-// cannot fail.
+// It never buffers or errors: hash writes cannot fail.
 type fpEncoder struct {
 	w interface{ Write([]byte) (int, error) }
 }

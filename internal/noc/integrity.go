@@ -40,9 +40,7 @@ type integrityState struct {
 	// outstanding is the sender-side retransmission table: every
 	// injected-but-unacknowledged message, keyed by (src, seq). Entries
 	// are removed on correct delivery or when the retry budget runs out.
-	// This is the state the PR-3 snapshot container persists so recovery
-	// (NACK retransmission and watchdog re-injection) survives a
-	// checkpoint/restore cut.
+	// NACK retransmission and watchdog re-injection both resend from it.
 	outstanding map[integrityKey]Message
 
 	// pending holds scheduled retransmissions not yet re-injected,

@@ -142,8 +142,7 @@ type packet struct {
 	// mcFwd, when non-nil, marks a multicast being forwarded over the mesh
 	// to its cluster's central bank: when the packet's tail ejects there,
 	// the carried entry joins the cluster's RF transmission queue instead
-	// of normal ejection bookkeeping. A plain struct (not a closure) so
-	// in-flight forwards serialize through checkpoints.
+	// of normal ejection bookkeeping.
 	mcFwd *mcForward
 
 	// End-to-end integrity header, carried in the head flit when

@@ -9,11 +9,53 @@ import (
 	"repro/internal/topology"
 )
 
+// collectPackets walks every live *packet reference in deterministic
+// order and assigns each unique pointer an index.
+func (n *Network) collectPackets() ([]*packet, map[*packet]int) {
+	var table []*packet
+	index := map[*packet]int{}
+	add := func(p *packet) {
+		if p == nil {
+			return
+		}
+		if _, ok := index[p]; ok {
+			return
+		}
+		index[p] = len(table)
+		table = append(table, p)
+	}
+	for r := range n.routers {
+		rs := &n.routers[r]
+		for _, p := range rs.queue[rs.qhead:] {
+			add(p)
+		}
+		for _, p := range rs.reinject[rs.rhead:] {
+			add(p)
+		}
+		for p := 0; p < numPorts; p++ {
+			for _, vc := range rs.vcs[p] {
+				add(vc.pkt)
+			}
+		}
+	}
+	for s := 0; s < wheelSize; s++ {
+		for _, t := range n.wheel[s] {
+			add(t.pkt)
+		}
+	}
+	if n.mc != nil {
+		for _, ld := range n.mc.pendingLocal {
+			add(ld.pkt)
+		}
+	}
+	return table, index
+}
+
 // assertNoPoolAliases fails the test if freelist recycling ever aliases
 // a live packet: every packet reachable from live simulator state (VCs,
-// NI queue live windows, wheel transfers, pending RF local deliveries —
-// the same walk the checkpointer uses) must not carry the pooled mark,
-// and no pooled packet may be reachable live.
+// NI queue live windows, wheel transfers, pending RF local deliveries)
+// must not carry the pooled mark, and no pooled packet may be reachable
+// live.
 func assertNoPoolAliases(t *testing.T, n *Network, cycle int64) {
 	t.Helper()
 	live, index := n.collectPackets()

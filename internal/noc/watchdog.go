@@ -19,8 +19,7 @@ package noc
 //	          removed from the fabric entirely (every buffered and
 //	          in-flight flit accounted in Stats.FlitsScrubbed, a term
 //	          of the conservation identity) and re-injected at its
-//	          source from the sender-side outstanding table — the
-//	          state the PR-3 checkpoint container persists — charging
+//	          source from the sender-side outstanding table, charging
 //	          the end-to-end retry budget; a packet whose budget is
 //	          exhausted is abandoned and counted in Stats.PacketsLost.
 //

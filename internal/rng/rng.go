@@ -1,23 +1,17 @@
 // Package rng provides the simulator's pseudo-random number generator:
-// xoshiro256** seeded through splitmix64. Unlike math/rand's default
-// source, its entire state is four words that marshal to a small,
-// versioned binary blob, which is what makes deterministic
-// checkpoint/restore of traffic generators and the fault injector
-// possible (internal/checkpoint): a generator restored mid-stream
-// continues with exactly the draw sequence the uninterrupted run would
-// have produced.
+// xoshiro256** seeded through splitmix64. Unlike math/rand, its draw
+// sequence is fixed by this file alone, so the traffic generators' and
+// the fault injector's streams — and with them every bit-identity
+// contract (TestStepGolden, the memoized and worker-pool result bytes) —
+// cannot shift under a Go release.
 //
 // The generator is not safe for concurrent use; every simulation
 // component owns its own instance, like math/rand.Rand.
 package rng
 
-import (
-	"encoding/binary"
-	"fmt"
-	"math/bits"
-)
+import "math/bits"
 
-// Rand is a deterministic, serializable PRNG (xoshiro256**).
+// Rand is a deterministic PRNG (xoshiro256**).
 type Rand struct {
 	s [4]uint64
 }
@@ -103,45 +97,4 @@ func (r *Rand) Perm(n int) []int {
 		p[j] = i
 	}
 	return p
-}
-
-// state blob layout: version byte followed by the four state words,
-// little-endian.
-const (
-	stateVersion = 1
-	stateSize    = 1 + 4*8
-)
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (r *Rand) MarshalBinary() ([]byte, error) {
-	out := make([]byte, stateSize)
-	out[0] = stateVersion
-	for i, w := range r.s {
-		binary.LittleEndian.PutUint64(out[1+8*i:], w)
-	}
-	return out, nil
-}
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler. A restored
-// generator continues the marshaled stream exactly.
-func (r *Rand) UnmarshalBinary(data []byte) error {
-	if len(data) != stateSize {
-		return fmt.Errorf("rng: state blob is %d bytes, want %d", len(data), stateSize)
-	}
-	if data[0] != stateVersion {
-		return fmt.Errorf("rng: unsupported state version %d", data[0])
-	}
-	var s [4]uint64
-	allZero := true
-	for i := range s {
-		s[i] = binary.LittleEndian.Uint64(data[1+8*i:])
-		if s[i] != 0 {
-			allZero = false
-		}
-	}
-	if allZero {
-		return fmt.Errorf("rng: all-zero state is invalid")
-	}
-	r.s = s
-	return nil
 }

@@ -37,43 +37,6 @@ func TestZeroSeedWorks(t *testing.T) {
 	}
 }
 
-func TestMarshalRoundTripMidStream(t *testing.T) {
-	r := New(7)
-	for i := 0; i < 137; i++ {
-		r.Uint64()
-	}
-	blob, err := r.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var restored Rand
-	if err := restored.UnmarshalBinary(blob); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 1000; i++ {
-		if got, want := restored.Uint64(), r.Uint64(); got != want {
-			t.Fatalf("restored stream diverges at draw %d: %d != %d", i, got, want)
-		}
-	}
-}
-
-func TestUnmarshalRejectsBadBlobs(t *testing.T) {
-	var r Rand
-	cases := [][]byte{
-		nil,
-		{},
-		{1, 2, 3},
-		make([]byte, stateSize),                // version 0, all-zero state
-		append([]byte{9}, make([]byte, 32)...), // unknown version
-		append([]byte{1}, make([]byte, 32)...), // all-zero state
-	}
-	for i, blob := range cases {
-		if err := r.UnmarshalBinary(blob); err == nil {
-			t.Errorf("case %d: bad blob accepted", i)
-		}
-	}
-}
-
 func TestFloat64Range(t *testing.T) {
 	r := New(3)
 	var sum float64
