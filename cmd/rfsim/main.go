@@ -147,32 +147,6 @@ func (f *simFlags) adversarial() bool {
 		len(f.leakCredits) > 0 || len(f.stickVCs) > 0
 }
 
-func parseDesign(name string) (experiments.DesignKind, error) {
-	switch name {
-	case "baseline":
-		return experiments.Baseline, nil
-	case "static":
-		return experiments.Static, nil
-	case "wire-static":
-		return experiments.WireStatic, nil
-	case "adaptive":
-		return experiments.Adaptive, nil
-	}
-	return 0, fmt.Errorf("unknown design %q (want baseline, static, wire-static or adaptive)", name)
-}
-
-func parseMulticast(name string) (noc.MulticastMode, error) {
-	switch name {
-	case "none", "expand":
-		return noc.MulticastExpand, nil
-	case "vct":
-		return noc.MulticastVCT, nil
-	case "rf":
-		return noc.MulticastRF, nil
-	}
-	return 0, fmt.Errorf("unknown multicast mode %q (want none, expand, vct or rf)", name)
-}
-
 // validate rejects flag combinations before any simulation state is
 // built. Every violation is reported, not just the first.
 func (f *simFlags) validate() error {
@@ -180,10 +154,10 @@ func (f *simFlags) validate() error {
 	fail := func(format string, args ...interface{}) {
 		errs = append(errs, fmt.Errorf(format, args...))
 	}
-	if _, err := parseDesign(f.design); err != nil {
+	if _, err := experiments.ParseDesignKind(f.design); err != nil {
 		errs = append(errs, err)
 	}
-	if _, err := parseMulticast(f.multicast); err != nil {
+	if _, err := noc.ParseMulticastMode(f.multicast); err != nil {
 		errs = append(errs, err)
 	}
 	if !tech.LinkWidth(f.width).Valid() {
@@ -440,12 +414,9 @@ func runSim(f *simFlags, stdout, stderr io.Writer) int {
 	}
 	opts := experiments.Options{Cycles: cycles, Rate: f.rate, Seed: f.seed, Check: f.check}
 
-	kind, _ := parseDesign(f.design)
-	mode, _ := parseMulticast(f.multicast)
+	kind, _ := experiments.ParseDesignKind(f.design)
+	mode, _ := noc.ParseMulticastMode(f.multicast)
 	d := experiments.Design{Kind: kind, Width: tech.LinkWidth(f.width), RFRouters: f.rf, Multicast: mode}
-	if mode == noc.MulticastRF && kind == experiments.Adaptive {
-		d.ShortcutBudget = tech.ShortcutBudget - 1 // one band for multicast
-	}
 
 	mkGen := func(seed int64) (traffic.Generator, error) {
 		g, err := baseGenerator(m, f.workload, f.traceFile, opts.WithDefaults().Rate, seed)

@@ -114,18 +114,9 @@ func (p PointSpec) compile(m *topology.Mesh, lim specLimits, check bool) (experi
 	if design == "" {
 		design = "baseline"
 	}
-	var kind experiments.DesignKind
-	switch design {
-	case "baseline":
-		kind = experiments.Baseline
-	case "static":
-		kind = experiments.Static
-	case "wire-static":
-		kind = experiments.WireStatic
-	case "adaptive":
-		kind = experiments.Adaptive
-	default:
-		fail("unknown design %q (want baseline, static, wire-static or adaptive)", design)
+	kind, err := experiments.ParseDesignKind(design)
+	if err != nil {
+		errs = append(errs, err)
 	}
 
 	width := p.WidthBytes
@@ -140,16 +131,9 @@ func (p PointSpec) compile(m *topology.Mesh, lim specLimits, check bool) (experi
 	if mcName == "" {
 		mcName = "none"
 	}
-	var mode noc.MulticastMode
-	switch mcName {
-	case "none", "expand":
-		mode = noc.MulticastExpand
-	case "vct":
-		mode = noc.MulticastVCT
-	case "rf":
-		mode = noc.MulticastRF
-	default:
-		fail("unknown multicast mode %q (want none, expand, vct or rf)", mcName)
+	mode, err := noc.ParseMulticastMode(mcName)
+	if err != nil {
+		errs = append(errs, err)
 	}
 
 	workload := p.Workload
@@ -224,9 +208,6 @@ func (p PointSpec) compile(m *topology.Mesh, lim specLimits, check bool) (experi
 	d := experiments.Design{
 		Kind: kind, Width: tech.LinkWidth(width),
 		RFRouters: p.RFRouters, Multicast: mode,
-	}
-	if mode == noc.MulticastRF && kind == experiments.Adaptive {
-		d.ShortcutBudget = tech.ShortcutBudget - 1 // one band for multicast
 	}
 	var profile traffic.Generator
 	if kind == experiments.Adaptive {

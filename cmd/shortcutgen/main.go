@@ -1,6 +1,9 @@
 // Command shortcutgen runs the paper's shortcut-selection algorithms and
 // prints the chosen edges plus an ASCII rendering of the overlay (the
-// Figure 2(b)/2(c) view).
+// Figure 2(b)/2(c) view). With no -heuristic, app mode prints
+// shortcut.Adaptive's set, the one every simulated adaptive design uses
+// (the cheaper of permutation and region); -heuristic runs one selector
+// alone, for comparison.
 //
 // Usage:
 //
@@ -12,8 +15,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
+	"repro/internal/experiments"
 	"repro/internal/graph"
 	"repro/internal/shortcut"
 	"repro/internal/topology"
@@ -22,7 +25,7 @@ import (
 
 func main() {
 	mode := flag.String("mode", "arch", "arch (design-time, W objective) or app (F*W objective)")
-	heuristic := flag.String("heuristic", "", "maxcost, permutation or region (defaults: arch=maxcost, app=region)")
+	heuristic := flag.String("heuristic", "", "maxcost, permutation or region (default: maxcost in arch mode; in app mode the adaptive designs' set, the cheaper of permutation and region)")
 	workload := flag.String("workload", "1hotspot", "workload profiled for app mode")
 	budget := flag.Int("budget", 16, "number of shortcuts")
 	rf := flag.Int("rf", 50, "RF-enabled routers for app mode (25, 50, 100)")
@@ -38,37 +41,28 @@ func main() {
 		MeshW:    m.W, MeshH: m.H,
 	}
 	h := *heuristic
+	rfEnabled := m.RFPlacement(*rf)
 	if *mode == "app" {
-		var gen traffic.Generator
-		for _, pat := range traffic.Patterns() {
-			if strings.EqualFold(pat.String(), *workload) {
-				gen = traffic.NewProbabilistic(m, pat, 0, *seed)
-			}
-		}
-		for _, a := range traffic.Apps() {
-			if strings.EqualFold(a.String(), *workload) {
-				gen = traffic.NewAppTrace(m, a, 0, *seed)
-			}
-		}
-		if gen == nil {
-			fmt.Fprintf(os.Stderr, "unknown workload %q\n", *workload)
+		mk, err := experiments.LookupWorkload(m, *workload)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
-		p.Freq = traffic.FrequencyMatrix(gen, m.N(), *profileCycles)
+		p.Freq = traffic.FrequencyMatrix(mk(0, *seed), m.N(), *profileCycles)
 		rfSet := map[int]bool{}
-		for _, id := range m.RFPlacement(*rf) {
+		for _, id := range rfEnabled {
 			rfSet[id] = true
 		}
 		p.Eligible = func(id int) bool { return rfSet[id] && m.ShortcutEligible(id) }
-		if h == "" {
-			h = "region"
-		}
 	} else if h == "" {
 		h = "maxcost"
 	}
 
 	var edges []shortcut.Edge
 	switch h {
+	case "":
+		h = "default (adaptive designs' set)"
+		edges = shortcut.Adaptive(m, rfEnabled, p.Freq, *budget)
 	case "maxcost":
 		edges = shortcut.SelectMaxCost(g, p)
 	case "permutation":

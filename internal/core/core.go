@@ -94,17 +94,13 @@ func (c *Controller) Current() *State { return c.current }
 // Budget returns the shortcut budget under the aggregate-bandwidth
 // constraint, accounting for the multicast band when enabled.
 func (c *Controller) Budget() int {
-	b := tech.RFIAggregateBytes / c.ShortcutWidthBytes
-	if c.Multicast {
-		b--
-	}
-	return b
+	return tech.ShortcutBudgetFor(c.ShortcutWidthBytes, c.Multicast)
 }
 
 // ReconfigureForProfile runs the full reconfiguration flow against a
 // communication-frequency matrix and returns the new state.
 func (c *Controller) ReconfigureForProfile(freq [][]int64) (*State, error) {
-	edges := adaptiveSelect(c.mesh, c.rfEnabled, freq, c.Budget())
+	edges := shortcut.Adaptive(c.mesh, c.rfEnabled, freq, c.Budget())
 	var mcRx []int
 	if c.Multicast {
 		taken := map[int]bool{}
@@ -162,20 +158,4 @@ func (c *Controller) ReconfigureForProfile(freq [][]int64) (*State, error) {
 func (c *Controller) ReconfigureForWorkload(profile traffic.Generator) (*State, error) {
 	freq := traffic.FrequencyMatrix(profile, c.mesh.N(), c.ProfileCycles)
 	return c.ReconfigureForProfile(freq)
-}
-
-// adaptiveSelect mirrors experiments.AdaptiveShortcuts without importing
-// it (experiments sits above core).
-func adaptiveSelect(m *topology.Mesh, rfEnabled []int, freq [][]int64, budget int) []shortcut.Edge {
-	rf := map[int]bool{}
-	for _, id := range rfEnabled {
-		rf[id] = true
-	}
-	return shortcut.SelectAdaptive(m.Graph(), shortcut.Params{
-		Budget:   budget,
-		Eligible: func(id int) bool { return rf[id] && m.ShortcutEligible(id) },
-		Freq:     freq,
-		MeshW:    m.W,
-		MeshH:    m.H,
-	})
 }

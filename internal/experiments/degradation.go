@@ -5,8 +5,8 @@ import (
 	"strings"
 
 	"repro/internal/fault"
+	"repro/internal/noc"
 	"repro/internal/obs"
-	"repro/internal/topology"
 	"repro/internal/traffic"
 )
 
@@ -38,15 +38,13 @@ type DegradationPoint struct {
 	Drained  bool
 }
 
-// DegradationCurve kills k = 0..B of design d's shortcut bands a quarter
-// of the way into the run (all at once, no replanning) and measures the
+// DegradationCurve kills k = 0..B of cfg's shortcut bands a quarter of
+// the way into the run (all at once, no replanning) and measures the
 // latency that survives. The last point runs on a fully dead overlay and
 // should sit at the pure-mesh baseline's latency.
-func DegradationCurve(m *topology.Mesh, d Design, pat traffic.Pattern, opts Options) []DegradationPoint {
+func DegradationCurve(cfg noc.Config, pat traffic.Pattern, opts Options) []DegradationPoint {
 	opts = opts.WithDefaults()
-	cfg := buildCached(m, d, func() traffic.Generator {
-		return traffic.NewProbabilistic(m, pat, opts.Rate, opts.Seed)
-	}, opts)
+	m := cfg.Mesh
 	killAt := opts.Cycles / 4
 	points := make([]DegradationPoint, len(cfg.Shortcuts)+1)
 	forEach(len(points), func(k int) {

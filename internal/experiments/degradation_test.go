@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/noc"
 	"repro/internal/tech"
 	"repro/internal/topology"
 	"repro/internal/traffic"
@@ -11,8 +12,8 @@ import (
 
 func TestDegradationCurveShape(t *testing.T) {
 	m := topology.New10x10()
-	d := Design{Kind: Static, Width: tech.Width4B, ShortcutBudget: 3}
-	points := DegradationCurve(m, d, traffic.Uniform,
+	cfg := noc.Config{Mesh: m, Width: tech.Width4B, Shortcuts: StaticShortcuts(m, 3)}
+	points := DegradationCurve(cfg, traffic.Uniform,
 		Options{Cycles: 6000, Rate: 0.008, Seed: 9})
 
 	if len(points) != 4 {

@@ -29,7 +29,7 @@ const (
 	// RC wire rather than RF-I (Figure 10a's "Mesh Wire Shortcuts").
 	WireStatic
 	// Adaptive re-selects application-specific shortcuts per workload
-	// from the RF-enabled router set (region-based selection).
+	// from the RF-enabled router set (shortcut.Adaptive).
 	Adaptive
 )
 
@@ -48,6 +48,16 @@ func (k DesignKind) String() string {
 	return fmt.Sprintf("DesignKind(%d)", int(k))
 }
 
+// ParseDesignKind is the inverse of String for the four design names.
+func ParseDesignKind(name string) (DesignKind, error) {
+	for k := Baseline; k <= Adaptive; k++ {
+		if k.String() == name {
+			return k, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown design %q (want baseline, static, wire-static or adaptive)", name)
+}
+
 // Design names one network design point.
 type Design struct {
 	Kind  DesignKind
@@ -59,10 +69,6 @@ type Design struct {
 
 	// Multicast enables a delivery mechanism for multicast messages.
 	Multicast noc.MulticastMode
-
-	// ShortcutBudget overrides the default budget of 16 (the MC+SC
-	// configuration uses 15 shortcuts, leaving one band for multicast).
-	ShortcutBudget int
 
 	// ShortcutWidthBytes overrides the 16 B shortcut width for the
 	// width-ablation study; the budget scales to keep the 256 B aggregate.
@@ -85,14 +91,11 @@ func (d Design) Name() string {
 	return s
 }
 
+// budget is the design's shortcut count. Only an adaptive design with
+// RF multicast (the paper's MC+SC) gives a band to multicast; a static
+// set stays design-time fixed at the full budget.
 func (d Design) budget() int {
-	if d.ShortcutBudget > 0 {
-		return d.ShortcutBudget
-	}
-	if d.ShortcutWidthBytes > 0 {
-		return tech.RFIAggregateBytes / d.ShortcutWidthBytes
-	}
-	return tech.ShortcutBudget
+	return tech.ShortcutBudgetFor(d.ShortcutWidthBytes, d.Kind == Adaptive && d.Multicast == noc.MulticastRF)
 }
 
 // Build materializes the design into a simulator configuration. For
@@ -150,19 +153,7 @@ func StaticShortcuts(m *topology.Mesh, budget int) []shortcut.Edge {
 }
 
 // AdaptiveShortcuts returns the application-specific shortcut set
-// (Section 3.2.2) restricted to RF-enabled routers: the better of the
-// paper's two Figure 3 heuristics under the F(x,y)*W(x,y) objective (see
-// shortcut.SelectAdaptive).
+// (Section 3.2.2) restricted to RF-enabled routers; see shortcut.Adaptive.
 func AdaptiveShortcuts(m *topology.Mesh, rfEnabled []int, freq [][]int64, budget int) []shortcut.Edge {
-	rf := map[int]bool{}
-	for _, id := range rfEnabled {
-		rf[id] = true
-	}
-	return shortcut.SelectAdaptive(m.Graph(), shortcut.Params{
-		Budget:   budget,
-		Eligible: func(id int) bool { return rf[id] && m.ShortcutEligible(id) },
-		Freq:     freq,
-		MeshW:    m.W,
-		MeshH:    m.H,
-	})
+	return shortcut.Adaptive(m, rfEnabled, freq, budget)
 }

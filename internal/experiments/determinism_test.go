@@ -5,22 +5,13 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/shortcut"
 	"repro/internal/tech"
 	"repro/internal/topology"
 )
 
-// resetAdaptiveCache empties the memoized shortcut selections so each
-// determinism run recomputes them from scratch.
-func resetAdaptiveCache() {
-	adaptiveCacheMu.Lock()
-	adaptiveCache = map[string][]shortcut.Edge{}
-	adaptiveCacheMu.Unlock()
-}
-
 // Same seed and Options must produce bit-identical results whether the
 // figure runners execute serially or on the full worker pool: each
-// simulation owns its RNG and network, and the shared adaptive cache is
+// simulation owns its RNG and network, and the shared selection memo is
 // keyed on everything selection consumes.
 func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 	// forEach concurrency is set by Workers, not GOMAXPROCS, so even a
@@ -42,7 +33,6 @@ func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 		prev := Workers
 		Workers = workers
 		defer func() { Workers = prev }()
-		resetAdaptiveCache()
 		return compareDesigns(m, designs, opts)
 	}
 

@@ -77,7 +77,7 @@ func TestBuildMCSCSplitsReceivers(t *testing.T) {
 	profile := traffic.NewProbabilistic(m, traffic.Uniform, 0, 1)
 	cfg := Build(m, Design{
 		Kind: Adaptive, RFRouters: 50, Width: tech.Width16B,
-		Multicast: noc.MulticastRF, ShortcutBudget: 15,
+		Multicast: noc.MulticastRF,
 	}, profile, 5000)
 	if len(cfg.Shortcuts) != 15 {
 		t.Errorf("shortcuts = %d, want 15", len(cfg.Shortcuts))
@@ -220,12 +220,9 @@ func TestAdaptiveCacheReusesSelection(t *testing.T) {
 	opts := fastOpts()
 	d16 := Design{Kind: Adaptive, RFRouters: 50, Width: tech.Width16B}
 	d4 := Design{Kind: Adaptive, RFRouters: 50, Width: tech.Width4B}
-	cfg16 := buildCached(m, d16, func() traffic.Generator {
-		return traffic.NewProbabilistic(m, traffic.Hotspot1, opts.Rate, opts.Seed)
-	}, opts.WithDefaults())
-	cfg4 := buildCached(m, d4, func() traffic.Generator {
-		return traffic.NewProbabilistic(m, traffic.Hotspot1, opts.Rate, opts.Seed)
-	}, opts.WithDefaults())
+	opts = opts.WithDefaults()
+	cfg16 := Build(m, d16, traffic.NewProbabilistic(m, traffic.Hotspot1, opts.Rate, opts.Seed), opts.ProfileCycles)
+	cfg4 := Build(m, d4, traffic.NewProbabilistic(m, traffic.Hotspot1, opts.Rate, opts.Seed), opts.ProfileCycles)
 	if len(cfg16.Shortcuts) != len(cfg4.Shortcuts) {
 		t.Fatal("cached selections differ in size")
 	}
@@ -233,5 +230,33 @@ func TestAdaptiveCacheReusesSelection(t *testing.T) {
 		if cfg16.Shortcuts[i] != cfg4.Shortcuts[i] {
 			t.Fatal("cached selections differ across widths")
 		}
+	}
+}
+
+// The ablation's region arm measures the region-based selector's own set,
+// not the adaptive designs' selection.
+func TestAblationRegionRunsRegionSet(t *testing.T) {
+	m := topology.New10x10()
+	opts := Options{Cycles: 2000, ProfileCycles: 6000, Seed: 1}.WithDefaults()
+	region, _ := AblationRegion(m, opts)
+
+	profile := traffic.NewProbabilistic(m, traffic.Hotspot1, opts.Rate, opts.Seed)
+	freq := traffic.FrequencyMatrix(profile, m.N(), opts.ProfileCycles)
+	rfSet := m.RFPlacement(50)
+	rf := map[int]bool{}
+	for _, id := range rfSet {
+		rf[id] = true
+	}
+	edges := shortcut.SelectRegionBased(m.Graph(), shortcut.Params{
+		Budget:   tech.ShortcutBudget,
+		Eligible: func(id int) bool { return rf[id] && m.ShortcutEligible(id) },
+		Freq:     freq,
+		MeshW:    m.W,
+		MeshH:    m.H,
+	})
+	cfg := noc.Config{Mesh: m, Width: tech.Width4B, Shortcuts: edges, RFEnabled: rfSet}
+	want := Run(cfg, traffic.NewProbabilistic(m, traffic.Hotspot1, opts.Rate, opts.Seed), opts).AvgLatency
+	if region != want {
+		t.Errorf("region arm latency %v, want %v from SelectRegionBased's set", region, want)
 	}
 }

@@ -259,8 +259,7 @@ func fig9Configs() []fig9Config {
 			fig9Config{fmt.Sprintf("MC-%d", loc), loc,
 				Design{Kind: Baseline, Width: tech.Width16B, Multicast: noc.MulticastRF, RFRouters: 50}},
 			fig9Config{fmt.Sprintf("MC+SC-%d", loc), loc,
-				Design{Kind: Adaptive, RFRouters: 50, Width: tech.Width16B,
-					Multicast: noc.MulticastRF, ShortcutBudget: 15}},
+				Design{Kind: Adaptive, RFRouters: 50, Width: tech.Width16B, Multicast: noc.MulticastRF}},
 		)
 	}
 	return out
@@ -438,8 +437,7 @@ func Fig10b(m *topology.Mesh, opts Options) []Fig10Line {
 			return Design{Kind: Adaptive, RFRouters: 50, Width: w, Multicast: noc.MulticastExpand}
 		}},
 		{"Adaptive Shortcuts + RF Multicast", func(w tech.LinkWidth) Design {
-			return Design{Kind: Adaptive, RFRouters: 50, Width: w,
-				Multicast: noc.MulticastRF, ShortcutBudget: 15}
+			return Design{Kind: Adaptive, RFRouters: 50, Width: w, Multicast: noc.MulticastRF}
 		}},
 	}
 	pats := traffic.Patterns()

@@ -3,56 +3,14 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sync"
 	"testing"
 
 	"repro/internal/noc"
 	"repro/internal/obs"
 	"repro/internal/power"
-	"repro/internal/shortcut"
 	"repro/internal/topology"
 	"repro/internal/traffic"
 )
-
-// Adaptive shortcut sets depend on the workload profile and the
-// access-point placement but not on the link width, so sweeps across
-// widths (Figures 8 and 10) reuse one selection. The cache key covers
-// everything selection consumes.
-var (
-	adaptiveCacheMu sync.Mutex
-	adaptiveCache   = map[string][]shortcut.Edge{}
-)
-
-// buildCached is Build with memoized adaptive selection. mkProfile is
-// invoked only on a cache miss.
-func buildCached(m *topology.Mesh, d Design, mkProfile func() traffic.Generator, opts Options) noc.Config {
-	if d.Kind != Adaptive {
-		return Build(m, d, nil, opts.ProfileCycles)
-	}
-	if d.RFRouters == 0 {
-		d.RFRouters = 50
-	}
-	profile := mkProfile()
-	key := fmt.Sprintf("%s|rate%.6f|seed%d|prof%d|budget%d|rf%d",
-		profile.Name(), opts.Rate, opts.Seed, opts.ProfileCycles, d.budget(), d.RFRouters)
-	adaptiveCacheMu.Lock()
-	edges, ok := adaptiveCache[key]
-	adaptiveCacheMu.Unlock()
-	if !ok {
-		freq := traffic.FrequencyMatrix(profile, m.N(), opts.ProfileCycles)
-		edges = AdaptiveShortcuts(m, m.RFPlacement(d.RFRouters), freq, d.budget())
-		adaptiveCacheMu.Lock()
-		adaptiveCache[key] = edges
-		adaptiveCacheMu.Unlock()
-	}
-	cfg := noc.Config{Mesh: m, Width: d.Width, Multicast: d.Multicast}
-	if d.ShortcutWidthBytes > 0 {
-		cfg.ShortcutWidthBytes = d.ShortcutWidthBytes
-	}
-	cfg.RFEnabled = m.RFPlacement(d.RFRouters)
-	cfg.Shortcuts = edges
-	return cfg
-}
 
 // Options controls simulation length and workload intensity.
 type Options struct {
@@ -296,9 +254,7 @@ func buildResult(n *noc.Network, gen traffic.Generator, cfg noc.Config, drain no
 // application's communication profile is available beforehand.
 func RunDesign(m *topology.Mesh, d Design, pat traffic.Pattern, opts Options) Result {
 	opts = opts.WithDefaults()
-	cfg := buildCached(m, d, func() traffic.Generator {
-		return traffic.NewProbabilistic(m, pat, opts.Rate, opts.Seed)
-	}, opts)
+	cfg := Build(m, d, traffic.NewProbabilistic(m, pat, opts.Rate, opts.Seed), opts.ProfileCycles)
 	gen := traffic.NewProbabilistic(m, pat, opts.Rate, opts.Seed)
 	r := Run(cfg, gen, opts)
 	r.Design = d.Name()
@@ -308,9 +264,7 @@ func RunDesign(m *topology.Mesh, d Design, pat traffic.Pattern, opts Options) Re
 // RunDesignApp is RunDesign over a synthetic application trace.
 func RunDesignApp(m *topology.Mesh, d Design, app traffic.App, opts Options) Result {
 	opts = opts.WithDefaults()
-	cfg := buildCached(m, d, func() traffic.Generator {
-		return traffic.NewAppTrace(m, app, opts.Rate, opts.Seed)
-	}, opts)
+	cfg := Build(m, d, traffic.NewAppTrace(m, app, opts.Rate, opts.Seed), opts.ProfileCycles)
 	gen := traffic.NewAppTrace(m, app, opts.Rate, opts.Seed)
 	r := Run(cfg, gen, opts)
 	r.Design = d.Name()
@@ -324,7 +278,7 @@ func RunDesignMulticast(m *topology.Mesh, d Design, pat traffic.Pattern, localit
 		base := traffic.NewProbabilistic(m, pat, opts.Rate, opts.Seed)
 		return traffic.NewMulticastAugment(m, base, opts.MulticastRate, localityPct, opts.Seed)
 	}
-	cfg := buildCached(m, d, mkGen, opts)
+	cfg := Build(m, d, mkGen(), opts.ProfileCycles)
 	r := Run(cfg, mkGen(), opts)
 	r.Design = fmt.Sprintf("%s-loc%d", d.Name(), localityPct)
 	return r

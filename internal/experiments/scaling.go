@@ -74,10 +74,9 @@ func ScalingStudy(sizes []int, opts Options) []ScalingRow {
 	return out
 }
 
-// scaledAdaptiveShortcuts is AdaptiveShortcuts without the 10x10-only
-// placement helpers: the region-based selector already generalizes; the
-// permutation-graph alternative is skipped above 12x12 where its O(BV^4)
-// cost bites.
+// scaledAdaptiveShortcuts is AdaptiveShortcuts up to 12x12. Above that
+// the permutation-graph greedy's O(BV^4) cost bites, and the region-based
+// selector runs alone.
 func scaledAdaptiveShortcuts(m *topology.Mesh, rfEnabled []int, freq [][]int64, budget int) []shortcut.Edge {
 	if m.N() <= 144 {
 		return AdaptiveShortcuts(m, rfEnabled, freq, budget)

@@ -1,20 +1,26 @@
 package experiments
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
 
+	"repro/internal/coherence"
+	"repro/internal/graph"
+	"repro/internal/shortcut"
+	"repro/internal/tech"
 	"repro/internal/topology"
 	"repro/internal/traffic"
 )
 
-// adaptiveSelectionsGolden is the sha256 over the edge lists of every
+// adaptiveSetsGolden is the sha256 over the edge lists of every
 // distinct adaptive shortcut selection a default-options Summary makes
 // (Figures 7, 8 and 9), one "key: edges" line each, sorted by key.
-const adaptiveSelectionsGolden = "7cd9af79ade00c06e947e83861103f2f9675b3888e46294581220ac17019800f"
+const adaptiveSetsGolden = "7cd9af79ade00c06e947e83861103f2f9675b3888e46294581220ac17019800f"
 
 // TestAdaptiveShortcutsGolden pins the application-specific selections
 // behind the paper's claims: any change to the selectors that picks a
@@ -33,7 +39,8 @@ func TestAdaptiveShortcutsGolden(t *testing.T) {
 		if d.Kind != Adaptive {
 			return
 		}
-		// The key buildCached memoizes the selection under.
+		// A label per workload, rate, seed, profile length, budget and
+		// access-point count: the inputs a selection depends on.
 		key := fmt.Sprintf("%s|rate%.6f|seed%d|prof%d|budget%d|rf%d",
 			profile().Name(), opts.Rate, opts.Seed, opts.ProfileCycles, d.budget(), d.RFRouters)
 		if !seen[key] {
@@ -67,8 +74,88 @@ func TestAdaptiveShortcutsGolden(t *testing.T) {
 	})
 	sort.Strings(lines)
 	sum := fmt.Sprintf("%x", sha256.Sum256([]byte(strings.Join(lines, ""))))
-	if sum != adaptiveSelectionsGolden {
+	if sum != adaptiveSetsGolden {
 		t.Errorf("adaptive selection digest %s, want %s; selections:\n%s",
-			sum, adaptiveSelectionsGolden, strings.Join(lines, ""))
+			sum, adaptiveSetsGolden, strings.Join(lines, ""))
 	}
+}
+
+// TestAdaptiveKeepsCheaperSelection checks that AdaptiveShortcuts keeps
+// the cheaper of the permutation-graph greedy and region-based sets by
+// F*W cost, the region set on a tie, on profiles the adaptive designs
+// serve beyond the Summary's: the coherence workload, a replayed trace
+// file and rates far outside the default. The greedy set wins on these
+// but the last, fluidanimate at a fiftieth of the default rate on 100
+// access points, where the region set wins, so dropping the region pass
+// would change a simulated design.
+func TestAdaptiveKeepsCheaperSelection(t *testing.T) {
+	m := topology.New10x10()
+	opts := Options{}.WithDefaults()
+	type workload struct {
+		label string
+		gen   func() traffic.Generator
+	}
+	// The Summary's own profiles are pinned by TestAdaptiveShortcutsGolden.
+	workloads := []workload{{"coherence", func() traffic.Generator {
+		return coherence.New(m, coherence.Workload{}, opts.Seed)
+	}}, {"1Hotspot+multicast trace", func() traffic.Generator {
+		// What cmd/tracegen -multicast writes and rfsim -trace replays.
+		base := traffic.NewProbabilistic(m, traffic.Hotspot1, opts.Rate, opts.Seed)
+		var buf bytes.Buffer
+		if _, err := traffic.WriteTrace(&buf, traffic.NewMulticastAugment(m, base, opts.MulticastRate, 20, opts.Seed), opts.ProfileCycles); err != nil {
+			panic(err)
+		}
+		rp, err := traffic.ReadTrace(&buf)
+		if err != nil {
+			panic(err)
+		}
+		return rp
+	}}}
+	for _, mult := range []float64{0.1, 5} {
+		rate := traffic.DefaultRate * mult
+		workloads = append(workloads, workload{fmt.Sprintf("%s at %gx rate", traffic.Uniform, mult), func() traffic.Generator {
+			return traffic.NewProbabilistic(m, traffic.Uniform, rate, opts.Seed)
+		}}, workload{fmt.Sprintf("%s at %gx rate", traffic.X264, mult), func() traffic.Generator {
+			return traffic.NewAppTrace(m, traffic.X264, rate, opts.Seed)
+		}})
+	}
+	const regionWins = "fluidanimate at 0.02x rate, seed 1000"
+	workloads = append(workloads, workload{regionWins, func() traffic.Generator {
+		return traffic.NewAppTrace(m, traffic.Fluidanimate, traffic.DefaultRate*0.02, 1000)
+	}})
+	g := m.Graph()
+	forEach(len(workloads), func(i int) {
+		w := workloads[i]
+		aps := 50
+		if w.label == regionWins {
+			aps = 100
+		}
+		rf := map[int]bool{}
+		for _, id := range m.RFPlacement(aps) {
+			rf[id] = true
+		}
+		freq := traffic.FrequencyMatrix(w.gen(), m.N(), opts.ProfileCycles)
+		p := shortcut.Params{
+			Budget:   tech.ShortcutBudget,
+			Eligible: func(id int) bool { return rf[id] && m.ShortcutEligible(id) },
+			Freq:     freq,
+			MeshW:    m.W,
+			MeshH:    m.H,
+		}
+		cost := func(edges []shortcut.Edge) int64 {
+			return graph.WeightedCost(shortcut.Apply(g, edges).AllPairs(), freq)
+		}
+		greedy, region := shortcut.SelectGreedyPermutation(g, p), shortcut.SelectRegionBased(g, p)
+		want, kept := greedy, "greedy"
+		if cost(region) <= cost(greedy) {
+			want, kept = region, "region"
+		}
+		if got := AdaptiveShortcuts(m, m.RFPlacement(aps), freq, tech.ShortcutBudget); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: AdaptiveShortcuts = %v, want the %s set %v (greedy F*W %d, region %d)",
+				w.label, got, kept, want, cost(greedy), cost(region))
+		}
+		if (kept == "region") != (w.label == regionWins) {
+			t.Errorf("%s: the %s set is cheaper (greedy F*W %d, region %d)", w.label, kept, cost(greedy), cost(region))
+		}
+	})
 }

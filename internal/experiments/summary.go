@@ -101,8 +101,8 @@ func AblationHeuristics(m *topology.Mesh, budget int) (permutation, maxCost int6
 }
 
 // AblationRegion compares region-based application-specific selection
-// against pure pair-based selection on a hotspot workload, reporting the
-// measured average latency of each.
+// (shortcut.SelectRegionBased) against pure pair-based selection on a
+// hotspot workload, reporting the measured average latency of each.
 func AblationRegion(m *topology.Mesh, opts Options) (region, pair float64) {
 	opts = opts.WithDefaults()
 	profile := traffic.NewProbabilistic(m, traffic.Hotspot1, opts.Rate, opts.Seed)
@@ -119,7 +119,10 @@ func AblationRegion(m *topology.Mesh, opts Options) (region, pair float64) {
 		gen := traffic.NewProbabilistic(m, traffic.Hotspot1, opts.Rate, opts.Seed)
 		return Run(cfg, gen, opts).AvgLatency
 	}
-	regionEdges := AdaptiveShortcuts(m, rfSet, freq, tech.ShortcutBudget)
+	regionEdges := shortcut.SelectRegionBased(m.Graph(), shortcut.Params{
+		Budget: tech.ShortcutBudget, Eligible: eligible,
+		Freq: freq, MeshW: m.W, MeshH: m.H,
+	})
 	pairEdges := shortcut.SelectMaxCost(m.Graph(), shortcut.Params{
 		Budget: tech.ShortcutBudget, Eligible: eligible,
 		Freq: freq,

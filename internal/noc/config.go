@@ -43,6 +43,20 @@ func (m MulticastMode) String() string {
 	return fmt.Sprintf("MulticastMode(%d)", int(m))
 }
 
+// ParseMulticastMode resolves the command-line and sweep-spec names of
+// the multicast modes: "none" or "expand", "vct" and "rf".
+func ParseMulticastMode(name string) (MulticastMode, error) {
+	switch name {
+	case "none", "expand":
+		return MulticastExpand, nil
+	case "vct":
+		return MulticastVCT, nil
+	case "rf":
+		return MulticastRF, nil
+	}
+	return 0, fmt.Errorf("unknown multicast mode %q (want none, expand, vct or rf)", name)
+}
+
 // Config describes one network design point.
 type Config struct {
 	// Mesh is the floorplan. Required.

@@ -12,7 +12,10 @@
 //     inter-router communication frequency F(x,y) (Section 3.2.2);
 //   - the region-based selector that alternates pair placement with
 //     region-to-region placement over 3x3 sub-meshes, so that several
-//     shortcuts can serve one communication hotspot.
+//     shortcuts can serve one communication hotspot;
+//   - Adaptive, the one application-specific selection every simulated
+//     adaptive design uses: the weighted permutation-graph greedy,
+//     memoized by content.
 //
 // Every selector computes all-pairs shortest paths once and updates them
 // in place after each pick (graph.Relax, O(V^2) per added edge), instead
@@ -26,10 +29,15 @@ package shortcut
 
 import (
 	"cmp"
+	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"slices"
 
 	"repro/internal/graph"
+	"repro/internal/sweepcache"
+	"repro/internal/topology"
 )
 
 // Edge is a selected unidirectional shortcut.
@@ -462,17 +470,70 @@ func regionPairEdge(s *state, p Params, a, b Region) (Edge, bool) {
 	return Edge{From: bestSrc, To: bestDst}, true
 }
 
-// SelectAdaptive returns the application-specific shortcut set: both of
-// the paper's Figure 3 heuristics run under the F(x,y)*W(x,y) objective
-// -- the region-based alternating selector and the permutation-graph
-// greedy -- and the set with the lower weighted objective is kept, the
-// region set on a tie. (The paper found its two heuristics comparable
-// and kept the cheaper one; ours differ slightly per workload, so the
-// comparison buys the better set at negligible cost.) The requirements
-// are SelectRegionBased's.
-func SelectAdaptive(g *graph.Digraph, p Params) []Edge {
-	region := SelectRegionBased(g, p)
+// adaptiveMemo holds Adaptive's selections by content. An entry is a
+// 32-byte key and 8 bytes per edge, so the bound costs little; it only
+// stops a long-running service from growing without limit.
+var adaptiveMemo = sweepcache.New(1024)
+
+// Adaptive returns the application-specific shortcut set (Section 3.2.2)
+// for mesh m, with endpoints restricted to the routers in rfEnabled that
+// m allows shortcuts on. It runs both of the paper's heuristics for this
+// case under the F(x,y)*W(x,y) objective -- SelectGreedyPermutation and
+// SelectRegionBased -- and keeps the set with the lower weighted cost,
+// the region set on a tie. The greedy set wins on the paper's workloads,
+// but not on every profile: sparse or few-hot-pair matrices and very low
+// injection rates can favor the region set. A nil freq selects the
+// unweighted objective, which only the greedy serves.
+//
+// Selections are memoized by content -- mesh shape, eligible routers,
+// budget and freq -- with single flight, so a repeated call costs a hash
+// of freq. Every call returns a fresh slice.
+func Adaptive(m *topology.Mesh, rfEnabled []int, freq [][]int64, budget int) []Edge {
+	eligible := make([]bool, m.N())
+	for _, id := range rfEnabled {
+		if id >= 0 && id < len(eligible) && m.ShortcutEligible(id) {
+			eligible[id] = true
+		}
+	}
+	// The computation cannot fail and the context is never cancelled,
+	// so Do cannot return an error.
+	blob, _, _ := adaptiveMemo.Do(context.Background(), adaptiveKey(m, eligible, freq, budget), func() ([]byte, error) {
+		edges := cheaperSet(m.Graph(), Params{
+			Budget:   budget,
+			Eligible: func(id int) bool { return eligible[id] },
+			Freq:     freq,
+			MeshW:    m.W,
+			MeshH:    m.H,
+		})
+		blob := make([]byte, 0, 8*len(edges))
+		for _, e := range edges {
+			blob = binary.LittleEndian.AppendUint32(blob, uint32(e.From))
+			blob = binary.LittleEndian.AppendUint32(blob, uint32(e.To))
+		}
+		return blob, nil
+	})
+	if len(blob) == 0 {
+		return nil
+	}
+	edges := make([]Edge, len(blob)/8)
+	for i := range edges {
+		edges[i] = Edge{
+			From: int(binary.LittleEndian.Uint32(blob[8*i:])),
+			To:   int(binary.LittleEndian.Uint32(blob[8*i+4:])),
+		}
+	}
+	return edges
+}
+
+// cheaperSet is Adaptive's selection: the greedy set, or the region set
+// when p has a frequency matrix and a mesh of at least one region and the
+// region set's F*W cost is no higher.
+func cheaperSet(g *graph.Digraph, p Params) []Edge {
 	greedy := SelectGreedyPermutation(g, p)
+	if p.Freq == nil || p.MeshW < RegionSize || p.MeshH < RegionSize {
+		return greedy
+	}
+	region := SelectRegionBased(g, p)
 	base := g.AllPairs()
 	cost := func(edges []Edge) int64 {
 		apsp := make([][]int, len(base))
@@ -488,6 +549,41 @@ func SelectAdaptive(g *graph.Digraph, p Params) []Edge {
 		return region
 	}
 	return greedy
+}
+
+// adaptiveKey is the sha256 of everything Adaptive's selection reads.
+// Lengths are written before contents, and a nil freq or row as length
+// -1, so a nil row and a row of zeros get different keys.
+func adaptiveKey(m *topology.Mesh, eligible []bool, freq [][]int64, budget int) string {
+	var buf []byte
+	put := func(v int64) { buf = binary.LittleEndian.AppendUint64(buf, uint64(v)) }
+	put(int64(m.W))
+	put(int64(m.H))
+	put(int64(budget))
+	for _, ok := range eligible {
+		if ok {
+			buf = append(buf, 1)
+		} else {
+			buf = append(buf, 0)
+		}
+	}
+	if freq == nil {
+		put(-1)
+	} else {
+		put(int64(len(freq)))
+	}
+	for _, row := range freq {
+		if row == nil {
+			put(-1)
+			continue
+		}
+		put(int64(len(row)))
+		for _, f := range row {
+			put(f)
+		}
+	}
+	sum := sha256.Sum256(buf)
+	return string(sum[:])
 }
 
 // Apply returns a clone of g augmented with the selected shortcuts as

@@ -67,6 +67,21 @@ const (
 	ShortcutBudget = 16
 )
 
+// ShortcutBudgetFor is the number of shortcuts of widthBytes (0 means
+// ShortcutWidthBytes) the aggregate RF-I bandwidth affords, one fewer
+// when a band is taken by the multicast channel (the paper's MC+SC
+// uses 15).
+func ShortcutBudgetFor(widthBytes int, multicastBand bool) int {
+	if widthBytes <= 0 {
+		widthBytes = ShortcutWidthBytes
+	}
+	b := RFIAggregateBytes / widthBytes
+	if multicastBand {
+		b--
+	}
+	return b
+}
+
 // Wire-level RC parameters from the paper's Figure 6(a). They feed the
 // CosiNoC/IPEM-style link model in internal/power.
 const (

@@ -275,7 +275,10 @@ func StaticShortcuts(m *Mesh, budget int) []ShortcutEdge {
 }
 
 // AdaptiveShortcuts selects the application-specific shortcut set
-// (Section 3.2.2) for the given RF-enabled routers and traffic profile.
+// (Section 3.2.2) for the given RF-enabled routers and traffic profile:
+// the permutation-graph greedy under the F(x,y)*W(x,y) objective. Sets
+// are memoized by content, so a repeated call is cheap; each call returns
+// a fresh slice the caller may modify.
 func AdaptiveShortcuts(m *Mesh, rfEnabled []int, freq [][]int64, budget int) []ShortcutEdge {
 	return experiments.AdaptiveShortcuts(m, rfEnabled, freq, budget)
 }
