@@ -75,6 +75,11 @@ func benchPortablePoint(b *testing.B, seed, cycles int64) SweepPoint {
 	return pt
 }
 
+// adaptiveBenchKey numbers BenchmarkAdaptiveShortcuts' selections. It
+// never repeats, across b.N rounds and -count runs alike, so every
+// iteration misses the content-keyed memo.
+var adaptiveBenchKey int64
+
 // BenchmarkAdaptiveShortcuts times one application-specific selection,
 // a memo miss, as a Summary makes 21 of: HotBiDF profile, 50 RF-enabled
 // routers, budget 16.
@@ -93,7 +98,8 @@ func BenchmarkAdaptiveShortcuts(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		// A new count of x's traffic to itself, which no shortcut can
 		// shorten, misses the memo without changing the selection.
-		freq[x][x] = int64(i) + 1
+		adaptiveBenchKey++
+		freq[x][x] = adaptiveBenchKey
 		if got := AdaptiveShortcuts(m, rf, freq, tech.ShortcutBudget); len(got) == 0 {
 			b.Fatal("selection failed")
 		}

@@ -92,7 +92,8 @@ func Fig7(m *topology.Mesh, opts Options) Fig7Result {
 
 // compareDesigns runs each design over all seven probabilistic traces
 // (in parallel across independent simulations) and normalizes against
-// the per-trace 16 B baseline.
+// the per-trace 16 B baseline. A design equal to that baseline reuses its
+// runs instead of repeating them.
 func compareDesigns(m *topology.Mesh, designs []Design, opts Options) Fig7Result {
 	opts = opts.WithDefaults()
 	pats := traffic.Patterns()
@@ -105,14 +106,18 @@ func compareDesigns(m *topology.Mesh, designs []Design, opts Options) Fig7Result
 		out.Designs[di] = d.Name()
 		out.Points[di] = make([]NormPoint, len(pats))
 	}
+	baseline := Design{Kind: Baseline, Width: tech.Width16B}
 	base := make([]Result, len(pats))
 	forEach(len(pats), func(ti int) {
 		out.Traces[ti] = pats[ti].String()
-		base[ti] = RunDesign(m, Design{Kind: Baseline, Width: tech.Width16B}, pats[ti], opts)
+		base[ti] = RunDesign(m, baseline, pats[ti], opts)
 	})
 	forEach(len(designs)*len(pats), func(k int) {
 		di, ti := k/len(pats), k%len(pats)
-		r := RunDesign(m, designs[di], pats[ti], opts)
+		r := base[ti]
+		if designs[di] != baseline {
+			r = RunDesign(m, designs[di], pats[ti], opts)
+		}
 		out.Points[di][ti] = NormPoint{
 			Latency: r.AvgLatency / base[ti].AvgLatency,
 			Power:   r.PowerW / base[ti].PowerW,

@@ -7,9 +7,9 @@ import (
 
 // The figure runners fan independent simulations out over a bounded
 // worker pool. Each simulation owns its network and generators, so the
-// only shared state is the adaptive-selection cache (mutex-protected in
-// run.go). Results land in pre-sized slots, keeping output order
-// deterministic regardless of scheduling.
+// only shared state is shortcut.Adaptive's selection memo (single-flight
+// and safe for concurrent use). Results land in pre-sized slots, keeping
+// output order deterministic regardless of scheduling.
 
 // Workers bounds experiment parallelism. Defaults to GOMAXPROCS; tests
 // and benchmarks may reduce it for determinism of timing measurements.

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/noc"
 	"repro/internal/power"
-	"repro/internal/shortcut"
 	"repro/internal/stats"
 	"repro/internal/tech"
 	"repro/internal/topology"
@@ -57,7 +56,7 @@ func ScalingStudy(sizes []int, opts Options) []ScalingRow {
 
 		rf := m.RFStagger(2)
 		freq := traffic.FrequencyMatrix(gen(), m.N(), opts.ProfileCycles)
-		edges := scaledAdaptiveShortcuts(m, rf, freq, tech.ShortcutBudget)
+		edges := AdaptiveShortcuts(m, rf, freq, tech.ShortcutBudget)
 		a4 := Run(noc.Config{
 			Mesh: m, Width: tech.Width4B, Shortcuts: edges, RFEnabled: rf,
 		}, gen(), opts)
@@ -72,26 +71,6 @@ func ScalingStudy(sizes []int, opts Options) []ScalingRow {
 		out[i] = row
 	})
 	return out
-}
-
-// scaledAdaptiveShortcuts is AdaptiveShortcuts up to 12x12. Above that
-// the permutation-graph greedy's O(BV^4) cost bites, and the region-based
-// selector runs alone.
-func scaledAdaptiveShortcuts(m *topology.Mesh, rfEnabled []int, freq [][]int64, budget int) []shortcut.Edge {
-	if m.N() <= 144 {
-		return AdaptiveShortcuts(m, rfEnabled, freq, budget)
-	}
-	rf := map[int]bool{}
-	for _, id := range rfEnabled {
-		rf[id] = true
-	}
-	return shortcut.SelectRegionBased(m.Graph(), shortcut.Params{
-		Budget:   budget,
-		Eligible: func(id int) bool { return rf[id] && m.ShortcutEligible(id) },
-		Freq:     freq,
-		MeshW:    m.W,
-		MeshH:    m.H,
-	})
 }
 
 // RenderScaling draws the scaling table.

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -30,16 +31,18 @@ func (c Claim) Delta() float64 { return (c.Measured - c.Paper) * 100 }
 func Summary(m *topology.Mesh, opts Options) []Claim {
 	opts = opts.WithDefaults()
 
-	f7 := Fig7(m, opts)
-	means7 := f7.Means()
-	// Designs: static-16B, adaptive50-16B, adaptive25-16B.
-
-	f8 := Fig8(m, opts)
-	means8 := f8.Means()
-	// Designs: (baseline, static, adaptive50) x (16,8,4).
-	idx8 := map[string]int{}
-	for i, d := range f8.Designs {
-		idx8[d] = i
+	// Figures 7 and 8 share the 16 B baseline, static-16B and
+	// adaptive50-16B, so one pass over their union runs each once.
+	designs := Fig8Designs()
+	for _, d := range Fig7Designs() {
+		if !slices.Contains(designs, d) {
+			designs = append(designs, d)
+		}
+	}
+	means := compareDesigns(m, designs, opts).Means()
+	mean := map[string]NormPoint{}
+	for i, d := range designs {
+		mean[d.Name()] = means[i]
 	}
 
 	f9 := Fig9(m, opts)
@@ -50,21 +53,21 @@ func Summary(m *topology.Mesh, opts Options) []Claim {
 	}
 
 	claims := []Claim{
-		{"static shortcuts: latency vs 16B baseline", 0.80, means7[0].Latency},
-		{"static shortcuts: power vs 16B baseline", 1.11, means7[0].Power},
-		{"adaptive-50: latency vs 16B baseline", 0.68, means7[1].Latency},
-		{"adaptive-50: power vs 16B baseline", 1.24, means7[1].Power},
-		{"adaptive-25: latency vs 16B baseline", 0.72, means7[2].Latency},
-		{"adaptive-25: power vs 16B baseline", 1.15, means7[2].Power},
+		{"static shortcuts: latency vs 16B baseline", 0.80, mean["static-16B"].Latency},
+		{"static shortcuts: power vs 16B baseline", 1.11, mean["static-16B"].Power},
+		{"adaptive-50: latency vs 16B baseline", 0.68, mean["adaptive50-16B"].Latency},
+		{"adaptive-50: power vs 16B baseline", 1.24, mean["adaptive50-16B"].Power},
+		{"adaptive-25: latency vs 16B baseline", 0.72, mean["adaptive25-16B"].Latency},
+		{"adaptive-25: power vs 16B baseline", 1.15, mean["adaptive25-16B"].Power},
 
-		{"8B baseline: power vs 16B", 0.52, means8[idx8["baseline-8B"]].Power},
-		{"8B baseline: latency vs 16B", 1.04, means8[idx8["baseline-8B"]].Latency},
-		{"4B baseline: power vs 16B", 0.28, means8[idx8["baseline-4B"]].Power},
-		{"4B baseline: latency vs 16B", 1.27, means8[idx8["baseline-4B"]].Latency},
-		{"4B static: power vs 16B baseline", 0.33, means8[idx8["static-4B"]].Power},
-		{"4B static: latency vs 16B baseline", 1.11, means8[idx8["static-4B"]].Latency},
-		{"4B adaptive: power vs 16B baseline", 0.38, means8[idx8["adaptive50-4B"]].Power},
-		{"4B adaptive: latency vs 16B baseline", 0.99, means8[idx8["adaptive50-4B"]].Latency},
+		{"8B baseline: power vs 16B", 0.52, mean["baseline-8B"].Power},
+		{"8B baseline: latency vs 16B", 1.04, mean["baseline-8B"].Latency},
+		{"4B baseline: power vs 16B", 0.28, mean["baseline-4B"].Power},
+		{"4B baseline: latency vs 16B", 1.27, mean["baseline-4B"].Latency},
+		{"4B static: power vs 16B baseline", 0.33, mean["static-4B"].Power},
+		{"4B static: latency vs 16B baseline", 1.11, mean["static-4B"].Latency},
+		{"4B adaptive: power vs 16B baseline", 0.38, mean["adaptive50-4B"].Power},
+		{"4B adaptive: latency vs 16B baseline", 0.99, mean["adaptive50-4B"].Latency},
 
 		{"RF multicast: latency vs baseline", 0.86, means9[idx9["MC-20"]].Latency},
 		{"RF multicast: power vs baseline", 1.11, means9[idx9["MC-20"]].Power},

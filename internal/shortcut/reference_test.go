@@ -12,7 +12,8 @@ import (
 // straightforward reference implementation that recomputes all-pairs
 // shortest paths after every pick and scores greedy candidates by their
 // full objective. The edge lists must match exactly, tie-breaks included,
-// on random meshes, eligible sets, budgets and frequency matrices.
+// on random meshes, eligible sets, budgets and frequency matrices, and on
+// meshes with one-way links, where some distances are graph.Infinity.
 func TestSelectorsMatchReference(t *testing.T) {
 	cases := 24
 	if testing.Short() {
@@ -58,16 +59,72 @@ func TestSelectorsMatchReference(t *testing.T) {
 			}
 		}
 		name := fmt.Sprintf("%dx%d/%s/budget%d/min%d", w, h, kind, p.Budget, p.MinDistance)
-		check := func(sel string, got, want []Edge) {
-			if fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Errorf("%s %s:\n got  %v\n want %v", name, sel, got, want)
+		checkAgainstReference(t, name, g, p)
+	}
+
+	// One-way meshes: every link across one column boundary runs east
+	// only, so no router east of it reaches one west of it, and a few
+	// more links lose one direction.
+	cases = 8
+	if testing.Short() {
+		cases = 2
+	}
+	rng = rand.New(rand.NewSource(29))
+	for c := 0; c < cases; c++ {
+		w, h := 4+rng.Intn(5), 4+rng.Intn(5)
+		g := graph.Grid(w, h)
+		n := w * h
+		cut := rng.Intn(w - 1)
+		for y := 0; y < h; y++ {
+			g.RemoveEdge(y*w+cut+1, y*w+cut)
+		}
+		for k := rng.Intn(n / 2); k > 0; k-- {
+			x, y := rng.Intn(w-1), rng.Intn(h)
+			g.RemoveEdge(y*w+x, y*w+x+1)
+		}
+		elig := make([]bool, n)
+		for i := range elig {
+			elig[i] = rng.Float64() < 0.7
+		}
+		p := Params{
+			Budget:   1 + rng.Intn(12),
+			Eligible: func(id int) bool { return elig[id] },
+			MeshW:    w,
+			MeshH:    h,
+		}
+		kind := "nil"
+		if c%2 == 1 {
+			kind = "dense"
+			p.Freq = make([][]int64, n)
+			for x := range p.Freq {
+				p.Freq[x] = make([]int64, n)
+				for y := range p.Freq[x] {
+					p.Freq[x][y] = int64(rng.Intn(4))
+				}
 			}
 		}
-		check("max-cost", SelectMaxCost(g, p), refMaxCost(g, p))
-		check("greedy", SelectGreedyPermutation(g, p), refGreedy(g, p))
-		if p.Freq != nil {
-			check("region", SelectRegionBased(g, p), refRegionBased(g, p))
+		name := fmt.Sprintf("%dx%d/one-way-cut%d/%s/budget%d", w, h, cut, kind, p.Budget)
+		if g.AllPairs()[n-1][0] < graph.Infinity {
+			t.Fatalf("%s: the cut leaves every pair reachable", name)
 		}
+		checkAgainstReference(t, name, g, p)
+	}
+}
+
+// checkAgainstReference compares the selectors on g with their
+// references: max-cost and greedy always, region-based when p has a
+// frequency matrix.
+func checkAgainstReference(t *testing.T, name string, g *graph.Digraph, p Params) {
+	t.Helper()
+	check := func(sel string, got, want []Edge) {
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s %s:\n got  %v\n want %v", name, sel, got, want)
+		}
+	}
+	check("max-cost", SelectMaxCost(g, p), refMaxCost(g, p))
+	check("greedy", SelectGreedyPermutation(g, p), refGreedy(g, p))
+	if p.Freq != nil {
+		check("region", SelectRegionBased(g, p), refRegionBased(g, p))
 	}
 }
 

@@ -3,9 +3,11 @@
 //
 //   - the permutation-graph greedy heuristic of Figure 3(a), which tries
 //     every candidate edge against the full objective (O(B*V^5) naively,
-//     as the paper states; here each candidate is scored by its gain over
-//     the rows and columns it can shorten, O(V + |R||C|), so O(B*V^4) in
-//     the worst case and far less on a mesh);
+//     as the paper states; here each pick tabulates, per free destination
+//     and source row, the gain as a function of the distance to the
+//     candidate source, then scores each candidate in O(V):
+//     O(B*(|J|*V*(V+D) + |I|*|J|*V)) for I and J the free sources and
+//     destinations and D the largest distance, so O(B*V^3));
 //   - the max-cost heuristic of Figure 3(b), which repeatedly adds the
 //     most expensive remaining pair (O(B*V^2) after one APSP);
 //   - application-specific variants of both, which weight the objective by
@@ -28,7 +30,7 @@
 package shortcut
 
 import (
-	"cmp"
+	"container/heap"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
@@ -173,82 +175,118 @@ func freqAt(freq [][]int64, i, j int) int64 {
 // candidate edge (i,j), evaluate the total objective of the permutation
 // graph G' = G + (i,j) and keep the candidate with the best improvement;
 // repeat until the budget is exhausted. The objective is the sum over all
-// pairs of W(x,y), or of F(x,y)*W(x,y) when p.Freq is non-nil.
+// pairs of W(x,y), or of F(x,y)*W(x,y) when p.Freq is non-nil (the
+// unweighted objective is F = 1 everywhere).
 //
 // Rather than recomputing APSP for every candidate (the paper's O(B*V^5)
 // bound), a candidate is scored by its gain, the objective it removes:
-// with the new edge, d'(x,y) = min(d(x,y), d(x,i) + 1 + d(j,y)). Only
-// pairs with x in R = {x : d(x,i)+1 < d(x,j)} and y in C = {y : d(j,y)+1
-// < d(i,y)} can shorten (by the triangle inequality, d(x,y) <=
-// d(x,j)+d(j,y) and d(x,y) <= d(x,i)+d(i,y)), so a candidate costs
-// O(V + |R||C|) instead of O(V^2). The distances are updated in place
-// after each pick (graph.Relax). Comparing gains strictly, from zero,
-// keeps the first candidate among equals, exactly as comparing the totals
-// strictly would.
+// with the new edge, d'(x,y) = min(d(x,y), d(x,i) + 1 + d(j,y)), so
+//
+//	gain(i,j) = sum_x G_{j,x}(d(x,i)+1),
+//	G_{j,x}(v) = sum_y F(x,y) * max(0, s - v),  s = d(x,y) - d(j,y).
+//
+// G_{j,x} depends on the source i only through v, which is at most D+1
+// for the largest finite distance D, so each pick tabulates it once per
+// free destination j and row x, from one histogram of s and its suffix
+// sums (O(V+D)), and then scores each candidate in O(V). A pick costs
+// O(|J|*V*(V+D) + |I|*|J|*V), so the whole selection O(B*V^3) on a mesh.
+// The distances are updated in place after each pick (graph.Relax).
+// Comparing gains strictly, from zero, in source-then-destination order
+// keeps the first candidate among equals, exactly as comparing the
+// totals strictly would.
 func SelectGreedyPermutation(g *graph.Digraph, p Params) []Edge {
 	s := newState(g.AllPairs())
 	n := len(s.apsp)
 	freq := denseFreq(p.Freq, n)
-	// col[v][x] = d(x,v): the transposed distances, so that the row test
-	// reads contiguous memory.
+	if freq == nil {
+		ones := make([]int64, n)
+		for y := range ones {
+			ones[y] = 1
+		}
+		freq = make([][]int64, n)
+		for x := range freq {
+			freq[x] = ones
+		}
+	}
+	// col[v][x] = d(x,v): the transposed distances, so that scoring a
+	// source reads contiguous memory.
 	col := make([][]int, n)
 	for v := range col {
 		col[v] = make([]int, n)
 	}
-	rows, cols := make([]int, 0, n), make([]int, 0, n)
+	gains := make([]int64, n*n)
+	var table, cnt, sum []int64
 	for len(s.out) < p.Budget {
+		maxD := 0
 		for x, row := range s.apsp {
 			for v, d := range row {
 				col[v][x] = d
+				if d < graph.Infinity && d > maxD {
+					maxD = d
+				}
+			}
+		}
+		// table[x*span+d] = G_{j,x}(d+1) for d = 0..D; histogram bucket
+		// top (s >= D+2) collects every s that exceeds all v.
+		span, top := maxD+1, maxD+2
+		table = slices.Grow(table[:0], n*span)[:n*span]
+		cnt = slices.Grow(cnt[:0], top+1)[:top+1]
+		sum = slices.Grow(sum[:0], top+1)[:top+1]
+		clear(gains)
+		for j := 0; j < n; j++ {
+			if s.dst[j] || !p.eligible(j) {
+				continue
+			}
+			rowJ := s.apsp[j]
+			for x, rowX := range s.apsp {
+				gx := table[x*span : (x+1)*span]
+				fx := freq[x]
+				if fx == nil {
+					clear(gx)
+					continue
+				}
+				clear(cnt)
+				clear(sum)
+				for y, dxy := range rowX {
+					// Only s > v >= 1 can shorten a path. An unreachable
+					// (x,y) gives a huge s: it lands in the top bucket
+					// but adds its true value, as d(x,y) - v - d(j,y)
+					// would.
+					sd := dxy - rowJ[y]
+					if sd < 2 || fx[y] == 0 {
+						continue
+					}
+					b := min(sd, top)
+					cnt[b] += fx[y]
+					sum[b] += fx[y] * int64(sd)
+				}
+				// G(v) = sum_{s>v} F*s - v * sum_{s>v} F.
+				var above, aboveSum int64
+				for v := span; v >= 1; v-- {
+					above += cnt[v+1]
+					aboveSum += sum[v+1]
+					gx[v-1] = aboveSum - int64(v)*above
+				}
+			}
+			for i := 0; i < n; i++ {
+				if !s.ok(p, i, j) || s.apsp[i][j] < p.minDist() {
+					continue
+				}
+				var gain int64
+				for x, dxi := range col[i] {
+					if dxi < graph.Infinity {
+						gain += table[x*span+dxi]
+					}
+				}
+				gains[i*n+j] = gain
 			}
 		}
 		var best Edge
 		var bestGain int64 // only accept strict improvements
-		for i := 0; i < n; i++ {
-			if s.src[i] || !p.eligible(i) {
-				continue
-			}
-			rowI, colI := s.apsp[i], col[i]
-			for j := 0; j < n; j++ {
-				if !s.ok(p, i, j) || rowI[j] < p.minDist() {
-					continue
-				}
-				rowJ, colJ := s.apsp[j], col[j]
-				rows, cols = rows[:0], cols[:0]
-				for x, dxi := range colI {
-					if dxi+1 < colJ[x] && (freq == nil || freq[x] != nil) {
-						rows = append(rows, x)
-					}
-				}
-				for y, djy := range rowJ {
-					if djy+1 < rowI[y] {
-						cols = append(cols, y)
-					}
-				}
-				var gain int64
-				for _, x := range rows {
-					rowX, via := s.apsp[x], colI[x]+1
-					if freq == nil {
-						// Unweighted loop kept separate: it runs about
-						// twice as fast as multiplying by ones.
-						for _, y := range cols {
-							if d := rowX[y] - via - rowJ[y]; d > 0 {
-								gain += int64(d)
-							}
-						}
-						continue
-					}
-					fx := freq[x]
-					for _, y := range cols {
-						if d := rowX[y] - via - rowJ[y]; d > 0 {
-							gain += fx[y] * int64(d)
-						}
-					}
-				}
-				if gain > bestGain {
-					bestGain = gain
-					best = Edge{From: i, To: j}
-				}
+		for k, gain := range gains {
+			if gain > bestGain {
+				bestGain = gain
+				best = Edge{From: k / n, To: k % n}
 			}
 		}
 		if bestGain == 0 {
@@ -318,28 +356,6 @@ func abs(x int) int {
 	return x
 }
 
-// regionCost computes C_Region(A,B) = sum over x in A, y in B of
-// F(x,y) * W(x,y). Traffic counts regardless of whether the routers'
-// shortcut ports are taken -- that is exactly the point of region-based
-// selection: a hotspot with an occupied port still attracts shortcuts to
-// its neighbors.
-func regionCost(apsp [][]int, p Params, a, b Region) int64 {
-	var total int64
-	for _, x := range a.ids {
-		for _, y := range b.ids {
-			if x == y {
-				continue
-			}
-			f := freqAt(p.Freq, x, y)
-			if f == 0 {
-				continue
-			}
-			total += f * int64(apsp[x][y])
-		}
-	}
-	return total
-}
-
 // SelectRegionBased implements the Section 3.2.2 application-specific
 // selector: it alternates between placing a pair shortcut (the max-F*W
 // pair, as in SelectMaxCost) and placing a region shortcut. A region step
@@ -357,18 +373,18 @@ func SelectRegionBased(g *graph.Digraph, p Params) []Edge {
 	if p.MeshW < RegionSize || p.MeshH < RegionSize {
 		panic("shortcut: SelectRegionBased requires mesh dimensions")
 	}
-	regs := regions(p.MeshW, p.MeshH)
 	s := newState(g.AllPairs())
+	rs := &regionScratch{regs: regions(p.MeshW, p.MeshH), freq: denseFreq(p.Freq, len(s.apsp))}
 	for len(s.out) < p.Budget {
 		var e Edge
 		var ok bool
 		if len(s.out)%2 == 0 {
 			e, ok = bestPair(s, p)
 			if !ok {
-				e, ok = bestRegionEdge(s, p, regs)
+				e, ok = rs.bestEdge(s, p)
 			}
 		} else {
-			e, ok = bestRegionEdge(s, p, regs)
+			e, ok = rs.bestEdge(s, p)
 			if !ok {
 				// No region pair has remaining frequency; fall back to
 				// pair placement so the budget is not wasted.
@@ -383,10 +399,34 @@ func SelectRegionBased(g *graph.Digraph, p Params) []Edge {
 	return s.out
 }
 
-// bestRegionEdge finds the max-C_Region non-overlapping region pair and
-// returns the best edge inside it. Region pairs with zero cost are
-// skipped; if the best region pair yields no eligible edge the next best
-// pair is tried.
+// regionScratch is a region-based selection's regions and the buffers
+// its region steps reuse.
+type regionScratch struct {
+	regs []Region
+	freq [][]int64 // p.Freq, dense
+	// colSum[a*V+y] = S_a(y), the F*W traffic from region a to router y.
+	colSum []int64
+	pairs  regionHeap
+}
+
+type regionPair struct {
+	a, b int // indices into regs
+	c    int64
+}
+
+// bestEdge finds the max-C_Region non-overlapping region pair and
+// returns the best edge inside it. C_Region(A,B) is the sum over x in A,
+// y in B of F(x,y) * W(x,y); traffic counts regardless of whether the
+// routers' shortcut ports are taken -- that is exactly the point of
+// region-based selection: a hotspot with an occupied port still attracts
+// shortcuts to its neighbors. Region pairs with zero cost are skipped; if
+// the best region pair yields no eligible edge the next best pair is
+// tried.
+//
+// The costs come from per-region column sums S_A(y) = sum over x in A of
+// F(x,y) * W(x,y), so C_Region(A,B) = sum over y in B of S_A(y): O(V) per
+// region and O(|B|) per pair. (W(x,x) = 0, so pairs with x = y add
+// nothing.)
 //
 // Within the chosen region pair (I,J) the edge endpoints are picked by
 // traffic proximity: the source i in I (with a free outbound port)
@@ -394,31 +434,79 @@ func SelectRegionBased(g *graph.Digraph, p Params) []Edge {
 // port) closest to J's heavy receivers, weighted by message counts. This
 // is what lets a second or third shortcut serve a hotspot whose own
 // inbound port is already taken: the edge lands on an unused neighbor.
-func bestRegionEdge(s *state, p Params, regs []Region) (Edge, bool) {
-	type scored struct {
-		a, b int // indices into regs
-		c    int64
-	}
-	var pairs []scored
-	for ai := range regs {
-		for bi := range regs {
-			if ai == bi || regs[ai].overlaps(regs[bi]) {
+func (rs *regionScratch) bestEdge(s *state, p Params) (Edge, bool) {
+	n := len(s.apsp)
+	rs.colSum = slices.Grow(rs.colSum[:0], len(rs.regs)*n)[:len(rs.regs)*n]
+	clear(rs.colSum)
+	for a, r := range rs.regs {
+		sa := rs.colSum[a*n : (a+1)*n]
+		for _, x := range r.ids {
+			fx, rowX := rs.freq[x], s.apsp[x]
+			if fx == nil {
 				continue
 			}
-			if c := regionCost(s.apsp, p, regs[ai], regs[bi]); c > 0 {
-				pairs = append(pairs, scored{ai, bi, c})
+			for y, f := range fx {
+				if f != 0 {
+					sa[y] += f * int64(rowX[y])
+				}
 			}
 		}
 	}
-	// Descending by cost; the stable sort keeps equal-cost pairs in
-	// enumeration order.
-	slices.SortStableFunc(pairs, func(x, y scored) int { return cmp.Compare(y.c, x.c) })
-	for _, pr := range pairs {
-		if e, ok := regionPairEdge(s, p, regs[pr.a], regs[pr.b]); ok {
+	rs.pairs = rs.pairs[:0]
+	for ai := range rs.regs {
+		sa := rs.colSum[ai*n : (ai+1)*n]
+		for bi, rb := range rs.regs {
+			if ai == bi || rs.regs[ai].overlaps(rb) {
+				continue
+			}
+			var c int64
+			for _, y := range rb.ids {
+				c += sa[y]
+			}
+			if c > 0 {
+				rs.pairs = append(rs.pairs, regionPair{ai, bi, c})
+			}
+		}
+	}
+	// Try the pairs best first. Usually the first yields an edge, so a
+	// heap, not a full sort, orders them.
+	heap.Init(&rs.pairs)
+	for len(rs.pairs) > 0 {
+		pr := heap.Pop(&rs.pairs).(regionPair)
+		if e, ok := regionPairEdge(s, p, rs.regs[pr.a], rs.regs[pr.b]); ok {
 			return e, true
 		}
 	}
 	return Edge{}, false
+}
+
+// regionHeap orders region pairs by descending cost, equal costs in
+// enumeration order (by a, then b): the order a stable sort by cost
+// gives.
+type regionHeap []regionPair
+
+func (h regionHeap) Len() int { return len(h) }
+
+func (h regionHeap) Less(i, j int) bool {
+	x, y := h[i], h[j]
+	if x.c != y.c {
+		return x.c > y.c
+	}
+	if x.a != y.a {
+		return x.a < y.a
+	}
+	return x.b < y.b
+}
+
+func (h regionHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+
+func (h *regionHeap) Push(x any) { *h = append(*h, x.(regionPair)) }
+
+func (h *regionHeap) Pop() any {
+	old := *h
+	x := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return x
 }
 
 // regionPairEdge picks the concrete edge (i,j), i in A, j in B, for a

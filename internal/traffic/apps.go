@@ -214,16 +214,19 @@ func (t *AppTrace) Pending() int { return t.prob.future.Len() }
 // for the actual simulation.
 func FrequencyMatrix(g Generator, n int, cycles int64) [][]int64 {
 	freq := make([][]int64, n)
+	// One closure for the whole run: a func literal passed to Tick inside
+	// the loop would be allocated every cycle.
+	count := func(m noc.Message) {
+		if m.Multicast {
+			return
+		}
+		if freq[m.Src] == nil {
+			freq[m.Src] = make([]int64, n)
+		}
+		freq[m.Src][m.Dst]++
+	}
 	for now := int64(0); now < cycles; now++ {
-		g.Tick(now, func(m noc.Message) {
-			if m.Multicast {
-				return
-			}
-			if freq[m.Src] == nil {
-				freq[m.Src] = make([]int64, n)
-			}
-			freq[m.Src][m.Dst]++
-		})
+		g.Tick(now, count)
 	}
 	return freq
 }

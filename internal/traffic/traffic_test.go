@@ -309,3 +309,31 @@ func TestPatternStrings(t *testing.T) {
 		t.Error("want 5 application traces")
 	}
 }
+
+// rowSender is a non-allocating generator: at cycle now it sends one
+// unicast message from router now%srcs, and one multicast message.
+type rowSender struct{ srcs, n int }
+
+func (rowSender) Name() string { return "rows" }
+
+func (g rowSender) Tick(now int64, inject func(noc.Message)) {
+	src := int(now) % g.srcs
+	inject(noc.Message{Src: src, Dst: (src + 1 + int(now)) % g.n})
+	inject(noc.Message{Src: src, Multicast: true})
+}
+
+// TestFrequencyMatrixAllocsPerRow checks that profiling allocates per
+// source row, not per cycle: one row per sending router, the outer
+// slice, and the one closure that counts messages.
+func TestFrequencyMatrixAllocsPerRow(t *testing.T) {
+	const srcs, n = 5, 100
+	var g Generator = rowSender{srcs: srcs, n: n}
+	allocs := testing.AllocsPerRun(10, func() {
+		if freq := FrequencyMatrix(g, n, 2000); freq[0] == nil {
+			t.Fatal("no traffic counted")
+		}
+	})
+	if allocs > srcs+2 {
+		t.Errorf("FrequencyMatrix made %v allocations over 2000 cycles, want at most %d", allocs, srcs+2)
+	}
+}
