@@ -73,6 +73,27 @@ func BenchmarkFig8BandwidthReduction(b *testing.B) {
 	}
 }
 
+// summaryBenchSeed numbers BenchmarkSummary's runs. It never repeats,
+// across b.N rounds and -count runs alike, so every Summary profiles
+// fresh traces and misses the content-keyed selection memo, as the first
+// Summary of a process does.
+var summaryBenchSeed int64
+
+// BenchmarkSummary regenerates the 18 headline claims at 5k cycles, the
+// shortest run that keeps every claim within 1.3 pp of its 20k-cycle
+// value.
+func BenchmarkSummary(b *testing.B) {
+	m := rfnoc.NewMesh()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		summaryBenchSeed++
+		claims := rfnoc.HeadlineClaims(m, rfnoc.Options{Cycles: 5000, Seed: summaryBenchSeed})
+		if len(claims) != 18 {
+			b.Fatalf("want 18 claims, got %d", len(claims))
+		}
+	}
+}
+
 // BenchmarkTable2Area regenerates Table 2 (area of the nine designs).
 func BenchmarkTable2Area(b *testing.B) {
 	m := rfnoc.NewMesh()

@@ -2,10 +2,10 @@
 // it into a regression gate. It executes the BenchmarkStep* hot-path
 // benchmarks (internal/noc), the BenchmarkFig* figure-reproduction
 // benchmarks (root package), the BenchmarkSweepThroughput isolation
-// overhead benchmark (internal/experiments) and the per-point set-up
-// benchmarks (BenchmarkShortcutSelection*, BenchmarkAdaptiveShortcuts,
-// BenchmarkBuildRoutes) -count times each, takes the
-// per-benchmark median of ns/op, B/op, allocs/op and every custom
+// overhead benchmark (internal/experiments), BenchmarkSummary (the 18
+// headline claims) and the per-point set-up benchmarks
+// (BenchmarkShortcutSelection*, BenchmarkAdaptiveShortcuts,
+// BenchmarkBuildRoutes) -count times each, takes the per-benchmark median of ns/op, B/op, allocs/op and every custom
 // b.ReportMetric unit (e.g. points/sec), and writes the result, with the
 // host's core count, as a BENCH_<n>.json artifact. When a previous
 // BENCH_*.json exists in -dir, the run is compared against the newest
@@ -96,6 +96,9 @@ func run(args []string) int {
 		{pkg: "./internal/noc", regex: "^BenchmarkStep", benchtime: *steptime},
 		// Figure reproductions do a fixed sweep per iteration: one is enough.
 		{pkg: ".", regex: "^BenchmarkFig", benchtime: "1x"},
+		// The headline claims as the figures job computes them, each
+		// iteration on a fresh seed so the selection memo stays cold.
+		{pkg: ".", regex: "^BenchmarkSummary$", benchtime: "1x"},
 		// Sweep throughput, in-process vs worker-process isolation: pins
 		// the subprocess tax so -isolate overhead regressions fail the gate.
 		{pkg: "./internal/experiments", regex: "^BenchmarkSweepThroughput", benchtime: "1x"},

@@ -104,6 +104,23 @@ func (d Design) budget() int {
 // inter-router frequency matrix that drives application-specific
 // shortcut selection; pass nil for non-adaptive designs.
 func Build(m *topology.Mesh, d Design, profile traffic.Generator, profileCycles int64) noc.Config {
+	var freq [][]int64
+	if d.Kind == Adaptive {
+		if profile == nil {
+			panic("experiments: adaptive design needs a workload profile")
+		}
+		if profileCycles <= 0 {
+			profileCycles = 20000
+		}
+		freq = traffic.FrequencyMatrix(profile, m.N(), profileCycles)
+	}
+	return build(m, d, freq)
+}
+
+// build is Build from an already-collected frequency matrix, which only
+// an Adaptive design reads. The figure runners call it directly so that
+// the adaptive points of one trace share one profile.
+func build(m *topology.Mesh, d Design, freq [][]int64) noc.Config {
 	cfg := noc.Config{Mesh: m, Width: d.Width, Multicast: d.Multicast}
 	if d.ShortcutWidthBytes > 0 {
 		cfg.ShortcutWidthBytes = d.ShortcutWidthBytes
@@ -124,13 +141,6 @@ func Build(m *topology.Mesh, d Design, profile traffic.Generator, profileCycles 
 			d.RFRouters = 50
 		}
 		cfg.RFEnabled = m.RFPlacement(d.RFRouters)
-		if profile == nil {
-			panic("experiments: adaptive design needs a workload profile")
-		}
-		if profileCycles <= 0 {
-			profileCycles = 20000
-		}
-		freq := traffic.FrequencyMatrix(profile, m.N(), profileCycles)
 		cfg.Shortcuts = AdaptiveShortcuts(m, cfg.RFEnabled, freq, d.budget())
 	default:
 		panic("experiments: unknown design kind")

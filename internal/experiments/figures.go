@@ -2,7 +2,9 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
+	"sync"
 
 	"repro/internal/noc"
 	"repro/internal/power"
@@ -91,59 +93,21 @@ func Fig7(m *topology.Mesh, opts Options) Fig7Result {
 }
 
 // compareDesigns runs each design over all seven probabilistic traces
-// (in parallel across independent simulations) and normalizes against
-// the per-trace 16 B baseline. A design equal to that baseline reuses its
-// runs instead of repeating them.
+// and normalizes it against the per-trace 16 B baseline.
 func compareDesigns(m *topology.Mesh, designs []Design, opts Options) Fig7Result {
-	opts = opts.WithDefaults()
-	pats := traffic.Patterns()
-	out := Fig7Result{
-		Traces:  make([]string, len(pats)),
-		Designs: make([]string, len(designs)),
-		Points:  make([][]NormPoint, len(designs)),
-	}
+	out := Fig7Result{Traces: traceNames(), Designs: make([]string, len(designs))}
+	ss := make([]series, len(designs))
 	for di, d := range designs {
 		out.Designs[di] = d.Name()
-		out.Points[di] = make([]NormPoint, len(pats))
+		ss[di] = series{design: d}
 	}
-	baseline := Design{Kind: Baseline, Width: tech.Width16B}
-	base := make([]Result, len(pats))
-	forEach(len(pats), func(ti int) {
-		out.Traces[ti] = pats[ti].String()
-		base[ti] = RunDesign(m, baseline, pats[ti], opts)
-	})
-	forEach(len(designs)*len(pats), func(k int) {
-		di, ti := k/len(pats), k%len(pats)
-		r := base[ti]
-		if designs[di] != baseline {
-			r = RunDesign(m, designs[di], pats[ti], opts)
-		}
-		out.Points[di][ti] = NormPoint{
-			Latency: r.AvgLatency / base[ti].AvgLatency,
-			Power:   r.PowerW / base[ti].PowerW,
-		}
-	})
+	out.Points = normalize(m, ss, opts)
 	return out
 }
 
 // Means returns the geometric-mean normalized latency and power of each
 // design across traces.
-func (r Fig7Result) Means() []NormPoint {
-	out := make([]NormPoint, len(r.Designs))
-	for di := range r.Designs {
-		lat := make([]float64, len(r.Traces))
-		pow := make([]float64, len(r.Traces))
-		for ti := range r.Traces {
-			lat[ti] = r.Points[di][ti].Latency
-			pow[ti] = r.Points[di][ti].Power
-		}
-		out[di] = NormPoint{
-			Latency: stats.GeoMeanRatios(lat),
-			Power:   stats.GeoMeanRatios(pow),
-		}
-	}
-	return out
-}
+func (r Fig7Result) Means() []NormPoint { return geoMeans(r.Points) }
 
 // Render draws the trace x design matrix.
 func (r Fig7Result) Render() string {
@@ -250,85 +214,52 @@ type Fig9Result struct {
 }
 
 type fig9Config struct {
-	name     string
-	locality int
-	design   Design
+	name string
+	series
 }
 
 func fig9Configs() []fig9Config {
 	var out []fig9Config
 	for _, loc := range []int{20, 50} {
 		out = append(out,
-			fig9Config{fmt.Sprintf("VCT-%d", loc), loc,
-				Design{Kind: Baseline, Width: tech.Width16B, Multicast: noc.MulticastVCT}},
-			fig9Config{fmt.Sprintf("MC-%d", loc), loc,
-				Design{Kind: Baseline, Width: tech.Width16B, Multicast: noc.MulticastRF, RFRouters: 50}},
-			fig9Config{fmt.Sprintf("MC+SC-%d", loc), loc,
-				Design{Kind: Adaptive, RFRouters: 50, Width: tech.Width16B, Multicast: noc.MulticastRF}},
+			fig9Config{fmt.Sprintf("VCT-%d", loc), series{
+				Design{Kind: Baseline, Width: tech.Width16B, Multicast: noc.MulticastVCT}, loc}},
+			fig9Config{fmt.Sprintf("MC-%d", loc), series{
+				Design{Kind: Baseline, Width: tech.Width16B, Multicast: noc.MulticastRF, RFRouters: 50}, loc}},
+			fig9Config{fmt.Sprintf("MC+SC-%d", loc), series{
+				Design{Kind: Adaptive, RFRouters: 50, Width: tech.Width16B, Multicast: noc.MulticastRF}, loc}},
 		)
 	}
 	return out
+}
+
+// fig9 is the Figure 9 configuration with the given name.
+func fig9(name string) series {
+	for _, c := range fig9Configs() {
+		if c.name == name {
+			return c.series
+		}
+	}
+	panic("experiments: no Figure 9 configuration " + name)
 }
 
 // Fig9 reproduces the multicast study: each configuration is normalized
 // to the 16 B baseline mesh delivering the same multicasts as unicast
 // expansions.
 func Fig9(m *topology.Mesh, opts Options) Fig9Result {
-	opts = opts.WithDefaults()
 	cfgs := fig9Configs()
-	pats := traffic.Patterns()
-	out := Fig9Result{
-		Traces:  make([]string, len(pats)),
-		Configs: make([]string, len(cfgs)),
-		Points:  make([][]NormPoint, len(cfgs)),
-	}
+	out := Fig9Result{Traces: traceNames(), Configs: make([]string, len(cfgs))}
+	ss := make([]series, len(cfgs))
 	for ci, c := range cfgs {
 		out.Configs[ci] = c.name
-		out.Points[ci] = make([]NormPoint, len(pats))
+		ss[ci] = c.series
 	}
-	locs := []int{20, 50}
-	base := make([][]Result, len(pats)) // [trace][locIdx]
-	for ti := range base {
-		base[ti] = make([]Result, len(locs))
-		out.Traces[ti] = pats[ti].String()
-	}
-	forEach(len(pats)*len(locs), func(k int) {
-		ti, li := k/len(locs), k%len(locs)
-		base[ti][li] = RunDesignMulticast(m,
-			Design{Kind: Baseline, Width: tech.Width16B, Multicast: noc.MulticastExpand},
-			pats[ti], locs[li], opts)
-	})
-	forEach(len(cfgs)*len(pats), func(k int) {
-		ci, ti := k/len(pats), k%len(pats)
-		c := cfgs[ci]
-		r := RunDesignMulticast(m, c.design, pats[ti], c.locality, opts)
-		li := 0
-		if c.locality == 50 {
-			li = 1
-		}
-		b := base[ti][li]
-		out.Points[ci][ti] = NormPoint{
-			Latency: r.AvgLatency / b.AvgLatency,
-			Power:   r.PowerW / b.PowerW,
-		}
-	})
+	out.Points = normalize(m, ss, opts)
 	return out
 }
 
 // Means returns geometric means across traces per configuration.
-func (r Fig9Result) Means() []NormPoint {
-	out := make([]NormPoint, len(r.Configs))
-	for ci := range r.Configs {
-		lat := make([]float64, len(r.Traces))
-		pow := make([]float64, len(r.Traces))
-		for ti := range r.Traces {
-			lat[ti] = r.Points[ci][ti].Latency
-			pow[ti] = r.Points[ci][ti].Power
-		}
-		out[ci] = NormPoint{Latency: stats.GeoMeanRatios(lat), Power: stats.GeoMeanRatios(pow)}
-	}
-	return out
-}
+func (r Fig9Result) Means() []NormPoint { return geoMeans(r.Points) }
 
 // Render draws the matrix.
 func (r Fig9Result) Render() string {
@@ -352,6 +283,154 @@ func (r Fig9Result) Render() string {
 	}
 	t.AddRow(row...)
 	return t.String()
+}
+
+// ---------------------------------------------------------------------
+// The runner behind Figures 7, 8 and 9 and the Summary: series of design
+// points over the seven probabilistic traces, each normalized to a
+// baseline series.
+// ---------------------------------------------------------------------
+
+// series is one figure column: a design over the probabilistic traces,
+// multicast-augmented at locality percent when locality > 0.
+type series struct {
+	design   Design
+	locality int
+}
+
+// baseline is the series s is normalized to: the 16 B baseline mesh on
+// the same traces, delivering any multicasts as unicast expansions.
+func (s series) baseline() series {
+	b := series{Design{Kind: Baseline, Width: tech.Width16B}, s.locality}
+	if s.locality > 0 {
+		b.design.Multicast = noc.MulticastExpand
+	}
+	return b
+}
+
+// point is one simulation: a series on one trace.
+type point struct {
+	series
+	pattern traffic.Pattern
+}
+
+// generator is a fresh instance of the point's workload.
+func (p point) generator(m *topology.Mesh, opts Options) traffic.Generator {
+	gen := traffic.Generator(traffic.NewProbabilistic(m, p.pattern, opts.Rate, opts.Seed))
+	if p.locality > 0 {
+		gen = traffic.NewMulticastAugment(m, gen, opts.MulticastRate, p.locality, opts.Seed)
+	}
+	return gen
+}
+
+// plan is the distinct simulations a set of series reads: each series
+// and its baseline on every trace, each point once, in first-use order.
+// Profiles lists the traces an adaptive point runs on; each is profiled
+// once per run. A multicast-augmented trace shares the plain trace's
+// profile: the augmentation draws from its own RNG and the profile drops
+// multicasts, so both give the same frequency matrix.
+type plan struct {
+	points   []point
+	profiles []traffic.Pattern
+}
+
+func newPlan(ss []series) plan {
+	var p plan
+	seen := map[point]bool{}
+	for _, s := range ss {
+		for _, read := range []series{s.baseline(), s} {
+			for _, pat := range traffic.Patterns() {
+				pt := point{read, pat}
+				if seen[pt] {
+					continue
+				}
+				seen[pt] = true
+				p.points = append(p.points, pt)
+				if read.design.Kind == Adaptive && !slices.Contains(p.profiles, pat) {
+					p.profiles = append(p.profiles, pat)
+				}
+			}
+		}
+	}
+	return p
+}
+
+// run simulates every point of the plan in one pass over the worker
+// pool. A trace's frequency matrix is collected by the first adaptive
+// point that needs it and dropped when run returns.
+func (p plan) run(m *topology.Mesh, opts Options) map[point]Result {
+	type profile struct {
+		once sync.Once
+		freq [][]int64
+	}
+	profiles := map[traffic.Pattern]*profile{}
+	for _, pat := range p.profiles {
+		profiles[pat] = &profile{}
+	}
+	results := make([]Result, len(p.points))
+	forEach(len(p.points), func(i int) {
+		pt := p.points[i]
+		var freq [][]int64
+		if pt.design.Kind == Adaptive {
+			pr := profiles[pt.pattern]
+			pr.once.Do(func() {
+				gen := traffic.NewProbabilistic(m, pt.pattern, opts.Rate, opts.Seed)
+				pr.freq = traffic.FrequencyMatrix(gen, m.N(), opts.ProfileCycles)
+			})
+			freq = pr.freq
+		}
+		results[i] = Run(build(m, pt.design, freq), pt.generator(m, opts), opts)
+	})
+	out := make(map[point]Result, len(p.points))
+	for i, pt := range p.points {
+		out[pt] = results[i]
+	}
+	return out
+}
+
+// normalize runs the plan of ss and returns, per series, each trace's
+// point normalized to the series' baseline on that trace.
+func normalize(m *topology.Mesh, ss []series, opts Options) [][]NormPoint {
+	opts = opts.WithDefaults()
+	res := newPlan(ss).run(m, opts)
+	pats := traffic.Patterns()
+	out := make([][]NormPoint, len(ss))
+	for si, s := range ss {
+		out[si] = make([]NormPoint, len(pats))
+		for ti, pat := range pats {
+			r, b := res[point{s, pat}], res[point{s.baseline(), pat}]
+			out[si][ti] = NormPoint{
+				Latency: r.AvgLatency / b.AvgLatency,
+				Power:   r.PowerW / b.PowerW,
+			}
+		}
+	}
+	return out
+}
+
+// geoMeans returns the geometric-mean latency and power of each series
+// across traces, in trace order.
+func geoMeans(points [][]NormPoint) []NormPoint {
+	out := make([]NormPoint, len(points))
+	for i, ps := range points {
+		lat := make([]float64, len(ps))
+		pow := make([]float64, len(ps))
+		for ti, p := range ps {
+			lat[ti] = p.Latency
+			pow[ti] = p.Power
+		}
+		out[i] = NormPoint{Latency: stats.GeoMeanRatios(lat), Power: stats.GeoMeanRatios(pow)}
+	}
+	return out
+}
+
+// traceNames names the probabilistic traces in figure order.
+func traceNames() []string {
+	var out []string
+	for _, pat := range traffic.Patterns() {
+		out = append(out, pat.String())
+	}
+	return out
 }
 
 // ---------------------------------------------------------------------

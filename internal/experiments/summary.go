@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 	"sync"
 
@@ -24,55 +23,79 @@ type Claim struct {
 // Delta returns measured - paper in percentage points.
 func (c Claim) Delta() float64 { return (c.Measured - c.Paper) * 100 }
 
-// Summary regenerates the paper's headline claims (Section 5 and the
-// abstract) from fresh simulations and pairs each with the paper's
-// number. All values are ratios versus the 16 B baseline mesh (latency
-// and power; < 1 means reduced).
+// metric is the normalized value a claim reads.
+type metric int
+
+const (
+	latencyRatio metric = iota
+	powerRatio
+)
+
+// claimRow is one of the paper's headline claims as data: its name, the
+// paper's value, the figure series it is measured on (a Figure 7/8
+// design, or a Figure 9 configuration) and the metric read from that
+// series' geometric mean over the traces.
+type claimRow struct {
+	name   string
+	paper  float64
+	series series
+	metric metric
+}
+
+// fig78 is a Figure 7/8 design's series: the plain traces, normalized to
+// the 16 B baseline.
+func fig78(kind DesignKind, rfRouters int, w tech.LinkWidth) series {
+	return series{design: Design{Kind: kind, RFRouters: rfRouters, Width: w}}
+}
+
+// claimTable holds the paper's headline claims (Section 5 and the
+// abstract), in the order Summary reports them.
+var claimTable = []claimRow{
+	{"static shortcuts: latency vs 16B baseline", 0.80, fig78(Static, 0, tech.Width16B), latencyRatio},
+	{"static shortcuts: power vs 16B baseline", 1.11, fig78(Static, 0, tech.Width16B), powerRatio},
+	{"adaptive-50: latency vs 16B baseline", 0.68, fig78(Adaptive, 50, tech.Width16B), latencyRatio},
+	{"adaptive-50: power vs 16B baseline", 1.24, fig78(Adaptive, 50, tech.Width16B), powerRatio},
+	{"adaptive-25: latency vs 16B baseline", 0.72, fig78(Adaptive, 25, tech.Width16B), latencyRatio},
+	{"adaptive-25: power vs 16B baseline", 1.15, fig78(Adaptive, 25, tech.Width16B), powerRatio},
+
+	{"8B baseline: power vs 16B", 0.52, fig78(Baseline, 0, tech.Width8B), powerRatio},
+	{"8B baseline: latency vs 16B", 1.04, fig78(Baseline, 0, tech.Width8B), latencyRatio},
+	{"4B baseline: power vs 16B", 0.28, fig78(Baseline, 0, tech.Width4B), powerRatio},
+	{"4B baseline: latency vs 16B", 1.27, fig78(Baseline, 0, tech.Width4B), latencyRatio},
+	{"4B static: power vs 16B baseline", 0.33, fig78(Static, 0, tech.Width4B), powerRatio},
+	{"4B static: latency vs 16B baseline", 1.11, fig78(Static, 0, tech.Width4B), latencyRatio},
+	{"4B adaptive: power vs 16B baseline", 0.38, fig78(Adaptive, 50, tech.Width4B), powerRatio},
+	{"4B adaptive: latency vs 16B baseline", 0.99, fig78(Adaptive, 50, tech.Width4B), latencyRatio},
+
+	{"RF multicast: latency vs baseline", 0.86, fig9("MC-20"), latencyRatio},
+	{"RF multicast: power vs baseline", 1.11, fig9("MC-20"), powerRatio},
+	{"MC+SC: latency vs baseline", 0.63, fig9("MC+SC-20"), latencyRatio},
+	{"MC+SC: power vs baseline", 1.25, fig9("MC+SC-20"), powerRatio},
+}
+
+// claimSeries lists the series the claim table reads, one per row.
+func claimSeries() []series {
+	ss := make([]series, len(claimTable))
+	for i, c := range claimTable {
+		ss[i] = c.series
+	}
+	return ss
+}
+
+// Summary regenerates the paper's headline claims from fresh simulations
+// and pairs each with the paper's number. All values are ratios versus
+// the 16 B baseline mesh, delivering multicasts as unicast expansions
+// for the Figure 9 claims (latency and power; < 1 means reduced). It
+// simulates only the points the claim table reads, each once.
 func Summary(m *topology.Mesh, opts Options) []Claim {
-	opts = opts.WithDefaults()
-
-	// Figures 7 and 8 share the 16 B baseline, static-16B and
-	// adaptive50-16B, so one pass over their union runs each once.
-	designs := Fig8Designs()
-	for _, d := range Fig7Designs() {
-		if !slices.Contains(designs, d) {
-			designs = append(designs, d)
+	means := geoMeans(normalize(m, claimSeries(), opts))
+	claims := make([]Claim, len(claimTable))
+	for i, c := range claimTable {
+		v := means[i].Latency
+		if c.metric == powerRatio {
+			v = means[i].Power
 		}
-	}
-	means := compareDesigns(m, designs, opts).Means()
-	mean := map[string]NormPoint{}
-	for i, d := range designs {
-		mean[d.Name()] = means[i]
-	}
-
-	f9 := Fig9(m, opts)
-	means9 := f9.Means()
-	idx9 := map[string]int{}
-	for i, c := range f9.Configs {
-		idx9[c] = i
-	}
-
-	claims := []Claim{
-		{"static shortcuts: latency vs 16B baseline", 0.80, mean["static-16B"].Latency},
-		{"static shortcuts: power vs 16B baseline", 1.11, mean["static-16B"].Power},
-		{"adaptive-50: latency vs 16B baseline", 0.68, mean["adaptive50-16B"].Latency},
-		{"adaptive-50: power vs 16B baseline", 1.24, mean["adaptive50-16B"].Power},
-		{"adaptive-25: latency vs 16B baseline", 0.72, mean["adaptive25-16B"].Latency},
-		{"adaptive-25: power vs 16B baseline", 1.15, mean["adaptive25-16B"].Power},
-
-		{"8B baseline: power vs 16B", 0.52, mean["baseline-8B"].Power},
-		{"8B baseline: latency vs 16B", 1.04, mean["baseline-8B"].Latency},
-		{"4B baseline: power vs 16B", 0.28, mean["baseline-4B"].Power},
-		{"4B baseline: latency vs 16B", 1.27, mean["baseline-4B"].Latency},
-		{"4B static: power vs 16B baseline", 0.33, mean["static-4B"].Power},
-		{"4B static: latency vs 16B baseline", 1.11, mean["static-4B"].Latency},
-		{"4B adaptive: power vs 16B baseline", 0.38, mean["adaptive50-4B"].Power},
-		{"4B adaptive: latency vs 16B baseline", 0.99, mean["adaptive50-4B"].Latency},
-
-		{"RF multicast: latency vs baseline", 0.86, means9[idx9["MC-20"]].Latency},
-		{"RF multicast: power vs baseline", 1.11, means9[idx9["MC-20"]].Power},
-		{"MC+SC: latency vs baseline", 0.63, means9[idx9["MC+SC-20"]].Latency},
-		{"MC+SC: power vs baseline", 1.25, means9[idx9["MC+SC-20"]].Power},
+		claims[i] = Claim{Name: c.name, Paper: c.paper, Measured: v}
 	}
 	return claims
 }

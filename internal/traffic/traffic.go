@@ -14,7 +14,6 @@
 package traffic
 
 import (
-	"container/heap"
 	"fmt"
 
 	"repro/internal/noc"
@@ -290,26 +289,53 @@ type event struct {
 	msg noc.Message
 }
 
-// futureQueue is a min-heap of scheduled injections.
+// futureQueue is a min-heap of scheduled injections, ordered by at. Its
+// sift-up and sift-down take container/heap's steps exactly, so replies
+// due in the same cycle pop in the same order, without boxing each event
+// in an interface.
 type futureQueue []event
 
-func (q futureQueue) Len() int            { return len(q) }
-func (q futureQueue) Less(i, j int) bool  { return q[i].at < q[j].at }
-func (q futureQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *futureQueue) Push(x interface{}) { *q = append(*q, x.(event)) }
-func (q *futureQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	*q = old[:n-1]
+func (q futureQueue) Len() int { return len(q) }
+
+func (q *futureQueue) push(e event) {
+	*q = append(*q, e)
+	h := *q
+	for j := len(h) - 1; j > 0; {
+		i := (j - 1) / 2 // parent
+		if h[j].at >= h[i].at {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+func (q *futureQueue) pop() event {
+	h := *q
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && h[j2].at < h[j].at {
+			j = j2 // right child
+		}
+		if h[j].at >= h[i].at {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	e := h[n]
+	*q = h[:n]
 	return e
 }
 
-func (q *futureQueue) push(e event) { heap.Push(q, e) }
-
 func (q *futureQueue) drain(now int64, inject func(noc.Message)) {
-	for q.Len() > 0 && (*q)[0].at <= now {
-		e := heap.Pop(q).(event)
+	for len(*q) > 0 && (*q)[0].at <= now {
+		e := q.pop()
 		e.msg.Inject = now
 		inject(e.msg)
 	}

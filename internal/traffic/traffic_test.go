@@ -2,7 +2,11 @@ package traffic
 
 import (
 	"bytes"
+	"container/heap"
 	"math"
+	"math/rand"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -335,5 +339,93 @@ func TestFrequencyMatrixAllocsPerRow(t *testing.T) {
 	})
 	if allocs > srcs+2 {
 		t.Errorf("FrequencyMatrix made %v allocations over 2000 cycles, want at most %d", allocs, srcs+2)
+	}
+}
+
+// TestFrequencyMatrixIgnoresMulticastAugment pins the equivalence the
+// figure runners rely on to profile each trace once: augmenting a trace
+// with multicasts leaves its frequency matrix unchanged, because the
+// augmentation draws from its own RNG and the profile drops multicasts.
+func TestFrequencyMatrixIgnoresMulticastAugment(t *testing.T) {
+	m := topology.New10x10()
+	const seed, cycles = 1, 20000
+	for _, pat := range Patterns() {
+		want := FrequencyMatrix(NewProbabilistic(m, pat, DefaultRate, seed), m.N(), cycles)
+		for _, loc := range []int{20, 50} {
+			base := NewProbabilistic(m, pat, DefaultRate, seed)
+			got := FrequencyMatrix(NewMulticastAugment(m, base, 0.05, loc, seed), m.N(), cycles)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s with locality-%d multicasts profiles differently from the plain trace", pat, loc)
+			}
+		}
+	}
+}
+
+// refQueue is futureQueue ordered by container/heap, the reference for
+// its pop order.
+type refQueue []event
+
+func (q refQueue) Len() int           { return len(q) }
+func (q refQueue) Less(i, j int) bool { return q[i].at < q[j].at }
+func (q refQueue) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
+func (q *refQueue) Push(x any)        { *q = append(*q, x.(event)) }
+func (q *refQueue) Pop() any {
+	old := *q
+	e := old[len(old)-1]
+	*q = old[:len(old)-1]
+	return e
+}
+
+// TestFutureQueueMatchesContainerHeap checks that the typed heap pops
+// events in exactly container/heap's order, ties on at included, under
+// interleaved pushes and pops.
+func TestFutureQueueMatchesContainerHeap(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	var q futureQueue
+	var ref refQueue
+	for id := 0; id < 20000; id++ {
+		if r.Intn(3) > 0 || q.Len() == 0 {
+			// A narrow range of at values makes ties common.
+			e := event{at: int64(r.Intn(16)), msg: noc.Message{Src: id}}
+			q.push(e)
+			heap.Push(&ref, e)
+			continue
+		}
+		got, want := q.pop(), heap.Pop(&ref).(event)
+		if got != want {
+			t.Fatalf("pop %+v, container/heap pops %+v", got, want)
+		}
+	}
+	for q.Len() > 0 {
+		if got, want := q.pop(), heap.Pop(&ref).(event); got != want {
+			t.Fatalf("pop %+v, container/heap pops %+v", got, want)
+		}
+	}
+}
+
+// TestProbTickAllocFree checks that a warmed-up probabilistic trace
+// schedules and injects its replies without allocating. The count comes
+// from runtime.MemStats: testing.AllocsPerRun truncates an average
+// below one per run to zero.
+func TestProbTickAllocFree(t *testing.T) {
+	const cycles = 20000
+	g := NewProbabilistic(topology.New10x10(), HotBiDF, DefaultRate, 1)
+	var sent int
+	inject := func(noc.Message) { sent++ }
+	now := int64(0)
+	for ; now < cycles; now++ {
+		g.Tick(now, inject)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for ; now < 2*cycles; now++ {
+		g.Tick(now, inject)
+	}
+	runtime.ReadMemStats(&after)
+	if sent == 0 {
+		t.Fatal("no traffic generated")
+	}
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Errorf("%d mallocs over %d warmed-up Ticks, want 0", n, cycles)
 	}
 }
