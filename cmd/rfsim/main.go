@@ -418,20 +418,9 @@ func runSim(f *simFlags, stdout, stderr io.Writer) int {
 	mode, _ := noc.ParseMulticastMode(f.multicast)
 	d := experiments.Design{Kind: kind, Width: tech.LinkWidth(f.width), RFRouters: f.rf, Multicast: mode}
 
-	mkGen := func(seed int64) (traffic.Generator, error) {
-		g, err := baseGenerator(m, f.workload, f.traceFile, opts.WithDefaults().Rate, seed)
-		if err != nil {
-			return nil, err
-		}
-		if f.multicast != "none" && f.workload != "coherence" && f.traceFile == "" {
-			g = traffic.NewMulticastAugment(m, g, f.mcRate, f.mcLocality, seed)
-		}
-		return g, nil
-	}
-
 	var profile traffic.Generator
 	if d.Kind == experiments.Adaptive {
-		p, err := mkGen(f.seed)
+		p, err := f.generator(m, opts.WithDefaults().Rate)
 		if err != nil {
 			fmt.Fprintln(stderr, err)
 			return exitBadFlags
@@ -454,7 +443,7 @@ func runSim(f *simFlags, stdout, stderr io.Writer) int {
 			cfg.Watchdog = noc.WatchdogConfig{Enabled: true}
 		}
 	}
-	gen, err := mkGen(f.seed)
+	gen, err := f.generator(m, opts.WithDefaults().Rate)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return exitBadFlags
@@ -624,33 +613,30 @@ func writeTimeline(path string, tl *obs.LinkTimeline, now int64) error {
 	return err
 }
 
-func baseGenerator(m *topology.Mesh, workload, traceFile string, rate float64, seed int64) (traffic.Generator, error) {
-	if traceFile != "" {
-		f, err := os.Open(traceFile)
+// generator builds a fresh instance of the run's workload. A named
+// workload resolves through experiments.GenSpec, which also applies the
+// -multicast augmentation; a replayed -trace and the coherence model
+// run as they are.
+func (f *simFlags) generator(m *topology.Mesh, rate float64) (traffic.Generator, error) {
+	if f.traceFile != "" {
+		file, err := os.Open(f.traceFile)
 		if err != nil {
 			return nil, fmt.Errorf("open trace: %v", err)
 		}
-		defer f.Close()
-		rp, err := traffic.ReadTrace(f)
+		defer file.Close()
+		rp, err := traffic.ReadTrace(file)
 		if err != nil {
 			return nil, fmt.Errorf("read trace: %v", err)
 		}
 		return rp, nil
 	}
-	if workload == "coherence" {
-		return coherence.New(m, coherence.Workload{}, seed), nil
+	if f.workload == "coherence" {
+		return coherence.New(m, coherence.Workload{}, f.seed), nil
 	}
-	for _, p := range traffic.Patterns() {
-		if strings.EqualFold(p.String(), workload) {
-			return traffic.NewProbabilistic(m, p, rate, seed), nil
-		}
-	}
-	for _, a := range traffic.Apps() {
-		if strings.EqualFold(a.String(), workload) {
-			return traffic.NewAppTrace(m, a, rate, seed), nil
-		}
-	}
-	return nil, fmt.Errorf("unknown workload %q", workload)
+	return experiments.GenSpec{
+		Workload: f.workload, Rate: rate, Seed: f.seed,
+		Multicast: f.multicast != "none", MulticastRate: f.mcRate, MulticastLocality: f.mcLocality,
+	}.Build(m)
 }
 
 func max64(a, b int64) int64 {

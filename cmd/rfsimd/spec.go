@@ -140,7 +140,7 @@ func (p PointSpec) compile(m *topology.Mesh, lim specLimits, check bool) (experi
 	if workload == "" {
 		workload = traffic.Uniform.String()
 	}
-	if _, err := workloadFactory(m, workload); err != nil {
+	if _, err := experiments.LookupWorkload(m, workload); err != nil {
 		errs = append(errs, err)
 	}
 
@@ -191,7 +191,8 @@ func (p PointSpec) compile(m *topology.Mesh, lim specLimits, check bool) (experi
 		Rate:     def.Rate,
 		Seed:     def.Seed,
 	}
-	if mode != noc.MulticastExpand {
+	// Any named mode, expand included, carries multicast traffic.
+	if mcName != "none" {
 		gen.Multicast = true
 		gen.MulticastRate = def.MulticastRate
 		gen.MulticastLocality = locality
@@ -241,14 +242,6 @@ func (p PointSpec) compile(m *topology.Mesh, lim specLimits, check bool) (experi
 	// both), so crash dumps are keyed by content, and the quarantine's
 	// dump reference names the point that panicked.
 	return experiments.NewPortableSweepPoint(cfg, gen, opts, meta)
-}
-
-// workloadFactory resolves a workload name to a generator constructor.
-// The registry lives in internal/experiments (LookupWorkload) because
-// worker processes resolve the same names from a GenSpec; this wrapper
-// keeps the spec layer's call sites.
-func workloadFactory(m *topology.Mesh, name string) (func(rate float64, seed int64) traffic.Generator, error) {
-	return experiments.LookupWorkload(m, name)
 }
 
 // compileRequest compiles every point, joining all per-point errors

@@ -12,9 +12,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"repro/internal/coherence"
+	"repro/internal/experiments"
 	"repro/internal/topology"
 	"repro/internal/traffic"
 )
@@ -36,23 +36,12 @@ func main() {
 	case *workload == "coherence":
 		gen = coherence.New(m, coherence.Workload{}, *seed)
 	default:
-		found := false
-		for _, p := range traffic.Patterns() {
-			if strings.EqualFold(p.String(), *workload) {
-				gen = traffic.NewProbabilistic(m, p, *rate, *seed)
-				found = true
-			}
-		}
-		for _, a := range traffic.Apps() {
-			if strings.EqualFold(a.String(), *workload) {
-				gen = traffic.NewAppTrace(m, a, *rate, *seed)
-				found = true
-			}
-		}
-		if !found {
-			fmt.Fprintf(os.Stderr, "unknown workload %q\n", *workload)
+		mk, err := experiments.LookupWorkload(m, *workload)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
+		gen = mk(*rate, *seed)
 	}
 	if *multicast && *workload != "coherence" {
 		gen = traffic.NewMulticastAugment(m, gen, *mcRate, *mcLocality, *seed)

@@ -36,16 +36,16 @@ type Fig1Result struct {
 // (the paper plots x264 and bodytrack).
 func Fig1(m *topology.Mesh, opts Options) Fig1Result {
 	opts = opts.WithDefaults()
-	apps := traffic.Apps()
-	out := Fig1Result{
-		Apps:       make([]string, len(apps)),
-		Histograms: make([][]int64, len(apps)),
+	var out Fig1Result
+	var pts []point
+	for _, app := range traffic.Apps() {
+		out.Apps = append(out.Apps, app.String())
+		pts = append(pts, point{Design{Kind: Baseline, Width: tech.Width16B}, genSpec(app.String(), opts)})
 	}
-	forEach(len(apps), func(i int) {
-		r := RunDesignApp(m, Design{Kind: Baseline, Width: tech.Width16B}, apps[i], opts)
-		out.Apps[i] = apps[i].String()
-		out.Histograms[i] = r.Stats.MsgsByDistance
-	})
+	res := newPlan(pts).run(m, opts)
+	for _, pt := range pts {
+		out.Histograms = append(out.Histograms, res[pt].Stats.MsgsByDistance)
+	}
 	return out
 }
 
@@ -101,7 +101,7 @@ func compareDesigns(m *topology.Mesh, designs []Design, opts Options) Fig7Result
 		out.Designs[di] = d.Name()
 		ss[di] = series{design: d}
 	}
-	out.Points = normalize(m, ss, opts)
+	out.Points = normalize(m, ss, opts, relative)
 	return out
 }
 
@@ -254,7 +254,7 @@ func Fig9(m *topology.Mesh, opts Options) Fig9Result {
 		out.Configs[ci] = c.name
 		ss[ci] = c.series
 	}
-	out.Points = normalize(m, ss, opts)
+	out.Points = normalize(m, ss, opts, relative)
 	return out
 }
 
@@ -286,9 +286,12 @@ func (r Fig9Result) Render() string {
 }
 
 // ---------------------------------------------------------------------
-// The runner behind Figures 7, 8 and 9 and the Summary: series of design
-// points over the seven probabilistic traces, each normalized to a
-// baseline series.
+// The one runner behind every figure that simulates Designs on the mesh:
+// a plan of distinct (design, workload) points, run in one pass. Figures
+// 7, 8, 9 and 10 and the Summary list series, design columns over the
+// seven probabilistic traces normalized to a baseline series; Figure 1,
+// the application study, the load curves and the width ablation list
+// their points directly.
 // ---------------------------------------------------------------------
 
 // series is one figure column: a design over the probabilistic traces,
@@ -308,78 +311,87 @@ func (s series) baseline() series {
 	return b
 }
 
-// point is one simulation: a series on one trace.
-type point struct {
-	series
-	pattern traffic.Pattern
-}
-
-// generator is a fresh instance of the point's workload.
-func (p point) generator(m *topology.Mesh, opts Options) traffic.Generator {
-	gen := traffic.Generator(traffic.NewProbabilistic(m, p.pattern, opts.Rate, opts.Seed))
-	if p.locality > 0 {
-		gen = traffic.NewMulticastAugment(m, gen, opts.MulticastRate, p.locality, opts.Seed)
+// at is the series' point on trace pat.
+func (s series) at(pat traffic.Pattern, opts Options) point {
+	g := genSpec(pat.String(), opts)
+	if s.locality > 0 {
+		g.Multicast, g.MulticastRate, g.MulticastLocality = true, opts.MulticastRate, s.locality
 	}
-	return gen
+	return point{s.design, g}
 }
 
-// plan is the distinct simulations a set of series reads: each series
-// and its baseline on every trace, each point once, in first-use order.
-// Profiles lists the traces an adaptive point runs on; each is profiled
-// once per run. A multicast-augmented trace shares the plain trace's
-// profile: the augmentation draws from its own RNG and the profile drops
-// multicasts, so both give the same frequency matrix.
+// genSpec is the named workload at opts' rate and seed.
+func genSpec(workload string, opts Options) GenSpec {
+	return GenSpec{Workload: workload, Rate: opts.Rate, Seed: opts.Seed}
+}
+
+// point is one simulation: a design on one workload.
+type point struct {
+	design Design
+	gen    GenSpec
+}
+
+// profile is the workload an adaptive point's shortcuts are selected
+// from: its own, without multicast augmentation. The augmentation draws
+// from its own RNG and the profile drops multicasts, so both give the
+// same frequency matrix, and the points of one trace share it.
+func (p point) profile() GenSpec {
+	g := p.gen
+	g.Multicast, g.MulticastRate, g.MulticastLocality = false, 0, 0
+	return g
+}
+
+// plan is a set of distinct points in first-use order. Profiles lists
+// the workloads its adaptive points select shortcuts from; each is
+// profiled once per run.
 type plan struct {
 	points   []point
-	profiles []traffic.Pattern
+	profiles []GenSpec
 }
 
-func newPlan(ss []series) plan {
+func newPlan(pts []point) plan {
 	var p plan
 	seen := map[point]bool{}
-	for _, s := range ss {
-		for _, read := range []series{s.baseline(), s} {
-			for _, pat := range traffic.Patterns() {
-				pt := point{read, pat}
-				if seen[pt] {
-					continue
-				}
-				seen[pt] = true
-				p.points = append(p.points, pt)
-				if read.design.Kind == Adaptive && !slices.Contains(p.profiles, pat) {
-					p.profiles = append(p.profiles, pat)
-				}
-			}
+	for _, pt := range pts {
+		if seen[pt] {
+			continue
+		}
+		seen[pt] = true
+		p.points = append(p.points, pt)
+		if pt.design.Kind == Adaptive && !slices.Contains(p.profiles, pt.profile()) {
+			p.profiles = append(p.profiles, pt.profile())
 		}
 	}
 	return p
 }
 
 // run simulates every point of the plan in one pass over the worker
-// pool. A trace's frequency matrix is collected by the first adaptive
-// point that needs it and dropped when run returns.
+// pool, opts (defaults applied) setting the run length. A workload's
+// frequency matrix is collected by the first adaptive point that needs
+// it and dropped when run returns. Each Result carries its design's
+// name.
 func (p plan) run(m *topology.Mesh, opts Options) map[point]Result {
 	type profile struct {
 		once sync.Once
 		freq [][]int64
 	}
-	profiles := map[traffic.Pattern]*profile{}
-	for _, pat := range p.profiles {
-		profiles[pat] = &profile{}
+	profiles := map[GenSpec]*profile{}
+	for _, g := range p.profiles {
+		profiles[g] = &profile{}
 	}
 	results := make([]Result, len(p.points))
 	forEach(len(p.points), func(i int) {
 		pt := p.points[i]
 		var freq [][]int64
 		if pt.design.Kind == Adaptive {
-			pr := profiles[pt.pattern]
+			pr := profiles[pt.profile()]
 			pr.once.Do(func() {
-				gen := traffic.NewProbabilistic(m, pt.pattern, opts.Rate, opts.Seed)
-				pr.freq = traffic.FrequencyMatrix(gen, m.N(), opts.ProfileCycles)
+				pr.freq = traffic.FrequencyMatrix(pt.profile().mustBuild(m), m.N(), opts.ProfileCycles)
 			})
 			freq = pr.freq
 		}
-		results[i] = Run(build(m, pt.design, freq), pt.generator(m, opts), opts)
+		results[i] = Run(build(m, pt.design, freq), pt.gen.mustBuild(m), opts)
+		results[i].Design = pt.design.Name()
 	})
 	out := make(map[point]Result, len(p.points))
 	for i, pt := range p.points {
@@ -388,24 +400,41 @@ func (p plan) run(m *topology.Mesh, opts Options) map[point]Result {
 	return out
 }
 
+// seriesPoints lists what ss reads: each series' baseline and the
+// series itself on every trace.
+func seriesPoints(ss []series, opts Options) []point {
+	var pts []point
+	for _, s := range ss {
+		for _, read := range []series{s.baseline(), s} {
+			for _, pat := range traffic.Patterns() {
+				pts = append(pts, read.at(pat, opts))
+			}
+		}
+	}
+	return pts
+}
+
 // normalize runs the plan of ss and returns, per series, each trace's
-// point normalized to the series' baseline on that trace.
-func normalize(m *topology.Mesh, ss []series, opts Options) [][]NormPoint {
+// point against the series' baseline on that trace as ratio(point,
+// baseline).
+func normalize(m *topology.Mesh, ss []series, opts Options, ratio func(r, base Result) NormPoint) [][]NormPoint {
 	opts = opts.WithDefaults()
-	res := newPlan(ss).run(m, opts)
+	res := newPlan(seriesPoints(ss, opts)).run(m, opts)
 	pats := traffic.Patterns()
 	out := make([][]NormPoint, len(ss))
 	for si, s := range ss {
 		out[si] = make([]NormPoint, len(pats))
 		for ti, pat := range pats {
-			r, b := res[point{s, pat}], res[point{s.baseline(), pat}]
-			out[si][ti] = NormPoint{
-				Latency: r.AvgLatency / b.AvgLatency,
-				Power:   r.PowerW / b.PowerW,
-			}
+			out[si][ti] = ratio(res[s.at(pat, opts)], res[s.baseline().at(pat, opts)])
 		}
 	}
 	return out
+}
+
+// relative is a point's latency and power as fractions of its
+// baseline's.
+func relative(r, base Result) NormPoint {
+	return NormPoint{Latency: r.AvgLatency / base.AvgLatency, Power: r.PowerW / base.PowerW}
 }
 
 // geoMeans returns the geometric-mean latency and power of each series
@@ -449,119 +478,79 @@ type Fig10Line struct {
 	Power  []float64
 }
 
-// Fig10a compares the unicast architectures: baseline, wire shortcuts,
-// static RF shortcuts, adaptive RF shortcuts.
+// fig10Arch is one Figure 10 architecture: its name and its design,
+// whose Width each point of the line sets.
+type fig10Arch struct {
+	name   string
+	design Design
+}
+
+// fig10aArchs are Figure 10a's unicast architectures: baseline, wire
+// shortcuts, static RF shortcuts, adaptive RF shortcuts.
+var fig10aArchs = []fig10Arch{
+	{"Mesh Baseline", Design{Kind: Baseline}},
+	{"Mesh Wire Shortcuts", Design{Kind: WireStatic}},
+	{"Mesh Static Shortcuts", Design{Kind: Static}},
+	{"Mesh Adaptive Shortcuts", Design{Kind: Adaptive, RFRouters: 50}},
+}
+
+// fig10bArchs are Figure 10b's multicast architectures: baseline
+// (unicast expansion), RF multicast alone, adaptive shortcuts with
+// expansion, and adaptive shortcuts plus RF multicast.
+var fig10bArchs = []fig10Arch{
+	{"Mesh Baseline", Design{Kind: Baseline, Multicast: noc.MulticastExpand}},
+	{"RF Multicast", Design{Kind: Baseline, Multicast: noc.MulticastRF, RFRouters: 50}},
+	{"Adaptive Shortcuts", Design{Kind: Adaptive, RFRouters: 50, Multicast: noc.MulticastExpand}},
+	{"Adaptive Shortcuts + RF Multicast", Design{Kind: Adaptive, RFRouters: 50, Multicast: noc.MulticastRF}},
+}
+
+// Fig10a compares the unicast architectures.
 func Fig10a(m *topology.Mesh, opts Options) []Fig10Line {
-	opts = opts.WithDefaults()
-	archs := []struct {
-		name string
-		mk   func(w tech.LinkWidth) Design
-	}{
-		{"Mesh Baseline", func(w tech.LinkWidth) Design { return Design{Kind: Baseline, Width: w} }},
-		{"Mesh Wire Shortcuts", func(w tech.LinkWidth) Design { return Design{Kind: WireStatic, Width: w} }},
-		{"Mesh Static Shortcuts", func(w tech.LinkWidth) Design { return Design{Kind: Static, Width: w} }},
-		{"Mesh Adaptive Shortcuts", func(w tech.LinkWidth) Design { return Design{Kind: Adaptive, RFRouters: 50, Width: w} }},
-	}
-	pats := traffic.Patterns()
-	widths := tech.Widths()
-	base := make([]Result, len(pats))
-	forEach(len(pats), func(ti int) {
-		base[ti] = RunDesign(m, Design{Kind: Baseline, Width: tech.Width16B}, pats[ti], opts)
-	})
-	// raw[a][w][t]
-	raw := make([][][]Result, len(archs))
-	for ai := range raw {
-		raw[ai] = make([][]Result, len(widths))
-		for wi := range raw[ai] {
-			raw[ai][wi] = make([]Result, len(pats))
+	return fig10(m, 0, fig10aArchs, opts)
+}
+
+// Fig10b compares the multicast architectures on the locality-20%
+// multicast workloads.
+func Fig10b(m *topology.Mesh, opts Options) []Fig10Line {
+	return fig10(m, 20, fig10bArchs, opts)
+}
+
+// fig10Series lists each architecture at each width, in line order, on
+// traces multicast-augmented at locality percent when locality > 0.
+func fig10Series(locality int, archs []fig10Arch) []series {
+	var ss []series
+	for _, a := range archs {
+		for _, w := range tech.Widths() {
+			d := a.design
+			d.Width = w
+			ss = append(ss, series{d, locality})
 		}
 	}
-	forEach(len(archs)*len(widths)*len(pats), func(k int) {
-		ai := k / (len(widths) * len(pats))
-		wi := (k / len(pats)) % len(widths)
-		ti := k % len(pats)
-		raw[ai][wi][ti] = RunDesign(m, archs[ai].mk(widths[wi]), pats[ti], opts)
-	})
+	return ss
+}
+
+// fig10 traces each architecture across the link widths in one plan.
+func fig10(m *topology.Mesh, locality int, archs []fig10Arch, opts Options) []Fig10Line {
+	means := geoMeans(normalize(m, fig10Series(locality, archs), opts, speedup))
+	widths := tech.Widths()
 	var out []Fig10Line
 	for ai, a := range archs {
 		line := Fig10Line{Name: a.name}
 		for wi, w := range widths {
-			var perf, pow []float64
-			for ti := range pats {
-				r := raw[ai][wi][ti]
-				perf = append(perf, base[ti].AvgLatency/r.AvgLatency)
-				pow = append(pow, r.PowerW/base[ti].PowerW)
-			}
+			mp := means[ai*len(widths)+wi]
 			line.Widths = append(line.Widths, w.String())
-			line.Perf = append(line.Perf, stats.GeoMeanRatios(perf))
-			line.Power = append(line.Power, stats.GeoMeanRatios(pow))
+			line.Perf = append(line.Perf, mp.Latency)
+			line.Power = append(line.Power, mp.Power)
 		}
 		out = append(out, line)
 	}
 	return out
 }
 
-// Fig10b compares the multicast architectures: baseline (unicast
-// expansion), RF multicast alone, adaptive shortcuts with expansion, and
-// adaptive shortcuts plus RF multicast. Locality 20% workloads.
-func Fig10b(m *topology.Mesh, opts Options) []Fig10Line {
-	opts = opts.WithDefaults()
-	const loc = 20
-	archs := []struct {
-		name string
-		mk   func(w tech.LinkWidth) Design
-	}{
-		{"Mesh Baseline", func(w tech.LinkWidth) Design {
-			return Design{Kind: Baseline, Width: w, Multicast: noc.MulticastExpand}
-		}},
-		{"RF Multicast", func(w tech.LinkWidth) Design {
-			return Design{Kind: Baseline, Width: w, Multicast: noc.MulticastRF, RFRouters: 50}
-		}},
-		{"Adaptive Shortcuts", func(w tech.LinkWidth) Design {
-			return Design{Kind: Adaptive, RFRouters: 50, Width: w, Multicast: noc.MulticastExpand}
-		}},
-		{"Adaptive Shortcuts + RF Multicast", func(w tech.LinkWidth) Design {
-			return Design{Kind: Adaptive, RFRouters: 50, Width: w, Multicast: noc.MulticastRF}
-		}},
-	}
-	pats := traffic.Patterns()
-	widths := tech.Widths()
-	base := make([]Result, len(pats))
-	forEach(len(pats), func(ti int) {
-		base[ti] = RunDesignMulticast(m,
-			Design{Kind: Baseline, Width: tech.Width16B, Multicast: noc.MulticastExpand},
-			pats[ti], loc, opts)
-	})
-	raw := make([][][]Result, len(archs))
-	for ai := range raw {
-		raw[ai] = make([][]Result, len(widths))
-		for wi := range raw[ai] {
-			raw[ai][wi] = make([]Result, len(pats))
-		}
-	}
-	forEach(len(archs)*len(widths)*len(pats), func(k int) {
-		ai := k / (len(widths) * len(pats))
-		wi := (k / len(pats)) % len(widths)
-		ti := k % len(pats)
-		raw[ai][wi][ti] = RunDesignMulticast(m, archs[ai].mk(widths[wi]), pats[ti], loc, opts)
-	})
-	var out []Fig10Line
-	for ai, a := range archs {
-		line := Fig10Line{Name: a.name}
-		for wi, w := range widths {
-			var perf, pow []float64
-			for ti := range pats {
-				r := raw[ai][wi][ti]
-				perf = append(perf, base[ti].AvgLatency/r.AvgLatency)
-				pow = append(pow, r.PowerW/base[ti].PowerW)
-			}
-			line.Widths = append(line.Widths, w.String())
-			line.Perf = append(line.Perf, stats.GeoMeanRatios(perf))
-			line.Power = append(line.Power, stats.GeoMeanRatios(pow))
-		}
-		out = append(out, line)
-	}
-	return out
+// speedup is relative with latency inverted into Figure 10's normalized
+// performance: the Latency field holds baseline latency / point latency.
+func speedup(r, base Result) NormPoint {
+	return NormPoint{Latency: base.AvgLatency / r.AvgLatency, Power: r.PowerW / base.PowerW}
 }
 
 // RenderFig10 draws the power-performance lines.
@@ -591,15 +580,21 @@ type AppResult struct {
 }
 
 // AppStudy runs all five applications on the 16 B baseline and the
-// adaptive 4 B design, in parallel.
+// adaptive 4 B design, in one plan.
 func AppStudy(m *topology.Mesh, opts Options) []AppResult {
 	opts = opts.WithDefaults()
 	apps := traffic.Apps()
+	var pts []point // each app's baseline, then its adaptive point
+	for _, app := range apps {
+		g := genSpec(app.String(), opts)
+		pts = append(pts,
+			point{Design{Kind: Baseline, Width: tech.Width16B}, g},
+			point{Design{Kind: Adaptive, RFRouters: 50, Width: tech.Width4B}, g})
+	}
+	res := newPlan(pts).run(m, opts)
 	out := make([]AppResult, len(apps))
-	forEach(len(apps), func(i int) {
-		app := apps[i]
-		base := RunDesignApp(m, Design{Kind: Baseline, Width: tech.Width16B}, app, opts)
-		ad := RunDesignApp(m, Design{Kind: Adaptive, RFRouters: 50, Width: tech.Width4B}, app, opts)
+	for i, app := range apps {
+		base, ad := res[pts[2*i]], res[pts[2*i+1]]
 		out[i] = AppResult{
 			App:      app.String(),
 			Latency:  ad.AvgLatency / base.AvgLatency,
@@ -607,7 +602,7 @@ func AppStudy(m *topology.Mesh, opts Options) []AppResult {
 			Baseline: base,
 			Adaptive: ad,
 		}
-	})
+	}
 	return out
 }
 

@@ -32,20 +32,27 @@ func DefaultLoadRates() []float64 {
 }
 
 // LoadLatency sweeps injection rate for the given designs under one
-// pattern. Saturated points report the (censored) latency measured over
-// the fixed window.
+// pattern, every (design, rate) point in one plan. Saturated points
+// report the (censored) latency measured over the fixed window.
 func LoadLatency(m *topology.Mesh, designs []Design, pat traffic.Pattern, rates []float64, opts Options) []LoadCurve {
 	opts = opts.WithDefaults()
 	if rates == nil {
 		rates = DefaultLoadRates()
 	}
-	var out []LoadCurve
+	var pts []point // design-major, rate-minor
 	for _, d := range designs {
-		c := LoadCurve{Design: d.Name()}
 		for _, rate := range rates {
 			o := opts
 			o.Rate = rate
-			r := RunDesign(m, d, pat, o)
+			pts = append(pts, point{d, genSpec(pat.String(), o.WithDefaults())})
+		}
+	}
+	res := newPlan(pts).run(m, opts)
+	var out []LoadCurve
+	for di, d := range designs {
+		c := LoadCurve{Design: d.Name()}
+		for ri, rate := range rates {
+			r := res[pts[di*len(rates)+ri]]
 			c.Points = append(c.Points, LoadPoint{
 				Rate:       rate,
 				AvgLatency: r.AvgLatency,

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"fmt"
 	"testing"
 
 	"repro/internal/noc"
@@ -249,37 +248,12 @@ func buildResult(n *noc.Network, gen traffic.Generator, cfg noc.Config, drain no
 }
 
 // RunDesign builds and simulates design d under the named probabilistic
-// trace. Fresh same-seed generators are used for profiling (adaptive
-// selection) and measurement, mirroring the paper's assumption that the
-// application's communication profile is available beforehand.
+// trace, as a one-point plan of the runner every figure uses. Adaptive
+// selection profiles a fresh same-seed instance of the trace, mirroring
+// the paper's assumption that the application's communication profile
+// is available beforehand.
 func RunDesign(m *topology.Mesh, d Design, pat traffic.Pattern, opts Options) Result {
 	opts = opts.WithDefaults()
-	cfg := Build(m, d, traffic.NewProbabilistic(m, pat, opts.Rate, opts.Seed), opts.ProfileCycles)
-	gen := traffic.NewProbabilistic(m, pat, opts.Rate, opts.Seed)
-	r := Run(cfg, gen, opts)
-	r.Design = d.Name()
-	return r
-}
-
-// RunDesignApp is RunDesign over a synthetic application trace.
-func RunDesignApp(m *topology.Mesh, d Design, app traffic.App, opts Options) Result {
-	opts = opts.WithDefaults()
-	cfg := Build(m, d, traffic.NewAppTrace(m, app, opts.Rate, opts.Seed), opts.ProfileCycles)
-	gen := traffic.NewAppTrace(m, app, opts.Rate, opts.Seed)
-	r := Run(cfg, gen, opts)
-	r.Design = d.Name()
-	return r
-}
-
-// RunDesignMulticast runs a multicast-augmented probabilistic trace.
-func RunDesignMulticast(m *topology.Mesh, d Design, pat traffic.Pattern, localityPct int, opts Options) Result {
-	opts = opts.WithDefaults()
-	mkGen := func() traffic.Generator {
-		base := traffic.NewProbabilistic(m, pat, opts.Rate, opts.Seed)
-		return traffic.NewMulticastAugment(m, base, opts.MulticastRate, localityPct, opts.Seed)
-	}
-	cfg := Build(m, d, mkGen(), opts.ProfileCycles)
-	r := Run(cfg, mkGen(), opts)
-	r.Design = fmt.Sprintf("%s-loc%d", d.Name(), localityPct)
-	return r
+	pt := point{d, genSpec(pat.String(), opts)}
+	return newPlan([]point{pt}).run(m, opts)[pt]
 }

@@ -88,7 +88,7 @@ func claimSeries() []series {
 // for the Figure 9 claims (latency and power; < 1 means reduced). It
 // simulates only the points the claim table reads, each once.
 func Summary(m *topology.Mesh, opts Options) []Claim {
-	means := geoMeans(normalize(m, claimSeries(), opts))
+	means := geoMeans(normalize(m, claimSeries(), opts, relative))
 	claims := make([]Claim, len(claimTable))
 	for i, c := range claimTable {
 		v := means[i].Latency
@@ -179,12 +179,15 @@ func AblationEscapeVC(m *topology.Mesh, timeouts []int64, opts Options) map[int6
 // baseline per width. Widths must be multiples of the 4 B flit size.
 func AblationShortcutWidth(m *topology.Mesh, widths []int, opts Options) map[int]float64 {
 	opts = opts.WithDefaults()
-	out := map[int]float64{}
-	base := RunDesign(m, Design{Kind: Baseline, Width: tech.Width4B}, traffic.Uniform, opts)
+	g := genSpec(traffic.Uniform.String(), opts)
+	pts := []point{{Design{Kind: Baseline, Width: tech.Width4B}, g}}
 	for _, w := range widths {
-		d := Design{Kind: Static, Width: tech.Width4B, ShortcutWidthBytes: w}
-		r := RunDesign(m, d, traffic.Uniform, opts)
-		out[w] = r.AvgLatency / base.AvgLatency
+		pts = append(pts, point{Design{Kind: Static, Width: tech.Width4B, ShortcutWidthBytes: w}, g})
+	}
+	res := newPlan(pts).run(m, opts)
+	out := map[int]float64{}
+	for i, w := range widths {
+		out[w] = res[pts[i+1]].AvgLatency / res[pts[0]].AvgLatency
 	}
 	return out
 }

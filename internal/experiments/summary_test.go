@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/topology"
+	"repro/internal/traffic"
 )
 
 // TestSummaryMatchesFigures checks that Summary's one pass over the
@@ -64,7 +65,8 @@ func TestSummaryMatchesFigures(t *testing.T) {
 // frequency-matrix profiles (one per trace), and no point that no claim
 // reads, directly or as its baseline.
 func TestSummaryPlan(t *testing.T) {
-	p := newPlan(claimSeries())
+	opts := Options{}.WithDefaults()
+	p := newPlan(seriesPoints(claimSeries(), opts))
 	if len(p.points) != 77 {
 		t.Errorf("Summary's plan has %d points, want 77", len(p.points))
 	}
@@ -74,16 +76,40 @@ func TestSummaryPlan(t *testing.T) {
 	seen := map[point]bool{}
 	for _, pt := range p.points {
 		if seen[pt] {
-			t.Errorf("point %s on %s planned twice", pt.design.Name(), pt.pattern)
+			t.Errorf("point %s on %+v planned twice", pt.design.Name(), pt.gen)
 		}
 		seen[pt] = true
 		read := false
 		for _, c := range claimTable {
-			read = read || c.series == pt.series || c.series.baseline() == pt.series
+			for _, pat := range traffic.Patterns() {
+				read = read || c.series.at(pat, opts) == pt || c.series.baseline().at(pat, opts) == pt
+			}
 		}
 		if !read {
-			t.Errorf("point %s (locality %d) on %s is read by no claim",
-				pt.design.Name(), pt.locality, pt.pattern)
+			t.Errorf("point %s on %+v is read by no claim", pt.design.Name(), pt.gen)
+		}
+	}
+}
+
+// TestFig10Plan pins the size of each Figure 10 plan: every distinct
+// point once, and one frequency-matrix profile per trace however many
+// adaptive points, widths or multicast localities read it.
+func TestFig10Plan(t *testing.T) {
+	opts := Options{}.WithDefaults()
+	for _, tc := range []struct {
+		name             string
+		ss               []series
+		points, profiles int
+	}{
+		// 4 architectures x 3 widths x 7 traces; the 16 B baseline is
+		// both a line point and every line's normalization baseline.
+		{"Fig10a", fig10Series(0, fig10aArchs), 84, 7},
+		{"Fig10b", fig10Series(20, fig10bArchs), 84, 7},
+	} {
+		p := newPlan(seriesPoints(tc.ss, opts))
+		if len(p.points) != tc.points || len(p.profiles) != tc.profiles {
+			t.Errorf("%s plan: %d points, %d profiles; want %d, %d",
+				tc.name, len(p.points), len(p.profiles), tc.points, tc.profiles)
 		}
 	}
 }

@@ -65,6 +65,15 @@ func (g GenSpec) Build(m *topology.Mesh) (traffic.Generator, error) {
 	return gen, nil
 }
 
+// mustBuild is Build for a spec whose workload is a registered name.
+func (g GenSpec) mustBuild(m *topology.Mesh) traffic.Generator {
+	gen, err := g.Build(m)
+	if err != nil {
+		panic(err)
+	}
+	return gen
+}
+
 // LookupWorkload resolves a workload name (case-insensitive) to a
 // generator constructor: probabilistic patterns first, then application
 // traces. This is the canonical name registry; the sweep service
