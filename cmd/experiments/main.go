@@ -2,8 +2,9 @@
 //
 // Usage:
 //
-//	experiments -artifact fig1|fig7|fig8|table2|fig9|fig10a|fig10b|app|summary|ablations|all
-//	            [-cycles N] [-rate R] [-seed S] [-format text|csv]
+//	experiments -artifact fig1|fig7|fig8|table2|fig9|fig10a|fig10b|app|summary|
+//	            loadcurve|scaling|ablations|all [-cycles N] [-rate R]
+//	            [-seed S] [-format text|csv]
 //	experiments -supervise [-crash-dir DIR] [-retries N] [-workers N]
 //	            [-cycles N] [-rate R] [-seed S]
 //
@@ -99,7 +100,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	fs.Int64Var(&f.cycles, "cycles", 60000, "injection cycles per run (paper: 1M)")
 	fs.Float64Var(&f.rate, "rate", 0, "transaction injection rate per component per cycle (default per traffic.DefaultRate)")
 	fs.Int64Var(&f.seed, "seed", 1, "random seed")
-	fs.StringVar(&f.format, "format", "text", "output format: text or csv (csv not supported for ablations)")
+	fs.StringVar(&f.format, "format", "text", "output format: text or csv (loadcurve, scaling and ablations print text either way)")
 	fs.BoolVar(&f.hist, "hist", false, "collect latency histograms (adds p50/p99/max tail columns to -artifact app)")
 	fs.BoolVar(&f.invCheck, "check", false, "attach an invariant checker to every simulation (panics on violation)")
 	fs.BoolVar(&f.supervise, "supervise", false, "run the design x workload sweep under the fault-isolating supervisor")

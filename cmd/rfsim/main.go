@@ -6,7 +6,8 @@
 //	rfsim -design baseline|static|wire-static|adaptive [-width 16|8|4]
 //	      [-rf 25|50|100] [-workload uniform|unidf|bidf|hotbidf|1hotspot|
 //	      2hotspot|4hotspot|x264|bodytrack|fluidanimate|streamcluster|
-//	      specjbb|coherence] [-trace file] [-multicast none|expand|vct|rf]
+//	      specjbb|transpose|bitcomplement|bitreverse|shuffle|coherence]
+//	      [-trace file] [-multicast none|expand|vct|rf]
 //	      [-cycles N] [-rate R] [-seed S] [-mclocality 20]
 //	      [-hist] [-check] [-timeline file] [-window N] [-timeout D]
 //

@@ -59,9 +59,10 @@ type PointSpec struct {
 	MulticastLocality int     `json:"multicast_locality,omitempty"`
 
 	// Workload names a probabilistic trace (uniform, unidf, bidf,
-	// hotbidf, 1hotspot, 2hotspot, 4hotspot) or an application trace
-	// (x264, bodytrack, fluidanimate, streamcluster, specjbb). Default
-	// uniform.
+	// hotbidf, 1hotspot, 2hotspot, 4hotspot), an application trace
+	// (x264, bodytrack, fluidanimate, streamcluster, specjbb) or a
+	// permutation pattern (transpose, bitcomplement, bitreverse,
+	// shuffle). Default uniform.
 	Workload string `json:"workload,omitempty"`
 
 	// Rate is the injection rate per component per cycle (default

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"testing"
 
 	"repro/internal/topology"
@@ -34,5 +35,21 @@ func TestSpecMulticastExpandAugments(t *testing.T) {
 	}
 	if expand == none {
 		t.Errorf("expand and none share fingerprint %s", expand)
+	}
+}
+
+// TestSpecPermutationWorkload: the permutation patterns are registry
+// workloads, so a request may name one.
+func TestSpecPermutationWorkload(t *testing.T) {
+	var p PointSpec
+	if err := json.Unmarshal([]byte(`{"workload":"transpose"}`), &p); err != nil {
+		t.Fatal(err)
+	}
+	pt, err := p.compile(topology.New10x10(), specLimits{}, false)
+	if err != nil {
+		t.Fatalf("compile transpose: %v", err)
+	}
+	if got := pt.Payload.Gen.Workload; got != "transpose" {
+		t.Errorf("GenSpec.Workload = %q, want transpose", got)
 	}
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -258,5 +259,36 @@ func TestAblationRegionRunsRegionSet(t *testing.T) {
 	want := Run(cfg, traffic.NewProbabilistic(m, traffic.Hotspot1, opts.Rate, opts.Seed), opts).AvgLatency
 	if region != want {
 		t.Errorf("region arm latency %v, want %v from SelectRegionBased's set", region, want)
+	}
+}
+
+// TestLookupWorkloadPermutations: the registry resolves each permutation
+// name in any letter case to the generator traffic.NewSynthetic builds,
+// with the same name and the same first 1,000 messages.
+func TestLookupWorkloadPermutations(t *testing.T) {
+	m := topology.New10x10()
+	first := func(gen traffic.Generator) []noc.Message {
+		var msgs []noc.Message
+		for now := int64(0); len(msgs) < 1000; now++ {
+			gen.Tick(now, func(msg noc.Message) { msgs = append(msgs, msg) })
+		}
+		return msgs[:1000]
+	}
+	for _, p := range traffic.Permutations() {
+		want := traffic.NewSynthetic(m, p, 0.03, 7)
+		wantMsgs := first(want)
+		for _, name := range []string{p.String(), strings.ToUpper(p.String()), strings.ToUpper(p.String()[:1]) + p.String()[1:]} {
+			mk, err := LookupWorkload(m, name)
+			if err != nil {
+				t.Fatalf("LookupWorkload(%q): %v", name, err)
+			}
+			gen := mk(0.03, 7)
+			if gen.Name() != want.Name() {
+				t.Errorf("LookupWorkload(%q) name = %q, want %q", name, gen.Name(), want.Name())
+			}
+			if !slices.Equal(first(gen), wantMsgs) {
+				t.Errorf("LookupWorkload(%q) injects other messages than NewSynthetic", name)
+			}
+		}
 	}
 }

@@ -14,33 +14,24 @@ import (
 // WriteFig7CSV exports a Fig7Result (also used for Figure 8) as
 // trace,design,norm_latency,norm_power rows.
 func WriteFig7CSV(w io.Writer, r Fig7Result) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"trace", "design", "norm_latency", "norm_power"}); err != nil {
-		return err
-	}
-	for di, d := range r.Designs {
-		for ti, tr := range r.Traces {
-			p := r.Points[di][ti]
-			if err := cw.Write([]string{
-				tr, d, formatF(p.Latency), formatF(p.Power),
-			}); err != nil {
-				return err
-			}
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+	return writeMatrixCSV(w, "design", r.Traces, r.Designs, r.Points)
 }
 
 // WriteFig9CSV exports the multicast study.
 func WriteFig9CSV(w io.Writer, r Fig9Result) error {
+	return writeMatrixCSV(w, "config", r.Traces, r.Configs, r.Points)
+}
+
+// writeMatrixCSV exports a trace x column matrix, points[column][trace],
+// as trace,<column>,norm_latency,norm_power rows, column by column.
+func writeMatrixCSV(w io.Writer, column string, traces, columns []string, points [][]NormPoint) error {
 	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"trace", "config", "norm_latency", "norm_power"}); err != nil {
+	if err := cw.Write([]string{"trace", column, "norm_latency", "norm_power"}); err != nil {
 		return err
 	}
-	for ci, c := range r.Configs {
-		for ti, tr := range r.Traces {
-			p := r.Points[ci][ti]
+	for ci, c := range columns {
+		for ti, tr := range traces {
+			p := points[ci][ti]
 			if err := cw.Write([]string{
 				tr, c, formatF(p.Latency), formatF(p.Power),
 			}); err != nil {

@@ -40,7 +40,7 @@ func Fig1(m *topology.Mesh, opts Options) Fig1Result {
 	var pts []point
 	for _, app := range traffic.Apps() {
 		out.Apps = append(out.Apps, app.String())
-		pts = append(pts, point{Design{Kind: Baseline, Width: tech.Width16B}, genSpec(app.String(), opts)})
+		pts = append(pts, point{design: Design{Kind: Baseline, Width: tech.Width16B}, gen: genSpec(app.String(), opts)})
 	}
 	res := newPlan(pts).run(m, opts)
 	for _, pt := range pts {
@@ -110,24 +110,29 @@ func compareDesigns(m *topology.Mesh, designs []Design, opts Options) Fig7Result
 func (r Fig7Result) Means() []NormPoint { return geoMeans(r.Points) }
 
 // Render draws the trace x design matrix.
-func (r Fig7Result) Render() string {
+func (r Fig7Result) Render() string { return renderMatrix(r.Traces, r.Designs, r.Points) }
+
+// renderMatrix draws a trace x column matrix of normalized points,
+// points[column][trace], with a geometric-mean row.
+func renderMatrix(traces, columns []string, points [][]NormPoint) string {
 	header := []string{"trace"}
-	for _, d := range r.Designs {
-		header = append(header, d+" lat", d+" pow")
+	for _, c := range columns {
+		header = append(header, c+" lat", c+" pow")
 	}
 	t := stats.NewTable(header...)
-	for ti, tr := range r.Traces {
+	cells := func(row []string, p NormPoint) []string {
+		return append(row, fmt.Sprintf("%.3f", p.Latency), fmt.Sprintf("%.3f", p.Power))
+	}
+	for ti, tr := range traces {
 		row := []string{tr}
-		for di := range r.Designs {
-			p := r.Points[di][ti]
-			row = append(row, fmt.Sprintf("%.3f", p.Latency), fmt.Sprintf("%.3f", p.Power))
+		for ci := range columns {
+			row = cells(row, points[ci][ti])
 		}
 		t.AddRow(row...)
 	}
-	means := r.Means()
 	row := []string{"geomean"}
-	for _, mp := range means {
-		row = append(row, fmt.Sprintf("%.3f", mp.Latency), fmt.Sprintf("%.3f", mp.Power))
+	for _, mp := range geoMeans(points) {
+		row = cells(row, mp)
 	}
 	t.AddRow(row...)
 	return t.String()
@@ -262,36 +267,15 @@ func Fig9(m *topology.Mesh, opts Options) Fig9Result {
 func (r Fig9Result) Means() []NormPoint { return geoMeans(r.Points) }
 
 // Render draws the matrix.
-func (r Fig9Result) Render() string {
-	header := []string{"trace"}
-	for _, c := range r.Configs {
-		header = append(header, c+" lat", c+" pow")
-	}
-	t := stats.NewTable(header...)
-	for ti, tr := range r.Traces {
-		row := []string{tr}
-		for ci := range r.Configs {
-			p := r.Points[ci][ti]
-			row = append(row, fmt.Sprintf("%.3f", p.Latency), fmt.Sprintf("%.3f", p.Power))
-		}
-		t.AddRow(row...)
-	}
-	means := r.Means()
-	row := []string{"geomean"}
-	for _, mp := range means {
-		row = append(row, fmt.Sprintf("%.3f", mp.Latency), fmt.Sprintf("%.3f", mp.Power))
-	}
-	t.AddRow(row...)
-	return t.String()
-}
+func (r Fig9Result) Render() string { return renderMatrix(r.Traces, r.Configs, r.Points) }
 
 // ---------------------------------------------------------------------
 // The one runner behind every figure that simulates Designs on the mesh:
 // a plan of distinct (design, workload) points, run in one pass. Figures
 // 7, 8, 9 and 10 and the Summary list series, design columns over the
 // seven probabilistic traces normalized to a baseline series; Figure 1,
-// the application study, the load curves and the width ablation list
-// their points directly.
+// the application study, the load curves, the width, VC and escape-VC
+// ablations and the routing study list their points directly.
 // ---------------------------------------------------------------------
 
 // series is one figure column: a design over the probabilistic traces,
@@ -317,7 +301,7 @@ func (s series) at(pat traffic.Pattern, opts Options) point {
 	if s.locality > 0 {
 		g.Multicast, g.MulticastRate, g.MulticastLocality = true, opts.MulticastRate, s.locality
 	}
-	return point{s.design, g}
+	return point{design: s.design, gen: g}
 }
 
 // genSpec is the named workload at opts' rate and seed.
@@ -325,10 +309,20 @@ func genSpec(workload string, opts Options) GenSpec {
 	return GenSpec{Workload: workload, Rate: opts.Rate, Seed: opts.Seed}
 }
 
-// point is one simulation: a design on one workload.
+// point is one simulation: a design on one workload, with the router
+// settings a Design does not carry.
 type point struct {
 	design Design
 	gen    GenSpec
+	router routerConfig
+}
+
+// routerConfig holds the noc.Config settings the router-configuration
+// studies vary; a zero field keeps the noc default.
+type routerConfig struct {
+	vcsPerClass, bufDepth int
+	escapeTimeout         int64
+	adaptiveRouting       bool
 }
 
 // profile is the workload an adaptive point's shortcuts are selected
@@ -390,7 +384,10 @@ func (p plan) run(m *topology.Mesh, opts Options) map[point]Result {
 			})
 			freq = pr.freq
 		}
-		results[i] = Run(build(m, pt.design, freq), pt.gen.mustBuild(m), opts)
+		cfg := build(m, pt.design, freq)
+		cfg.VCsPerClass, cfg.BufDepth = pt.router.vcsPerClass, pt.router.bufDepth
+		cfg.EscapeTimeout, cfg.AdaptiveRouting = pt.router.escapeTimeout, pt.router.adaptiveRouting
+		results[i] = Run(cfg, pt.gen.mustBuild(m), opts)
 		results[i].Design = pt.design.Name()
 	})
 	out := make(map[point]Result, len(p.points))
@@ -588,8 +585,8 @@ func AppStudy(m *topology.Mesh, opts Options) []AppResult {
 	for _, app := range apps {
 		g := genSpec(app.String(), opts)
 		pts = append(pts,
-			point{Design{Kind: Baseline, Width: tech.Width16B}, g},
-			point{Design{Kind: Adaptive, RFRouters: 50, Width: tech.Width4B}, g})
+			point{design: Design{Kind: Baseline, Width: tech.Width16B}, gen: g},
+			point{design: Design{Kind: Adaptive, RFRouters: 50, Width: tech.Width4B}, gen: g})
 	}
 	res := newPlan(pts).run(m, opts)
 	out := make([]AppResult, len(apps))

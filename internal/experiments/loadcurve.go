@@ -44,7 +44,7 @@ func LoadLatency(m *topology.Mesh, designs []Design, pat traffic.Pattern, rates 
 		for _, rate := range rates {
 			o := opts
 			o.Rate = rate
-			pts = append(pts, point{d, genSpec(pat.String(), o.WithDefaults())})
+			pts = append(pts, point{design: d, gen: genSpec(pat.String(), o.WithDefaults())})
 		}
 	}
 	res := newPlan(pts).run(m, opts)

@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
-	"sync"
 
 	"repro/internal/noc"
 	"repro/internal/shortcut"
@@ -160,17 +158,22 @@ func AblationRegion(m *topology.Mesh, opts Options) (region, pair float64) {
 // topology under load and reports latency per timeout.
 func AblationEscapeVC(m *topology.Mesh, timeouts []int64, opts Options) map[int64]float64 {
 	opts = opts.WithDefaults()
+	pts := make([]point, len(timeouts))
+	for i, to := range timeouts {
+		pts[i] = routerStudy(routerConfig{escapeTimeout: to}, opts)
+	}
+	res := newPlan(pts).run(m, opts)
 	out := map[int64]float64{}
-	edges := StaticShortcuts(m, tech.ShortcutBudget)
-	for _, to := range timeouts {
-		cfg := Build(m, Design{Kind: Static, Width: tech.Width4B}, nil, 0)
-		cfg.Shortcuts = edges
-		cfg.EscapeTimeout = to
-		gen := traffic.NewProbabilistic(m, traffic.Hotspot2, opts.Rate, opts.Seed)
-		r := Run(cfg, gen, opts)
-		out[to] = r.AvgLatency
+	for i, to := range timeouts {
+		out[to] = res[pts[i]].AvgLatency
 	}
 	return out
+}
+
+// routerStudy is the VC and escape-VC ablations' point: the 4 B mesh
+// with static shortcuts under 2Hotspot traffic, routers set by r.
+func routerStudy(r routerConfig, opts Options) point {
+	return point{Design{Kind: Static, Width: tech.Width4B}, genSpec(traffic.Hotspot2.String(), opts), r}
 }
 
 // AblationShortcutWidth splits the fixed 256 B RF-I aggregate bandwidth
@@ -180,9 +183,9 @@ func AblationEscapeVC(m *topology.Mesh, timeouts []int64, opts Options) map[int6
 func AblationShortcutWidth(m *topology.Mesh, widths []int, opts Options) map[int]float64 {
 	opts = opts.WithDefaults()
 	g := genSpec(traffic.Uniform.String(), opts)
-	pts := []point{{Design{Kind: Baseline, Width: tech.Width4B}, g}}
+	pts := []point{{design: Design{Kind: Baseline, Width: tech.Width4B}, gen: g}}
 	for _, w := range widths {
-		pts = append(pts, point{Design{Kind: Static, Width: tech.Width4B, ShortcutWidthBytes: w}, g})
+		pts = append(pts, point{design: Design{Kind: Static, Width: tech.Width4B, ShortcutWidthBytes: w}, gen: g})
 	}
 	res := newPlan(pts).run(m, opts)
 	out := map[int]float64{}
@@ -199,34 +202,23 @@ func AblationShortcutWidth(m *topology.Mesh, widths []int, opts Options) map[int
 // architecture actually needs.
 func AblationVCConfig(m *topology.Mesh, vcs, depths []int, opts Options) map[[2]int]float64 {
 	opts = opts.WithDefaults()
-	out := map[[2]int]float64{}
-	var mu sync.Mutex
-	edges := StaticShortcuts(m, tech.ShortcutBudget)
-	type point struct{ v, d int }
 	var pts []point
 	for _, v := range vcs {
 		for _, d := range depths {
-			pts = append(pts, point{v, d})
+			pts = append(pts, routerStudy(routerConfig{vcsPerClass: v, bufDepth: d}, opts))
 		}
 	}
-	forEach(len(pts), func(i int) {
-		p := pts[i]
-		cfg := noc.Config{
-			Mesh: m, Width: tech.Width4B, Shortcuts: edges,
-			VCsPerClass: p.v, BufDepth: p.d,
-		}
-		gen := traffic.NewProbabilistic(m, traffic.Hotspot2, opts.Rate, opts.Seed)
-		r := Run(cfg, gen, opts)
-		mu.Lock()
-		out[[2]int{p.v, p.d}] = r.AvgLatency
-		mu.Unlock()
-	})
+	res := newPlan(pts).run(m, opts)
+	out := map[[2]int]float64{}
+	for _, pt := range pts {
+		out[[2]int{pt.router.vcsPerClass, pt.router.bufDepth}] = res[pt].AvgLatency
+	}
 	return out
 }
 
-// RoutingComparison runs the classic permutation patterns under
-// deterministic XY and minimal-adaptive routing on the 4 B baseline mesh
-// and reports per-flit latency for each (pattern, mode).
+// RoutingRow is one permutation pattern of the routing study: per-flit
+// latency under deterministic XY and minimal-adaptive routing on the
+// 4 B baseline mesh.
 type RoutingRow struct {
 	Pattern       string
 	Deterministic float64
@@ -242,19 +234,21 @@ func RoutingStudy(m *topology.Mesh, opts Options) []RoutingRow {
 	opts = opts.WithDefaults()
 	const permRate = 0.03 // per-core sends per cycle: deep in the contended regime at 4 B
 	perms := traffic.Permutations()
-	out := make([]RoutingRow, len(perms))
-	forEach(len(perms)*2, func(k int) {
-		pi, adaptive := k/2, k%2 == 1
-		cfg := noc.Config{Mesh: m, Width: tech.Width4B, AdaptiveRouting: adaptive}
-		gen := traffic.NewSynthetic(m, perms[pi], permRate, opts.Seed)
-		r := Run(cfg, gen, opts)
-		if adaptive {
-			out[pi].Adaptive = r.AvgLatency
-		} else {
-			out[pi].Deterministic = r.AvgLatency
+	var pts []point // each pattern under XY, then under adaptive routing
+	for _, p := range perms {
+		for _, adaptive := range []bool{false, true} {
+			pts = append(pts, point{
+				Design{Kind: Baseline, Width: tech.Width4B},
+				GenSpec{Workload: p.String(), Rate: permRate, Seed: opts.Seed},
+				routerConfig{adaptiveRouting: adaptive},
+			})
 		}
-		out[pi].Pattern = perms[pi].String()
-	})
+	}
+	res := newPlan(pts).run(m, opts)
+	out := make([]RoutingRow, len(perms))
+	for i, p := range perms {
+		out[i] = RoutingRow{p.String(), res[pts[2*i]].AvgLatency, res[pts[2*i+1]].AvgLatency}
+	}
 	return out
 }
 
@@ -267,13 +261,4 @@ func RenderRoutingStudy(rows []RoutingRow) string {
 			fmt.Sprintf("%.2fx", r.Deterministic/r.Adaptive))
 	}
 	return t.String()
-}
-
-// RenderClaimNames lists claim names (used by the CLI for filtering).
-func RenderClaimNames(claims []Claim) string {
-	var names []string
-	for _, c := range claims {
-		names = append(names, c.Name)
-	}
-	return strings.Join(names, "\n")
 }

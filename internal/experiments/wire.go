@@ -35,8 +35,8 @@ const (
 // data NewSweepPoint's closure captures, flattened so it survives a
 // process boundary.
 type GenSpec struct {
-	// Workload names a probabilistic pattern or an application trace
-	// (LookupWorkload resolves it).
+	// Workload names a probabilistic pattern, an application trace or a
+	// permutation pattern (LookupWorkload resolves it).
 	Workload string `json:"workload"`
 
 	// Rate and Seed parameterize the base generator. They are the
@@ -76,12 +76,12 @@ func (g GenSpec) mustBuild(m *topology.Mesh) traffic.Generator {
 
 // LookupWorkload resolves a workload name (case-insensitive) to a
 // generator constructor: probabilistic patterns first, then application
-// traces. This is the canonical name registry; the sweep service
-// validates request workloads against it.
+// traces, then the permutation patterns (which need the 64 cores of the
+// 10x10 floorplan). This is the canonical name registry; the sweep
+// service validates request workloads against it.
 func LookupWorkload(m *topology.Mesh, name string) (func(rate float64, seed int64) traffic.Generator, error) {
 	for _, p := range traffic.Patterns() {
 		if strings.EqualFold(p.String(), name) {
-			p := p
 			return func(rate float64, seed int64) traffic.Generator {
 				return traffic.NewProbabilistic(m, p, rate, seed)
 			}, nil
@@ -89,9 +89,15 @@ func LookupWorkload(m *topology.Mesh, name string) (func(rate float64, seed int6
 	}
 	for _, a := range traffic.Apps() {
 		if strings.EqualFold(a.String(), name) {
-			a := a
 			return func(rate float64, seed int64) traffic.Generator {
 				return traffic.NewAppTrace(m, a, rate, seed)
+			}, nil
+		}
+	}
+	for _, p := range traffic.Permutations() {
+		if strings.EqualFold(p.String(), name) {
+			return func(rate float64, seed int64) traffic.Generator {
+				return traffic.NewSynthetic(m, p, rate, seed)
 			}, nil
 		}
 	}

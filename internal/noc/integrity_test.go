@@ -94,7 +94,7 @@ func TestIntegrityChecksumCatchesCorruption(t *testing.T) {
 	corrupted := 0
 	injected := soakTraffic(n, m, 91, 4000, 0.4, func(n *Network, i int) {
 		if i > 500 && i%400 == 0 && corrupted < 5 {
-			if n.CorruptInFlightDst((i/400)%n.Config().Mesh.N()) {
+			if n.CorruptInFlightDst((i / 400) % n.Config().Mesh.N()) {
 				corrupted++
 			}
 		}

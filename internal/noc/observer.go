@@ -120,20 +120,20 @@ type Observer interface {
 // BaseObserver is a no-op Observer for embedding.
 type BaseObserver struct{}
 
-func (BaseObserver) PacketInjected(Message, int64)       {}
-func (BaseObserver) FlitSent(int, int, int64)            {}
-func (BaseObserver) FlitEjected(int, int64)              {}
-func (BaseObserver) PacketDelivered(Message, int64, int) {}
-func (BaseObserver) MulticastDelivered(Message, int64)   {}
-func (BaseObserver) FlitCorrupted(int, int, int64)       {}
-func (BaseObserver) Retransmit(int, int, int, int64)     {}
-func (BaseObserver) LinkFailed(int, int, int64)          {}
-func (BaseObserver) DegradedReroute(int, int, int64)     {}
-func (BaseObserver) Replanned(int, int64)                {}
-func (BaseObserver) PacketMisrouted(int, int, int64)     {}
-func (BaseObserver) PacketMisdelivered(int, Message, int64) {}
-func (BaseObserver) DuplicateInjected(int, int64)           {}
-func (BaseObserver) DuplicateDropped(int, Message, int64)   {}
+func (BaseObserver) PacketInjected(Message, int64)            {}
+func (BaseObserver) FlitSent(int, int, int64)                 {}
+func (BaseObserver) FlitEjected(int, int64)                   {}
+func (BaseObserver) PacketDelivered(Message, int64, int)      {}
+func (BaseObserver) MulticastDelivered(Message, int64)        {}
+func (BaseObserver) FlitCorrupted(int, int, int64)            {}
+func (BaseObserver) Retransmit(int, int, int, int64)          {}
+func (BaseObserver) LinkFailed(int, int, int64)               {}
+func (BaseObserver) DegradedReroute(int, int, int64)          {}
+func (BaseObserver) Replanned(int, int64)                     {}
+func (BaseObserver) PacketMisrouted(int, int, int64)          {}
+func (BaseObserver) PacketMisdelivered(int, Message, int64)   {}
+func (BaseObserver) DuplicateInjected(int, int64)             {}
+func (BaseObserver) DuplicateDropped(int, Message, int64)     {}
 func (BaseObserver) IntegrityRetransmit(int, int, int, int64) {}
 func (BaseObserver) PacketLost(Message, int64)                {}
 func (BaseObserver) CreditLeaked(int, int, int64)             {}

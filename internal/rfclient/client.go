@@ -99,10 +99,10 @@ type Summary struct {
 // Stats counts what one Run survived — the storm harness asserts the
 // faults actually bit (Resumes > 0) and measures delivery overhead.
 type Stats struct {
-	Posts      int   // POST /v1/sweep attempts
-	Resumes    int   // GET ?from= attempts
-	Duplicates int   // durable frames re-read and suppressed by dedup
-	Backoffs   int   // waits between attempts (backoff or Retry-After)
+	Posts      int // POST /v1/sweep attempts
+	Resumes    int // GET ?from= attempts
+	Duplicates int // durable frames re-read and suppressed by dedup
+	Backoffs   int // waits between attempts (backoff or Retry-After)
 	JobID      string
 	Cursor     int64 // highest seq consumed
 }

@@ -6,6 +6,7 @@ package topology
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -216,37 +217,29 @@ func (m *Mesh) Graph() *graph.Digraph { return graph.Grid(m.W, m.H) }
 //	 25 - a sparser stagger (every other router of the 50-point pattern),
 //	      so every router is at most two hops from an access point, again
 //	      padded to exactly 25 with a corner substitute.
+//
+// Each set is RFStagger at density 1, 2 or 4 plus the corner substitutes.
 func (m *Mesh) RFPlacement(n int) []int {
-	var keep func(c Coord) bool
+	var density int
 	var subs []Coord
 	switch n {
 	case 100:
-		keep = func(c Coord) bool { return true }
+		density = 1
 	case 50:
-		keep = func(c Coord) bool { return (c.X+c.Y)%2 == 1 }
 		// Corners (9,0) and (0,9) have odd parity; substitute their
 		// inward neighbors (8,0) and (1,9), which have even parity.
-		subs = []Coord{{8, 0}, {1, 9}}
+		density, subs = 2, []Coord{{8, 0}, {1, 9}}
 	case 25:
-		keep = func(c Coord) bool { return c.X%2 == 1 && c.Y%2 == 0 }
 		// Corner (9,0) matches the pattern; substitute (7,1).
-		subs = []Coord{{7, 1}}
+		density, subs = 4, []Coord{{7, 1}}
 	default:
 		panic(fmt.Sprintf("topology: unsupported RF placement size %d (want 25, 50 or 100)", n))
 	}
-	var out []int
-	for id := 0; id < m.N(); id++ {
-		if m.IsCorner(id) {
-			continue
-		}
-		if keep(m.Coord(id)) {
-			out = append(out, id)
-		}
-	}
+	out := m.RFStagger(density)
 	for _, s := range subs {
 		out = append(out, m.ID(s.X, s.Y))
 	}
-	sortInts(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -277,15 +270,6 @@ func (m *Mesh) RFStagger(density int) []int {
 		}
 	}
 	return out
-}
-
-func sortInts(xs []int) {
-	// Insertion sort: placements are tiny and this keeps imports lean.
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }
 
 // Serpentine returns the order in which the RF-I transmission-line bundle
