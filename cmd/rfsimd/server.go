@@ -62,6 +62,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/janitor"
 	"repro/internal/obs"
+	"repro/internal/shortcut"
 	"repro/internal/sweepcache"
 	"repro/internal/topology"
 )
@@ -486,14 +487,28 @@ type recoveryStats struct {
 	Replayed int64 `json:"replayed"`
 }
 
+// memoStats is the /v1/metrics view of the process-wide memos a compile
+// reads: the static and adaptive shortcut selections, and the adaptive
+// profiles. A miss is a selection or a profile run in the POST handler,
+// so misses are what make a compile slow.
+type memoStats struct {
+	Selection sweepcache.Stats `json:"selection"`
+	Profile   sweepcache.Stats `json:"profile"`
+}
+
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	resp := struct {
 		Service  obs.ServiceSnapshot          `json:"service"`
 		Cache    sweepcache.Stats             `json:"cache"`
+		Memo     memoStats                    `json:"memo"`
 		Janitor  *janitor.Stats               `json:"janitor,omitempty"`
 		Workers  *experiments.WorkerPoolStats `json:"workers,omitempty"`
 		Recovery *recoveryStats               `json:"recovery,omitempty"`
-	}{Service: s.metrics.Snapshot(), Cache: s.cache.Stats()}
+	}{
+		Service: s.metrics.Snapshot(),
+		Cache:   s.cache.Stats(),
+		Memo:    memoStats{Selection: shortcut.MemoStats(), Profile: experiments.ProfileMemoStats()},
+	}
 	if s.jan != nil {
 		st := s.jan.Stats()
 		resp.Janitor = &st

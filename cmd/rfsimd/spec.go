@@ -211,11 +211,10 @@ func (p PointSpec) compile(m *topology.Mesh, lim specLimits, check bool) (experi
 		Kind: kind, Width: tech.LinkWidth(width),
 		RFRouters: p.RFRouters, Multicast: mode,
 	}
-	var profile traffic.Generator
-	if kind == experiments.Adaptive {
-		profile = mkGen()
+	cfg, err := experiments.BuildSpec(m, d, gen, 0)
+	if err != nil {
+		return experiments.SweepPoint{}, err
 	}
-	cfg := experiments.Build(m, d, profile, 0)
 	cfg.VCsPerClass = p.VCsPerClass
 	cfg.BufDepth = p.BufDepth
 	cfg.EscapeTimeout = p.EscapeTimeout

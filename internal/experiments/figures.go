@@ -325,16 +325,6 @@ type routerConfig struct {
 	adaptiveRouting       bool
 }
 
-// profile is the workload an adaptive point's shortcuts are selected
-// from: its own, without multicast augmentation. The augmentation draws
-// from its own RNG and the profile drops multicasts, so both give the
-// same frequency matrix, and the points of one trace share it.
-func (p point) profile() GenSpec {
-	g := p.gen
-	g.Multicast, g.MulticastRate, g.MulticastLocality = false, 0, 0
-	return g
-}
-
 // plan is a set of distinct points in first-use order. Profiles lists
 // the workloads its adaptive points select shortcuts from; each is
 // profiled once per run.
@@ -352,8 +342,8 @@ func newPlan(pts []point) plan {
 		}
 		seen[pt] = true
 		p.points = append(p.points, pt)
-		if pt.design.Kind == Adaptive && !slices.Contains(p.profiles, pt.profile()) {
-			p.profiles = append(p.profiles, pt.profile())
+		if pt.design.Kind == Adaptive && !slices.Contains(p.profiles, pt.gen.profile()) {
+			p.profiles = append(p.profiles, pt.gen.profile())
 		}
 	}
 	return p
@@ -378,9 +368,9 @@ func (p plan) run(m *topology.Mesh, opts Options) map[point]Result {
 		pt := p.points[i]
 		var freq [][]int64
 		if pt.design.Kind == Adaptive {
-			pr := profiles[pt.profile()]
+			pr := profiles[pt.gen.profile()]
 			pr.once.Do(func() {
-				pr.freq = traffic.FrequencyMatrix(pt.profile().mustBuild(m), m.N(), opts.ProfileCycles)
+				pr.freq = traffic.FrequencyMatrix(pt.gen.profile().mustBuild(m), m.N(), opts.ProfileCycles)
 			})
 			freq = pr.freq
 		}

@@ -81,7 +81,7 @@ func (o Options) WithDefaults() Options {
 		o.Seed = 1
 	}
 	if o.ProfileCycles == 0 {
-		o.ProfileCycles = 20000
+		o.ProfileCycles = defaultProfileCycles
 	}
 	return o
 }

@@ -65,6 +65,15 @@ func (g GenSpec) Build(m *topology.Mesh) (traffic.Generator, error) {
 	return gen, nil
 }
 
+// profile is the workload a shortcut selection for g is made from: g
+// without multicast augmentation. The augmentation draws from its own
+// RNG and the profile drops multicasts, so both give the same frequency
+// matrix, and the adaptive points of one trace share it.
+func (g GenSpec) profile() GenSpec {
+	g.Multicast, g.MulticastRate, g.MulticastLocality = false, 0, 0
+	return g
+}
+
 // mustBuild is Build for a spec whose workload is a registered name.
 func (g GenSpec) mustBuild(m *topology.Mesh) traffic.Generator {
 	gen, err := g.Build(m)

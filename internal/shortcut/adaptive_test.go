@@ -12,9 +12,9 @@ import (
 // freshMemo gives the test an empty selection memo, restoring the shared
 // one when it ends.
 func freshMemo(t *testing.T) {
-	prev := adaptiveMemo
-	adaptiveMemo = sweepcache.New(1024)
-	t.Cleanup(func() { adaptiveMemo = prev })
+	prev := selectionMemo
+	selectionMemo = sweepcache.New(1024)
+	t.Cleanup(func() { selectionMemo = prev })
 }
 
 // memoFixture is a 6x8 mesh with every other router RF-enabled and a
@@ -57,7 +57,7 @@ func TestAdaptiveMemoHitEqualsDirect(t *testing.T) {
 	if !reflect.DeepEqual(miss, want) || !reflect.DeepEqual(hit, want) {
 		t.Errorf("Adaptive = %v then %v, want the direct selection %v", miss, hit, want)
 	}
-	if s := adaptiveMemo.Stats(); s.Misses != 1 || s.Hits != 1 {
+	if s := selectionMemo.Stats(); s.Misses != 1 || s.Hits != 1 {
 		t.Errorf("memo stats %+v, want 1 miss then 1 hit", s)
 	}
 }
@@ -92,7 +92,7 @@ func TestAdaptiveMemoSingleFlight(t *testing.T) {
 	}
 	close(start)
 	wg.Wait()
-	if s := adaptiveMemo.Stats(); s.Misses != 1 || s.Hits+s.Joins != callers-1 {
+	if s := selectionMemo.Stats(); s.Misses != 1 || s.Hits+s.Joins != callers-1 {
 		t.Errorf("memo stats %+v, want 1 miss and %d hits or joins", s, callers-1)
 	}
 	for i := 1; i < callers; i++ {
@@ -130,10 +130,66 @@ func TestAdaptiveMemoKeyCoversInputs(t *testing.T) {
 		{"zero freq row", func() { Adaptive(m, rf, zeroRow, 6) }},
 		{"nil freq", func() { Adaptive(m, rf, nil, 6) }},
 	} {
-		before := adaptiveMemo.Stats().Misses
+		before := selectionMemo.Stats().Misses
 		c.call()
-		if after := adaptiveMemo.Stats().Misses; after != before+1 {
+		if after := selectionMemo.Stats().Misses; after != before+1 {
 			t.Errorf("changing the %s: %d misses, want %d", c.name, after, before+1)
 		}
+	}
+}
+
+func TestStaticMemoEqualsDirect(t *testing.T) {
+	freshMemo(t)
+	for _, wh := range [][2]int{{6, 6}, {8, 8}, {10, 10}, {12, 12}, {6, 12}, {12, 6}} {
+		m := topology.New(wh[0], wh[1])
+		for budget := 0; budget <= 16; budget++ {
+			want := SelectMaxCost(m.Graph(), Params{Budget: budget, Eligible: m.ShortcutEligible})
+			miss, hit := Static(m, budget), Static(m, budget)
+			if !reflect.DeepEqual(miss, want) || !reflect.DeepEqual(hit, want) {
+				t.Errorf("%dx%d budget %d: Static = %v then %v, want %v", m.W, m.H, budget, miss, hit, want)
+			}
+		}
+	}
+	if s := selectionMemo.Stats(); s.Misses != 6*17 || s.Hits != 6*17 {
+		t.Errorf("memo stats %+v, want %d misses and as many hits", s, 6*17)
+	}
+}
+
+func TestStaticMemoReturnsFreshSlice(t *testing.T) {
+	freshMemo(t)
+	m := topology.New10x10()
+	first := Static(m, 16)
+	want := append([]Edge(nil), first...)
+	for i := range first {
+		first[i] = Edge{From: -1, To: -1}
+	}
+	if got := Static(m, 16); !reflect.DeepEqual(got, want) {
+		t.Errorf("after mutating a returned slice, Static = %v, want %v", got, want)
+	}
+}
+
+// TestStaticAndAdaptiveMemoSeparate: an adaptive selection over every
+// eligible router with no profile reads the same inputs as the static
+// set, but runs another selector, so it must not share its entry.
+func TestStaticAndAdaptiveMemoSeparate(t *testing.T) {
+	freshMemo(t)
+	m := topology.New10x10()
+	all := make([]int, m.N())
+	for id := range all {
+		all[id] = id
+	}
+	static := Static(m, 16)
+	adaptive := Adaptive(m, all, nil, 16)
+	if s := selectionMemo.Stats(); s.Misses != 2 || s.Entries != 2 {
+		t.Errorf("memo stats %+v, want 2 misses and 2 entries", s)
+	}
+	if got := Static(m, 16); !reflect.DeepEqual(got, static) {
+		t.Errorf("Static after Adaptive = %v, want %v", got, static)
+	}
+	if got := Adaptive(m, all, nil, 16); !reflect.DeepEqual(got, adaptive) {
+		t.Errorf("Adaptive after Static = %v, want %v", got, adaptive)
+	}
+	if s := selectionMemo.Stats(); s.Misses != 2 || s.Hits != 2 {
+		t.Errorf("memo stats %+v, want 2 misses then 2 hits", s)
 	}
 }

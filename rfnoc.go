@@ -269,7 +269,8 @@ func ProfileTraffic(g Generator, m *Mesh, cycles int64) [][]int64 {
 }
 
 // StaticShortcuts selects the architecture-specific shortcut set
-// (Section 3.2.1, max-cost heuristic).
+// (Section 3.2.1, max-cost heuristic). Sets are memoized by mesh shape
+// and budget; each call returns a fresh slice the caller may modify.
 func StaticShortcuts(m *Mesh, budget int) []ShortcutEdge {
 	return experiments.StaticShortcuts(m, budget)
 }
