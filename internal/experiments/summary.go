@@ -120,7 +120,7 @@ func AblationHeuristics(m *topology.Mesh, budget int) (permutation, maxCost int6
 	g := m.Graph()
 	p := shortcut.Params{Budget: budget, Eligible: m.ShortcutEligible}
 	pg := shortcut.Apply(g, shortcut.SelectGreedyPermutation(g, p))
-	mg := shortcut.Apply(g, shortcut.SelectMaxCost(g, p))
+	mg := shortcut.Apply(g, shortcut.Static(m, budget))
 	return pg.TotalPairCost(), mg.TotalPairCost()
 }
 
