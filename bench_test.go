@@ -75,8 +75,10 @@ func BenchmarkFig8BandwidthReduction(b *testing.B) {
 
 // summaryBenchSeed numbers BenchmarkSummary's runs. It never repeats,
 // across b.N rounds and -count runs alike, so every Summary profiles
-// fresh traces and misses the content-keyed selection memo, as the first
-// Summary of a process does.
+// fresh traces and misses the content-keyed selection memo for its
+// adaptive sets, as the first Summary of a process does. The static set
+// depends on no seed, so it is selected once per process, as in any
+// run of several Summaries.
 var summaryBenchSeed int64
 
 // BenchmarkSummary regenerates the 18 headline claims at 5k cycles, the
