@@ -240,21 +240,26 @@ func sweepGrid(m *topology.Mesh, opts experiments.Options) []experiments.SweepPo
 		{Kind: experiments.Adaptive, Width: tech.Width4B, RFRouters: 50},
 	}
 	pats := []traffic.Pattern{traffic.Uniform, traffic.Hotspot2, traffic.BiDF}
+	def := opts.WithDefaults()
 	var pts []experiments.SweepPoint
 	for _, d := range designs {
 		for _, pat := range pats {
-			d, pat := d, pat
-			mkGen := func() traffic.Generator {
-				return traffic.NewProbabilistic(m, pat, opts.WithDefaults().Rate, opts.Seed)
+			pt := experiments.Point{Design: d, Gen: experiments.GenSpec{Workload: pat.String(), Rate: def.Rate, Seed: def.Seed}}
+			cfg, err := experiments.BuildSpec(m, pt, def.ProfileCycles)
+			if err != nil {
+				panic(err) // the patterns are registered workloads
 			}
-			cfg := experiments.Build(m, d, mkGen(), opts.WithDefaults().ProfileCycles)
-			id := fmt.Sprintf("%s-%s", d.Name(), pat)
 			meta := map[string]string{
 				"design":   d.Name(),
 				"workload": pat.String(),
-				"seed":     fmt.Sprint(opts.Seed),
+				"seed":     fmt.Sprint(def.Seed),
 			}
-			pts = append(pts, experiments.NewSweepPoint(id, cfg, mkGen, opts, meta))
+			sp, err := experiments.NewPortableSweepPoint(cfg, pt.Gen, opts, meta)
+			if err != nil {
+				panic(err)
+			}
+			sp.ID = fmt.Sprintf("%s-%s", d.Name(), pat)
+			pts = append(pts, sp)
 		}
 	}
 	return pts

@@ -83,8 +83,9 @@ type PointSpec struct {
 	// to the cache key, since they change the Result payload).
 	Histograms bool `json:"histograms,omitempty"`
 
-	// Low-level overrides, passed straight into noc.Config and validated
-	// by Config.Validate.
+	// Low-level overrides, validated by Config.Validate. The router
+	// fields travel on the experiments.Point; the fault, integrity and
+	// watchdog fields are set on the built noc.Config.
 	VCsPerClass   int     `json:"vcs_per_class,omitempty"`
 	BufDepth      int     `json:"buf_depth,omitempty"`
 	EscapeTimeout int64   `json:"escape_timeout,omitempty"`
@@ -198,26 +199,18 @@ func (p PointSpec) compile(m *topology.Mesh, lim specLimits, check bool) (experi
 		gen.MulticastRate = def.MulticastRate
 		gen.MulticastLocality = locality
 	}
-	mkGen := func() traffic.Generator {
-		g, err := gen.Build(m)
-		if err != nil {
-			// The workload name was validated above; Build cannot fail.
-			panic(err)
-		}
-		return g
+	pt := experiments.Point{
+		Design: experiments.Design{
+			Kind: kind, Width: tech.LinkWidth(width),
+			RFRouters: p.RFRouters, Multicast: mode,
+		},
+		Gen:         gen,
+		VCsPerClass: p.VCsPerClass, BufDepth: p.BufDepth, EscapeTimeout: p.EscapeTimeout,
 	}
-
-	d := experiments.Design{
-		Kind: kind, Width: tech.LinkWidth(width),
-		RFRouters: p.RFRouters, Multicast: mode,
-	}
-	cfg, err := experiments.BuildSpec(m, d, gen, 0)
+	cfg, err := experiments.BuildSpec(m, pt, 0)
 	if err != nil {
 		return experiments.SweepPoint{}, err
 	}
-	cfg.VCsPerClass = p.VCsPerClass
-	cfg.BufDepth = p.BufDepth
-	cfg.EscapeTimeout = p.EscapeTimeout
 	cfg.Fault.MeshBER = p.MeshBER
 	cfg.Fault.RFBER = p.RFBER
 	cfg.Fault.Seed = p.FaultSeed
@@ -229,10 +222,14 @@ func (p PointSpec) compile(m *topology.Mesh, lim specLimits, check bool) (experi
 		return experiments.SweepPoint{}, err
 	}
 
+	probe, err := gen.Build(m)
+	if err != nil {
+		return experiments.SweepPoint{}, err
+	}
 	meta := map[string]string{
-		"design":   d.Name(),
-		"workload": mkGen().Name(),
-		"seed":     fmt.Sprint(opts.WithDefaults().Seed),
+		"design":   pt.Design.Name(),
+		"workload": probe.Name(),
+		"seed":     fmt.Sprint(def.Seed),
 		// The design's content address keys the poison-config
 		// quarantine: a panic is a property of the configuration, so the
 		// breaker must aggregate across seeds and workloads.

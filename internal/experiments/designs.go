@@ -121,33 +121,51 @@ func Build(m *topology.Mesh, d Design, profile traffic.Generator, profileCycles 
 	return build(m, d, freq)
 }
 
-// BuildSpec is Build for a workload described as data. An Adaptive
-// design's frequency matrix comes from the profile memo, so a repeated
-// build does no profiling; gen is read only then, and an error means
-// its workload has no generator.
-func BuildSpec(m *topology.Mesh, d Design, gen GenSpec, profileCycles int64) (noc.Config, error) {
+// Point is one simulation described as data: a design on one workload,
+// with the router settings a Design does not carry. A zero router field
+// keeps the noc default. Points are comparable, so a plan keys its
+// results by them.
+type Point struct {
+	Design          Design
+	Gen             GenSpec
+	VCsPerClass     int
+	BufDepth        int
+	EscapeTimeout   int64
+	AdaptiveRouting bool
+}
+
+// BuildSpec is the one way a described point becomes a simulator
+// configuration: Build for a workload given as data, plus the point's
+// router settings. An Adaptive design's frequency matrix comes from the
+// profile memo, so a repeated build does no profiling; pt.Gen is read
+// only then, and an error means its workload has no generator.
+func BuildSpec(m *topology.Mesh, pt Point, profileCycles int64) (noc.Config, error) {
 	var freq [][]int64
-	if d.Kind == Adaptive {
+	if pt.Design.Kind == Adaptive {
 		if profileCycles <= 0 {
 			profileCycles = defaultProfileCycles
 		}
 		var err error
-		if freq, err = memoProfile(m, gen.profile(), profileCycles); err != nil {
+		if freq, err = memoProfile(m, pt.Gen.profile(), profileCycles); err != nil {
 			return noc.Config{}, err
 		}
 	}
-	return build(m, d, freq), nil
+	cfg := build(m, pt.Design, freq)
+	cfg.VCsPerClass, cfg.BufDepth = pt.VCsPerClass, pt.BufDepth
+	cfg.EscapeTimeout, cfg.AdaptiveRouting = pt.EscapeTimeout, pt.AdaptiveRouting
+	return cfg, nil
 }
 
 // defaultProfileCycles is the profiling dry run's length when the
 // caller gives none.
 const defaultProfileCycles = 20000
 
-// profileMemo holds frequency matrices by profile. Counts encode as
-// varints: a 10x10 matrix at the default rate and profile length takes
-// 10.1 KB, so the bound keeps the memo near 0.2 MB there. The plan does
-// not use it: a plan run shares each profile among its own points and
-// drops it when the run returns.
+// profileMemo holds frequency matrices by profile, for every BuildSpec
+// caller: a plan, rfsimd's compile and the supervised grid. Counts
+// encode as varints: a 10x10 matrix at the default rate and profile
+// length takes 10.1 KB, so the bound keeps the memo near 0.2 MB there.
+// The largest plan, LoadLatency's, reads 8 profiles; with 16 entries
+// evicted first in, first out, no plan profiles a workload twice.
 var profileMemo = sweepcache.New(16)
 
 // ProfileMemoStats snapshots the profile memo's counters.
@@ -216,8 +234,7 @@ func decodeFreq(blob []byte, n int) [][]int64 {
 }
 
 // build is Build from an already-collected frequency matrix, which only
-// an Adaptive design reads. The figure runners call it directly so that
-// the adaptive points of one trace share one profile.
+// an Adaptive design reads.
 func build(m *topology.Mesh, d Design, freq [][]int64) noc.Config {
 	cfg := noc.Config{Mesh: m, Width: d.Width, Multicast: d.Multicast}
 	if d.ShortcutWidthBytes > 0 {

@@ -2,9 +2,7 @@ package experiments
 
 import (
 	"fmt"
-	"slices"
 	"strings"
-	"sync"
 
 	"repro/internal/noc"
 	"repro/internal/power"
@@ -37,10 +35,10 @@ type Fig1Result struct {
 func Fig1(m *topology.Mesh, opts Options) Fig1Result {
 	opts = opts.WithDefaults()
 	var out Fig1Result
-	var pts []point
+	var pts []Point
 	for _, app := range traffic.Apps() {
 		out.Apps = append(out.Apps, app.String())
-		pts = append(pts, point{design: Design{Kind: Baseline, Width: tech.Width16B}, gen: genSpec(app.String(), opts)})
+		pts = append(pts, Point{Design: Design{Kind: Baseline, Width: tech.Width16B}, Gen: genSpec(app.String(), opts)})
 	}
 	res := newPlan(pts).run(m, opts)
 	for _, pt := range pts {
@@ -296,12 +294,12 @@ func (s series) baseline() series {
 }
 
 // at is the series' point on trace pat.
-func (s series) at(pat traffic.Pattern, opts Options) point {
+func (s series) at(pat traffic.Pattern, opts Options) Point {
 	g := genSpec(pat.String(), opts)
 	if s.locality > 0 {
 		g.Multicast, g.MulticastRate, g.MulticastLocality = true, opts.MulticastRate, s.locality
 	}
-	return point{design: s.design, gen: g}
+	return Point{Design: s.design, Gen: g}
 }
 
 // genSpec is the named workload at opts' rate and seed.
@@ -309,79 +307,37 @@ func genSpec(workload string, opts Options) GenSpec {
 	return GenSpec{Workload: workload, Rate: opts.Rate, Seed: opts.Seed}
 }
 
-// point is one simulation: a design on one workload, with the router
-// settings a Design does not carry.
-type point struct {
-	design Design
-	gen    GenSpec
-	router routerConfig
-}
+// plan is a set of distinct points in first-use order.
+type plan []Point
 
-// routerConfig holds the noc.Config settings the router-configuration
-// studies vary; a zero field keeps the noc default.
-type routerConfig struct {
-	vcsPerClass, bufDepth int
-	escapeTimeout         int64
-	adaptiveRouting       bool
-}
-
-// plan is a set of distinct points in first-use order. Profiles lists
-// the workloads its adaptive points select shortcuts from; each is
-// profiled once per run.
-type plan struct {
-	points   []point
-	profiles []GenSpec
-}
-
-func newPlan(pts []point) plan {
+func newPlan(pts []Point) plan {
 	var p plan
-	seen := map[point]bool{}
+	seen := map[Point]bool{}
 	for _, pt := range pts {
-		if seen[pt] {
-			continue
-		}
-		seen[pt] = true
-		p.points = append(p.points, pt)
-		if pt.design.Kind == Adaptive && !slices.Contains(p.profiles, pt.gen.profile()) {
-			p.profiles = append(p.profiles, pt.gen.profile())
+		if !seen[pt] {
+			seen[pt] = true
+			p = append(p, pt)
 		}
 	}
 	return p
 }
 
 // run simulates every point of the plan in one pass over the worker
-// pool, opts (defaults applied) setting the run length. A workload's
-// frequency matrix is collected by the first adaptive point that needs
-// it and dropped when run returns. Each Result carries its design's
-// name.
-func (p plan) run(m *topology.Mesh, opts Options) map[point]Result {
-	type profile struct {
-		once sync.Once
-		freq [][]int64
-	}
-	profiles := map[GenSpec]*profile{}
-	for _, g := range p.profiles {
-		profiles[g] = &profile{}
-	}
-	results := make([]Result, len(p.points))
-	forEach(len(p.points), func(i int) {
-		pt := p.points[i]
-		var freq [][]int64
-		if pt.design.Kind == Adaptive {
-			pr := profiles[pt.gen.profile()]
-			pr.once.Do(func() {
-				pr.freq = traffic.FrequencyMatrix(pt.gen.profile().mustBuild(m), m.N(), opts.ProfileCycles)
-			})
-			freq = pr.freq
+// pool, opts (defaults applied) setting the run length. Points build
+// through BuildSpec, so the adaptive points of one workload share its
+// memoized profile. Each Result carries its design's name.
+func (p plan) run(m *topology.Mesh, opts Options) map[Point]Result {
+	results := make([]Result, len(p))
+	forEach(Workers, len(p), func(i int) {
+		cfg, err := BuildSpec(m, p[i], opts.ProfileCycles)
+		if err != nil {
+			panic(err)
 		}
-		cfg := build(m, pt.design, freq)
-		cfg.VCsPerClass, cfg.BufDepth = pt.router.vcsPerClass, pt.router.bufDepth
-		cfg.EscapeTimeout, cfg.AdaptiveRouting = pt.router.escapeTimeout, pt.router.adaptiveRouting
-		results[i] = Run(cfg, pt.gen.mustBuild(m), opts)
-		results[i].Design = pt.design.Name()
+		results[i] = Run(cfg, p[i].Gen.mustBuild(m), opts)
+		results[i].Design = p[i].Design.Name()
 	})
-	out := make(map[point]Result, len(p.points))
-	for i, pt := range p.points {
+	out := make(map[Point]Result, len(p))
+	for i, pt := range p {
 		out[pt] = results[i]
 	}
 	return out
@@ -389,8 +345,8 @@ func (p plan) run(m *topology.Mesh, opts Options) map[point]Result {
 
 // seriesPoints lists what ss reads: each series' baseline and the
 // series itself on every trace.
-func seriesPoints(ss []series, opts Options) []point {
-	var pts []point
+func seriesPoints(ss []series, opts Options) []Point {
+	var pts []Point
 	for _, s := range ss {
 		for _, read := range []series{s.baseline(), s} {
 			for _, pat := range traffic.Patterns() {
@@ -571,12 +527,12 @@ type AppResult struct {
 func AppStudy(m *topology.Mesh, opts Options) []AppResult {
 	opts = opts.WithDefaults()
 	apps := traffic.Apps()
-	var pts []point // each app's baseline, then its adaptive point
+	var pts []Point // each app's baseline, then its adaptive point
 	for _, app := range apps {
 		g := genSpec(app.String(), opts)
 		pts = append(pts,
-			point{design: Design{Kind: Baseline, Width: tech.Width16B}, gen: g},
-			point{design: Design{Kind: Adaptive, RFRouters: 50, Width: tech.Width4B}, gen: g})
+			Point{Design: Design{Kind: Baseline, Width: tech.Width16B}, Gen: g},
+			Point{Design: Design{Kind: Adaptive, RFRouters: 50, Width: tech.Width4B}, Gen: g})
 	}
 	res := newPlan(pts).run(m, opts)
 	out := make([]AppResult, len(apps))

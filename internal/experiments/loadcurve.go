@@ -39,12 +39,12 @@ func LoadLatency(m *topology.Mesh, designs []Design, pat traffic.Pattern, rates 
 	if rates == nil {
 		rates = DefaultLoadRates()
 	}
-	var pts []point // design-major, rate-minor
+	var pts []Point // design-major, rate-minor
 	for _, d := range designs {
 		for _, rate := range rates {
 			o := opts
 			o.Rate = rate
-			pts = append(pts, point{design: d, gen: genSpec(pat.String(), o.WithDefaults())})
+			pts = append(pts, Point{Design: d, Gen: genSpec(pat.String(), o.WithDefaults())})
 		}
 	}
 	res := newPlan(pts).run(m, opts)

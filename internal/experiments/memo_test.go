@@ -75,7 +75,10 @@ func TestMemoizedResultBitIdentical(t *testing.T) {
 			return traffic.NewProbabilistic(m, pat, opts.Rate, opts.Seed)
 		}
 		cache := sweepcache.New(0)
-		pt := NewSweepPoint(fmt.Sprintf("trial-%d", trial), cfg, mkGen, opts, nil)
+		pt, err := NewPortableSweepPoint(cfg, GenSpec{Workload: pat.String(), Rate: opts.Rate, Seed: opts.Seed}, opts, nil)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
 
 		outs, err := Supervise(context.Background(), SuperviseConfig{
 			Workers: 1, Cache: cache,
@@ -138,6 +141,35 @@ func TestMemoizedResultBitIdentical(t *testing.T) {
 		seedOpts.Seed = opts.Seed + 1
 		if PointFingerprint(cfg, mkGen().Name(), seedOpts) == pt.Fingerprint {
 			t.Errorf("trial %d: seed change kept the fingerprint", trial)
+		}
+	}
+}
+
+// TestPortableFingerprintCoversGen: a portable point's fingerprint takes
+// the rate, seed and multicast rate from the GenSpec that drives its
+// traffic, so two points that differ only there never share a cache
+// entry, even under equal Options.
+func TestPortableFingerprintCoversGen(t *testing.T) {
+	cfg := noc.Config{Mesh: topology.New10x10()}
+	opts := Options{Cycles: 500, Rate: 0.01, Seed: 4, MulticastRate: 0.05}
+	base := GenSpec{Workload: "uniform", Rate: 0.01, Seed: 4, Multicast: true, MulticastRate: 0.05, MulticastLocality: 50}
+	fingerprint := func(g GenSpec) string {
+		t.Helper()
+		pt, err := NewPortableSweepPoint(cfg, g, opts, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pt.Fingerprint
+	}
+	want := fingerprint(base)
+	if want != PointFingerprint(cfg, base.mustBuild(cfg.Mesh).Name(), opts) {
+		t.Error("a GenSpec equal to opts changed the fingerprint")
+	}
+	rate, seed, mcRate := base, base, base
+	rate.Rate, seed.Seed, mcRate.MulticastRate = 0.02, 5, 0.1
+	for name, g := range map[string]GenSpec{"rate": rate, "seed": seed, "multicast rate": mcRate} {
+		if fingerprint(g) == want {
+			t.Errorf("changing the GenSpec's %s kept the fingerprint", name)
 		}
 	}
 }
@@ -281,7 +313,7 @@ func TestSuperviseRecoversCorruptCacheEntry(t *testing.T) {
 	}
 }
 
-// TestSweepPointCost: NewSweepPoint carries the admission-time cost
+// TestSweepPointCost: a sweep point carries the admission-time cost
 // estimate, and the estimate scales with the requested window.
 func TestSweepPointCost(t *testing.T) {
 	small := Options{Cycles: 1000}.EstimatedCycles()
@@ -298,13 +330,11 @@ func TestSweepPointCost(t *testing.T) {
 		t.Errorf("estimate %d, want 1000010 (drain allowance clamped to DrainCycles)", tight)
 	}
 
-	m := topology.New10x10()
 	opts := Options{Cycles: 700, Rate: 0.008, Seed: 5}
-	cfg := noc.Config{Mesh: m}
-	mkGen := func() traffic.Generator {
-		return traffic.NewProbabilistic(m, traffic.Uniform, opts.Rate, opts.Seed)
+	pt, err := NewPortableSweepPoint(noc.Config{Mesh: topology.New10x10()}, GenSpec{Workload: "uniform", Rate: opts.Rate, Seed: opts.Seed}, opts, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	pt := NewSweepPoint("p", cfg, mkGen, opts, nil)
 	if pt.Cost != opts.EstimatedCycles() {
 		t.Errorf("SweepPoint.Cost = %d, want %d", pt.Cost, opts.EstimatedCycles())
 	}
@@ -340,10 +370,12 @@ func TestSuperviseOnOutcomeStreams(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		o := opts
 		o.Seed = int64(i + 1)
-		mk := func() traffic.Generator {
-			return traffic.NewProbabilistic(m, traffic.Uniform, o.Rate, o.Seed)
+		pt, err := NewPortableSweepPoint(noc.Config{Mesh: m}, GenSpec{Workload: "uniform", Rate: o.Rate, Seed: o.Seed}, o, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-		pts = append(pts, NewSweepPoint(fmt.Sprintf("pt-%d", i), noc.Config{Mesh: m}, mk, o, nil))
+		pt.ID = fmt.Sprintf("pt-%d", i)
+		pts = append(pts, pt)
 	}
 
 	var mu sync.Mutex

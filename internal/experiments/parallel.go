@@ -5,21 +5,20 @@ import (
 	"sync"
 )
 
-// The figure runners fan independent simulations out over a bounded
-// worker pool. Each simulation owns its network and generators, so the
-// only shared state is shortcut.Adaptive's selection memo (single-flight
-// and safe for concurrent use) and a figure plan's per-trace frequency
-// matrices (each written once under a sync.Once, then only read).
-// Results land in pre-sized slots, keeping output order deterministic
-// regardless of scheduling.
+// The figure runners and Supervise fan independent simulations out over
+// a bounded worker pool. Each simulation owns its network and
+// generators, so the only shared state is the selection memo behind
+// shortcut.Static and shortcut.Adaptive and the profile memo behind
+// BuildSpec. Both are single-flight, safe for concurrent use, and hand
+// every caller its own copy. Results land in pre-sized slots, keeping
+// output order deterministic regardless of scheduling.
 
 // Workers bounds experiment parallelism. Defaults to GOMAXPROCS; tests
 // and benchmarks may reduce it for determinism of timing measurements.
 var Workers = runtime.GOMAXPROCS(0)
 
-// forEach runs fn(i) for i in [0, n) on the worker pool.
-func forEach(n int, fn func(int)) {
-	workers := Workers
+// forEach runs fn(i) for i in [0, n) on a pool of workers goroutines.
+func forEach(workers, n int, fn func(int)) {
 	if workers < 1 {
 		workers = 1
 	}

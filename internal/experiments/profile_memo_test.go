@@ -100,7 +100,7 @@ func TestProfileMemoKeyCoversInputs(t *testing.T) {
 	base := GenSpec{Workload: "hotbidf", Rate: 0.02, Seed: 7}
 	build := func(m *topology.Mesh, g GenSpec, cycles int64) noc.Config {
 		t.Helper()
-		cfg, err := BuildSpec(m, d, g, cycles)
+		cfg, err := BuildSpec(m, Point{Design: d, Gen: g}, cycles)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,7 +154,7 @@ func TestBuildSpecMemoMatchesBuild(t *testing.T) {
 		{Kind: Adaptive, Width: tech.Width4B, RFRouters: 25},
 		{Kind: Adaptive, Width: tech.Width4B, Multicast: noc.MulticastRF},
 	} {
-		got, err := BuildSpec(m, d, gen, 2500)
+		got, err := BuildSpec(m, Point{Design: d, Gen: gen}, 2500)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,7 +162,24 @@ func TestBuildSpecMemoMatchesBuild(t *testing.T) {
 			t.Errorf("%s: BuildSpec differs from Build", d.Name())
 		}
 	}
-	if _, err := BuildSpec(m, Design{Kind: Adaptive}, GenSpec{Workload: "nosuch"}, 0); err == nil {
+	if _, err := BuildSpec(m, Point{Design: Design{Kind: Adaptive}, Gen: GenSpec{Workload: "nosuch"}}, 0); err == nil {
 		t.Error("BuildSpec of an unknown workload: no error")
+	}
+}
+
+// TestFiguresProfileEachTraceOnce: Figures 7, 8 and 9 and the Summary
+// read the adaptive profiles of the same seven traces, and every plan
+// builds through the profile memo, so the four together profile each
+// trace exactly once.
+func TestFiguresProfileEachTraceOnce(t *testing.T) {
+	freshProfileMemo(t)
+	m := topology.New10x10()
+	opts := Options{Cycles: 200, ProfileCycles: 1000}
+	Fig7(m, opts)
+	Fig8(m, opts)
+	Fig9(m, opts)
+	Summary(m, opts)
+	if s := profileMemo.Stats(); s.Misses != 7 {
+		t.Errorf("profile memo stats %+v, want 7 misses, one per trace", s)
 	}
 }

@@ -254,6 +254,6 @@ func buildResult(n *noc.Network, gen traffic.Generator, cfg noc.Config, drain no
 // is available beforehand.
 func RunDesign(m *topology.Mesh, d Design, pat traffic.Pattern, opts Options) Result {
 	opts = opts.WithDefaults()
-	pt := point{design: d, gen: genSpec(pat.String(), opts)}
-	return newPlan([]point{pt}).run(m, opts)[pt]
+	pt := Point{Design: d, Gen: genSpec(pat.String(), opts)}
+	return newPlan([]Point{pt}).run(m, opts)[pt]
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/noc"
-	"repro/internal/power"
 	"repro/internal/stats"
 	"repro/internal/tech"
 	"repro/internal/topology"
@@ -38,7 +37,7 @@ type ScalingRow struct {
 func ScalingStudy(sizes []int, opts Options) []ScalingRow {
 	opts = opts.WithDefaults()
 	out := make([]ScalingRow, len(sizes))
-	forEach(len(sizes), func(i int) {
+	forEach(Workers, len(sizes), func(i int) {
 		side := sizes[i]
 		m := topology.New(side, side)
 		row := ScalingRow{Side: side, Routers: m.N(), Cores: len(m.Cores())}
@@ -61,12 +60,10 @@ func ScalingStudy(sizes []int, opts Options) []ScalingRow {
 			Mesh: m, Width: tech.Width4B, Shortcuts: edges, RFEnabled: rf,
 		}, gen(), opts)
 
-		area16 := power.ComputeArea(noc.New(noc.Config{Mesh: m, Width: tech.Width16B}).Config())
-
 		row.Baseline4BLatency = b4.AvgLatency / b16.AvgLatency
 		row.Adaptive4BLatency = a4.AvgLatency / b16.AvgLatency
 		row.Adaptive4BPower = a4.PowerW / b16.PowerW
-		row.Adaptive4BArea = a4.AreaMM2 / area16.Total()
+		row.Adaptive4BArea = a4.AreaMM2 / b16.AreaMM2
 		row.MeanHops = b16.Stats.AvgHops()
 		out[i] = row
 	})

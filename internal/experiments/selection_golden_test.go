@@ -66,7 +66,7 @@ func TestAdaptiveShortcutsGolden(t *testing.T) {
 		t.Fatalf("a Summary makes %d distinct adaptive selections, want 28", len(sels))
 	}
 	lines := make([]string, len(sels))
-	forEach(len(sels), func(i int) {
+	forEach(Workers, len(sels), func(i int) {
 		s := sels[i]
 		freq := traffic.FrequencyMatrix(s.profile(), m.N(), opts.ProfileCycles)
 		edges := AdaptiveShortcuts(m, m.RFPlacement(s.design.RFRouters), freq, s.design.budget())
@@ -124,7 +124,7 @@ func TestAdaptiveKeepsCheaperSelection(t *testing.T) {
 		return traffic.NewAppTrace(m, traffic.Fluidanimate, traffic.DefaultRate*0.02, 1000)
 	}})
 	g := m.Graph()
-	forEach(len(workloads), func(i int) {
+	forEach(Workers, len(workloads), func(i int) {
 		w := workloads[i]
 		aps := 50
 		if w.label == regionWins {

@@ -158,9 +158,10 @@ func AblationRegion(m *topology.Mesh, opts Options) (region, pair float64) {
 // topology under load and reports latency per timeout.
 func AblationEscapeVC(m *topology.Mesh, timeouts []int64, opts Options) map[int64]float64 {
 	opts = opts.WithDefaults()
-	pts := make([]point, len(timeouts))
+	pts := make([]Point, len(timeouts))
 	for i, to := range timeouts {
-		pts[i] = routerStudy(routerConfig{escapeTimeout: to}, opts)
+		pts[i] = routerStudy(opts)
+		pts[i].EscapeTimeout = to
 	}
 	res := newPlan(pts).run(m, opts)
 	out := map[int64]float64{}
@@ -170,10 +171,11 @@ func AblationEscapeVC(m *topology.Mesh, timeouts []int64, opts Options) map[int6
 	return out
 }
 
-// routerStudy is the VC and escape-VC ablations' point: the 4 B mesh
-// with static shortcuts under 2Hotspot traffic, routers set by r.
-func routerStudy(r routerConfig, opts Options) point {
-	return point{Design{Kind: Static, Width: tech.Width4B}, genSpec(traffic.Hotspot2.String(), opts), r}
+// routerStudy is the VC and escape-VC ablations' point before the
+// caller sets its router fields: the 4 B mesh with static shortcuts
+// under 2Hotspot traffic.
+func routerStudy(opts Options) Point {
+	return Point{Design: Design{Kind: Static, Width: tech.Width4B}, Gen: genSpec(traffic.Hotspot2.String(), opts)}
 }
 
 // AblationShortcutWidth splits the fixed 256 B RF-I aggregate bandwidth
@@ -183,9 +185,9 @@ func routerStudy(r routerConfig, opts Options) point {
 func AblationShortcutWidth(m *topology.Mesh, widths []int, opts Options) map[int]float64 {
 	opts = opts.WithDefaults()
 	g := genSpec(traffic.Uniform.String(), opts)
-	pts := []point{{design: Design{Kind: Baseline, Width: tech.Width4B}, gen: g}}
+	pts := []Point{{Design: Design{Kind: Baseline, Width: tech.Width4B}, Gen: g}}
 	for _, w := range widths {
-		pts = append(pts, point{design: Design{Kind: Static, Width: tech.Width4B, ShortcutWidthBytes: w}, gen: g})
+		pts = append(pts, Point{Design: Design{Kind: Static, Width: tech.Width4B, ShortcutWidthBytes: w}, Gen: g})
 	}
 	res := newPlan(pts).run(m, opts)
 	out := map[int]float64{}
@@ -202,16 +204,18 @@ func AblationShortcutWidth(m *topology.Mesh, widths []int, opts Options) map[int
 // architecture actually needs.
 func AblationVCConfig(m *topology.Mesh, vcs, depths []int, opts Options) map[[2]int]float64 {
 	opts = opts.WithDefaults()
-	var pts []point
+	var pts []Point
 	for _, v := range vcs {
 		for _, d := range depths {
-			pts = append(pts, routerStudy(routerConfig{vcsPerClass: v, bufDepth: d}, opts))
+			pt := routerStudy(opts)
+			pt.VCsPerClass, pt.BufDepth = v, d
+			pts = append(pts, pt)
 		}
 	}
 	res := newPlan(pts).run(m, opts)
 	out := map[[2]int]float64{}
 	for _, pt := range pts {
-		out[[2]int{pt.router.vcsPerClass, pt.router.bufDepth}] = res[pt].AvgLatency
+		out[[2]int{pt.VCsPerClass, pt.BufDepth}] = res[pt].AvgLatency
 	}
 	return out
 }
@@ -234,13 +238,13 @@ func RoutingStudy(m *topology.Mesh, opts Options) []RoutingRow {
 	opts = opts.WithDefaults()
 	const permRate = 0.03 // per-core sends per cycle: deep in the contended regime at 4 B
 	perms := traffic.Permutations()
-	var pts []point // each pattern under XY, then under adaptive routing
+	var pts []Point // each pattern under XY, then under adaptive routing
 	for _, p := range perms {
 		for _, adaptive := range []bool{false, true} {
-			pts = append(pts, point{
-				Design{Kind: Baseline, Width: tech.Width4B},
-				GenSpec{Workload: p.String(), Rate: permRate, Seed: opts.Seed},
-				routerConfig{adaptiveRouting: adaptive},
+			pts = append(pts, Point{
+				Design:          Design{Kind: Baseline, Width: tech.Width4B},
+				Gen:             GenSpec{Workload: p.String(), Rate: permRate, Seed: opts.Seed},
+				AdaptiveRouting: adaptive,
 			})
 		}
 	}

@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/noc"
 	"repro/internal/sweepcache"
-	"repro/internal/traffic"
 )
 
 // SweepPoint is one independently runnable simulation in a supervised
@@ -46,25 +45,9 @@ type SweepPoint struct {
 
 	// Payload, when non-nil, is the point's portable wire description
 	// (set by NewPortableSweepPoint): what an Executor ships to a worker
-	// process. Closure-built points (NewSweepPoint) leave it nil and can
-	// only run in-process.
+	// process. Hand-built points leave it nil and can only run
+	// in-process.
 	Payload *PointPayload
-}
-
-// NewSweepPoint builds the standard point: RunContext over a config and
-// a deterministic generator factory (a fresh generator per attempt, so a
-// retry replays the same stream from cycle 0). The fingerprint is
-// derived from the config, the generator's name and the run options.
-func NewSweepPoint(id string, cfg noc.Config, mkGen func() traffic.Generator, opts Options, meta map[string]string) SweepPoint {
-	return SweepPoint{
-		ID:          id,
-		Fingerprint: PointFingerprint(cfg, mkGen().Name(), opts),
-		Meta:        meta,
-		Cost:        opts.EstimatedCycles(),
-		Run: func(ctx context.Context, spec CheckpointSpec) (Result, error) {
-			return RunContext(ctx, cfg, mkGen(), opts, spec)
-		},
-	}
 }
 
 // PointOutcome is the per-point verdict of a supervised sweep.
@@ -173,32 +156,12 @@ func Supervise(ctx context.Context, sc SuperviseConfig, points []SweepPoint) ([]
 	sc = sc.withDefaults()
 	outcomes := make([]PointOutcome, len(points))
 
-	workers := sc.Workers
-	if workers > len(points) {
-		workers = len(points)
-	}
-	next := make(chan int)
-	done := make(chan struct{})
-	for w := 0; w < workers; w++ {
-		go func() {
-			for i := range next {
-				supervisePoint(ctx, sc, points[i], &outcomes[i])
-				if sc.OnOutcome != nil {
-					sc.OnOutcome(i, outcomes[i])
-				}
-				done <- struct{}{}
-			}
-		}()
-	}
-	go func() {
-		for i := range points {
-			next <- i
+	forEach(sc.Workers, len(points), func(i int) {
+		supervisePoint(ctx, sc, points[i], &outcomes[i])
+		if sc.OnOutcome != nil {
+			sc.OnOutcome(i, outcomes[i])
 		}
-		close(next)
-	}()
-	for range points {
-		<-done
-	}
+	})
 
 	var failures []string
 	for i := range outcomes {

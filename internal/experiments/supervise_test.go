@@ -68,11 +68,17 @@ func TestSuperviseIsolatesPanics(t *testing.T) {
 	opts := Options{Cycles: 800, DrainCycles: 50000, Rate: 0.008, Seed: 7}
 	dir := t.TempDir()
 
-	mkGen := func() traffic.Generator {
-		return traffic.NewProbabilistic(m, traffic.Uniform, opts.Rate, opts.Seed)
+	gen := GenSpec{Workload: "uniform", Rate: opts.Rate, Seed: opts.Seed}
+	good := func(id string, cfg noc.Config) SweepPoint {
+		pt, err := NewPortableSweepPoint(cfg, gen, opts, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pt.ID = id
+		return pt
 	}
 	points := []SweepPoint{
-		NewSweepPoint("good-a", testConfig(m), mkGen, opts, map[string]string{"design": "rf"}),
+		good("good-a", testConfig(m)),
 		{
 			ID:   "bad",
 			Meta: map[string]string{"design": "broken"},
@@ -80,7 +86,7 @@ func TestSuperviseIsolatesPanics(t *testing.T) {
 				panic("deliberate failure")
 			},
 		},
-		NewSweepPoint("good-b", noc.Config{Mesh: m}, mkGen, opts, nil),
+		good("good-b", noc.Config{Mesh: m}),
 	}
 
 	outs, err := Supervise(context.Background(), SuperviseConfig{
@@ -181,10 +187,11 @@ func TestSupervisePointTimeout(t *testing.T) {
 	m := topology.New10x10()
 	opts := Options{Cycles: 50_000_000, Rate: 0.01, Seed: 3}
 	dir := t.TempDir()
-	mkGen := func() traffic.Generator {
-		return traffic.NewProbabilistic(m, traffic.Uniform, opts.Rate, opts.Seed)
+	pt, err := NewPortableSweepPoint(testConfig(m), GenSpec{Workload: "uniform", Rate: opts.Rate, Seed: opts.Seed}, opts, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	pt := NewSweepPoint("slow", testConfig(m), mkGen, opts, nil)
+	pt.ID = "slow"
 	run := pt.Run
 	var startCycles []int64
 	pt.Run = func(ctx context.Context, spec CheckpointSpec) (Result, error) {

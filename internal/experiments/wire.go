@@ -31,9 +31,8 @@ const (
 	FrameOutcome   byte = 4 // child -> parent: one workerOutcome (JSON)
 )
 
-// GenSpec is a serializable description of a traffic generator: the
-// data NewSweepPoint's closure captures, flattened so it survives a
-// process boundary.
+// GenSpec is a serializable description of a traffic generator, so a
+// point survives a process boundary and a plan can key its points.
 type GenSpec struct {
 	// Workload names a probabilistic pattern, an application trace or a
 	// permutation pattern (LookupWorkload resolves it).
@@ -133,17 +132,24 @@ type Executor interface {
 	Execute(ctx context.Context, payload *PointPayload, fingerprint string) (Result, error)
 }
 
-// NewPortableSweepPoint is NewSweepPoint for points that must be able to
-// cross a process boundary: the generator is described by a GenSpec
-// instead of a factory closure. When the supervising CheckpointSpec
-// carries an Executor, Run dispatches to it; otherwise it runs
-// in-process, byte-identically to NewSweepPoint.
+// NewPortableSweepPoint builds the standard sweep point: RunContext
+// over cfg and a fresh generator of gen per attempt, so a retry replays
+// the same stream from cycle 0. The generator is described as data, so
+// the point can cross a process boundary: when the supervising
+// CheckpointSpec carries an Executor, Run dispatches to it; otherwise it
+// runs in-process. The fingerprint takes the rate, seed and multicast
+// rate from gen, which drives the traffic, and the rest from opts.
 func NewPortableSweepPoint(cfg noc.Config, gen GenSpec, opts Options, meta map[string]string) (SweepPoint, error) {
 	probe, err := gen.Build(cfg.Mesh)
 	if err != nil {
 		return SweepPoint{}, err
 	}
-	fp := PointFingerprint(cfg, probe.Name(), opts)
+	fpOpts := opts
+	fpOpts.Rate, fpOpts.Seed = gen.Rate, gen.Seed
+	if gen.Multicast {
+		fpOpts.MulticastRate = gen.MulticastRate
+	}
+	fp := PointFingerprint(cfg, probe.Name(), fpOpts)
 	payload := &PointPayload{
 		MeshW:  cfg.Mesh.W,
 		MeshH:  cfg.Mesh.H,

@@ -272,16 +272,17 @@ func ProfileTraffic(g Generator, m *Mesh, cycles int64) [][]int64 {
 // (Section 3.2.1, max-cost heuristic). Sets are memoized by mesh shape
 // and budget; each call returns a fresh slice the caller may modify.
 func StaticShortcuts(m *Mesh, budget int) []ShortcutEdge {
-	return experiments.StaticShortcuts(m, budget)
+	return shortcut.Static(m, budget)
 }
 
 // AdaptiveShortcuts selects the application-specific shortcut set
 // (Section 3.2.2) for the given RF-enabled routers and traffic profile:
-// the permutation-graph greedy under the F(x,y)*W(x,y) objective. Sets
-// are memoized by content, so a repeated call is cheap; each call returns
-// a fresh slice the caller may modify.
+// of the permutation-graph greedy and the region-based sets, the one
+// with the lower F(x,y)*W(x,y) cost, the region set on a tie. Sets are
+// memoized by content, so a repeated call is cheap; each call returns a
+// fresh slice the caller may modify.
 func AdaptiveShortcuts(m *Mesh, rfEnabled []int, freq [][]int64, budget int) []ShortcutEdge {
-	return experiments.AdaptiveShortcuts(m, rfEnabled, freq, budget)
+	return shortcut.Adaptive(m, rfEnabled, freq, budget)
 }
 
 // BaselineConfig is the plain mesh at the given width.
