@@ -174,6 +174,44 @@ func TestPortableFingerprintCoversGen(t *testing.T) {
 	}
 }
 
+// TestPortableZeroGenMeansDefault: a GenSpec's zero seed, rate or
+// multicast rate stands for its default, so the point fingerprints and
+// simulates exactly what a spec naming the default does.
+func TestPortableZeroGenMeansDefault(t *testing.T) {
+	cfg := noc.Config{Mesh: topology.New10x10()}
+	opts := Options{Cycles: 500, DrainCycles: 50000}
+	def := opts.WithDefaults()
+	run := func(g GenSpec) (string, []byte) {
+		t.Helper()
+		pt, err := NewPortableSweepPoint(cfg, g, opts, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := pt.Run(context.Background(), CheckpointSpec{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := MarshalResult(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pt.Fingerprint, b
+	}
+	named := GenSpec{Workload: "uniform", Rate: def.Rate, Seed: def.Seed, Multicast: true, MulticastRate: def.MulticastRate, MulticastLocality: 50}
+	wantFP, want := run(named)
+	zeroSeed, zeroRate, zeroMC := named, named, named
+	zeroSeed.Seed, zeroRate.Rate, zeroMC.MulticastRate = 0, 0, 0
+	for name, g := range map[string]GenSpec{"seed": zeroSeed, "rate": zeroRate, "multicast rate": zeroMC} {
+		fp, got := run(g)
+		if fp != wantFP {
+			t.Errorf("zero %s: fingerprint %s, want the default's %s", name, fp, wantFP)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("zero %s: result differs from the default's", name)
+		}
+	}
+}
+
 // TestSuperviseSingleFlight is the concurrency regression for
 // experiments.Supervise: 100 goroutines submitting the same point
 // concurrently through a shared cache must simulate it exactly once.

@@ -38,9 +38,10 @@ type GenSpec struct {
 	// permutation pattern (LookupWorkload resolves it).
 	Workload string `json:"workload"`
 
-	// Rate and Seed parameterize the base generator. They are the
-	// post-default values (Options.WithDefaults applied), so a child
-	// process reconstructs the exact generator the parent fingerprinted.
+	// Rate and Seed parameterize the base generator. A zero means the
+	// Options.WithDefaults default; NewPortableSweepPoint resolves it
+	// before it builds or ships the spec, so a child process
+	// reconstructs the exact generator the parent fingerprinted.
 	Rate float64 `json:"rate"`
 	Seed int64   `json:"seed"`
 
@@ -62,6 +63,17 @@ func (g GenSpec) Build(m *topology.Mesh) (traffic.Generator, error) {
 		gen = traffic.NewMulticastAugment(m, gen, g.MulticastRate, g.MulticastLocality, g.Seed)
 	}
 	return gen, nil
+}
+
+// withDefaults resolves a zero Rate and Seed, and with Multicast a zero
+// MulticastRate, to the defaults Options.WithDefaults gives them.
+func (g GenSpec) withDefaults() GenSpec {
+	d := Options{Rate: g.Rate, Seed: g.Seed, MulticastRate: g.MulticastRate}.WithDefaults()
+	g.Rate, g.Seed = d.Rate, d.Seed
+	if g.Multicast {
+		g.MulticastRate = d.MulticastRate
+	}
+	return g
 }
 
 // profile is the workload a shortcut selection for g is made from: g
@@ -138,8 +150,11 @@ type Executor interface {
 // the point can cross a process boundary: when the supervising
 // CheckpointSpec carries an Executor, Run dispatches to it; otherwise it
 // runs in-process. The fingerprint takes the rate, seed and multicast
-// rate from gen, which drives the traffic, and the rest from opts.
+// rate from gen, which drives the traffic, and the rest from opts. A
+// zero rate, seed or multicast rate in gen means its default, for the
+// simulation as for the fingerprint.
 func NewPortableSweepPoint(cfg noc.Config, gen GenSpec, opts Options, meta map[string]string) (SweepPoint, error) {
+	gen = gen.withDefaults()
 	probe, err := gen.Build(cfg.Mesh)
 	if err != nil {
 		return SweepPoint{}, err

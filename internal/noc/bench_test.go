@@ -62,7 +62,8 @@ func BenchmarkStepAdaptiveRouting4B(b *testing.B) {
 }
 
 func BenchmarkStepIdle(b *testing.B) {
-	// The active-list optimization should make idle cycles nearly free.
+	// Step walks only routers with active VCs, so an idle cycle visits
+	// no router and should cost next to nothing.
 	benchStep(b, Config{Mesh: topology.New10x10(), Width: tech.Width16B}, 0.0)
 }
 

@@ -433,7 +433,7 @@ func (n *Network) rerouteInFlight() {
 				vc.vaFirstFail = -1
 				vc.retries = 0
 				vc.ncands = 0
-				rs.enlist(vc)
+				n.enlist(vc)
 				n.stats.DegradedReroutes++
 				for _, o := range n.observers {
 					o.DegradedReroute(r, int(vc.outPort), n.now)
@@ -749,7 +749,7 @@ func (n *Network) stepChaos() {
 
 // leakCredit removes one credit from vc if it has headroom to lose.
 func (n *Network) leakCredit(vc *vcState) bool {
-	if vc.count+vc.incoming+vc.leaked >= vc.depth() {
+	if !vc.space(n.bufDepth) {
 		return false
 	}
 	vc.leaked++

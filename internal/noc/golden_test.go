@@ -68,8 +68,9 @@ type goldenRun struct {
 
 // runGolden drives cfg with a fixed seeded workload: 1200 cycles of
 // random unicast traffic (plus periodic multicasts on multicast
-// configs), then a bounded drain.
-func runGolden(t *testing.T, cfg Config, seed int64) goldenRun {
+// configs), then a bounded drain. Extra observers are attached after
+// the digest observer.
+func runGolden(t *testing.T, cfg Config, seed int64, extra ...Observer) goldenRun {
 	t.Helper()
 	n, err := NewChecked(cfg)
 	if err != nil {
@@ -77,6 +78,9 @@ func runGolden(t *testing.T, cfg Config, seed int64) goldenRun {
 	}
 	obs := newDigestObserver()
 	n.AttachObserver(obs)
+	for _, o := range extra {
+		n.AttachObserver(o)
+	}
 	rng := rand.New(rand.NewSource(seed))
 	classes := []Class{Request, Data, MemLine}
 	for cyc := 0; cyc < 1200; cyc++ {
@@ -116,23 +120,23 @@ func statsLiteral(s Stats) string {
 	return b.String()
 }
 
-// TestStepGolden pins the serial arbitration schedule: router index
-// order, active-list order within a router, and same-cycle credit
-// turnaround between routers are all visible in the results, so any
-// change to the per-cycle pass shows up here as a changed Stats or
-// event stream. The constants were recorded from the
-// reference simulator; a deliberate model change must re-record them
-// (a failure prints the new Stats literal).
-func TestStepGolden(t *testing.T) {
+// stepGoldenCase is one configuration TestStepGolden pins, with its
+// recorded run.
+type stepGoldenCase struct {
+	name string
+	cfg  Config
+	want goldenRun
+}
+
+// stepGoldenCases lists TestStepGolden's configurations: plain, RF and
+// adaptive meshes, both multicast schemes, and the fault, misroute and
+// stuck-VC chaos worlds.
+func stepGoldenCases() []stepGoldenCase {
 	m := topology.New10x10()
 	edges := shortcut.SelectMaxCost(m.Graph(), shortcut.Params{
 		Budget: 16, Eligible: m.ShortcutEligible,
 	})
-	cases := []struct {
-		name string
-		cfg  Config
-		want goldenRun
-	}{
+	return []stepGoldenCase{
 		{"baseline-mesh", Config{Mesh: m, Width: tech.Width16B}, goldenRun{
 			stats: Stats{
 				Cycles:           1248,
@@ -317,7 +321,17 @@ func TestStepGolden(t *testing.T) {
 			events: 85406, digest: 0x9743188c57264b6,
 		}},
 	}
-	for _, c := range cases {
+}
+
+// TestStepGolden pins the serial arbitration schedule: router index
+// order, active-list order within a router, and same-cycle credit
+// turnaround between routers are all visible in the results, so any
+// change to the per-cycle pass shows up here as a changed Stats or
+// event stream. The constants were recorded from the
+// reference simulator; a deliberate model change must re-record them
+// (a failure prints the new Stats literal).
+func TestStepGolden(t *testing.T) {
+	for _, c := range stepGoldenCases() {
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
 			got := runGolden(t, c.cfg, 42)

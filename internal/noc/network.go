@@ -29,6 +29,16 @@ type Network struct {
 	routes *routeTable
 
 	routers []routerState
+	// live has bit r set while router r's active list is non-empty: Step
+	// advances only those routers, in index order.
+	live []uint64
+
+	// portBudget[p] is how many flits port p moves per cycle in each
+	// direction, and bufDepth every VC's buffer capacity in flits. Both
+	// are fixed when the network is built (Reconfigure changes only the
+	// shortcut set).
+	portBudget [numPorts]int
+	bufDepth   int32
 
 	// shortcutFrom[r] is the destination router of r's outbound shortcut
 	// (-1 if none); shortcutTo[r] is the source of its inbound shortcut.
@@ -104,13 +114,10 @@ type routerState struct {
 	// LocalSpeedup concurrently), with per-VC fed-flit counts.
 	feedings []feeding
 	rrOffset int
-	// grantScratch is reused by switch allocation to avoid per-cycle
-	// allocations.
-	grantScratch []*vcState
-	// slots holds the flit buffers of the router's input VCs, depth
-	// flits each: a VC's ring buffer is slots[base : base+depth].
+	// slots holds the flit buffers of the router's input VCs, the
+	// network's bufDepth flits each: a VC's ring buffer is
+	// slots[base : base+bufDepth].
 	slots []flitSlot
-	depth int32
 }
 
 // feeding tracks one packet streaming from the NI into a local input VC.
@@ -119,12 +126,15 @@ type feeding struct {
 	fed int
 }
 
-// enlist adds a VC to the active list exactly once; arbitration prunes
-// retired VCs lazily and clears the flag then.
-func (rs *routerState) enlist(vc *vcState) {
+// enlist adds a VC to its router's active list exactly once and marks
+// the router live; arbitration prunes retired VCs lazily and clears the
+// flag then, and the router's live bit once its list is empty.
+func (n *Network) enlist(vc *vcState) {
 	if !vc.inActive {
 		vc.inActive = true
+		rs := vc.router
 		rs.active = append(rs.active, vc)
+		n.live[rs.id>>6] |= 1 << (rs.id & 63)
 	}
 }
 
@@ -150,8 +160,8 @@ type vcState struct {
 	arrivedAt   int64
 	vaFirstFail int64
 
-	// The ring buffer is router.slots[base : base+router.depth]; head
-	// indexes its front flit.
+	// The ring buffer is router.slots[base : base+depth], depth being
+	// the network's bufDepth; head indexes its front flit.
 	base     int32
 	head     int32
 	count    int32
@@ -214,24 +224,26 @@ func (v *vcState) free() bool {
 	return v.pkt == nil && !v.reserved && v.incoming == 0 && v.count == 0
 }
 
-// depth is the VC's buffer capacity in flits.
-func (v *vcState) depth() int32 { return v.router.depth }
-
 // slot returns the i-th flit of the ring buffer, counting from the
-// front.
-func (v *vcState) slot(i int32) *flitSlot {
-	return &v.router.slots[v.base+(v.head+i)%v.router.depth]
+// front. The ring-buffer methods take the network's bufDepth as depth;
+// i < depth.
+func (v *vcState) slot(i, depth int32) *flitSlot {
+	j := v.head + i
+	if j >= depth {
+		j -= depth
+	}
+	return &v.router.slots[v.base+j]
 }
 
-func (v *vcState) space() bool {
-	return v.count+v.incoming+v.leaked < v.depth()
+func (v *vcState) space(depth int32) bool {
+	return v.count+v.incoming+v.leaked < depth
 }
 
-func (v *vcState) push(s flitSlot) {
-	if v.count >= v.depth() {
+func (v *vcState) push(s flitSlot, depth int32) {
+	if v.count >= depth {
 		panic("noc: VC buffer overflow")
 	}
-	*v.slot(v.count) = s
+	*v.slot(v.count, depth) = s
 	v.count++
 }
 
@@ -242,9 +254,11 @@ func (v *vcState) front() *flitSlot {
 	return &v.router.slots[v.base+v.head]
 }
 
-func (v *vcState) pop() flitSlot {
+func (v *vcState) pop(depth int32) flitSlot {
 	s := v.router.slots[v.base+v.head]
-	v.head = (v.head + 1) % v.depth()
+	if v.head++; v.head == depth {
+		v.head = 0
+	}
 	v.count--
 	return s
 }
@@ -268,9 +282,21 @@ func NewChecked(cfg Config) (*Network, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	n := &Network{cfg: cfg}
+	n := &Network{cfg: cfg, bufDepth: int32(cfg.BufDepth)}
 	m := cfg.Mesh
 	n.routers = make([]routerState, m.N())
+	n.live = make([]uint64, (m.N()+63)/64)
+	// Switch allocation grants one flit per port per cycle in each
+	// direction, except the local port, whose NI channel keeps its 16 B
+	// width and so moves LocalSpeedup flits per cycle on narrow meshes,
+	// and the shortcut bands, which keep their 16 B width too.
+	for p := range n.portBudget {
+		n.portBudget[p] = 1
+	}
+	n.portBudget[portLocal] = cfg.LocalSpeedup
+	if rfs := cfg.ShortcutWidthBytes / cfg.Width.Bytes(); rfs > 1 {
+		n.portBudget[portRF] = rfs
+	}
 	n.shortcutFrom = make([]int, m.N())
 	n.shortcutTo = make([]int, m.N())
 	n.shortcutLat = make([]int64, m.N())
@@ -298,7 +324,6 @@ func NewChecked(cfg Config) (*Network, error) {
 		rs.id = r
 		k := r * perRouter
 		rs.slots = slots[k*cfg.BufDepth : (k+perRouter)*cfg.BufDepth]
-		rs.depth = int32(cfg.BufDepth)
 		for p := 0; p < numPorts; p++ {
 			rs.vcs[p] = ptrs[k : k+vcsTotal : k+vcsTotal]
 			for i := 0; i < vcsTotal; i++ {
@@ -591,8 +616,14 @@ func (n *Network) Step() {
 	}
 	n.deliverArrivals()
 	n.injectFromNIs()
-	for r := range n.routers {
-		n.advanceRouter(&n.routers[r])
+	// Routers with no active VC have nothing to do. advanceRouter enlists
+	// no VC in another router, so each word of the live set can be read
+	// once; the walk keeps index order, which the model depends on (see
+	// advanceRouter).
+	for w, word := range n.live {
+		for ; word != 0; word &= word - 1 {
+			n.advanceRouter(&n.routers[w<<6|bits.TrailingZeros64(word)])
+		}
 	}
 	if n.mc != nil {
 		n.mc.step()
@@ -691,10 +722,10 @@ func (n *Network) deliverArrivals() {
 			vc.outVC = nil
 			vc.sent = 0
 			vc.retries = 0
-			vc.router.enlist(vc)
-			vc.push(newFlitSlot(n.now+3+int64(vc.rcExtra), true, t.isTail))
+			n.enlist(vc)
+			vc.push(newFlitSlot(n.now+3+int64(vc.rcExtra), true, t.isTail), n.bufDepth)
 		} else {
-			vc.push(newFlitSlot(n.now+1, false, t.isTail))
+			vc.push(newFlitSlot(n.now+1, false, t.isTail), n.bufDepth)
 		}
 	}
 }
@@ -739,7 +770,7 @@ func (n *Network) injectFromNIs() {
 			vc.outVC = nil
 			vc.sent = 0
 			vc.retries = 0
-			rs.enlist(vc)
+			n.enlist(vc)
 			rs.feedings = append(rs.feedings, feeding{vc: vc})
 			rs.popPacket()
 		}
@@ -747,14 +778,14 @@ func (n *Network) injectFromNIs() {
 		keep := rs.feedings[:0]
 		for _, f := range rs.feedings {
 			vc := f.vc
-			if vc.space() {
+			if vc.space(n.bufDepth) {
 				isHead := f.fed == 0
 				isTail := f.fed == vc.pkt.numFlits-1
 				el := n.now + 1
 				if isHead {
 					el = n.now + 3 + int64(vc.rcExtra)
 				}
-				vc.push(newFlitSlot(el, isHead, isTail))
+				vc.push(newFlitSlot(el, isHead, isTail), n.bufDepth)
 				n.stats.FlitsInjected++
 				n.stats.LocalFlitHops++
 				f.fed++

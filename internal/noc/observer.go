@@ -255,7 +255,7 @@ func (n *Network) Audit() AuditReport {
 					rep.StuckVCs++
 				}
 				if vc.count < 0 || vc.incoming < 0 || vc.leaked < 0 ||
-					vc.count+vc.incoming+vc.leaked > vc.depth() {
+					vc.count+vc.incoming+vc.leaked > n.bufDepth {
 					rep.CreditViolations++
 				}
 				if vc.pkt != nil {

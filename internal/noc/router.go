@@ -11,51 +11,59 @@ package noc
 // the 3-cycle body latency.
 
 // advanceRouter runs one router's cycle: active-list compaction, the
-// RC and VA stages of every live head, then switch allocation and the
-// departures themselves. Step calls it for every router in index order,
-// and that order is part of the model: a tail departing from a
-// lower-index router frees its downstream VC before higher-index routers
-// allocate (same-cycle credit turnaround), so a pass that froze VC state
-// at the start of the cycle and allocated against it would change
-// results, not just timing.
+// RC and VA stages of every live head, then switch allocation, each
+// winner departing as soon as it is granted. Step calls it for every
+// live router in index order, and that order is part of the model: a
+// tail departing from a lower-index router frees its downstream VC
+// before higher-index routers allocate (same-cycle credit turnaround),
+// so a pass that froze VC state at the start of the cycle and allocated
+// against it would change results, not just timing.
 func (n *Network) advanceRouter(rs *routerState) {
-	compact := rs.active[:0]
-	for _, vc := range rs.active {
+	// Compaction stores only the pointers that move, and the self-reslice
+	// after it only the length: on a loaded cycle nothing moves.
+	active, na := rs.active, 0
+	for i, vc := range active {
 		if vc.pkt == nil {
 			vc.inActive = false // retired; prune lazily
 			continue
 		}
-		compact = append(compact, vc)
-		if !vc.stuck { // stuck-VC fault: wedged out of arbitration
+		if na != i {
+			active[na] = vc
+		}
+		na++
+		// Only RC and VA heads have a stage to run; a stuck VC (fault) is
+		// wedged out of arbitration.
+		if vc.phase != phaseActive && !vc.stuck {
 			n.advanceVC(rs, vc)
 		}
 	}
-	rs.active = compact
-	if len(compact) == 0 {
+	rs.active = rs.active[:na]
+	if na == 0 {
+		n.live[rs.id>>6] &^= 1 << (rs.id & 63)
 		return // the round-robin pointer only turns while VCs are live
 	}
 
-	// Switch allocation: one grant per output port and one flit per input
-	// port per cycle, except the local port, whose NI channel keeps its
-	// 16 B width and therefore moves LocalSpeedup flits per cycle in each
-	// direction on narrow meshes.
-	speedup := n.cfg.LocalSpeedup
-	var outLeft, inLeft [numPorts]int
-	for p := 0; p < numPorts; p++ {
-		outLeft[p], inLeft[p] = 1, 1
+	// Switch allocation: each port moves up to its budget of flits per
+	// cycle in each direction, scanning the active list round-robin from
+	// rrOffset. A winner departs at once. That grants exactly what
+	// granting the whole scan first would: a downstream VC is reserved by
+	// one upstream VC only, and a departure touches only its own VC and
+	// outVC, the link wheel, the statistics, the packet pool, the fault
+	// RNG and the NI and multicast queues, none of which another VC's
+	// check below reads.
+	outLeft, inLeft := n.portBudget, n.portBudget
+	depth := n.bufDepth
+	active = active[:na]
+	j := 0
+	if na > 1 {
+		j = rs.rrOffset % na
 	}
-	outLeft[portLocal], inLeft[portLocal] = speedup, speedup
-	// Shortcut bands keep their 16 B width on narrow meshes, moving
-	// several narrow flits per cycle.
-	if rfs := n.cfg.ShortcutWidthBytes / n.cfg.Width.Bytes(); rfs > 1 {
-		outLeft[portRF], inLeft[portRF] = rfs, rfs
-	}
-	granted := rs.grantScratch[:0]
-	rot := rs.rrOffset
 	rs.rrOffset++
-	na := len(rs.active)
 	for i := 0; i < na; i++ {
-		vc := rs.active[(i+rot)%na]
+		vc := active[j]
+		if j++; j == na {
+			j = 0
+		}
 		if vc.phase != phaseActive || vc.stuck || inLeft[vc.port] == 0 {
 			continue
 		}
@@ -66,18 +74,13 @@ func (n *Network) advanceRouter(rs *routerState) {
 		if outLeft[vc.outPort] == 0 {
 			continue // output taken this cycle
 		}
-		if vc.outVC != nil && !vc.outVC.space() {
+		if vc.outVC != nil && !vc.outVC.space(depth) {
 			continue // no credit downstream
 		}
 		outLeft[vc.outPort]--
 		inLeft[vc.port]--
-		granted = append(granted, vc)
-	}
-
-	for _, vc := range granted {
 		n.depart(rs, vc)
 	}
-	rs.grantScratch = granted[:0]
 }
 
 // advanceVC runs the RC and VA stages for the packet occupying vc.
@@ -250,7 +253,7 @@ func (n *Network) depart(rs *routerState, vc *vcState) {
 		n.retransmit(rs, vc)
 		return
 	}
-	f := vc.pop()
+	f := vc.pop(n.bufDepth)
 	p := vc.pkt
 	vc.sent++
 	vc.retries = 0
