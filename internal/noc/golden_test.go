@@ -13,7 +13,7 @@ import (
 	"repro/internal/topology"
 )
 
-// digestObserver folds every observed event into a running FNV-1a
+// digestObserver folds every Observer event into a running FNV-1a
 // digest, giving a compact fingerprint of the full event stream (order
 // included).
 type digestObserver struct {
@@ -31,32 +31,15 @@ func (d *digestObserver) note(format string, args ...any) {
 	d.events++
 }
 
-func (d *digestObserver) PacketInjected(m Message, now int64) { d.note("inj %v %d", m, now) }
-func (d *digestObserver) FlitSent(r, p int, now int64)        { d.note("sent %d %d %d", r, p, now) }
-func (d *digestObserver) FlitEjected(r int, lat int64)        { d.note("ej %d %d", r, lat) }
+func (d *digestObserver) FlitSent(r, p int, now int64) { d.note("sent %d %d %d", r, p, now) }
+func (d *digestObserver) FlitEjected(r int, lat int64) { d.note("ej %d %d", r, lat) }
 func (d *digestObserver) PacketDelivered(m Message, at int64, hops int) {
 	d.note("del %v %d %d", m, at, hops)
 }
 func (d *digestObserver) MulticastDelivered(m Message, at int64) { d.note("mdel %v %d", m, at) }
-func (d *digestObserver) FlitCorrupted(r, p int, now int64)      { d.note("corr %d %d %d", r, p, now) }
-func (d *digestObserver) Retransmit(r, p, a int, now int64)      { d.note("retx %d %d %d %d", r, p, a, now) }
-func (d *digestObserver) IntegrityRetransmit(s, t, a int, now int64) {
-	d.note("iretx %d %d %d %d", s, t, a, now)
-}
-func (d *digestObserver) PacketLost(m Message, now int64)       { d.note("lost %v %d", m, now) }
-func (d *digestObserver) WatchdogRecovery(st, a int, now int64) { d.note("wd %d %d %d", st, a, now) }
-func (d *digestObserver) LinkFailed(r, p int, now int64)        { d.note("lf %d %d %d", r, p, now) }
-func (d *digestObserver) DegradedReroute(r, p int, now int64)   { d.note("rr %d %d %d", r, p, now) }
-func (d *digestObserver) DuplicateInjected(r int, now int64)    { d.note("dup %d %d", r, now) }
-func (d *digestObserver) PacketMisrouted(r, p int, now int64)   { d.note("mr %d %d %d", r, p, now) }
-func (d *digestObserver) CreditLeaked(r, p int, now int64)      { d.note("leak %d %d %d", r, p, now) }
-func (d *digestObserver) VCStuck(r, p int, now int64)           { d.note("stuck %d %d %d", r, p, now) }
-func (d *digestObserver) PacketMisdelivered(r int, m Message, now int64) {
-	d.note("md %d %v %d", r, m, now)
-}
-func (d *digestObserver) DuplicateDropped(r int, m Message, now int64) {
-	d.note("dd %d %v %d", r, m, now)
-}
+func (d *digestObserver) LinkFailed(r, p int, now int64)         { d.note("lf %d %d %d", r, p, now) }
+func (d *digestObserver) Replanned(edges int, now int64)         { d.note("rp %d %d", edges, now) }
+func (d *digestObserver) CycleEnd(n *Network)                    { d.note("end %d", n.Now()) }
 
 // goldenRun is everything one seeded run exposes: the final statistics
 // and the observer event count and digest.
@@ -152,7 +135,7 @@ func stepGoldenCases() []stepGoldenCase {
 				LocalFlitHops:    7274,
 				MsgsByDistance:   []int64{0, 32, 68, 73, 81, 83, 91, 89, 80, 71, 56, 36, 24, 12, 11, 6, 3, 3, 0},
 			},
-			events: 32749, digest: 0x3b87defeb7e7114b,
+			events: 33178, digest: 0x457c8ce2a8fa8bb8,
 		}},
 		{"shortcuts-4B", Config{Mesh: m, Width: tech.Width4B, Shortcuts: edges}, goldenRun{
 			stats: Stats{
@@ -170,7 +153,7 @@ func stepGoldenCases() []stepGoldenCase {
 				RFShortcutBits:   212544,
 				MsgsByDistance:   []int64{0, 32, 68, 73, 81, 83, 91, 89, 80, 71, 56, 36, 24, 12, 11, 6, 3, 3, 0},
 			},
-			events: 85369, digest: 0x86fcf7b3b6cd0e18,
+			events: 85835, digest: 0x9589177aaf1c10b3,
 		}},
 		{"adaptive-shortcuts", Config{Mesh: m, Width: tech.Width4B, Shortcuts: edges, AdaptiveRouting: true}, goldenRun{
 			stats: Stats{
@@ -188,7 +171,7 @@ func stepGoldenCases() []stepGoldenCase {
 				RFShortcutBits:   237792,
 				MsgsByDistance:   []int64{0, 32, 68, 73, 81, 83, 91, 89, 80, 71, 56, 36, 24, 12, 11, 6, 3, 3, 0},
 			},
-			events: 85369, digest: 0x71ca6e4ba26c1769,
+			events: 85807, digest: 0x8c88edba2d7c5ef0,
 		}},
 		{"rf-multicast", Config{Mesh: m, Width: tech.Width16B, Multicast: MulticastRF, RFEnabled: m.RFPlacement(50)}, goldenRun{
 			stats: Stats{
@@ -213,7 +196,7 @@ func stepGoldenCases() []stepGoldenCase {
 				MulticastFlitLatency:    15895,
 				MsgsByDistance:          []int64{0, 34, 65, 72, 80, 94, 87, 89, 79, 75, 51, 35, 23, 14, 10, 9, 4, 3, 0},
 			},
-			events: 35478, digest: 0xf760b6f5ec0a6ad9,
+			events: 35433, digest: 0xef9cd845676f2078,
 		}},
 		{"vct-multicast", Config{Mesh: m, Width: tech.Width16B, Multicast: MulticastVCT}, goldenRun{
 			stats: Stats{
@@ -236,7 +219,7 @@ func stepGoldenCases() []stepGoldenCase {
 				VCTMisses:               30,
 				MsgsByDistance:          []int64{0, 34, 65, 72, 80, 94, 87, 89, 79, 75, 51, 35, 23, 14, 10, 9, 4, 3, 0},
 			},
-			events: 38261, digest: 0x104a37fb5c189838,
+			events: 37580, digest: 0x6d634b4f5cce1793,
 		}},
 		{"faulty-integrity", Config{
 			Mesh: m, Width: tech.Width16B, Shortcuts: edges,
@@ -261,7 +244,7 @@ func stepGoldenCases() []stepGoldenCase {
 				Retransmits:      10,
 				MsgsByDistance:   []int64{0, 32, 68, 73, 81, 83, 91, 89, 80, 71, 56, 36, 24, 12, 11, 6, 3, 3, 0},
 			},
-			events: 25767, digest: 0x8343efd8d0595bdd,
+			events: 26172, digest: 0x22659e97953a8c28,
 		}},
 		// Misroute and misdeliver draw from the fault RNG during route
 		// computation, pinning the RNG draw order within a cycle.
@@ -286,7 +269,7 @@ func stepGoldenCases() []stepGoldenCase {
 				MisroutedPackets: 6,
 				MsgsByDistance:   []int64{0, 32, 68, 73, 81, 83, 91, 89, 80, 71, 56, 36, 24, 12, 11, 6, 3, 3, 0},
 			},
-			events: 25787, digest: 0x13bbbcb1ff33f27c,
+			events: 26205, digest: 0x8401395ea2c7b76b,
 		}},
 		// Stuck VCs wedge heads in route computation until the watchdog
 		// unsticks them, long past their VC-allocation slot: RC and a
@@ -318,7 +301,7 @@ func stepGoldenCases() []stepGoldenCase {
 				RecoveryVCUnsticks:    21,
 				MsgsByDistance:        []int64{0, 32, 68, 73, 81, 83, 91, 89, 80, 71, 56, 36, 24, 12, 11, 6, 3, 3, 0},
 			},
-			events: 85406, digest: 0x9743188c57264b6,
+			events: 85833, digest: 0x3f6fa9c1311b7595,
 		}},
 	}
 }
