@@ -28,7 +28,8 @@ func testConfig(m *topology.Mesh) noc.Config {
 }
 
 // TestRunContextRejects: an invalid config is an error from the run
-// loop, not a panic.
+// loop, and an invalid generator spec an error from the point
+// constructor, not a panic.
 func TestRunContextRejects(t *testing.T) {
 	m := topology.New10x10()
 	opts := Options{Cycles: 3000, DrainCycles: 50000, Rate: 0.01, Seed: 42}
@@ -40,6 +41,18 @@ func TestRunContextRejects(t *testing.T) {
 			t.Fatal("invalid config accepted")
 		}
 	})
+	for name, spec := range map[string]GenSpec{
+		"unknown workload":       {Workload: "nosuch"},
+		"multicast locality 0":   {Workload: "uniform", Multicast: true},
+		"multicast locality -1":  {Workload: "uniform", Multicast: true, MulticastLocality: -1},
+		"multicast locality 101": {Workload: "uniform", Multicast: true, MulticastLocality: 101},
+	} {
+		t.Run(name, func(t *testing.T) {
+			if _, err := NewPortableSweepPoint(noc.Config{Mesh: m}, spec, opts, nil); err == nil {
+				t.Fatalf("invalid generator spec %+v accepted", spec)
+			}
+		})
+	}
 }
 
 // panicOnceGen panics the first time the run crosses a trigger tick,

@@ -60,6 +60,9 @@ func (g GenSpec) Build(m *topology.Mesh) (traffic.Generator, error) {
 	}
 	gen := mk(g.Rate, g.Seed)
 	if g.Multicast {
+		if g.MulticastLocality <= 0 || g.MulticastLocality > 100 {
+			return nil, fmt.Errorf("multicast locality %d%% out of range (1..100)", g.MulticastLocality)
+		}
 		gen = traffic.NewMulticastAugment(m, gen, g.MulticastRate, g.MulticastLocality, g.Seed)
 	}
 	return gen, nil
