@@ -458,16 +458,11 @@ func runSim(f *simFlags, stdout, stderr io.Writer) int {
 	}
 	var inj *fault.Injector
 	var frec *obs.FaultRecorder
-	var irec *obs.IntegrityRecorder
 	if faulty {
 		inj = fault.NewInjector(schedule)
 		inj.AutoReplan = f.replan
 		frec = obs.NewFaultRecorder()
 		observers = append(observers, inj, frec)
-	}
-	if f.adversarial() {
-		irec = obs.NewIntegrityRecorder()
-		observers = append(observers, irec)
 	}
 	var tl *obs.LinkTimeline
 	if f.timeline != "" {
@@ -492,7 +487,7 @@ func runSim(f *simFlags, stdout, stderr io.Writer) int {
 		return exitRunError
 	}
 
-	printReport(stdout, m, net, cfg, d, gen, r, rec, frec, inj, irec)
+	printReport(stdout, m, net, cfg, d, gen, r, rec, frec, inj, f.adversarial())
 	if f.benchCycles > 0 && r.Stats.Cycles > 0 {
 		fmt.Fprintf(stdout, "\nbench: %d cycles (injection + drain) in %s, %.0f ns/cycle\n",
 			r.Stats.Cycles, elapsed.Round(time.Millisecond), float64(elapsed.Nanoseconds())/float64(r.Stats.Cycles))
@@ -519,7 +514,7 @@ func runSim(f *simFlags, stdout, stderr io.Writer) int {
 	return exitOK
 }
 
-func printReport(w io.Writer, m *topology.Mesh, net *noc.Network, cfg noc.Config, d experiments.Design, gen traffic.Generator, r experiments.Result, rec *obs.LatencyRecorder, frec *obs.FaultRecorder, inj *fault.Injector, irec *obs.IntegrityRecorder) {
+func printReport(w io.Writer, m *topology.Mesh, net *noc.Network, cfg noc.Config, d experiments.Design, gen traffic.Generator, r experiments.Result, rec *obs.LatencyRecorder, frec *obs.FaultRecorder, inj *fault.Injector, adversarial bool) {
 	fmt.Fprintf(w, "design:   %s\n", d.Name())
 	fmt.Fprintf(w, "workload: %s\n", gen.Name())
 	fmt.Fprintf(w, "cycles:   %d (drained: %v)\n", r.Stats.Cycles, r.Drained)
@@ -562,7 +557,7 @@ func printReport(w io.Writer, m *topology.Mesh, net *noc.Network, cfg noc.Config
 	}
 	if frec != nil {
 		fmt.Fprintln(w, "\nfault/recovery:")
-		fmt.Fprintln(w, frec.Render())
+		fmt.Fprintln(w, frec.Render(s))
 		if n := len(net.DeadMeshLinks()); n > 0 {
 			fmt.Fprintf(w, "dead mesh links: %d\n", n)
 		}
@@ -580,9 +575,17 @@ func printReport(w io.Writer, m *topology.Mesh, net *noc.Network, cfg noc.Config
 			fmt.Fprintf(w, "skipped %s: %v\n", sk.Event, sk.Err)
 		}
 	}
-	if irec != nil {
+	if adversarial {
 		fmt.Fprintln(w, "\nintegrity/recovery:")
-		fmt.Fprintln(w, irec.Render())
+		fmt.Fprintf(w, "adversarial: misroutes %d, misdeliveries %d, duplicates %d, credit leaks %d, stuck VCs %d\n",
+			s.MisroutedPackets, s.MisdeliveredPackets, s.DuplicatesInjected, s.CreditLeaks, s.StuckVCs)
+		fmt.Fprintf(w, "integrity: duplicates dropped %d, retransmits %d, packets lost %d\n",
+			s.DuplicatesDropped, s.IntegrityRetransmits, s.PacketsLost)
+		if s.WatchdogRecoveries > 0 {
+			fmt.Fprintf(w, "watchdog: %d recoveries (%d credit repairs, %d VC unsticks, %d escapes, %d re-injections, %d flits scrubbed)\n",
+				s.WatchdogRecoveries, s.RecoveryCreditRepairs, s.RecoveryVCUnsticks,
+				s.RecoveryEscapes, s.RecoveryReinjections, s.FlitsScrubbed)
+		}
 	}
 	if len(cfg.Shortcuts) > 0 {
 		var parts []string

@@ -147,13 +147,20 @@ func (s *System) Stats() Stats { return s.stats }
 // Outstanding returns core ci's in-flight request count.
 func (s *System) Outstanding(ci int) int { return s.outstanding[ci] }
 
-// Attach registers the reply path on a network. Must be called once
-// before simulation.
+// Attach registers the reply path on a network as an observer. Must be
+// called once before simulation.
 func (s *System) Attach(n *noc.Network) {
-	n.SetDeliveryHook(func(msg noc.Message, at int64) {
-		s.onDeliver(n, msg, at)
-	})
+	n.AttachObserver(replyPath{s: s})
 }
+
+// replyPath is the System's delivery observer.
+type replyPath struct {
+	noc.BaseObserver
+	s *System
+}
+
+// PacketDelivered implements noc.Observer.
+func (r replyPath) PacketDelivered(msg noc.Message, at int64, _ int) { r.s.onDeliver(msg, at) }
 
 // Tick implements traffic.Generator: issues new requests and injects
 // scheduled replies.
@@ -193,7 +200,7 @@ func (s *System) pickBank() int {
 // onDeliver reacts to message arrivals: requests get serviced into
 // replies (with an occasional memory fetch first), and replies retire
 // the issuing core's oldest MSHR.
-func (s *System) onDeliver(n *noc.Network, msg noc.Message, at int64) {
+func (s *System) onDeliver(msg noc.Message, at int64) {
 	switch {
 	case msg.Class == noc.Request && s.mesh.Kind(msg.Dst) == topology.Cache:
 		reply := noc.Message{Src: msg.Dst, Dst: msg.Src, Class: noc.Data}
@@ -223,7 +230,6 @@ func (s *System) onDeliver(n *noc.Network, msg noc.Message, at int64) {
 		s.stats.Completed++
 		s.stats.RoundTripSum += at - issued
 	}
-	_ = n
 }
 
 func (s *System) nearestMem(from int) int {

@@ -139,8 +139,11 @@ func TestFaultInjectorAutoReplan(t *testing.T) {
 	if inj.Replans() != 1 {
 		t.Fatalf("replans = %d, want 1 (skipped: %v)", inj.Replans(), inj.Skipped())
 	}
-	if rec.Replans != 1 {
-		t.Errorf("recorder saw %d Replanned events, want 1", rec.Replans)
+	if got := n.Stats().Reconfigurations; got != 1 {
+		t.Errorf("stats count %d reconfigurations, want 1", got)
+	}
+	if rec.MTTR() <= 0 {
+		t.Errorf("recorder MTTR = %v: no Replanned event closed the fault window", rec.MTTR())
 	}
 	for _, e := range n.Config().Shortcuts {
 		if e.From == dead.From {
@@ -357,8 +360,6 @@ func TestFaultInjectorAppliesChaosKinds(t *testing.T) {
 	inj := NewInjector(sched)
 	n := noc.New(cfg)
 	n.AttachObserver(inj)
-	rec := obs.NewIntegrityRecorder()
-	n.AttachObserver(rec)
 	n.Run(100)
 
 	if got := inj.Applied(); len(got) != 2 {
@@ -370,8 +371,5 @@ func TestFaultInjectorAppliesChaosKinds(t *testing.T) {
 	s := n.Stats()
 	if s.CreditLeaks != 1 || s.StuckVCs == 0 {
 		t.Errorf("chaos events not reflected in stats: leaks %d, stuck %d", s.CreditLeaks, s.StuckVCs)
-	}
-	if rec.CreditLeaks != 1 || rec.StuckVCs != s.StuckVCs {
-		t.Errorf("recorder out of sync: %+v vs stats %+v", rec, s)
 	}
 }

@@ -212,9 +212,6 @@ func (fs *faultState) backoff(attempt int) int64 {
 func (n *Network) retransmit(rs *routerState, vc *vcState) {
 	fs := n.faults
 	n.stats.FlitsCorrupted++
-	for _, o := range n.observers {
-		o.FlitCorrupted(rs.id, int(vc.outPort), n.now)
-	}
 	vc.retries++
 	if int(vc.retries) >= fs.cfg.RetryLimit {
 		if vc.outPort == portRF || n.meshKillable(rs.id, int(vc.outPort)) {
@@ -238,9 +235,6 @@ func (n *Network) retransmit(rs *routerState, vc *vcState) {
 	delay := fs.backoff(int(vc.retries))
 	if f := vc.front(); f != nil {
 		f.setEligibleAt(n.now + delay)
-	}
-	for _, o := range n.observers {
-		o.Retransmit(rs.id, int(vc.outPort), int(vc.retries), n.now)
 	}
 }
 
@@ -435,9 +429,6 @@ func (n *Network) rerouteInFlight() {
 				vc.ncands = 0
 				n.enlist(vc)
 				n.stats.DegradedReroutes++
-				for _, o := range n.observers {
-					o.DegradedReroute(r, int(vc.outPort), n.now)
-				}
 			}
 		}
 	}
@@ -672,9 +663,6 @@ func (n *Network) misroutePort(r int, vc *vcState) int {
 	}
 	wrong := cands[fs.rng.Intn(nc)]
 	n.stats.MisroutedPackets++
-	for _, o := range n.observers {
-		o.PacketMisrouted(r, wrong, n.now)
-	}
 	return wrong
 }
 
@@ -715,9 +703,6 @@ func (n *Network) maybeDuplicate(r int, p *packet) {
 		return
 	}
 	n.stats.DuplicatesInjected++
-	for _, o := range n.observers {
-		o.DuplicateInjected(r, n.now)
-	}
 	dup := n.newPacket()
 	dup.msg = p.msg
 	dup.numFlits = p.numFlits
@@ -754,9 +739,6 @@ func (n *Network) leakCredit(vc *vcState) bool {
 	}
 	vc.leaked++
 	n.stats.CreditLeaks++
-	for _, o := range n.observers {
-		o.CreditLeaked(vc.router.id, int(vc.port), n.now)
-	}
 	return true
 }
 
@@ -767,9 +749,6 @@ func (n *Network) stickVC(vc *vcState) bool {
 	}
 	vc.stuck = true
 	n.stats.StuckVCs++
-	for _, o := range n.observers {
-		o.VCStuck(vc.router.id, int(vc.port), n.now)
-	}
 	return true
 }
 

@@ -115,18 +115,12 @@ func (n *Network) integrityAccept(rs *routerState, p *packet, at int64) bool {
 	if rs.id != p.msg.Dst {
 		// RF band mis-tune: ejected at the wrong router.
 		n.stats.MisdeliveredPackets++
-		for _, o := range n.observers {
-			o.PacketMisdelivered(rs.id, p.msg, n.now)
-		}
 		n.scheduleRetx(key, p.attempt)
 		return false
 	}
 	if ig.seen[key] {
 		// Band re-trigger: this sequence number was already delivered.
 		n.stats.DuplicatesDropped++
-		for _, o := range n.observers {
-			o.DuplicateDropped(rs.id, p.msg, n.now)
-		}
 		return false
 	}
 	ig.seen[key] = true
@@ -153,15 +147,9 @@ func (n *Network) scheduleRetx(key integrityKey, attempt int) {
 		// the exactly-once ledger still closes.
 		delete(ig.outstanding, key)
 		n.stats.PacketsLost++
-		for _, o := range n.observers {
-			o.PacketLost(msg, n.now)
-		}
 		return
 	}
 	n.stats.IntegrityRetransmits++
-	for _, o := range n.observers {
-		o.IntegrityRetransmit(msg.Src, msg.Dst, attempt, n.now)
-	}
 	ig.pending = append(ig.pending, pendingRetx{
 		at:      n.now + fs.backoff(attempt),
 		msg:     msg,

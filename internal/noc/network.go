@@ -62,10 +62,8 @@ type Network struct {
 	freq [][]int64
 
 	// observers receive pipeline events (nil when observation is off, so
-	// hot paths pay one branch). hookObs is the SetDeliveryHook adapter,
-	// tracked separately so re-registering replaces it.
+	// hot paths pay one branch).
 	observers []Observer
-	hookObs   *deliveryHookObserver
 
 	// faults is the fault-injection and recovery state (nil in a
 	// fault-free world, so the hot path pays one pointer check). mcDead
@@ -532,11 +530,6 @@ func (n *Network) enqueue(router int, p *packet) {
 	rs.queue = append(rs.queue, p)
 	n.noteNIWork(rs)
 	n.inFlightPackets++
-	if len(n.observers) != 0 {
-		for _, o := range n.observers {
-			o.PacketInjected(p.msg, n.now)
-		}
-	}
 }
 
 // enqueueFront adds a forked multicast child with reinjection priority.
@@ -545,11 +538,6 @@ func (n *Network) enqueueFront(router int, p *packet) {
 	rs.reinject = append(rs.reinject, p)
 	n.noteNIWork(rs)
 	n.inFlightPackets++
-	if len(n.observers) != 0 {
-		for _, o := range n.observers {
-			o.PacketInjected(p.msg, n.now)
-		}
-	}
 }
 
 // spawnMulticastChildren splits a forking multicast at router r into one

@@ -18,13 +18,13 @@ import (
 // must not mutate the network (except via the documented read-only
 // accessors on the *Network it receives in CycleEnd).
 //
+// Events carry what an observer needs per occurrence: timing, ports or
+// the delivered message. Activity that only needs counting (injections,
+// corruptions, retransmissions, adversarial faults, integrity and
+// watchdog actions) is in Stats and has no event.
+//
 // Embed BaseObserver to implement only the events you care about.
 type Observer interface {
-	// PacketInjected fires once per unicast packet entering a router's
-	// NI injection queue (multicasts fire it per expanded/forked child
-	// as children enter NI queues).
-	PacketInjected(msg Message, now int64)
-
 	// FlitSent fires for every flit granted through a crossbar, with
 	// the router it leaves and the output port it takes (PortName names
 	// ports; Local is an ejection, RF a shortcut band).
@@ -43,73 +43,15 @@ type Observer interface {
 	// multicast, with the original message and the delivery cycle.
 	MulticastDelivered(msg Message, at int64)
 
-	// FlitCorrupted fires when a transmitted flit fails its CRC at the
-	// far side of a link (transient fault model): the flit stays at the
-	// sender and will be retransmitted or the link declared dead.
-	FlitCorrupted(router, outPort int, now int64)
-
-	// Retransmit fires when the link layer schedules a retransmission
-	// of a corrupted flit, with the consecutive-attempt count charged
-	// against the link's retry budget.
-	Retransmit(router, outPort, attempt int, now int64)
-
 	// LinkFailed fires when a link is declared permanently dead: an RF-I
 	// shortcut band (outPort PortRF), a mesh link (a mesh port), or the
 	// RF multicast band (router -1, outPort PortRF).
 	LinkFailed(router, outPort int, now int64)
 
-	// DegradedReroute fires for every in-flight packet whose committed
-	// output was invalidated by a link failure and was sent back to
-	// route computation over the surviving topology.
-	DegradedReroute(router, outPort int, now int64)
-
 	// Replanned fires when Network.Reconfigure installs a new shortcut
 	// plan (including post-failure replans), after the routing-table
 	// update stall has been paid.
 	Replanned(edges int, now int64)
-
-	// PacketMisrouted fires when the adversarial misroute fault diverts a
-	// whole packet to a wrong-but-live output port at route computation
-	// (the next router re-routes it toward the true destination).
-	PacketMisrouted(router, outPort int, now int64)
-
-	// PacketMisdelivered fires when a packet ejects at the wrong router
-	// (RF band mis-tune) and the integrity layer detects the destination
-	// mismatch at the receiver.
-	PacketMisdelivered(router int, msg Message, now int64)
-
-	// DuplicateInjected fires when an RF band re-trigger spawns a second
-	// copy of a packet at the shortcut's destination router.
-	DuplicateInjected(router int, now int64)
-
-	// DuplicateDropped fires when receiver-side dedup discards a copy of
-	// a packet whose sequence number was already delivered.
-	DuplicateDropped(router int, msg Message, now int64)
-
-	// IntegrityRetransmit fires when the integrity layer schedules a
-	// NACK-style source retransmission of a misdelivered, corrupted or
-	// scrubbed packet, with the end-to-end attempt count.
-	IntegrityRetransmit(src, dst, attempt int, now int64)
-
-	// PacketLost fires when a packet's end-to-end retry budget runs out
-	// and the integrity layer abandons it (counted in Stats.PacketsLost;
-	// the exactly-once ledger then closes as injected = delivered + lost).
-	PacketLost(msg Message, now int64)
-
-	// CreditLeaked fires when the credit-leak fault silently removes one
-	// credit from a VC buffer (router and input port of the leaking VC).
-	CreditLeaked(router, port int, now int64)
-
-	// VCStuck fires when the stuck-VC fault wedges a VC out of
-	// arbitration (router and input port of the victim).
-	VCStuck(router, port int, now int64)
-
-	// WatchdogRecovery fires when the watchdog escalates a recovery
-	// stage: 1 repairs credits and unsticks VCs, 2 forces the oldest
-	// blocked wormholes onto the escape class, 3 scrubs the oldest
-	// stalled packet and re-injects it at the source. actions counts the
-	// repairs/escapes/re-injections the stage performed.
-	WatchdogRecovery(stage, actions int, now int64)
 
 	// CycleEnd fires after every Step, once the cycle's arrivals,
 	// injections and arbitration have all completed. The network is in
@@ -120,26 +62,13 @@ type Observer interface {
 // BaseObserver is a no-op Observer for embedding.
 type BaseObserver struct{}
 
-func (BaseObserver) PacketInjected(Message, int64)            {}
-func (BaseObserver) FlitSent(int, int, int64)                 {}
-func (BaseObserver) FlitEjected(int, int64)                   {}
-func (BaseObserver) PacketDelivered(Message, int64, int)      {}
-func (BaseObserver) MulticastDelivered(Message, int64)        {}
-func (BaseObserver) FlitCorrupted(int, int, int64)            {}
-func (BaseObserver) Retransmit(int, int, int, int64)          {}
-func (BaseObserver) LinkFailed(int, int, int64)               {}
-func (BaseObserver) DegradedReroute(int, int, int64)          {}
-func (BaseObserver) Replanned(int, int64)                     {}
-func (BaseObserver) PacketMisrouted(int, int, int64)          {}
-func (BaseObserver) PacketMisdelivered(int, Message, int64)   {}
-func (BaseObserver) DuplicateInjected(int, int64)             {}
-func (BaseObserver) DuplicateDropped(int, Message, int64)     {}
-func (BaseObserver) IntegrityRetransmit(int, int, int, int64) {}
-func (BaseObserver) PacketLost(Message, int64)                {}
-func (BaseObserver) CreditLeaked(int, int, int64)             {}
-func (BaseObserver) VCStuck(int, int, int64)                  {}
-func (BaseObserver) WatchdogRecovery(int, int, int64)         {}
-func (BaseObserver) CycleEnd(*Network)                        {}
+func (BaseObserver) FlitSent(int, int, int64)            {}
+func (BaseObserver) FlitEjected(int, int64)              {}
+func (BaseObserver) PacketDelivered(Message, int64, int) {}
+func (BaseObserver) MulticastDelivered(Message, int64)   {}
+func (BaseObserver) LinkFailed(int, int, int64)          {}
+func (BaseObserver) Replanned(int, int64)                {}
+func (BaseObserver) CycleEnd(*Network)                   {}
 
 // NumPorts is the per-router port count (N, E, S, W, Local, RF), the
 // width of per-port observer dimensions.

@@ -9,15 +9,14 @@ import (
 	"repro/internal/topology"
 )
 
-// countingObserver tallies every event kind.
+// countingObserver tallies the events that mirror a Stats counter.
 type countingObserver struct {
 	BaseObserver
-	injected, sent, ejected, delivered, mcast, cycles int64
-	flitLatSum                                        int64
-	localSent                                         int64
+	sent, ejected, delivered, mcast, cycles int64
+	flitLatSum                              int64
+	localSent                               int64
 }
 
-func (c *countingObserver) PacketInjected(Message, int64) { c.injected++ }
 func (c *countingObserver) FlitSent(_, outPort int, _ int64) {
 	c.sent++
 	if outPort == portLocal {
@@ -59,9 +58,6 @@ func TestObserverEventsMatchStats(t *testing.T) {
 	runRandom(t, n, 5000, 0.5, 42)
 	s := n.Stats()
 
-	if c.injected != s.PacketsInjected {
-		t.Errorf("PacketInjected events = %d, stats.PacketsInjected = %d", c.injected, s.PacketsInjected)
-	}
 	if c.delivered != s.PacketsEjected {
 		t.Errorf("PacketDelivered events = %d, stats.PacketsEjected = %d", c.delivered, s.PacketsEjected)
 	}
@@ -110,33 +106,30 @@ func TestObserverMulticastEvents(t *testing.T) {
 	}
 }
 
-// SetDeliveryHook must keep its replace semantics on top of the
-// observer plumbing, and detaching must stop events.
+// Detaching an observer must stop its events and leave the other
+// attached observers receiving theirs.
 func TestDeliveryHookReplaceAndDetach(t *testing.T) {
 	n := New(Config{Mesh: topology.New10x10()})
-	var a, b int
-	n.SetDeliveryHook(func(Message, int64) { a++ })
-	n.SetDeliveryHook(func(Message, int64) { b++ }) // replaces the first
-	c := &countingObserver{}
-	n.AttachObserver(c)
+	a, b := &countingObserver{}, &countingObserver{}
+	n.AttachObserver(a)
+	n.AttachObserver(b)
 	n.Inject(Message{Src: 0, Dst: 99, Class: Request, Inject: 0})
 	if !n.Drain(100000) {
 		t.Fatal("drain failed")
 	}
-	if a != 0 || b != 1 {
-		t.Errorf("hook calls a=%d b=%d, want 0 and 1", a, b)
+	if a.delivered != 1 || b.delivered != 1 {
+		t.Errorf("deliveries a=%d b=%d, want 1 and 1", a.delivered, b.delivered)
 	}
-	if c.delivered != 1 {
-		t.Errorf("observer deliveries = %d, want 1", c.delivered)
-	}
-	n.DetachObserver(c)
-	n.SetDeliveryHook(nil)
+	n.DetachObserver(a)
 	n.Inject(Message{Src: 0, Dst: 99, Class: Request, Inject: n.Now()})
 	if !n.Drain(100000) {
 		t.Fatal("drain failed")
 	}
-	if b != 1 || c.delivered != 1 {
-		t.Errorf("detached observer still saw events: hook=%d deliveries=%d", b, c.delivered)
+	if a.delivered != 1 {
+		t.Errorf("detached observer still saw events: deliveries=%d", a.delivered)
+	}
+	if b.delivered != 2 {
+		t.Errorf("attached observer deliveries = %d, want 2", b.delivered)
 	}
 }
 

@@ -36,34 +36,6 @@ func (n *Network) ResetObservedFrequency() {
 	}
 }
 
-// deliveryHookObserver adapts a plain delivery callback to the Observer
-// interface (the legacy SetDeliveryHook surface).
-type deliveryHookObserver struct {
-	BaseObserver
-	fn func(Message, int64)
-}
-
-func (d *deliveryHookObserver) PacketDelivered(msg Message, at int64, _ int) {
-	d.fn(msg, at)
-}
-
-// SetDeliveryHook registers a function invoked when a unicast packet's
-// tail ejects, with the original message and the completion cycle.
-// Closed-loop workload models (internal/cpu) use it to retire
-// outstanding requests. It is a convenience adapter over AttachObserver:
-// each call replaces the previous hook; a nil fn removes it.
-func (n *Network) SetDeliveryHook(fn func(Message, int64)) {
-	if n.hookObs != nil {
-		n.DetachObserver(n.hookObs)
-		n.hookObs = nil
-	}
-	if fn == nil {
-		return
-	}
-	n.hookObs = &deliveryHookObserver{fn: fn}
-	n.AttachObserver(n.hookObs)
-}
-
 // Reconfigure retunes the RF-I overlay to a new shortcut set and
 // rebuilds every routing table, charging the paper's parallel
 // table-update cost (one cycle per other router) by stepping the network

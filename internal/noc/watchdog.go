@@ -96,51 +96,42 @@ func (n *Network) watchdogStep() {
 	}
 	n.wd.stage = stage
 	n.wd.lastAction = n.now
-	var actions int
 	switch stage {
 	case 1:
-		actions = n.recoverCreditsAndVCs()
+		n.recoverCreditsAndVCs()
 	case 2:
-		actions = n.recoverForceEscape()
+		n.recoverForceEscape()
 	case 3:
-		actions = n.recoverScrubReinject()
+		n.recoverScrubReinject()
 	}
 	n.stats.WatchdogRecoveries++
-	for _, o := range n.observers {
-		o.WatchdogRecovery(stage, actions, n.now)
-	}
 }
 
 // recoverCreditsAndVCs is stage 1: restore every leaked credit and
-// release every stuck VC. Returns the number of repairs.
-func (n *Network) recoverCreditsAndVCs() int {
-	actions := 0
+// release every stuck VC.
+func (n *Network) recoverCreditsAndVCs() {
 	for r := range n.routers {
 		rs := &n.routers[r]
 		for p := 0; p < numPorts; p++ {
 			for _, vc := range rs.vcs[p] {
 				if vc.leaked > 0 {
 					n.stats.RecoveryCreditRepairs += int64(vc.leaked)
-					actions += int(vc.leaked)
 					vc.leaked = 0
 				}
 				if vc.stuck {
 					vc.stuck = false
 					n.stats.RecoveryVCUnsticks++
-					actions++
 				}
 			}
 		}
 	}
-	return actions
 }
 
 // recoverForceEscape is stage 2: the oldest normal-class wormholes that
 // are stalled past the horizon and have not yet moved a flit (sent == 0,
 // so diverting them cannot shear the packet) are forced onto the escape
-// class, releasing any downstream reservation they hold. Returns the
-// number of packets diverted.
-func (n *Network) recoverForceEscape() int {
+// class, releasing any downstream reservation they hold.
+func (n *Network) recoverForceEscape() {
 	horizon := n.cfg.Watchdog.StallHorizon
 	var victims [escapeDrainBatch]*vcState
 	nv := 0
@@ -191,14 +182,13 @@ func (n *Network) recoverForceEscape() int {
 		n.stats.RecoveryEscapes++
 		n.stats.EscapeSwitches++
 	}
-	return nv
 }
 
 // recoverScrubReinject is stage 3: the oldest stalled plain unicast is
 // scrubbed out of the fabric (all its buffered and in-flight flits
 // removed and accounted) and re-injected at its source, charging the
-// end-to-end retry budget. Returns 1 when a packet was scrubbed.
-func (n *Network) recoverScrubReinject() int {
+// end-to-end retry budget.
+func (n *Network) recoverScrubReinject() {
 	var victim *vcState
 	var victimAge int64 = -1
 	for r := range n.routers {
@@ -215,7 +205,7 @@ func (n *Network) recoverScrubReinject() int {
 		}
 	}
 	if victim == nil {
-		return 0
+		return
 	}
 	p := victim.pkt
 	n.stats.FlitsScrubbed += int64(n.scrubPacket(p))
@@ -231,28 +221,22 @@ func (n *Network) recoverScrubReinject() int {
 		if !ok {
 			// Already delivered (this stalled copy was a duplicate) or
 			// already abandoned: the scrub alone is the recovery.
-			return 1
+			return
 		}
 		if attempt > fs.cfg.RetryLimit {
 			delete(n.integ.outstanding, key)
 			n.stats.PacketsLost++
-			for _, o := range n.observers {
-				o.PacketLost(msg, n.now)
-			}
-			return 1
+			return
 		}
 		n.stats.RecoveryReinjections++
 		n.integ.pending = append(n.integ.pending, pendingRetx{
 			at: n.now + fs.backoff(attempt), msg: msg, seq: p.seq, attempt: attempt,
 		})
-		return 1
+		return
 	}
 	if attempt > fs.cfg.RetryLimit {
 		n.stats.PacketsLost++
-		for _, o := range n.observers {
-			o.PacketLost(p.msg, n.now)
-		}
-		return 1
+		return
 	}
 	n.stats.RecoveryReinjections++
 	retry := n.newPacket()
@@ -263,7 +247,6 @@ func (n *Network) recoverScrubReinject() int {
 	retry.sum = p.sum
 	retry.attempt = attempt
 	n.enqueue(p.msg.Src, retry)
-	return 1
 }
 
 // scrubPacket removes every trace of packet p from the fabric: its

@@ -7,10 +7,8 @@ import (
 )
 
 // FaultRecorder is an Observer that condenses the fault-injection event
-// stream into recovery metrics:
+// stream into the recovery metrics noc.Stats does not hold:
 //
-//   - raw counts of corruptions, retransmissions, link failures,
-//     degraded reroutes and replans;
 //   - the retransmission rate (link-layer retransmissions per flit
 //     crossing a link — the fault model's effective overhead);
 //   - MTTR: mean cycles from a link failure to the replan that restores
@@ -22,16 +20,12 @@ import (
 //     failure versus before the first, isolating what degradation
 //     actually cost delivered traffic.
 //
-// Memory is O(1); attach alongside an Injector (internal/fault) or any
-// other kill site.
+// The raw counts (corruptions, retransmissions, link failures, degraded
+// reroutes, replans) are noc.Stats counters; Render takes the run's
+// Stats for them. Memory is O(1); attach alongside an Injector
+// (internal/fault) or any other kill site.
 type FaultRecorder struct {
 	noc.BaseObserver
-
-	Corrupted    int64
-	Retransmits  int64
-	LinkFailures int64
-	Reroutes     int64
-	Replans      int64
 
 	flitsSent int64
 
@@ -72,15 +66,8 @@ func (r *FaultRecorder) FlitSent(_, outPort int, _ int64) {
 	}
 }
 
-// FlitCorrupted implements noc.Observer.
-func (r *FaultRecorder) FlitCorrupted(_, _ int, _ int64) { r.Corrupted++ }
-
-// Retransmit implements noc.Observer.
-func (r *FaultRecorder) Retransmit(_, _, _ int, _ int64) { r.Retransmits++ }
-
 // LinkFailed implements noc.Observer.
 func (r *FaultRecorder) LinkFailed(router, outPort int, now int64) {
-	r.LinkFailures++
 	if r.openFaultAt < 0 {
 		r.openFaultAt = now
 	}
@@ -95,14 +82,10 @@ func (r *FaultRecorder) LinkFailed(router, outPort int, now int64) {
 	}
 }
 
-// DegradedReroute implements noc.Observer.
-func (r *FaultRecorder) DegradedReroute(_, _ int, _ int64) { r.Reroutes++ }
-
 // Replanned implements noc.Observer: the overlay's shortcut bands are
 // restored (the dead multicast band stays dead) and any open fault
 // window closes.
 func (r *FaultRecorder) Replanned(_ int, now int64) {
-	r.Replans++
 	r.deadShortcuts = 0
 	if r.openFaultAt >= 0 {
 		r.repairSum += now - r.openFaultAt
@@ -150,13 +133,13 @@ func (r *FaultRecorder) CycleEnd(n *noc.Network) {
 	r.deadBandCycles += int64(dead)
 }
 
-// RetransmissionRate returns link-layer retransmissions per flit sent
-// over a link (0 when nothing was sent).
-func (r *FaultRecorder) RetransmissionRate() float64 {
+// RetransmissionRate returns s.Retransmits, the link-layer
+// retransmissions, per flit sent over a link (0 when nothing was sent).
+func (r *FaultRecorder) RetransmissionRate(s noc.Stats) float64 {
 	if r.flitsSent == 0 {
 		return 0
 	}
-	return float64(r.Retransmits) / float64(r.flitsSent)
+	return float64(s.Retransmits) / float64(r.flitsSent)
 }
 
 // MTTR returns the mean cycles from a link failure to the replan that
@@ -192,17 +175,18 @@ func (r *FaultRecorder) LatencyDelta() (pre, post, delta float64, ok bool) {
 	return pre, post, post - pre, true
 }
 
-// Render reports the recovery metrics.
-func (r *FaultRecorder) Render() string {
-	s := fmt.Sprintf(
+// Render reports the recovery metrics, taking the raw counts from s (the
+// Stats of the network the recorder observed).
+func (r *FaultRecorder) Render(s noc.Stats) string {
+	out := fmt.Sprintf(
 		"corrupted %d, retransmits %d (rate %.4g/flit), link failures %d, reroutes %d, replans %d\n"+
 			"band availability %.4f, MTTR %.0f cycles",
-		r.Corrupted, r.Retransmits, r.RetransmissionRate(),
-		r.LinkFailures, r.Reroutes, r.Replans,
+		s.FlitsCorrupted, s.Retransmits, r.RetransmissionRate(s),
+		s.LinkFailures, s.DegradedReroutes, s.Reconfigurations,
 		r.Availability(), r.MTTR())
 	if pre, post, delta, ok := r.LatencyDelta(); ok {
-		s += fmt.Sprintf("\npacket latency pre-fault %.1f, post-fault %.1f (delta %+.1f cycles)",
+		out += fmt.Sprintf("\npacket latency pre-fault %.1f, post-fault %.1f (delta %+.1f cycles)",
 			pre, post, delta)
 	}
-	return s
+	return out
 }

@@ -11,22 +11,20 @@ import (
 )
 
 // TestFaultRecorderMetrics drives the recorder with a synthetic event
-// stream and checks every derived metric: retransmission rate, MTTR, and
-// the pre/post-fault latency split.
+// stream and checks every derived metric (retransmission rate, MTTR, the
+// pre/post-fault latency split) and that Render takes the raw counts
+// from the Stats it is given.
 func TestFaultRecorderMetrics(t *testing.T) {
 	r := NewFaultRecorder()
+	// The counters the event stream below implies.
+	s := noc.Stats{FlitsCorrupted: 1, Retransmits: 1, LinkFailures: 2, Reconfigurations: 1}
 
 	// Two link-crossing flits, one local ejection, one retransmission.
 	r.FlitSent(0, noc.PortRF, 10)
 	r.FlitSent(0, noc.PortRF, 11)
 	r.FlitSent(0, noc.PortLocal, 12)
-	r.Retransmit(0, noc.PortRF, 1, 11)
-	r.FlitCorrupted(0, noc.PortRF, 11)
-	if got := r.RetransmissionRate(); got != 0.5 {
+	if got := r.RetransmissionRate(s); got != 0.5 {
 		t.Errorf("retransmission rate = %v, want 0.5 (1 retransmit / 2 link flits)", got)
-	}
-	if r.Corrupted != 1 || r.Retransmits != 1 {
-		t.Errorf("counters corrupted=%d retransmits=%d, want 1/1", r.Corrupted, r.Retransmits)
 	}
 
 	// Delivered before any failure: counts toward the pre-fault mean.
@@ -35,9 +33,6 @@ func TestFaultRecorderMetrics(t *testing.T) {
 	// Failures at 100 and 200, repair (replan) at 260.
 	r.LinkFailed(0, noc.PortRF, 100)
 	r.LinkFailed(1, noc.PortRF, 200)
-	if r.LinkFailures != 2 {
-		t.Errorf("link failures = %d, want 2", r.LinkFailures)
-	}
 
 	// Injected between the failures: belongs to neither window.
 	r.PacketDelivered(noc.Message{Inject: 150}, 180, 0)
@@ -45,9 +40,6 @@ func TestFaultRecorderMetrics(t *testing.T) {
 	r.PacketDelivered(noc.Message{Inject: 220}, 260, 0)
 
 	r.Replanned(3, 260)
-	if r.Replans != 1 {
-		t.Errorf("replans = %d, want 1", r.Replans)
-	}
 	// MTTR covers the oldest open fault (cycle 100) to the replan (260).
 	if got := r.MTTR(); got != 160 {
 		t.Errorf("MTTR = %v, want 160", got)
@@ -61,8 +53,8 @@ func TestFaultRecorderMetrics(t *testing.T) {
 		t.Errorf("latency delta pre=%v post=%v delta=%v, want 20/40/+20", pre, post, delta)
 	}
 
-	out := r.Render()
-	for _, want := range []string{"retransmits 1", "link failures 2", "MTTR 160", "delta +20.0"} {
+	out := r.Render(s)
+	for _, want := range []string{"corrupted 1, retransmits 1 (rate 0.5/flit)", "link failures 2", "replans 1", "MTTR 160", "delta +20.0"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Render() missing %q:\n%s", want, out)
 		}

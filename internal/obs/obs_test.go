@@ -223,3 +223,22 @@ func TestInvariantCheckerForwardProgress(t *testing.T) {
 		t.Errorf("unexpected message: %q", got)
 	}
 }
+
+func TestHorizonForDrainBudget(t *testing.T) {
+	cases := []struct{ drain, want int64 }{
+		{0, 200_000},       // degenerate budget keeps the floor
+		{100_000, 200_000}, // short test budgets never tighten below the floor
+		{400_000, 200_000}, // the default drain budget reproduces the default horizon
+		{1_000_000, 500_000},
+		{10_000_000, 5_000_000},
+	}
+	for _, tc := range cases {
+		if got := obs.HorizonForDrainBudget(tc.drain); got != tc.want {
+			t.Errorf("HorizonForDrainBudget(%d) = %d, want %d", tc.drain, got, tc.want)
+		}
+	}
+	c := obs.NewInvariantCheckerForDrain(1_000_000)
+	if c.DeadlockHorizon != 500_000 || c.Every != 1024 {
+		t.Errorf("derived checker misconfigured: %+v", c)
+	}
+}

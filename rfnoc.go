@@ -106,8 +106,11 @@ type (
 	// CoherenceProtocol is the directory engine (a Generator).
 	CoherenceProtocol = coherence.Protocol
 
-	// Observer receives simulation events from the router pipeline
-	// (flit departures, packet deliveries, cycle boundaries). Attach
+	// Observer receives simulation events from the router pipeline:
+	// flit departures and ejections, unicast and multicast deliveries,
+	// link failures, overlay replans and cycle boundaries. Counts with
+	// no per-event payload (injections, corruptions, retransmissions,
+	// integrity and watchdog activity) are in NetStats instead. Attach
 	// with Network.AttachObserver or SimulateObserved; embed
 	// BaseObserver to implement a subset.
 	Observer = noc.Observer
