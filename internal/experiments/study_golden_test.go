@@ -12,7 +12,7 @@ import (
 // renderings of the VC x depth ablation, the escape-timeout ablation and
 // the routing study at Options{Cycles: 2000, ProfileCycles: 2000, Seed:
 // 1, DrainCycles: 20000}, joined by "|".
-const studyArtifactsGolden = "92e890077e3653af"
+const studyArtifactsGolden = "33d22015661a8a0b"
 
 // TestStudyArtifactsGolden pins the three router-configuration studies
 // of -artifact ablations: any change in which points they run, how those

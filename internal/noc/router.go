@@ -172,6 +172,9 @@ func (n *Network) vaFail(rs *routerState, vc *vcState) {
 		n.now-vc.vaFirstFail >= n.cfg.EscapeTimeout {
 		vc.pkt.class = vcClassEscape
 		vc.outPort = int8(n.escapeRoute(rs.id, vc.pkt.msg.Dst))
+		// The escape class follows escapeRoute alone: an adaptive
+		// choice here would break its acyclic channel dependencies.
+		vc.ncands = 0
 		vc.vaFirstFail = n.now
 		n.stats.EscapeSwitches++
 	}
