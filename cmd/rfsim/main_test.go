@@ -129,7 +129,7 @@ func TestSelfHealingRunSmoke(t *testing.T) {
 				"band availability 1.0000, MTTR 0 cycles",
 			"integrity/recovery:": "adversarial: misroutes 95, misdeliveries 36, duplicates 51, credit leaks 1, stuck VCs 8\n" +
 				"integrity: duplicates dropped 50, retransmits 35, packets lost 0\n" +
-				"watchdog: 1 recoveries (1 credit repairs, 8 VC unsticks, 0 escapes, 0 re-injections, 0 flits scrubbed)",
+				"watchdog: 1 recoveries (1 credit repairs, 8 VC unsticks)",
 		}},
 		{"band-kill", []string{"-design", "static", "-workload", "2hotspot", "-cycles", "12000",
 			"-kill-band", "0@10000", "-seed", "7"}, map[string]string{
