@@ -49,8 +49,8 @@ type SoakSpec struct {
 	Seed        int64 `json:"seed"`
 
 	// Integrity enables end-to-end sequence/checksum protection;
-	// Watchdog enables staged stall recovery (with soak-scaled horizons
-	// so it actually fires inside short runs).
+	// Watchdog enables credit and VC stall recovery (with soak-scaled
+	// horizons so it actually fires inside short runs).
 	Integrity bool `json:"integrity"`
 	Watchdog  bool `json:"watchdog"`
 

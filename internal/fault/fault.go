@@ -41,11 +41,11 @@ const (
 
 	// LeakCredit destroys one flow-control credit on the mesh link from
 	// router A to adjacent router B (the downstream buffer slot is never
-	// returned until a watchdog stage-1 repair).
+	// returned until a watchdog repair).
 	LeakCredit
 
 	// StickVC wedges every normal-class virtual channel at input port B
-	// of router A out of arbitration until a watchdog stage-1 repair.
+	// of router A out of arbitration until a watchdog repair.
 	// B is a mesh port index (0=N, 1=E, 2=S, 3=W, 4=local, 5=RF).
 	StickVC
 )

@@ -150,10 +150,9 @@ type Config struct {
 	Integrity bool
 
 	// Watchdog configures stall recovery: when forward progress stalls
-	// past a horizon, the network performs staged self-healing (credit
-	// repair and VC unsticking, then escape-path drain of blocked
-	// wormholes, then scrub-and-reinject of the oldest stalled packet).
-	// The zero value disables it.
+	// past a horizon, the network restores leaked credits and unsticks
+	// wedged VCs. A stall that outlasts that repair is left to the
+	// drain report. The zero value disables it.
 	Watchdog WatchdogConfig
 
 	// AdaptiveRouting enables the HPCA-2008 paper's contention-avoiding

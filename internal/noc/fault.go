@@ -70,12 +70,12 @@ type FaultConfig struct {
 
 	// CreditLeakRate is the per-cycle probability that one randomly
 	// chosen VC silently loses a buffer credit (its effective capacity
-	// shrinks until watchdog stage 1 repairs it).
+	// shrinks until the watchdog repairs it).
 	CreditLeakRate float64
 
 	// StuckVCRate is the per-cycle probability that one randomly chosen
 	// normal-class VC wedges out of arbitration (it still accepts flits
-	// but never advances or grants until watchdog stage 1 unsticks it).
+	// but never advances or grants until the watchdog unsticks it).
 	StuckVCRate float64
 
 	// RetryLimit is how many consecutive corrupted transmissions of one
@@ -782,8 +782,8 @@ func (n *Network) LeakLinkCredit(a, b int) error {
 }
 
 // StickVC injects a scheduled stuck-VC fault: every normal-class input
-// VC at (router, port) stops arbitrating until a watchdog stage-1
-// recovery unsticks it. Escape-class VCs are never stuck by this fault,
+// VC at (router, port) stops arbitrating until a watchdog recovery
+// unsticks it. Escape-class VCs are never stuck by this fault,
 // preserving the Duato escape layer. Safe between cycles.
 func (n *Network) StickVC(router, port int) error {
 	if router < 0 || router >= n.cfg.Mesh.N() {

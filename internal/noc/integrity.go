@@ -40,7 +40,7 @@ type integrityState struct {
 	// outstanding is the sender-side retransmission table: every
 	// injected-but-unacknowledged message, keyed by (src, seq). Entries
 	// are removed on correct delivery or when the retry budget runs out.
-	// NACK retransmission and watchdog re-injection both resend from it.
+	// NACK retransmission resends from it.
 	outstanding map[integrityKey]Message
 
 	// pending holds scheduled retransmissions not yet re-injected,

@@ -149,7 +149,7 @@ type packet struct {
 	// Config.Integrity is on (hasSeq set): a per-source sequence number,
 	// a checksum over the message fields, and the end-to-end delivery
 	// attempt (0 for the first transmission, incremented per NACK-style
-	// retransmission and per watchdog re-injection).
+	// retransmission).
 	hasSeq  bool
 	seq     uint64
 	sum     uint64

@@ -72,7 +72,7 @@ type Network struct {
 	mcDead bool
 
 	// integ is the end-to-end integrity state (nil unless
-	// Config.Integrity); wd is the watchdog's escalation state.
+	// Config.Integrity); wd is the watchdog's stall tracking.
 	integ *integrityState
 	wd    watchdogState
 
@@ -174,8 +174,8 @@ type vcState struct {
 
 	// leaked is the number of buffer credits this VC has silently lost
 	// to the credit-leak fault (effective capacity shrinks by leaked
-	// until watchdog stage 1 repairs it). stuck wedges the VC out of
-	// arbitration entirely (stuck-VC fault; stage 1 unsticks it).
+	// until the watchdog repairs it). stuck wedges the VC out of
+	// arbitration entirely (stuck-VC fault; the watchdog unsticks it).
 	leaked int32
 	stuck  bool
 

@@ -115,13 +115,11 @@ type AuditReport struct {
 	Now int64
 
 	// Flit conservation: every flit counted injected must be ejected,
-	// buffered in some VC, in flight on a link (the arrival wheel), or
-	// scrubbed out of the fabric by a watchdog stage-3 recovery.
+	// buffered in some VC, or in flight on a link (the arrival wheel).
 	FlitsInjected int64
 	FlitsEjected  int64
 	FlitsBuffered int64 // sum of VC buffer occupancy
 	FlitsOnLinks  int64 // flits scheduled on links, not yet arrived
-	FlitsScrubbed int64 // flits removed by watchdog scrub-and-reinject
 
 	// PacketsInFlight is the packet-level in-flight count (injected
 	// minus retired, including multicast children); it must never go
@@ -135,8 +133,7 @@ type AuditReport struct {
 	CreditViolations int
 
 	// LeakedCredits is the total credits currently leaked across all VCs
-	// (capacity the fabric has silently lost; watchdog stage 1 repairs
-	// it).
+	// (capacity the fabric has silently lost; the watchdog repairs it).
 	LeakedCredits int64
 
 	// StuckVCs is the number of VCs currently wedged out of arbitration.
@@ -151,10 +148,10 @@ type AuditReport struct {
 	OldestVC      int
 }
 
-// ConservationError returns injected - ejected - buffered - on-links -
-// scrubbed; any non-zero value means flits were created or destroyed.
+// ConservationError returns injected - ejected - buffered - on-links;
+// any non-zero value means flits were created or destroyed.
 func (a AuditReport) ConservationError() int64 {
-	return a.FlitsInjected - a.FlitsEjected - a.FlitsBuffered - a.FlitsOnLinks - a.FlitsScrubbed
+	return a.FlitsInjected - a.FlitsEjected - a.FlitsBuffered - a.FlitsOnLinks
 }
 
 // Audit computes a consistency snapshot. It is O(routers x ports x VCs)
@@ -165,7 +162,6 @@ func (n *Network) Audit() AuditReport {
 		Now:             n.now,
 		FlitsInjected:   n.stats.FlitsInjected,
 		FlitsEjected:    n.stats.FlitsEjected,
-		FlitsScrubbed:   n.stats.FlitsScrubbed,
 		PacketsInFlight: n.inFlightPackets,
 		OldestRouter:    -1,
 		OldestPort:      -1,

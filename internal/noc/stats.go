@@ -70,17 +70,11 @@ type Stats struct {
 	IntegrityRetransmits int64
 	PacketsLost          int64
 
-	// Watchdog recovery (Config.Watchdog): escalations fired, leaked
-	// credits repaired, VCs unstuck, blocked wormholes forced onto the
-	// escape class, stalled packets scrubbed out of the fabric and
-	// re-injected at their source, and the flits those scrubs removed
-	// (a term of the conservation identity; see AuditReport).
+	// Watchdog recovery (Config.Watchdog): recoveries fired, leaked
+	// credits repaired and VCs unstuck.
 	WatchdogRecoveries    int64
 	RecoveryCreditRepairs int64
 	RecoveryVCUnsticks    int64
-	RecoveryEscapes       int64
-	RecoveryReinjections  int64
-	FlitsScrubbed         int64
 
 	// Runtime reconfiguration activity (noc.Network.Reconfigure).
 	Reconfigurations     int64
