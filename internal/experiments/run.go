@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"context"
+	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/noc"
@@ -147,7 +149,11 @@ func RunObserved(cfg noc.Config, gen traffic.Generator, opts Options, observers 
 type CheckpointSpec struct {
 	// OnNetwork, when non-nil, receives the network right after
 	// construction. The supervisor uses it to capture state for crash
-	// dumps; tests use it to attach probes.
+	// dumps; tests use it to attach probes. The callee owns the network
+	// from then on: RunContext never hands a network it passed to
+	// OnNetwork to a later run, so it may be read after the run returns
+	// or panics. Runs without OnNetwork and without caller observers
+	// give their network back for reuse when they return.
 	OnNetwork func(*noc.Network)
 
 	// Exec, when non-nil, asks portable sweep points to dispatch this
@@ -165,12 +171,27 @@ type CheckpointSpec struct {
 // On context cancellation the partial Result (Interrupted set) is
 // returned together with the context's error; an invalid config returns
 // a zero Result and the error.
+//
+// The network is a spare from an earlier run, Reset for cfg, when one
+// is kept (see takeNetwork). After a normal return, interrupted runs
+// included, RunContext keeps it for a later run unless the caller could
+// still hold it: spec.OnNetwork saw it, or the caller's observers did. A
+// run that panics keeps nothing, so a crash dump can still read it.
 func RunContext(ctx context.Context, cfg noc.Config, gen traffic.Generator, opts Options, spec CheckpointSpec, observers ...noc.Observer) (Result, error) {
 	opts = opts.WithDefaults()
-	n, err := noc.NewChecked(cfg)
+	n, err := takeNetwork(cfg)
 	if err != nil {
 		return Result{}, err
 	}
+	r, err := runNetwork(ctx, n, cfg, gen, opts, spec, observers)
+	if spec.OnNetwork == nil && len(observers) == 0 {
+		giveNetwork(n)
+	}
+	return r, err
+}
+
+// runNetwork is RunContext's loop on a network built or reset for cfg.
+func runNetwork(ctx context.Context, n *noc.Network, cfg noc.Config, gen traffic.Generator, opts Options, spec CheckpointSpec, observers []noc.Observer) (Result, error) {
 	var rec *obs.LatencyRecorder
 	if opts.Histograms {
 		rec = obs.NewLatencyRecorder()
@@ -207,6 +228,47 @@ func RunContext(ctx context.Context, cfg noc.Config, gen traffic.Generator, opts
 		n.Step()
 	}
 	return buildResult(n, gen, cfg, settleDrain(n, drain, true), rec), nil
+}
+
+// spareNets holds the networks of finished runs for takeNetwork to
+// Reset instead of building new ones: a 10×10 network is ~1.5 MB, most
+// of what a short sweep point allocates. It keeps at most GOMAXPROCS,
+// as many as can step at once. A sync.Pool would keep more: its victim
+// cache holds a second generation of networks across each GC.
+var spareNets struct {
+	sync.Mutex
+	nets []*noc.Network
+}
+
+// takeNetwork returns the most recently kept spare network Reset for
+// cfg, or a new network when none is kept.
+func takeNetwork(cfg noc.Config) (*noc.Network, error) {
+	spareNets.Lock()
+	var n *noc.Network
+	if k := len(spareNets.nets) - 1; k >= 0 {
+		n = spareNets.nets[k]
+		spareNets.nets[k] = nil
+		spareNets.nets = spareNets.nets[:k]
+	}
+	spareNets.Unlock()
+	if n == nil {
+		return noc.NewChecked(cfg)
+	}
+	if err := n.Reset(cfg); err != nil {
+		giveNetwork(n) // a failed Reset leaves the network unchanged
+		return nil, err
+	}
+	return n, nil
+}
+
+// giveNetwork keeps a finished run's network for a later run. The
+// caller must hold the only reference to it.
+func giveNetwork(n *noc.Network) {
+	spareNets.Lock()
+	if len(spareNets.nets) < runtime.GOMAXPROCS(0) {
+		spareNets.nets = append(spareNets.nets, n)
+	}
+	spareNets.Unlock()
 }
 
 // settleDrain fills in the drain post-mortem once the loop has stopped:

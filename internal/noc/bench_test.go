@@ -83,6 +83,30 @@ func BenchmarkBuildRoutes(b *testing.B) {
 	}
 }
 
+// BenchmarkNetworkReset measures re-initializing a network that has run
+// traffic for the same configuration, the step RunContext takes instead
+// of BenchmarkBuildRoutes' construction. It keeps every array and the
+// route table, so cmd/bench gates it at 0 allocs/op.
+func BenchmarkNetworkReset(b *testing.B) {
+	m := topology.New10x10()
+	edges := shortcut.SelectMaxCost(m.Graph(), shortcut.Params{
+		Budget: 16, Eligible: m.ShortcutEligible,
+	})
+	cfg := Config{Mesh: m, Width: tech.Width16B, Shortcuts: edges}
+	n := New(cfg)
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 500; i++ {
+		stepOnce(n, rng, 0.8)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := n.Reset(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkInjectEject(b *testing.B) {
 	// Round-trip cost of one short message on an idle mesh.
 	m := topology.New10x10()

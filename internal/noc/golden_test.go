@@ -59,14 +59,30 @@ func runGolden(t *testing.T, cfg Config, seed int64, extra ...Observer) goldenRu
 	if err != nil {
 		t.Fatalf("NewChecked: %v", err)
 	}
+	return driveGolden(t, n, cfg, seed, extra...)
+}
+
+// driveGolden is runGolden on a network the caller built (or reset) for
+// cfg.
+func driveGolden(t *testing.T, n *Network, cfg Config, seed int64, extra ...Observer) goldenRun {
+	t.Helper()
 	obs := newDigestObserver()
 	n.AttachObserver(obs)
 	for _, o := range extra {
 		n.AttachObserver(o)
 	}
-	rng := rand.New(rand.NewSource(seed))
+	goldenTraffic(n, cfg, rand.New(rand.NewSource(seed)), 1200)
+	if !n.Drain(2_000_000) {
+		t.Fatalf("drain failed (in flight %d)", n.InFlight())
+	}
+	return goldenRun{stats: n.Stats(), events: obs.events, digest: obs.h}
+}
+
+// goldenTraffic steps n for the given number of cycles under
+// runGolden's workload, drawing from rng.
+func goldenTraffic(n *Network, cfg Config, rng *rand.Rand, cycles int) {
 	classes := []Class{Request, Data, MemLine}
-	for cyc := 0; cyc < 1200; cyc++ {
+	for cyc := 0; cyc < cycles; cyc++ {
 		if rng.Float64() < 0.7 {
 			src, dst := rng.Intn(cfg.Mesh.N()), rng.Intn(cfg.Mesh.N())
 			if src != dst {
@@ -82,10 +98,6 @@ func runGolden(t *testing.T, cfg Config, seed int64, extra ...Observer) goldenRu
 		}
 		n.Step()
 	}
-	if !n.Drain(2_000_000) {
-		t.Fatalf("drain failed (in flight %d)", n.InFlight())
-	}
-	return goldenRun{stats: n.Stats(), events: obs.events, digest: obs.h}
 }
 
 // statsLiteral renders s as a Go composite literal of its non-zero

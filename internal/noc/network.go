@@ -29,6 +29,11 @@ type Network struct {
 	routes *routeTable
 
 	routers []routerState
+	// vcArr, vcPtrs and slotArr back every router's VCs, VC pointers
+	// and flit buffers (routerState.vcs and .slots are windows on them).
+	vcArr   []vcState
+	vcPtrs  []*vcState
+	slotArr []flitSlot
 	// live has bit r set while router r's active list is non-empty: Step
 	// advances only those routers, in index order.
 	live []uint64
@@ -58,8 +63,11 @@ type Network struct {
 	linkUse [][numPorts]int64
 
 	// freq[x][y] counts unicast messages injected x->y (the event
-	// counters application-specific selection reads).
-	freq [][]int64
+	// counters application-specific selection reads). A row is nil until
+	// x first injects; it then takes its zeroed N entries from freqRows,
+	// one N×N backing allocated at the first injection and kept by Reset.
+	freq     [][]int64
+	freqRows []int64
 
 	// observers receive pipeline events (nil when observation is off, so
 	// hot paths pay one branch).
@@ -147,7 +155,7 @@ const (
 )
 
 // vcState is one input virtual channel. A network keeps all of its VCs
-// in one array and their flit buffers in another (see NewChecked); the
+// in one array and their flit buffers in another (see Reset); the
 // fields are ordered and narrowed to keep the struct small, since it is
 // most of a network's memory.
 type vcState struct {
@@ -276,14 +284,73 @@ func New(cfg Config) *Network {
 // error (every violation found, joined) instead of panicking when the
 // configuration is invalid.
 func NewChecked(cfg Config) (*Network, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
+	n := &Network{}
+	if err := n.Reset(cfg); err != nil {
 		return nil, err
 	}
-	n := &Network{cfg: cfg, bufDepth: int32(cfg.BufDepth)}
+	return n, nil
+}
+
+// Reset re-initializes n for cfg, leaving it as NewChecked(cfg) would
+// build it whatever state the last run left behind: undrained,
+// interrupted, faulted or reconfigured. It keeps n's arrays where they
+// fit instead of allocating new ones: the routers, VCs and flit buffers
+// when the mesh W×H, VCsPerClass and BufDepth match; the per-router
+// counters, the packet pools and the link wheel when the mesh W×H
+// matches; and the route table when it was built from exactly cfg's
+// shortcut list on a fault-free mesh of the same W×H. Everything else —
+// faults, integrity, multicast and VCT state, the watchdog, observers,
+// statistics and the clock — starts as construction starts it.
+//
+// On an invalid cfg Reset returns every violation found and leaves n
+// unchanged.
+func (n *Network) Reset(cfg Config) error {
+	cfg = cfg.withDefaults()
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
 	m := cfg.Mesh
-	n.routers = make([]routerState, m.N())
-	n.live = make([]uint64, (m.N()+63)/64)
+	N := m.N()
+	old := n.cfg
+	sameMesh := old.Mesh != nil && old.Mesh.W == m.W && old.Mesh.H == m.H
+	sameVCs := sameMesh && old.VCsPerClass == cfg.VCsPerClass && old.BufDepth == cfg.BufDepth
+
+	n.cfg = cfg
+	n.now = 0
+	n.bufDepth = int32(cfg.BufDepth)
+	n.observers = nil
+	n.faults = nil
+	n.mcDead = false
+	n.integ = nil
+	n.wd = watchdogState{}
+	n.mc = nil
+	n.vct = nil
+	n.inFlightPackets = 0
+	n.mcGroups = [numPorts][]int{}
+	n.niActive = emptied(n.niActive)
+	for i := range n.wheel {
+		n.wheel[i] = emptied(n.wheel[i])
+	}
+	if !sameMesh {
+		n.live = make([]uint64, (N+63)/64)
+		n.shortcutFrom = make([]int, N)
+		n.shortcutTo = make([]int, N)
+		n.shortcutLat = make([]int64, N)
+		n.linkUse = make([][numPorts]int64, N)
+		n.freq = make([][]int64, N)
+		n.freqRows = nil
+		n.stats = Stats{MsgsByDistance: make([]int64, m.W+m.H-1)}
+		// Packets and destination sets hold no mesh state, but a mesh
+		// of another size wants pools of another size.
+		n.pktPool, n.dsPool = nil, nil
+	} else {
+		clear(n.live)
+		clear(n.linkUse)
+		clear(n.freq)
+		clear(n.stats.MsgsByDistance)
+		n.stats = Stats{MsgsByDistance: n.stats.MsgsByDistance}
+	}
+
 	// Switch allocation grants one flit per port per cycle in each
 	// direction, except the local port, whose NI channel keeps its 16 B
 	// width and so moves LocalSpeedup flits per cycle on narrow meshes,
@@ -295,48 +362,59 @@ func NewChecked(cfg Config) (*Network, error) {
 	if rfs := cfg.ShortcutWidthBytes / cfg.Width.Bytes(); rfs > 1 {
 		n.portBudget[portRF] = rfs
 	}
-	n.shortcutFrom = make([]int, m.N())
-	n.shortcutTo = make([]int, m.N())
-	n.shortcutLat = make([]int64, m.N())
 	for i := range n.shortcutFrom {
 		n.shortcutFrom[i] = -1
 		n.shortcutTo[i] = -1
+		n.shortcutLat[i] = 0
 	}
 	for _, e := range cfg.Shortcuts {
 		n.shortcutFrom[e.From] = e.To
 		n.shortcutTo[e.To] = e.From
 		n.shortcutLat[e.From] = n.shortcutLatency(e)
 	}
-	n.linkUse = make([][numPorts]int64, m.N())
-	n.freq = make([][]int64, m.N())
-	n.stats.MsgsByDistance = make([]int64, m.W+m.H-1)
+
 	// All VCs, their pointers and their flit buffers live in three
-	// arrays per network rather than one allocation per VC.
+	// arrays per network rather than one allocation per VC. Every VC and
+	// flit slot is rewritten, whatever state the last run left it in.
 	vcsTotal := 2 * cfg.VCsPerClass
 	perRouter := numPorts * vcsTotal
-	vcs := make([]vcState, m.N()*perRouter)
-	ptrs := make([]*vcState, len(vcs))
-	slots := make([]flitSlot, len(vcs)*cfg.BufDepth)
+	if !sameVCs {
+		n.routers = make([]routerState, N)
+		n.vcArr = make([]vcState, N*perRouter)
+		n.vcPtrs = make([]*vcState, len(n.vcArr))
+		n.slotArr = make([]flitSlot, len(n.vcArr)*cfg.BufDepth)
+	} else {
+		clear(n.slotArr)
+	}
 	for r := range n.routers {
 		rs := &n.routers[r]
-		rs.id = r
+		*rs = routerState{
+			id:       r,
+			active:   emptied(rs.active),
+			queue:    emptied(rs.queue),
+			reinject: emptied(rs.reinject),
+			feedings: emptied(rs.feedings),
+		}
 		k := r * perRouter
-		rs.slots = slots[k*cfg.BufDepth : (k+perRouter)*cfg.BufDepth]
+		rs.slots = n.slotArr[k*cfg.BufDepth : (k+perRouter)*cfg.BufDepth]
 		for p := 0; p < numPorts; p++ {
-			rs.vcs[p] = ptrs[k : k+vcsTotal : k+vcsTotal]
+			rs.vcs[p] = n.vcPtrs[k : k+vcsTotal : k+vcsTotal]
 			for i := 0; i < vcsTotal; i++ {
-				vc := &vcs[k]
-				vc.router, vc.port, vc.idx = rs, int8(p), int8(i)
+				vc := &n.vcArr[k]
+				*vc = vcState{router: rs, port: int8(p), idx: int8(i)}
 				vc.base = int32((p*vcsTotal + i) * cfg.BufDepth)
 				if i >= cfg.VCsPerClass {
 					vc.class = vcClassEscape
 				}
-				ptrs[k] = vc
+				n.vcPtrs[k] = vc
 				k++
 			}
 		}
 	}
-	n.routes = buildRoutes(n)
+
+	if !sameMesh || n.routes == nil || !n.routes.builtFrom(cfg.Shortcuts) {
+		n.routes = buildRoutes(n)
+	}
 	if cfg.Multicast == MulticastRF {
 		n.mc = newMCChannel(n)
 	}
@@ -347,10 +425,18 @@ func NewChecked(cfg Config) (*Network, error) {
 		n.ensureFaults()
 	}
 	if cfg.Integrity {
-		n.integ = newIntegrityState(m.N())
+		n.integ = newIntegrityState(N)
 		n.ensureFaults() // backoff/budget parameters and the retx RNG
 	}
-	return n, nil
+	return nil
+}
+
+// emptied returns s with its whole backing array cleared and its length
+// zero, so a reused slice keeps its capacity but no stale reference.
+func emptied[T any](s []T) []T {
+	s = s[:cap(s)]
+	clear(s)
+	return s[:0]
 }
 
 // meshLinkMM is the physical length of one inter-router mesh link on the
@@ -429,7 +515,12 @@ func (n *Network) InjectChecked(msg Message) error {
 			return fmt.Errorf("noc: inject: unknown destination router %d", msg.Dst)
 		}
 		if n.freq[msg.Src] == nil {
-			n.freq[msg.Src] = make([]int64, N)
+			if n.freqRows == nil {
+				n.freqRows = make([]int64, N*N)
+			}
+			row := n.freqRows[msg.Src*N : (msg.Src+1)*N : (msg.Src+1)*N]
+			clear(row)
+			n.freq[msg.Src] = row
 		}
 		n.freq[msg.Src][msg.Dst]++
 		p := n.newPacket()

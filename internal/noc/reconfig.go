@@ -100,8 +100,6 @@ func (n *Network) validateShortcutSet(edges []shortcut.Edge) error {
 // reconfiguration.
 func validateShortcutEdges(N int, edges []shortcut.Edge, failed func(int) (bool, bool)) error {
 	var errs []error
-	txClaim := make(map[int]int, len(edges)) // router -> first claiming edge
-	rxClaim := make(map[int]int, len(edges))
 	for i, e := range edges {
 		bad := false
 		if e.From < 0 || e.From >= N {
@@ -119,15 +117,26 @@ func validateShortcutEdges(N int, edges []shortcut.Edge, failed func(int) (bool,
 			errs = append(errs, fmt.Errorf("noc: edge %d: self-loop shortcut at router %d", i, e.From))
 			continue
 		}
-		if prev, ok := txClaim[e.From]; ok {
-			errs = append(errs, fmt.Errorf("noc: edge %d: router %d has two outbound shortcuts (also edge %d)", i, e.From, prev))
-		} else {
-			txClaim[e.From] = i
+		// The first earlier edge claiming a router names the conflict.
+		// A scan, not a map: shortcut sets are small, and validating
+		// one must not allocate (Reset runs it per sweep point).
+		txPrev, rxPrev := -1, -1
+		for j, f := range edges[:i] {
+			if f.From < 0 || f.From >= N || f.To < 0 || f.To >= N || f.From == f.To {
+				continue
+			}
+			if txPrev < 0 && f.From == e.From {
+				txPrev = j
+			}
+			if rxPrev < 0 && f.To == e.To {
+				rxPrev = j
+			}
 		}
-		if prev, ok := rxClaim[e.To]; ok {
-			errs = append(errs, fmt.Errorf("noc: edge %d: router %d has two inbound shortcuts (also edge %d)", i, e.To, prev))
-		} else {
-			rxClaim[e.To] = i
+		if txPrev >= 0 {
+			errs = append(errs, fmt.Errorf("noc: edge %d: router %d has two outbound shortcuts (also edge %d)", i, e.From, txPrev))
+		}
+		if rxPrev >= 0 {
+			errs = append(errs, fmt.Errorf("noc: edge %d: router %d has two inbound shortcuts (also edge %d)", i, e.To, rxPrev))
 		}
 		if failed == nil {
 			continue

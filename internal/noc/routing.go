@@ -2,8 +2,10 @@ package noc
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/graph"
+	"repro/internal/shortcut"
 )
 
 // Router ports. Each router has four mesh ports, a local port to its
@@ -49,6 +51,21 @@ type routeTable struct {
 	// dist[d][r] is the shortest-path distance from r to d over the
 	// augmented topology.
 	dist [][]int
+
+	// edges is the live shortcut list the table was built from, and
+	// meshFaulty whether dead mesh links were left out of it: the table
+	// is a function of these and the mesh's W×H alone, which is what
+	// lets Reset keep it (see builtFrom).
+	edges      []shortcut.Edge
+	meshFaulty bool
+}
+
+// builtFrom reports whether t is the table buildRoutes makes for a
+// fault-free network with exactly the given shortcut list, on a mesh of
+// the W×H t was built on. The list must match edge for edge, in order:
+// the order of the graph's out-edges breaks ties between shortest paths.
+func (t *routeTable) builtFrom(edges []shortcut.Edge) bool {
+	return !t.meshFaulty && slices.Equal(t.edges, edges)
 }
 
 // buildRoutes constructs the normal-class routing table. Without
@@ -74,7 +91,11 @@ func buildRoutes(n *Network) *routeTable {
 	N := m.N()
 	live := n.liveShortcutEdges()
 	meshFaulty := n.faults != nil && n.faults.meshFaults > 0
-	t := &routeTable{port: make([][]int8, N)}
+	t := &routeTable{
+		port:       make([][]int8, N),
+		edges:      append([]shortcut.Edge(nil), live...),
+		meshFaulty: meshFaulty,
+	}
 	ports := make([]int8, N*N)
 	for r := range t.port {
 		t.port[r] = ports[r*N : (r+1)*N : (r+1)*N]
