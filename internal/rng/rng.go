@@ -9,7 +9,10 @@
 // component owns its own instance, like math/rand.Rand.
 package rng
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+)
 
 // Rand is a deterministic PRNG (xoshiro256**).
 type Rand struct {
@@ -86,6 +89,48 @@ func (r *Rand) Intn(n int) int {
 // Float64 returns a uniform random float in [0, 1).
 func (r *Rand) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
+}
+
+// Threshold returns the integer form of the test Float64() < p: a draw
+// x passes it exactly when x>>11 < Threshold(p). Float64 is
+// (x>>11)/2⁵³ with no rounding, so the test is x>>11 < p·2⁵³, and for
+// an integer left-hand side that is x>>11 < ceil(p·2⁵³).
+func Threshold(p float64) uint64 {
+	switch {
+	case !(p > 0): // NaN too: no draw is below it
+		return 0
+	case p >= 1:
+		return 1 << 53
+	}
+	return uint64(math.Ceil(p * (1 << 53)))
+}
+
+// FirstBelow runs up to n Bernoulli trials and returns the index of the
+// first success, or n when none succeeds. A trial succeeds when its draw
+// x has x>>11 < t; with t = Threshold(p) that is Float64() < p. It
+// consumes exactly the draws of
+//
+//	for i := 0; i < n; i++ { if r.Float64() < p { return i } }
+//
+// keeping the generator state in registers between trials.
+func (r *Rand) FirstBelow(n int, t uint64) int {
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	i := 0
+	for ; i < n; i++ {
+		x := bits.RotateLeft64(s1*5, 7) * 9
+		u := s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= u
+		s3 = bits.RotateLeft64(s3, 45)
+		if x>>11 < t {
+			break
+		}
+	}
+	r.s = [4]uint64{s0, s1, s2, s3}
+	return i
 }
 
 // Perm returns a random permutation of [0, n).

@@ -1,6 +1,8 @@
 package rng
 
 import (
+	"math"
+	"slices"
 	"testing"
 )
 
@@ -98,5 +100,83 @@ func TestPanicsOnBadArgs(t *testing.T) {
 			}()
 			fn()
 		}()
+	}
+}
+
+// TestThresholdMatchesFloat64: for any rate p and 53-bit value u,
+// u < Threshold(p) exactly when Float64's u/2⁵³ < p, checked at and
+// around each threshold and at the special rates.
+func TestThresholdMatchesFloat64(t *testing.T) {
+	meta := New(53)
+	rates := []float64{0, -0.5, math.NaN(), 1, 1.5, math.Inf(1), math.SmallestNonzeroFloat64,
+		1.0 / (1 << 53), 1 - 1.0/(1<<53), 0.5, 0.01, 0.1}
+	for i := 0; i < 2000; i++ {
+		rates = append(rates, meta.Float64(), meta.Float64()*1e-3, float64(meta.Intn(1<<12))/(1<<12))
+	}
+	for _, p := range rates {
+		th := Threshold(p)
+		for _, u := range []uint64{0, 1, th - 1, th, th + 1, 1<<53 - 1, meta.Uint64() >> 11} {
+			if u >= 1<<53 {
+				continue
+			}
+			if want, got := float64(u)/(1<<53) < p, u < th; got != want {
+				t.Fatalf("rate %v, u %d: u < Threshold (%d) is %v, Float64 test %v", p, u, th, got, want)
+			}
+		}
+	}
+}
+
+// TestFirstBelowMatchesFloat64Loop drives FirstBelow the way the trace
+// generators do — one trial per component, the caller drawing from the
+// same generator after each success — and wants the successes and the
+// final state of the per-component Float64 loop, over random rates,
+// seeds and component counts.
+func TestFirstBelowMatchesFloat64Loop(t *testing.T) {
+	meta := New(2026)
+	for trial := 0; trial < 3000; trial++ {
+		seed := int64(meta.Uint64())
+		var rate float64
+		switch trial % 4 {
+		case 0:
+			rate = meta.Float64()
+		case 1:
+			rate = meta.Float64() * 0.05
+		case 2:
+			rate = float64(meta.Intn(1<<8)) / (1 << 8)
+		default:
+			rate = []float64{0, 1, -1, 2, math.NaN(), 1.0 / (1 << 53)}[meta.Intn(6)]
+		}
+		n := meta.Intn(200)
+		extra := meta.Intn(3) // draws each success consumes after its trial
+
+		ref := New(seed)
+		var want []int
+		for i := 0; i < n; i++ {
+			if ref.Float64() < rate {
+				want = append(want, i)
+				for k := 0; k < extra; k++ {
+					ref.Uint64()
+				}
+			}
+		}
+
+		r := New(seed)
+		gate := Threshold(rate)
+		var got []int
+		for done := 0; ; {
+			i := r.FirstBelow(n-done, gate)
+			if i == n-done {
+				break
+			}
+			got = append(got, done+i)
+			for k := 0; k < extra; k++ {
+				r.Uint64()
+			}
+			done += i + 1
+		}
+		if !slices.Equal(got, want) || *r != *ref {
+			t.Fatalf("seed %d, rate %v, n %d: successes %v, want %v (states equal: %v)",
+				seed, rate, n, got, want, *r == *ref)
+		}
 	}
 }

@@ -127,11 +127,7 @@ func (t *AppTrace) Name() string { return t.app.String() }
 func (t *AppTrace) Tick(now int64, inject func(noc.Message)) {
 	p := t.prob
 	p.future.drain(now, inject)
-	for range p.comps {
-		if p.rng.Float64() < p.rate {
-			t.transaction(now, inject)
-		}
-	}
+	p.eachStart(func() { t.transaction(now, inject) })
 }
 
 func (t *AppTrace) transaction(now int64, inject func(noc.Message)) {

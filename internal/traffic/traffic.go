@@ -95,8 +95,10 @@ const hotFraction = 0.10
 type Prob struct {
 	mesh    *topology.Mesh
 	pattern Pattern
-	rate    float64
-	rng     *rng.Rand
+	// gate is rng.Threshold of the injection rate: a component starts
+	// a transaction in a cycle when its draw passes it.
+	gate uint64
+	rng  *rng.Rand
 
 	comps    []int // all non-memory components (cores + caches)
 	cores    []int
@@ -121,7 +123,7 @@ func NewProbabilistic(m *topology.Mesh, pat Pattern, rate float64, seed int64) *
 	p := &Prob{
 		mesh:    m,
 		pattern: pat,
-		rate:    rate,
+		gate:    rng.Threshold(rate),
 		rng:     rng.New(seed),
 		cores:   m.Cores(),
 		caches:  m.Caches(),
@@ -160,10 +162,20 @@ func (p *Prob) Name() string { return p.pattern.String() }
 // Tick implements Generator.
 func (p *Prob) Tick(now int64, inject func(noc.Message)) {
 	p.future.drain(now, inject)
-	for range p.comps {
-		if p.rng.Float64() < p.rate {
-			p.transaction(now, inject)
+	p.eachStart(func() { p.transaction(now, inject) })
+}
+
+// eachStart draws one Float64() < rate trial per component, in
+// component order, and calls start at each success before drawing the
+// next trial (start draws from the same generator).
+func (p *Prob) eachStart(start func()) {
+	for left := len(p.comps); ; {
+		i := p.rng.FirstBelow(left, p.gate)
+		if i == left {
+			return
 		}
+		start()
+		left -= i + 1
 	}
 }
 

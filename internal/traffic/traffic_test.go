@@ -429,3 +429,15 @@ func TestProbTickAllocFree(t *testing.T) {
 		t.Errorf("%d mallocs over %d warmed-up Ticks, want 0", n, cycles)
 	}
 }
+
+// BenchmarkProbTick measures one cycle of a HotBiDF trace at the
+// default rate with a no-op inject: the per-component injection trials
+// plus the transactions they start.
+func BenchmarkProbTick(b *testing.B) {
+	p := NewProbabilistic(topology.New10x10(), HotBiDF, 0, 1)
+	inject := func(noc.Message) {}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		p.Tick(int64(i), inject)
+	}
+}
