@@ -70,8 +70,8 @@ type Stats struct {
 	IntegrityRetransmits int64
 	PacketsLost          int64
 
-	// Watchdog recovery (Config.Watchdog): recoveries fired, leaked
-	// credits repaired and VCs unstuck.
+	// Watchdog recovery (Config.Watchdog): firings that repaired
+	// something, leaked credits repaired and VCs unstuck.
 	WatchdogRecoveries    int64
 	RecoveryCreditRepairs int64
 	RecoveryVCUnsticks    int64

@@ -73,13 +73,16 @@ func (n *Network) watchdogStep() {
 	}
 	n.wd.stalled = true
 	n.wd.lastFire = n.now
-	n.recoverCreditsAndVCs()
-	n.stats.WatchdogRecoveries++
+	if n.recoverCreditsAndVCs() {
+		n.stats.WatchdogRecoveries++
+	}
 }
 
 // recoverCreditsAndVCs restores every leaked credit and releases every
-// stuck VC.
-func (n *Network) recoverCreditsAndVCs() {
+// stuck VC, and reports whether there was any to repair. A firing that
+// repairs nothing is not a recovery: the stall has another cause.
+func (n *Network) recoverCreditsAndVCs() bool {
+	repaired := false
 	for r := range n.routers {
 		rs := &n.routers[r]
 		for p := 0; p < numPorts; p++ {
@@ -87,12 +90,15 @@ func (n *Network) recoverCreditsAndVCs() {
 				if vc.leaked > 0 {
 					n.stats.RecoveryCreditRepairs += int64(vc.leaked)
 					vc.leaked = 0
+					repaired = true
 				}
 				if vc.stuck {
 					vc.stuck = false
 					n.stats.RecoveryVCUnsticks++
+					repaired = true
 				}
 			}
 		}
 	}
+	return repaired
 }

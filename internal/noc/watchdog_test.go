@@ -192,6 +192,38 @@ func TestWatchdogRepairsLeakedCredits(t *testing.T) {
 	assertExactlyOnce(t, n, ledger, injected)
 }
 
+// TestWatchdogFiringWithNothingToRepairIsNoRecovery congests a
+// fault-free mesh past a short stall horizon: the watchdog fires, finds
+// no leaked credit and no stuck VC, and counts no recovery.
+func TestWatchdogFiringWithNothingToRepairIsNoRecovery(t *testing.T) {
+	t.Parallel()
+	m := topology.New(6, 6)
+	n := New(Config{
+		Mesh: m, Width: tech.Width4B,
+		Watchdog: WatchdogConfig{Enabled: true, CheckEvery: 64, StallHorizon: 40, Grace: 64},
+	})
+	fired := 0
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 3000; i++ {
+		for k := 0; k < 4; k++ {
+			if src, dst := rng.Intn(m.N()), rng.Intn(m.N()); src != dst {
+				n.Inject(Message{Src: src, Dst: dst, Class: MemLine, Inject: n.Now()})
+			}
+		}
+		n.Step()
+		if n.wd.lastFire == n.Now()-1 && n.Now() > 1 {
+			fired++
+		}
+	}
+	if fired == 0 {
+		t.Fatal("the watchdog never fired; the mesh is not congested enough")
+	}
+	if s := n.Stats(); s.WatchdogRecoveries != 0 || s.RecoveryCreditRepairs != 0 || s.RecoveryVCUnsticks != 0 {
+		t.Errorf("%d firings with nothing to repair counted %d recoveries (%d credit repairs, %d VC unsticks)",
+			fired, s.WatchdogRecoveries, s.RecoveryCreditRepairs, s.RecoveryVCUnsticks)
+	}
+}
+
 // TestPropertyExactlyOnceMisrouteAndBandKill combines stochastic
 // misrouting with deterministic band kills mid-run — the RF overlay
 // degrades while packets are being diverted — and requires the
