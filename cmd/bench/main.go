@@ -5,7 +5,8 @@
 // overhead benchmark (internal/experiments), BenchmarkSummary (the 18
 // headline claims) and the per-point set-up benchmarks
 // (BenchmarkShortcutSelection*, BenchmarkAdaptiveShortcuts,
-// BenchmarkBuildRoutes, and rfsimd's warm BenchmarkCompileRequest)
+// BenchmarkBuildRoutes, BenchmarkNetworkReset, and rfsimd's warm
+// BenchmarkCompileRequest)
 // -count times each, takes the per-benchmark median of ns/op, B/op,
 // allocs/op and every custom b.ReportMetric unit (e.g. points/sec), and
 // writes the result, with the host's core count, as a BENCH_<n>.json
@@ -23,7 +24,8 @@
 // The zero-alloc gate is hard in both modes: any BenchmarkStep*
 // benchmark with a non-zero steady-state allocs/op median fails the
 // run, because the hot path is designed (and tested) to recycle every
-// packet and scratch buffer it touches.
+// packet and scratch buffer it touches. BenchmarkNetworkReset is gated
+// the same way: a Reset to the same configuration reuses every array.
 package main
 
 import (
@@ -104,11 +106,12 @@ func run(args []string) int {
 		// the subprocess tax so -isolate overhead regressions fail the gate.
 		{pkg: "./internal/experiments", regex: "^BenchmarkSweepThroughput", benchtime: "1x"},
 		// Per-point set-up: shortcut selection (the static heuristics and
-		// the adaptive selection a Summary repeats per workload) and
-		// network construction with its route tables.
+		// the adaptive selection a Summary repeats per workload), network
+		// construction with its route tables, and the Reset that
+		// RunContext does instead when it reuses a network.
 		{pkg: ".", regex: "^BenchmarkShortcutSelection"},
 		{pkg: "./internal/experiments", regex: "^BenchmarkAdaptiveShortcuts"},
-		{pkg: "./internal/noc", regex: "^BenchmarkBuildRoutes"},
+		{pkg: "./internal/noc", regex: "^Benchmark(BuildRoutes|NetworkReset)$"},
 		// A repeated rfsimd POST's compile, with warm selection and
 		// profile memos.
 		{pkg: "./cmd/rfsimd", regex: "^BenchmarkCompileRequest"},
@@ -149,10 +152,11 @@ func run(args []string) int {
 	fmt.Printf("wrote %s (%d benchmarks, count=%d)\n", outPath, len(rep.Benchmarks), *count)
 
 	bad := false
-	// Hard gate: the hot path must not allocate in steady state.
+	// Hard gate: the hot path and a same-configuration Reset must not
+	// allocate.
 	for _, b := range rep.Benchmarks {
-		if strings.HasPrefix(b.Name, "BenchmarkStep") && b.AllocsOp > 0 {
-			fmt.Printf("FAIL %s: %g allocs/op (hot path must be allocation-free)\n", b.Name, b.AllocsOp)
+		if mustNotAllocate(b.Name) && b.AllocsOp > 0 {
+			fmt.Printf("FAIL %s: %g allocs/op (must be allocation-free)\n", b.Name, b.AllocsOp)
 			bad = true
 		}
 	}
@@ -180,6 +184,13 @@ func run(args []string) int {
 		return 1
 	}
 	return 0
+}
+
+// mustNotAllocate names the benchmarks under the zero-alloc gate: the
+// BenchmarkStep* hot path, and BenchmarkNetworkReset, a Reset to the
+// same configuration, which keeps every array and the route table.
+func mustNotAllocate(name string) bool {
+	return strings.HasPrefix(name, "BenchmarkStep") || name == "BenchmarkNetworkReset"
 }
 
 // newReport starts an artifact with the host description every record

@@ -132,3 +132,19 @@ func TestCompare(t *testing.T) {
 		t.Fatalf("got %d regressions (%v), want 1", len(regs), regs)
 	}
 }
+
+// TestZeroAllocGate pins which benchmarks the hard allocs/op gate
+// covers.
+func TestZeroAllocGate(t *testing.T) {
+	for name, want := range map[string]bool{
+		"BenchmarkStepIdle":               true,
+		"BenchmarkStepShortcuts4B":        true,
+		"BenchmarkNetworkReset":           true,
+		"BenchmarkBuildRoutes":            false,
+		"BenchmarkSweepThroughput/inproc": false,
+	} {
+		if got := mustNotAllocate(name); got != want {
+			t.Errorf("mustNotAllocate(%q) = %v, want %v", name, got, want)
+		}
+	}
+}
