@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"sync"
 	"testing"
 
 	"repro/internal/noc"
@@ -127,6 +128,60 @@ func TestRunContextReuseMatchesFresh(t *testing.T) {
 		}
 		if want := run(t, i, true); !bytes.Equal(got, want) {
 			t.Errorf("%s: reused network's result differs from a new network's:\n got %s\nwant %s", s.name, got, want)
+		}
+	}
+}
+
+// TestRunContextReuseConcurrent runs points of several shapes from
+// several goroutines at once, so networks pass between goroutines
+// through the spare list, and wants every point's fresh-network bytes.
+func TestRunContextReuseConcurrent(t *testing.T) {
+	m10, m6 := topology.New10x10(), topology.New(6, 6)
+	static := shortcut.Static(m10, 16)
+	cfgs := []noc.Config{
+		{Mesh: m10, Width: tech.Width16B},
+		{Mesh: m10, Width: tech.Width4B, Shortcuts: static},
+		{Mesh: m6, Width: tech.Width8B, VCsPerClass: 3},
+		{Mesh: m10, Width: tech.Width8B, Shortcuts: static[:5], BufDepth: 2},
+	}
+	point := func(g, k int) (noc.Config, traffic.Generator, Options) {
+		cfg := cfgs[(g+k)%len(cfgs)]
+		opts := Options{Cycles: 800, DrainCycles: 50000, Rate: 0.02, Seed: int64(10*g + k + 1)}
+		return cfg, traffic.NewProbabilistic(cfg.Mesh, traffic.Uniform, opts.Rate, opts.Seed), opts
+	}
+	const goroutines, points = 4, 3
+	got := make([][points][]byte, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < points; k++ {
+				cfg, gen, opts := point(g, k)
+				r, err := RunContext(context.Background(), cfg, gen, opts, CheckpointSpec{})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got[g][k], _ = MarshalResult(r)
+			}
+		}()
+	}
+	wg.Wait()
+	for g := 0; g < goroutines; g++ {
+		for k := 0; k < points; k++ {
+			cfg, gen, opts := point(g, k)
+			n, err := noc.NewChecked(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := runNetwork(context.Background(), n, cfg, gen, opts.WithDefaults(), CheckpointSpec{}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want, _ := MarshalResult(r); !bytes.Equal(got[g][k], want) {
+				t.Errorf("goroutine %d point %d: result differs from a new network's", g, k)
+			}
 		}
 	}
 }
