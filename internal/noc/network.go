@@ -294,10 +294,10 @@ func NewChecked(cfg Config) (*Network, error) {
 // Reset re-initializes n for cfg, leaving it as NewChecked(cfg) would
 // build it whatever state the last run left behind: undrained,
 // interrupted, faulted or reconfigured. It keeps n's arrays where they
-// fit instead of allocating new ones: the routers, VCs and flit buffers
-// when the mesh W×H, VCsPerClass and BufDepth match; the per-router
-// counters, the packet pools and the link wheel when the mesh W×H
-// matches; and the route table when it was built from exactly cfg's
+// fit instead of allocating new ones: the packet pools and the link
+// wheel always; the routers, VCs and flit buffers when the mesh W×H,
+// VCsPerClass and BufDepth match; the per-router counters when the mesh
+// W×H matches; and the route table when it was built from exactly cfg's
 // shortcut list on a fault-free mesh of the same W×H. Everything else —
 // faults, integrity, multicast and VCT state, the watchdog, observers,
 // statistics and the clock — starts as construction starts it.
@@ -340,9 +340,6 @@ func (n *Network) Reset(cfg Config) error {
 		n.freq = make([][]int64, N)
 		n.freqRows = nil
 		n.stats = Stats{MsgsByDistance: make([]int64, m.W+m.H-1)}
-		// Packets and destination sets hold no mesh state, but a mesh
-		// of another size wants pools of another size.
-		n.pktPool, n.dsPool = nil, nil
 	} else {
 		clear(n.live)
 		clear(n.linkUse)
