@@ -12,6 +12,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -240,4 +241,83 @@ func readAll(t *testing.T, resp *http.Response) ([]byte, error) {
 	var buf bytes.Buffer
 	_, err := buf.ReadFrom(resp.Body)
 	return buf.Bytes(), err
+}
+
+// TestPostStreamCarriesEarlierFrames: a keyed re-POST that restarts an
+// idle job whose log already holds a frame must carry that frame on its
+// stream before any later seq. A client takes the last seq it read as
+// its resume cursor, so a stream that went from seq 0 straight to seq 2
+// and was cut there would lose seq 1's point for good. The first POST
+// fails index 0 (an injected panic) and logs index 1 at seq 1; the
+// second, with one worker, logs index 0 at seq 2.
+func TestPostStreamCarriesEarlierFrames(t *testing.T) {
+	srv, ts := e2eServer(t, serverConfig{dir: t.TempDir(), workers: 1, retries: 0})
+	req := sweeps(1, 2, 300)[0]
+	pts, err := compileRequest(req, srv.mesh, specLimits{}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := pts[0].Meta["config"]
+	if bad == "" || bad == pts[1].Meta["config"] {
+		t.Fatal("the two points need distinct config fingerprints")
+	}
+	var panicOn atomic.Bool
+	panicOn.Store(true)
+	srv.chaosPanic = func(fp string) bool { return panicOn.Load() && fp == bad }
+
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func() []streamLine {
+		t.Helper()
+		hreq, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/sweep", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		hreq.Header.Set("Idempotency-Key", "carry-earlier-frames")
+		resp, err := ts.Client().Do(hreq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		blob, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST: status %d, %v: %s", resp.StatusCode, err, blob)
+		}
+		return decodeStream(t, blob)
+	}
+
+	first := post()
+	logged := false
+	for _, rec := range first {
+		if rec.Type == "outcome" && rec.Index == 1 && rec.Seq == 1 {
+			logged = true
+		}
+	}
+	if !logged {
+		t.Fatalf("first POST did not log index 1 at seq 1: %+v", first)
+	}
+
+	panicOn.Store(false)
+	seen, carried := map[int64]bool{}, map[int]bool{}
+	for _, rec := range post() {
+		if rec.Seq > 0 {
+			for s := int64(1); s < rec.Seq; s++ {
+				if !seen[s] && !(s == 1 && carried[1]) {
+					t.Fatalf("stream carried seq %d before seq %d: a client cut there resumes past seq %d", rec.Seq, s, s)
+				}
+			}
+			seen[rec.Seq] = true
+		}
+		if rec.Type == "outcome" && rec.Error == "" {
+			if carried[rec.Index] {
+				t.Errorf("stream carried index %d twice", rec.Index)
+			}
+			carried[rec.Index] = true
+		}
+	}
+	if !carried[0] || !carried[1] || !seen[3] {
+		t.Errorf("second POST: indices carried %v, seqs %v; want both indices and the summary at seq 3", carried, seen)
+	}
 }

@@ -791,22 +791,42 @@ func (s *server) streamSweep(ctx context.Context, w http.ResponseWriter, pts []e
 		w.Write(newline)
 		rc.Flush()
 	}
-	emitBlob := func(blob []byte) {
-		mu.Lock()
-		defer mu.Unlock()
-		writeLocked(blob)
-	}
 	emit := func(line interface{}) {
 		blob, err := json.Marshal(line)
 		if err != nil {
 			return
 		}
-		emitBlob(blob)
+		mu.Lock()
+		defer mu.Unlock()
+		writeLocked(blob)
 	}
 
 	// Every stream opens by naming the job: the ID (and cursor protocol)
 	// the client resumes with after a disconnect.
 	emit(jobLine{Type: "job", ID: ent.id, Points: ent.header.Points})
+
+	// written counts the log frames this stream has passed. It passes
+	// them in seq order and carries each, other producers' frames
+	// included (an earlier run's, a boot replay's): a client resumes
+	// from the last seq it read, so a frame skipped here would never
+	// reach it. The one frame it may skip is an outcome whose index the
+	// stream already carried as a transient line, which the client has
+	// read before any later seq. Callers hold mu.
+	written := 0
+	carried := make(map[int]bool, len(pts)) // point indices on this stream
+	writeFrames := func() {
+		for _, blob := range ent.snapshotFrom(written).lines {
+			written++
+			var li lineIndex
+			if json.Unmarshal(blob, &li) == nil && li.Type == "outcome" {
+				if carried[li.Index] {
+					continue
+				}
+				carried[li.Index] = true
+			}
+			writeLocked(blob)
+		}
+	}
 
 	// Per-point wall clocks, written by the instrumented Run wrappers
 	// (cache hits never run, so their latency stays 0 — honest: a hit
@@ -874,9 +894,10 @@ func (s *server) streamSweep(ctx context.Context, w http.ResponseWriter, pts []e
 		}
 		line.Result = &o.Result
 		// Tee into the durable log. First producer to finish the
-		// index owns its frame and streams the logged bytes (with
-		// their seq, fsync'd before the write); a collision — an
-		// index an earlier run already logged — streams its own
+		// index owns its frame; the append fsyncs it and every frame
+		// before it, and the stream then carries all the logged
+		// frames it has not carried yet, its own last. A collision —
+		// an index another run already logged — streams its own
 		// transient view instead. Logging and writing happen under
 		// one lock: a client takes seqs in stream order as its
 		// resume cursor, so a frame written ahead of one logged
@@ -884,14 +905,14 @@ func (s *server) streamSweep(ctx context.Context, w http.ResponseWriter, pts []e
 		// already seen.
 		mu.Lock()
 		defer mu.Unlock()
-		blob, appended := s.jobs.appendOutcome(ent, line, true)
-		if !appended {
-			var err error
-			if blob, err = json.Marshal(line); err != nil {
-				return
-			}
+		if _, appended := s.jobs.appendOutcome(ent, line, true); appended {
+			writeFrames()
+			return
 		}
-		writeLocked(blob)
+		if blob, err := json.Marshal(line); err == nil && !carried[i] {
+			carried[i] = true
+			writeLocked(blob)
+		}
 	})
 
 	summary := summaryLine{
@@ -909,8 +930,10 @@ func (s *server) streamSweep(ctx context.Context, w http.ResponseWriter, pts []e
 	// runs emit only a transient summary — the job stays idle and
 	// resumable, and the client knows to re-POST.
 	if err == nil && summary.Failed == 0 && summary.Error == "" {
-		if blob, appended := s.jobs.appendSummary(ent, summary, true); appended {
-			emitBlob(blob)
+		if _, appended := s.jobs.appendSummary(ent, summary, true); appended {
+			mu.Lock()
+			writeFrames() // the summary is the last frame
+			mu.Unlock()
 			return false
 		}
 	}
