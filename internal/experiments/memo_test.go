@@ -96,7 +96,7 @@ func TestMemoizedResultBitIdentical(t *testing.T) {
 		}
 
 		// Fresh, cache-free run of the same point.
-		fresh, err := RunContext(context.Background(), cfg, mkGen(), opts, CheckpointSpec{})
+		fresh, err := RunContext(context.Background(), cfg, mkGen(), opts)
 		if err != nil {
 			t.Fatalf("trial %d: fresh run: %v", trial, err)
 		}
@@ -231,7 +231,7 @@ func TestSuperviseSingleFlight(t *testing.T) {
 			Fingerprint: fp,
 			Run: func(ctx context.Context, spec CheckpointSpec) (Result, error) {
 				runs.Add(1)
-				return RunContext(ctx, cfg, mkGen(), opts, spec)
+				return RunContext(ctx, cfg, mkGen(), opts)
 			},
 		}
 	}
@@ -308,7 +308,7 @@ func TestSuperviseRecoversCorruptCacheEntry(t *testing.T) {
 		Fingerprint: fp,
 		Run: func(ctx context.Context, spec CheckpointSpec) (Result, error) {
 			runs.Add(1)
-			return RunContext(ctx, cfg, mkGen(), opts, spec)
+			return RunContext(ctx, cfg, mkGen(), opts)
 		},
 	}
 	cache := sweepcache.New(0)

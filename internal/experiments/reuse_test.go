@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -98,9 +99,9 @@ func TestRunContextReuseMatchesFresh(t *testing.T) {
 			if nerr != nil {
 				t.Fatal(nerr)
 			}
-			r, err = runNetwork(ctx, n, s.cfg, gen, opts.WithDefaults(), CheckpointSpec{}, nil)
+			r, err = runNetwork(ctx, n, s.cfg, gen, opts.WithDefaults(), nil)
 		} else {
-			r, err = RunContext(ctx, s.cfg, gen, opts, CheckpointSpec{})
+			r, err = RunContext(ctx, s.cfg, gen, opts)
 		}
 		if s.cancelAt > 0 {
 			if !errors.Is(err, context.Canceled) || !r.Interrupted {
@@ -158,7 +159,7 @@ func TestRunContextReuseConcurrent(t *testing.T) {
 			defer wg.Done()
 			for k := 0; k < points; k++ {
 				cfg, gen, opts := point(g, k)
-				r, err := RunContext(context.Background(), cfg, gen, opts, CheckpointSpec{})
+				r, err := RunContext(context.Background(), cfg, gen, opts)
 				if err != nil {
 					t.Error(err)
 					return
@@ -175,7 +176,7 @@ func TestRunContextReuseConcurrent(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			r, err := runNetwork(context.Background(), n, cfg, gen, opts.WithDefaults(), CheckpointSpec{}, nil)
+			r, err := runNetwork(context.Background(), n, cfg, gen, opts.WithDefaults(), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -187,8 +188,7 @@ func TestRunContextReuseConcurrent(t *testing.T) {
 }
 
 // TestRunContextKeepsNoWatchedNetwork: a run that panics, or whose
-// network the caller saw through OnNetwork or its observers, gives
-// nothing back for reuse.
+// network the caller's observers saw, gives nothing back for reuse.
 func TestRunContextKeepsNoWatchedNetwork(t *testing.T) {
 	m := topology.New10x10()
 	cfg := noc.Config{Mesh: m}
@@ -196,7 +196,7 @@ func TestRunContextKeepsNoWatchedNetwork(t *testing.T) {
 	gen := func() traffic.Generator { return traffic.NewProbabilistic(m, traffic.Uniform, opts.Rate, opts.Seed) }
 
 	t.Run("panic", func(t *testing.T) {
-		if _, err := RunContext(context.Background(), cfg, gen(), opts, CheckpointSpec{}); err != nil {
+		if _, err := RunContext(context.Background(), cfg, gen(), opts); err != nil {
 			t.Fatal(err)
 		}
 		spare := topSpare()
@@ -209,31 +209,77 @@ func TestRunContextKeepsNoWatchedNetwork(t *testing.T) {
 					t.Fatal("the run did not panic")
 				}
 			}()
-			RunContext(context.Background(), cfg, &panicGen{Generator: gen(), at: 100}, opts, CheckpointSpec{})
+			RunContext(context.Background(), cfg, &panicGen{Generator: gen(), at: 100}, opts)
 		}()
 		if isSpare(spare) {
 			t.Error("a panicked run's network was kept for reuse")
 		}
 	})
-	t.Run("OnNetwork", func(t *testing.T) {
-		var seen *noc.Network
-		spec := CheckpointSpec{OnNetwork: func(n *noc.Network) { seen = n }}
-		if _, err := RunContext(context.Background(), cfg, gen(), opts, spec); err != nil {
-			t.Fatal(err)
-		}
-		if seen == nil || isSpare(seen) {
-			t.Error("a network passed to OnNetwork was kept for reuse")
-		}
-	})
 	t.Run("observers", func(t *testing.T) {
 		probe := &networkProbe{}
-		if _, err := RunContext(context.Background(), cfg, gen(), opts, CheckpointSpec{}, probe); err != nil {
+		if _, err := RunContext(context.Background(), cfg, gen(), opts, probe); err != nil {
 			t.Fatal(err)
 		}
 		if probe.n == nil || isSpare(probe.n) {
 			t.Error("a network the caller's observer saw was kept for reuse")
 		}
 	})
+}
+
+// TestSuperviseInprocReusesNetworks: an in-process supervised sweep of
+// same-config portable points runs each point on the spare network the
+// previous run gave back, and every point's result bytes equal a run
+// on a new network.
+func TestSuperviseInprocReusesNetworks(t *testing.T) {
+	m := topology.New10x10()
+	cfg := noc.Config{Mesh: m, Width: tech.Width8B, Shortcuts: shortcut.Static(m, 16)}
+	opts := Options{Cycles: 600, DrainCycles: 50000, Rate: 0.02}
+	var points []SweepPoint
+	var reused []bool
+	for seed := int64(1); seed <= 3; seed++ {
+		gen := GenSpec{Workload: "uniform", Rate: opts.Rate, Seed: seed}
+		o := opts
+		o.Seed = seed
+		pt, err := NewPortableSweepPoint(cfg, gen, o, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := pt.Run
+		pt.Run = func(ctx context.Context, spec CheckpointSpec) (Result, error) {
+			spare := topSpare()
+			r, err := run(ctx, spec)
+			reused = append(reused, spare != nil && topSpare() == spare)
+			return r, err
+		}
+		points = append(points, pt)
+	}
+	if _, err := RunContext(context.Background(), cfg, traffic.NewProbabilistic(m, traffic.Uniform, opts.Rate, 1), opts); err != nil {
+		t.Fatal(err) // leaves a spare for the first point
+	}
+	outs, err := Supervise(context.Background(), SuperviseConfig{Workers: 1}, points)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(reused, []bool{true, true, true}) {
+		t.Errorf("points ran on the kept spare: %v, want all", reused)
+	}
+	for i, out := range outs {
+		seed := int64(i + 1)
+		n, err := noc.NewChecked(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := opts
+		o.Seed = seed
+		want, err := runNetwork(context.Background(), n, cfg, traffic.NewProbabilistic(m, traffic.Uniform, opts.Rate, seed), o.WithDefaults(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _ := MarshalResult(out.Result)
+		if wantBlob, _ := MarshalResult(want); !bytes.Equal(got, wantBlob) {
+			t.Errorf("point %d: result differs from a new network's", i)
+		}
+	}
 }
 
 // panicGen panics at a given tick.

@@ -2,7 +2,9 @@ package experiments
 
 import (
 	"context"
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
 
@@ -119,79 +121,82 @@ type Result struct {
 	FlitLatencyDist   obs.Summary
 }
 
-// Run simulates one design under one workload. gen drives injection for
-// opts.Cycles, then the network drains. Under "go test" every run
-// carries an invariant checker, so any conservation or forward-progress
-// regression fails the suite at the first bad audit.
-func Run(cfg noc.Config, gen traffic.Generator, opts Options) Result {
-	return RunObserved(cfg, gen, opts)
-}
-
-// RunObserved is Run with additional observers attached to the network
-// for the duration of the simulation (latency recorders, link
-// timelines, invariant checkers, or custom instrumentation). It panics
-// on an invalid config, as noc.New does.
-func RunObserved(cfg noc.Config, gen traffic.Generator, opts Options, observers ...noc.Observer) Result {
-	r, err := RunContext(context.Background(), cfg, gen, opts, CheckpointSpec{}, observers...)
+// Run simulates one design under one workload, with any observers
+// attached for the duration of the run (latency recorders, link
+// timelines, invariant checkers, or custom instrumentation). gen drives
+// injection for opts.Cycles, then the network drains. Under "go test"
+// every run carries an invariant checker, so any conservation or
+// forward-progress regression fails the suite at the first bad audit.
+// It panics on an invalid config, as noc.New does.
+func Run(cfg noc.Config, gen traffic.Generator, opts Options, observers ...noc.Observer) Result {
+	r, err := RunContext(context.Background(), cfg, gen, opts, observers...)
 	if err != nil {
 		panic(err)
 	}
 	return r
 }
 
-// CheckpointSpec carries per-attempt hooks from the supervisor into one
-// run. It configures no checkpointing: the finished point is the only
-// unit of durability (the result cache and rfsimd's result log hold
-// it), and an interrupted point re-runs from cycle 0, which gives the
-// same bytes because points are deterministic. The name stays because
-// rfbench's sweep workload wraps SweepPoint.Run, whose signature
-// carries it. The zero value attaches nothing.
+// CheckpointSpec carries per-attempt settings from the supervisor into
+// one run. It configures no checkpointing: the finished point is the
+// only unit of durability (the result cache and rfsimd's result log
+// hold it), and an interrupted point re-runs from cycle 0, which gives
+// the same bytes because points are deterministic. The name stays
+// because rfbench's sweep workload wraps SweepPoint.Run, whose
+// signature carries it. The zero value runs in-process.
 type CheckpointSpec struct {
-	// OnNetwork, when non-nil, receives the network right after
-	// construction. The supervisor uses it to capture state for crash
-	// dumps; tests use it to attach probes. The callee owns the network
-	// from then on: RunContext never hands a network it passed to
-	// OnNetwork to a later run, so it may be read after the run returns
-	// or panics. Runs without OnNetwork and without caller observers
-	// give their network back for reuse when they return.
-	OnNetwork func(*noc.Network)
-
 	// Exec, when non-nil, asks portable sweep points to dispatch this
 	// attempt through the executor (a worker-process pool) instead of
 	// running in the calling goroutine. The supervisor threads it from
-	// SuperviseConfig.Exec; RunContext itself ignores it, so wrappers
-	// composed around SweepPoint.Run see it pass through unchanged.
+	// SuperviseConfig.Exec; wrappers composed around SweepPoint.Run see
+	// it pass through unchanged.
 	Exec Executor
 }
 
-// RunContext is the one run loop behind Run, RunObserved and every
-// sweep point: opts.Cycles of injection, then a drain bounded by
-// opts.DrainCycles, checking ctx every 256 cycles.
+// RunContext is the one run loop behind Run and every sweep point:
+// opts.Cycles of injection, then a drain bounded by opts.DrainCycles,
+// checking ctx every 256 cycles.
 //
 // On context cancellation the partial Result (Interrupted set) is
 // returned together with the context's error; an invalid config returns
-// a zero Result and the error.
+// a zero Result and the error. A panic in the run is raised again as a
+// *runPanic that carries the network's cycle, audit and stack, which
+// the supervisor writes to its crash dump.
 //
 // The network is a spare from an earlier run, Reset for cfg, when one
 // is kept (see takeNetwork). After a normal return, interrupted runs
-// included, RunContext keeps it for a later run unless the caller could
-// still hold it: spec.OnNetwork saw it, or the caller's observers did. A
-// run that panics keeps nothing, so a crash dump can still read it.
-func RunContext(ctx context.Context, cfg noc.Config, gen traffic.Generator, opts Options, spec CheckpointSpec, observers ...noc.Observer) (Result, error) {
+// included, RunContext keeps it for a later run unless the caller's
+// observers saw it. A run that panics keeps nothing.
+func RunContext(ctx context.Context, cfg noc.Config, gen traffic.Generator, opts Options, observers ...noc.Observer) (Result, error) {
 	opts = opts.WithDefaults()
 	n, err := takeNetwork(cfg)
 	if err != nil {
 		return Result{}, err
 	}
-	r, err := runNetwork(ctx, n, cfg, gen, opts, spec, observers)
-	if spec.OnNetwork == nil && len(observers) == 0 {
+	r, err := runNetwork(ctx, n, cfg, gen, opts, observers)
+	if len(observers) == 0 {
 		giveNetwork(n)
 	}
 	return r, err
 }
 
+// runPanic is a panic inside a run, raised again with the network's
+// state at that moment. It prints as the original value.
+type runPanic struct {
+	val   any
+	cycle int64
+	audit noc.AuditReport
+	stack string // the panicking goroutine's, taken before it unwound
+}
+
+func (p *runPanic) Error() string { return fmt.Sprint(p.val) }
+
 // runNetwork is RunContext's loop on a network built or reset for cfg.
-func runNetwork(ctx context.Context, n *noc.Network, cfg noc.Config, gen traffic.Generator, opts Options, spec CheckpointSpec, observers []noc.Observer) (Result, error) {
+func runNetwork(ctx context.Context, n *noc.Network, cfg noc.Config, gen traffic.Generator, opts Options, observers []noc.Observer) (Result, error) {
+	defer func() {
+		if v := recover(); v != nil {
+			panic(&runPanic{val: v, cycle: n.Now(), audit: n.Audit(), stack: string(debug.Stack())})
+		}
+	}()
 	var rec *obs.LatencyRecorder
 	if opts.Histograms {
 		rec = obs.NewLatencyRecorder()
@@ -202,9 +207,6 @@ func runNetwork(ctx context.Context, n *noc.Network, cfg noc.Config, gen traffic
 	}
 	for _, o := range observers {
 		n.AttachObserver(o)
-	}
-	if spec.OnNetwork != nil {
-		spec.OnNetwork(n)
 	}
 
 	var drain noc.DrainReport

@@ -193,15 +193,10 @@ func (s *saboteur) CycleEnd(n *noc.Network) {
 }
 
 // RunSoakSpec executes one soak spec. The invariant checker is always
-// attached (its panics are converted to errors here), and the fault
-// schedule runs under a fresh Injector. The returned Result carries the
-// drain report and full stats for CheckSoak.
-func RunSoakSpec(ctx context.Context, spec SoakSpec, ck CheckpointSpec) (res Result, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("experiments: soak run panicked: %v", r)
-		}
-	}()
+// attached (it panics on a violation), and the fault schedule runs under
+// a fresh Injector. The returned Result carries the drain report and
+// full stats for CheckSoak.
+func RunSoakSpec(ctx context.Context, spec SoakSpec) (Result, error) {
 	if err := spec.Validate(); err != nil {
 		return Result{}, err
 	}
@@ -219,7 +214,7 @@ func RunSoakSpec(ctx context.Context, spec SoakSpec, ck CheckpointSpec) (res Res
 		Seed:        spec.Seed,
 		Check:       true,
 	}
-	return RunContext(ctx, cfg, gen, opts, ck, observers...)
+	return RunContext(ctx, cfg, gen, opts, observers...)
 }
 
 // CheckSoak is the soak health verdict for a completed run: the drain
@@ -240,10 +235,15 @@ func CheckSoak(res Result) error {
 	return nil
 }
 
-// soakFailure runs a spec and returns the reason it fails, or "" when it
-// passes. Context cancellation is not a failure of the spec.
-func soakFailure(ctx context.Context, spec SoakSpec) string {
-	res, err := RunSoakSpec(ctx, spec, CheckpointSpec{})
+// soakFailure runs a spec and returns the reason it fails, a panic
+// included, or "" when it passes. Context cancellation is not a failure.
+func soakFailure(ctx context.Context, spec SoakSpec) (reason string) {
+	defer func() {
+		if r := recover(); r != nil {
+			reason = fmt.Sprintf("experiments: soak run panicked: %v", r)
+		}
+	}()
+	res, err := RunSoakSpec(ctx, spec)
 	if err != nil {
 		if ctx.Err() != nil {
 			return ""
@@ -447,8 +447,8 @@ func Soak(ctx context.Context, sc SoakConfig) ([]SoakOutcome, error) {
 				"mesh":    fmt.Sprintf("%dx%d", spec.MeshW, spec.MeshH),
 				"seed":    fmt.Sprint(spec.Seed),
 			},
-			Run: func(ctx context.Context, ck CheckpointSpec) (Result, error) {
-				return RunSoakSpec(ctx, spec, ck)
+			Run: func(ctx context.Context, _ CheckpointSpec) (Result, error) {
+				return RunSoakSpec(ctx, spec)
 			},
 		}
 	}

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"context"
+	"encoding/json"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -17,7 +19,7 @@ func TestSoakRandomSpecsHealthy(t *testing.T) {
 		if err := spec.Validate(); err != nil {
 			t.Fatalf("seed %d: invalid spec: %v", seed, err)
 		}
-		res, err := RunSoakSpec(context.Background(), spec, CheckpointSpec{})
+		res, err := RunSoakSpec(context.Background(), spec)
 		if err != nil {
 			t.Fatalf("seed %d: run: %v", seed, err)
 		}
@@ -119,6 +121,44 @@ func TestSoakSabotageShrinkReplay(t *testing.T) {
 	}
 	if replay := ReplaySoak(ctx, loaded); replay == "" {
 		t.Fatal("replaying the shrunken repro no longer fails")
+	}
+}
+
+// A supervised soak run whose invariant checker fires is a panicked
+// point with a crash dump that records the network's cycle and audit,
+// as for any other simulation panic.
+func TestSoakPanicWritesCrashDump(t *testing.T) {
+	dir := t.TempDir()
+	spec := RandomSoakSpec(3)
+	spec.Sabotage = true
+	pt := SweepPoint{
+		ID: "sabotaged",
+		Run: func(ctx context.Context, _ CheckpointSpec) (Result, error) {
+			return RunSoakSpec(ctx, spec)
+		},
+	}
+	outs, err := Supervise(context.Background(), SuperviseConfig{Workers: 1, Dir: dir}, []SweepPoint{pt})
+	if err == nil {
+		t.Fatal("a sabotaged soak run succeeded")
+	}
+	out := outs[0]
+	if !out.Panicked || out.CrashDump == "" {
+		t.Fatalf("panicked=%v dump=%q err=%v, want a panicked point with a crash dump", out.Panicked, out.CrashDump, out.Err)
+	}
+	blob, err := os.ReadFile(out.CrashDump)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dump CrashDump
+	if err := json.Unmarshal(blob, &dump); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(dump.Panic, "conservation") {
+		t.Errorf("crash dump panic %q does not name the broken invariant", dump.Panic)
+	}
+	if dump.Cycle < spec.Cycles/2 || dump.Audit == nil {
+		t.Errorf("crash dump cycle %d, audit %v; want the network's state after the sabotage at cycle %d",
+			dump.Cycle, dump.Audit, spec.Cycles/2)
 	}
 }
 

@@ -38,9 +38,8 @@ type SweepPoint struct {
 	// service sums Cost over a request to enforce its per-job ceiling.
 	Cost int64
 
-	// Run executes the point from cycle 0. It must honor ctx and should
-	// pass spec through to RunContext (or equivalent), so the supervisor's
-	// hooks reach the network and the executor.
+	// Run executes the point from cycle 0. It must honor ctx, and a
+	// portable point runs through spec.Exec when it is set.
 	Run func(ctx context.Context, spec CheckpointSpec) (Result, error)
 
 	// Payload, when non-nil, is the point's portable wire description
@@ -247,9 +246,7 @@ func supervisePoint(ctx context.Context, sc SuperviseConfig, pt SweepPoint, out 
 // runPointAttempts is the retry loop: each attempt is panic-guarded and
 // starts from cycle 0; failed attempts back off exponentially.
 func runPointAttempts(ctx context.Context, sc SuperviseConfig, pt SweepPoint, out *PointOutcome) {
-	var net *noc.Network
-	spec := CheckpointSpec{Exec: sc.Exec, OnNetwork: func(n *noc.Network) { net = n }}
-
+	spec := CheckpointSpec{Exec: sc.Exec}
 	for attempt := 0; attempt <= sc.Retries; attempt++ {
 		if err := ctx.Err(); err != nil {
 			if out.Err == nil {
@@ -258,8 +255,7 @@ func runPointAttempts(ctx context.Context, sc SuperviseConfig, pt SweepPoint, ou
 			return
 		}
 		out.Attempts++
-		net = nil
-		res, err := runPointGuarded(ctx, sc, pt, spec, attempt, &net, out)
+		res, err := runPointGuarded(ctx, sc, pt, spec, attempt, out)
 		if err == nil {
 			out.Result = res
 			out.Err = nil
@@ -280,31 +276,28 @@ func runPointAttempts(ctx context.Context, sc SuperviseConfig, pt SweepPoint, ou
 	}
 }
 
-// runPointGuarded runs one attempt with panic isolation. A panic becomes
-// an error after the crash dump is written.
-func runPointGuarded(ctx context.Context, sc SuperviseConfig, pt SweepPoint, spec CheckpointSpec, attempt int, net **noc.Network, out *PointOutcome) (res Result, err error) {
+// runPointGuarded runs one attempt with panic isolation. An in-process
+// panic and a worker-process death both become an error after the
+// crash dump is written.
+func runPointGuarded(ctx context.Context, sc SuperviseConfig, pt SweepPoint, spec CheckpointSpec, attempt int, out *PointOutcome) (res Result, err error) {
+	var dump *CrashDump
 	defer func() {
 		if r := recover(); r != nil {
-			out.Panicked = true
-			dump := CrashDump{
-				ID:          pt.ID,
-				Fingerprint: pt.Fingerprint,
-				Meta:        pt.Meta,
-				Attempt:     attempt,
-				Panic:       fmt.Sprint(r),
-				Stack:       string(debug.Stack()),
-				Cycle:       -1,
-				Evidence:    captureEvidence(),
-			}
-			if n := *net; n != nil {
-				dump.Cycle = n.Now()
-				audit := n.Audit()
-				dump.Audit = &audit
-			}
-			if path := writeCrashDump(sc.Dir, pt.ID, dump); path != "" {
-				out.CrashDump = path
+			// A panic inside RunContext carries the network's state; one
+			// before the run built a network leaves Cycle at -1.
+			dump = &CrashDump{Panic: fmt.Sprint(r), Stack: string(debug.Stack()), Cycle: -1, Evidence: captureEvidence()}
+			if p, ok := r.(*runPanic); ok {
+				dump.Stack, dump.Cycle, dump.Audit = p.stack, p.cycle, &p.audit
 			}
 			err = fmt.Errorf("experiments: point %s panicked: %v", pt.ID, r)
+		}
+		if dump == nil {
+			return
+		}
+		out.Panicked = true
+		dump.ID, dump.Fingerprint, dump.Meta, dump.Attempt = pt.ID, pt.Fingerprint, pt.Meta, attempt
+		if path := writeCrashDump(sc.Dir, pt.ID, *dump); path != "" {
+			out.CrashDump = path
 		}
 	}()
 	pctx := ctx
@@ -316,12 +309,11 @@ func runPointGuarded(ctx context.Context, sc SuperviseConfig, pt SweepPoint, spe
 	res, err = pt.Run(pctx, spec)
 
 	// A worker-process death takes the same path as an in-process panic:
-	// dump, Panicked, retry, quarantine. The dump's Cycle is
-	// -1 (the network died with the worker) and its Stack is the worker's
-	// stderr tail, which holds the Go runtime's own panic/fatal output.
+	// dump, Panicked, retry, quarantine. The dump's Cycle is -1 (the
+	// network died with the worker) and its Stack is the worker's stderr
+	// tail, which holds the Go runtime's own panic/fatal output.
 	var wc *WorkerCrash
 	if errors.As(err, &wc) {
-		out.Panicked = true
 		ev := wc.Evidence
 		if ev == nil {
 			ev = &RuntimeEvidence{}
@@ -330,19 +322,7 @@ func runPointGuarded(ctx context.Context, sc SuperviseConfig, pt SweepPoint, spe
 		ev.ExitCode = wc.ExitCode
 		ev.Signal = wc.Signal
 		ev.StderrTail = wc.StderrTail
-		dump := CrashDump{
-			ID:          pt.ID,
-			Fingerprint: pt.Fingerprint,
-			Meta:        pt.Meta,
-			Attempt:     attempt,
-			Panic:       "worker crash: " + wc.Reason,
-			Stack:       wc.StderrTail,
-			Cycle:       -1,
-			Evidence:    ev,
-		}
-		if path := writeCrashDump(sc.Dir, pt.ID, dump); path != "" {
-			out.CrashDump = path
-		}
+		dump = &CrashDump{Panic: "worker crash: " + wc.Reason, Stack: wc.StderrTail, Cycle: -1, Evidence: ev}
 		err = fmt.Errorf("experiments: point %s worker crashed: %s", pt.ID, wc.Reason)
 	}
 	return res, err

@@ -190,7 +190,7 @@ func NewPortableSweepPoint(cfg noc.Config, gen GenSpec, opts Options, meta map[s
 			if err != nil {
 				return Result{}, err
 			}
-			return RunContext(ctx, cfg, g, opts, spec)
+			return RunContext(ctx, cfg, g, opts)
 		},
 	}, nil
 }

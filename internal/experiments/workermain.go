@@ -191,7 +191,7 @@ func (w *workerProc) execute(ctx context.Context, job *workerJob) workerOutcome 
 	if err != nil {
 		return workerOutcome{Err: err.Error()}
 	}
-	res, err := RunContext(ctx, cfg, gen, job.Point.Opts, CheckpointSpec{})
+	res, err := RunContext(ctx, cfg, gen, job.Point.Opts)
 	out := workerOutcome{}
 	if err == nil || ctx.Err() != nil {
 		if blob, merr := MarshalResult(res); merr == nil {

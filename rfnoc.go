@@ -320,7 +320,7 @@ func Simulate(cfg Config, gen Generator, opts Options) Result {
 // the duration of the run (latency recorders, link timelines, invariant
 // checkers, or custom instrumentation).
 func SimulateObserved(cfg Config, gen Generator, opts Options, observers ...Observer) Result {
-	return experiments.RunObserved(cfg, gen, opts, observers...)
+	return experiments.Run(cfg, gen, opts, observers...)
 }
 
 // NewLatencyRecorder returns an empty latency-distribution observer.
