@@ -110,6 +110,22 @@ func TestTimeoutExit3(t *testing.T) {
 	}
 }
 
+// TestTimeoutBeforeFirstCycle: a run stopped before its first cycle
+// still prints the sections that read the network, from a network in
+// its initial state.
+func TestTimeoutBeforeFirstCycle(t *testing.T) {
+	var out, errBuf bytes.Buffer
+	args := []string{"-cycles", "2000", "-design", "static", "-timeout", "1ns", "-heatmap", "-kill-link", "12-13@500"}
+	if code := realMain(args, &out, &errBuf); code != exitInterrupted {
+		t.Fatalf("exit code = %d, want %d (stderr: %s)", code, exitInterrupted, errBuf.String())
+	}
+	for _, want := range []string{"cycles:   0 ", "fault/recovery:", "link-load heatmap"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("report lacks %q:\n%s", want, out.String())
+		}
+	}
+}
+
 // TestSelfHealingRunSmoke drives the fault and self-healing modes
 // through the real entry point and pins the report sections they add
 // (fault/recovery, integrity/recovery) to recorded text: the first case
