@@ -2,6 +2,7 @@ package rfnoc
 
 import (
 	"repro/internal/core"
+	"repro/internal/noc"
 	"repro/internal/rfi"
 )
 
@@ -40,7 +41,8 @@ func NewBandPlan(shortcuts []ShortcutEdge, shortcutWidthBytes int, mcReceivers [
 }
 
 // ReconfigurationCycles is the routing-table rewrite cost of switching
-// plans (99 cycles on the paper's 100-router mesh).
+// plans (99 cycles on the paper's 100-router mesh); simulation charges
+// the same cost on every Network.Reconfigure.
 func ReconfigurationCycles(routers int) int64 {
-	return rfi.ReconfigurationCycles(routers)
+	return noc.ReconfigurationCycles(routers)
 }

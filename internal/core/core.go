@@ -139,7 +139,7 @@ func (c *Controller) ReconfigureForProfile(freq [][]int64) (*State, error) {
 		Plan:         plan,
 		Tuning:       tuning,
 		Config:       cfg,
-		UpdateCycles: rfi.ReconfigurationCycles(c.mesh.N()),
+		UpdateCycles: noc.ReconfigurationCycles(c.mesh.N()),
 	}
 	if c.current != nil {
 		st.Retunes = rfi.Retunes(c.current.Tuning, tuning)

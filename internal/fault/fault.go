@@ -282,7 +282,7 @@ type Injector struct {
 	// frequency matrix observed since the last replan, excluding failed
 	// RF endpoints) and calls Network.Reconfigure once the network next
 	// drains after a shortcut loss. The reconfiguration stall
-	// (rfi.ReconfigurationCycles) is paid inside Reconfigure.
+	// (noc.ReconfigurationCycles) is paid inside Reconfigure.
 	AutoReplan bool
 
 	// Budget is the shortcut budget for replans. Zero means "as many as

@@ -133,6 +133,48 @@ func TestReconfigureClearsOldShortcuts(t *testing.T) {
 	}
 }
 
+func TestReconfigurationCycles(t *testing.T) {
+	// 100-router mesh: 99 cycles, exactly the paper's figure.
+	if got := ReconfigurationCycles(100); got != 99 {
+		t.Errorf("reconfiguration = %d cycles, want 99", got)
+	}
+	if got := ReconfigurationCycles(1); got != 0 {
+		t.Errorf("single-router reconfiguration = %d, want 0", got)
+	}
+}
+
+// TestReconfigureChargesTableUpdate: each Reconfigure on a running
+// network steps it idle for the table-update cost and accounts it in
+// Stats, 99 cycles per retune on the 100-router mesh.
+func TestReconfigureChargesTableUpdate(t *testing.T) {
+	m := topology.New10x10()
+	n := New(Config{Mesh: m, Width: tech.Width16B})
+	plans := [][]shortcut.Edge{
+		{{From: m.ID(1, 1), To: m.ID(8, 8)}},
+		{{From: m.ID(8, 1), To: m.ID(1, 8)}},
+	}
+	for i, plan := range plans {
+		n.Inject(Message{Src: m.ID(1, 1), Dst: m.ID(8, 8), Class: Data, Inject: n.Now()})
+		if !n.Drain(10000) {
+			t.Fatal("no drain")
+		}
+		before := n.Now()
+		if err := n.Reconfigure(plan); err != nil {
+			t.Fatal(err)
+		}
+		if got := n.Now() - before; got != 99 {
+			t.Errorf("reconfigure %d advanced the clock %d cycles, want 99", i, got)
+		}
+	}
+	s := n.Stats()
+	if s.Reconfigurations != 2 {
+		t.Fatalf("reconfigurations = %d, want 2", s.Reconfigurations)
+	}
+	if want := ReconfigurationCycles(m.N()) * s.Reconfigurations; s.ReconfigUpdateCycles != want {
+		t.Errorf("update cycles = %d, want %d", s.ReconfigUpdateCycles, want)
+	}
+}
+
 // TestLocalSpeedupBoundsEjection: at 4B the local channel moves up to 4
 // flits per cycle; a burst of single-flit... multi-packet convergence at
 // one router must eject at more than 1 flit/cycle.

@@ -11,8 +11,21 @@ import (
 // reconfiguration needs: online collection of the inter-router
 // communication-frequency matrix by the network's own event counters
 // (Section 3.2.2: "information that can be readily collected by event
-// counters in our network"), a delivery hook for closed-loop workload
-// models, and quiesced retuning of the shortcut overlay.
+// counters in our network"), quiesced retuning of the shortcut overlay,
+// and the routing-table update cost that retuning charges.
+
+// ReconfigurationCycles is the routing-table rewrite cost of switching
+// shortcut plans on a mesh of the given number of routers: every table
+// is rewritten in parallel through a single write port, one cycle per
+// other router (99 cycles on the paper's 100-router mesh). Reconfigure
+// charges it in simulation and core.Controller reports it; the paper
+// overlaps it with the context switch.
+func ReconfigurationCycles(routers int) int64 {
+	if routers <= 1 {
+		return 0
+	}
+	return int64(routers - 1)
+}
 
 // ObservedFrequency returns a copy of the frequency matrix F(x,y)
 // counted by the network since the last reset: the number of unicast
@@ -38,8 +51,8 @@ func (n *Network) ResetObservedFrequency() {
 
 // Reconfigure retunes the RF-I overlay to a new shortcut set and
 // rebuilds every routing table, charging the paper's parallel
-// table-update cost (one cycle per other router) by stepping the network
-// idle for that long. The network must be drained: retuning a band whose
+// table-update cost (ReconfigurationCycles) by stepping the network idle
+// for that long. The network must be drained: retuning a band whose
 // receiver still holds flits would deliver them to the wrong router, so
 // — like the paper — reconfiguration happens at a quiesced context
 // switch.
@@ -77,9 +90,7 @@ func (n *Network) Reconfigure(edges []shortcut.Edge) error {
 	}
 	n.routes = buildRoutes(n)
 	n.stats.Reconfigurations++
-	// Routing-table update: all routers written in parallel, one cycle
-	// per table entry (99 cycles on the 100-router mesh).
-	update := int64(n.cfg.Mesh.N() - 1)
+	update := ReconfigurationCycles(n.cfg.Mesh.N())
 	n.stats.ReconfigUpdateCycles += update
 	n.Run(update)
 	for _, o := range n.observers {

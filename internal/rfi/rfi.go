@@ -2,7 +2,8 @@
 // the HPCA-2008 paper: the bundle of on-chip transmission lines, the
 // frequency-band plan that divides its aggregate bandwidth among
 // shortcuts (and optionally a multicast channel), per-access-point
-// transmitter/receiver tuning, and the cost of reconfiguration.
+// transmitter/receiver tuning, and the mixer retunes a reconfiguration
+// costs.
 //
 // Physically, the overlay is a serpentine bundle of differential
 // transmission lines shared by every access point. Logically it is a set
@@ -216,16 +217,4 @@ func mapDelta(a, b map[int]int) int {
 		}
 	}
 	return n
-}
-
-// ReconfigurationCycles is the cost of switching plans: every router's
-// routing table is rewritten in parallel through a single write port (one
-// cycle per other router: 99 cycles on the 100-router mesh), which
-// dominates mixer retuning. The paper overlaps this with context-switch
-// work, so it never delays application start.
-func ReconfigurationCycles(routers int) int64 {
-	if routers <= 1 {
-		return 0
-	}
-	return int64(routers - 1)
 }

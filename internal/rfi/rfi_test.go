@@ -176,16 +176,6 @@ func TestTuningAndRetunes(t *testing.T) {
 	}
 }
 
-func TestReconfigurationCycles(t *testing.T) {
-	// 100-router mesh: 99 cycles, exactly the paper's figure.
-	if got := ReconfigurationCycles(100); got != 99 {
-		t.Errorf("reconfiguration = %d cycles, want 99", got)
-	}
-	if got := ReconfigurationCycles(1); got != 0 {
-		t.Errorf("single-router reconfiguration = %d, want 0", got)
-	}
-}
-
 func TestNarrowBandsAllowMore(t *testing.T) {
 	// The width ablation: 8 B bands allow 32 shortcuts in the aggregate.
 	p, err := NewPlan(edges(32), 8, nil)
