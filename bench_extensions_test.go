@@ -1,8 +1,8 @@
 package rfnoc_test
 
 // Benchmarks for the extension features: adaptive routing (the HPCA-2008
-// contention study), runtime reconfiguration, and the closed-loop core
-// model.
+// contention study), the load-curve, routing, VC and scaling studies,
+// the coherence workload and trace replay.
 
 import (
 	"bytes"
@@ -45,69 +45,6 @@ func BenchmarkAblationAdaptiveRouting(b *testing.B) {
 			b.Fatalf("adaptive (%.1f) should beat deterministic (%.1f)", ad, det)
 		}
 		b.ReportMetric(det/ad, "speedup")
-	}
-}
-
-// BenchmarkClosedLoopAdaptive measures the system-level (operations per
-// core per cycle) effect of the adaptive 4 B overlay under closed-loop
-// cores.
-func BenchmarkClosedLoopAdaptive(b *testing.B) {
-	m := rfnoc.NewMesh()
-	params := rfnoc.CPUParams{IssueRate: 0.3, MSHRs: 8, HotBankFraction: 0.04}
-	const cycles = 6000
-	for i := 0; i < b.N; i++ {
-		profNet := rfnoc.NewNetwork(rfnoc.BaselineConfig(m, rfnoc.Width16B))
-		prof := rfnoc.NewCPUSystem(m, params, 11)
-		if !rfnoc.RunClosedLoop(prof, profNet, cycles) {
-			b.Fatal("profile run failed")
-		}
-		freq := profNet.ObservedFrequency()
-
-		n4 := rfnoc.NewNetwork(rfnoc.BaselineConfig(m, rfnoc.Width4B))
-		s4 := rfnoc.NewCPUSystem(m, params, 11)
-		if !rfnoc.RunClosedLoop(s4, n4, cycles) {
-			b.Fatal("4B run failed")
-		}
-		na := rfnoc.NewNetwork(rfnoc.AdaptiveConfig(m, rfnoc.Width4B, 50, freq))
-		sa := rfnoc.NewCPUSystem(m, params, 11)
-		if !rfnoc.RunClosedLoop(sa, na, cycles) {
-			b.Fatal("adaptive run failed")
-		}
-		t4 := s4.Stats().Throughput(cycles, 64)
-		ta := sa.Stats().Throughput(cycles, 64)
-		if ta <= t4 {
-			b.Fatalf("adaptive throughput (%.4f) should beat 4B baseline (%.4f)", ta, t4)
-		}
-		b.ReportMetric(ta/t4, "throughput-gain")
-	}
-}
-
-// BenchmarkOnlineReconfiguration measures the runtime-adaptation loop:
-// window, quiesce, re-select, retune, continue.
-func BenchmarkOnlineReconfiguration(b *testing.B) {
-	m := rfnoc.NewMesh()
-	for i := 0; i < b.N; i++ {
-		ctl := rfnoc.NewController(m, rfnoc.Width4B, 50)
-		st, err := ctl.ReconfigureForWorkload(rfnoc.NewPatternTraffic(m, rfnoc.Uniform, 0, 1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		net := rfnoc.NewNetwork(st.Config)
-		a := rfnoc.NewOnlineAdapter(ctl, net)
-		a.Window = 4000
-		gen := &rfnoc.PhasedWorkload{
-			Phases: []rfnoc.Generator{
-				rfnoc.NewPatternTraffic(m, rfnoc.Hotspot1, 0, 2),
-				rfnoc.NewPatternTraffic(m, rfnoc.UniDF, 0, 2),
-			},
-			PhaseCycles: 4000,
-		}
-		if !a.Run(gen, 16000) {
-			b.Fatal("online run failed")
-		}
-		if a.Stats().Reconfigurations == 0 {
-			b.Fatal("no reconfigurations happened")
-		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/noc"
+	"repro/internal/shortcut"
 	"repro/internal/tech"
 	"repro/internal/topology"
 	"repro/internal/traffic"
@@ -126,5 +127,43 @@ func TestControllerNarrowBands(t *testing.T) {
 	}
 	if st.Plan.AggregateBytes() > tech.RFIAggregateBytes {
 		t.Error("plan exceeds aggregate bandwidth")
+	}
+}
+
+func TestNetworkReconfigureRejectsInFlight(t *testing.T) {
+	m := topology.New10x10()
+	n := noc.New(noc.Config{Mesh: m, Width: tech.Width16B})
+	n.Inject(noc.Message{Src: m.ID(1, 1), Dst: m.ID(8, 8), Class: noc.Data, Inject: 0})
+	n.Step()
+	if err := n.Reconfigure(nil); err == nil {
+		t.Error("reconfigure with in-flight traffic should fail")
+	}
+	if !n.Drain(10000) {
+		t.Fatal("no drain")
+	}
+	if err := n.Reconfigure(nil); err != nil {
+		t.Errorf("drained reconfigure failed: %v", err)
+	}
+}
+
+func TestNetworkReconfigureSwapsShortcuts(t *testing.T) {
+	m := topology.New10x10()
+	n := noc.New(noc.Config{Mesh: m, Width: tech.Width16B})
+	send := func() int64 {
+		before := n.Stats().RFShortcutBits
+		n.Inject(noc.Message{Src: m.ID(1, 1), Dst: m.ID(8, 8), Class: noc.Request, Inject: n.Now()})
+		if !n.Drain(10000) {
+			t.Fatal("no drain")
+		}
+		return n.Stats().RFShortcutBits - before
+	}
+	if bits := send(); bits != 0 {
+		t.Fatalf("baseline used RF: %d bits", bits)
+	}
+	if err := n.Reconfigure([]shortcut.Edge{{From: m.ID(1, 1), To: m.ID(8, 8)}}); err != nil {
+		t.Fatal(err)
+	}
+	if bits := send(); bits == 0 {
+		t.Error("reconfigured shortcut unused")
 	}
 }
