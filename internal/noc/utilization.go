@@ -9,7 +9,7 @@ import (
 // directed inter-router link, RF shortcut band, and local port. The
 // counters drive congestion analysis (which links saturate around a
 // hotspot, how much load the overlay absorbs) and the text heatmap used
-// by cmd/rfsim and the examples.
+// by cmd/rfsim.
 
 // LinkUse reports the flits carried by each output port of each router.
 type LinkUse struct {
@@ -36,19 +36,6 @@ func (u LinkUse) Utilization(r, p int) float64 {
 		return 0
 	}
 	return float64(u.Flits[r][p]) / float64(u.Cycles)
-}
-
-// MaxMeshUtilization returns the most-loaded directed mesh link and its
-// utilization.
-func (u LinkUse) MaxMeshUtilization() (router, port int, util float64) {
-	for r := range u.Flits {
-		for p := portNorth; p <= portWest; p++ {
-			if v := u.Utilization(r, p); v > util {
-				router, port, util = r, p, v
-			}
-		}
-	}
-	return router, port, util
 }
 
 // RouterThroughput returns total flits per cycle leaving router r on its

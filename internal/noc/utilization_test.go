@@ -45,9 +45,18 @@ func TestUtilizationAndHottest(t *testing.T) {
 		t.Fatal("no drain")
 	}
 	u := n.LinkUse()
-	_, _, util := u.MaxMeshUtilization()
-	if util <= 0 || util > 1 {
-		t.Errorf("max utilization = %v, want (0,1]", util)
+	var busiest float64
+	for r := range u.Flits {
+		for p := portNorth; p <= portWest; p++ {
+			util := u.Utilization(r, p)
+			if util < 0 || util > 1 {
+				t.Errorf("link %d port %d utilization = %v, want [0,1]", r, p, util)
+			}
+			busiest = max(busiest, util)
+		}
+	}
+	if busiest == 0 {
+		t.Error("no mesh link carried a flit")
 	}
 	hot := n.HottestLinks(3)
 	if len(hot) != 3 {
