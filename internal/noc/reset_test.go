@@ -16,7 +16,9 @@ import (
 // golden configuration, the same one after a band or mesh-link kill
 // (whose rebuilt route table Reset must not keep), the same one
 // untouched (whose arrays and route table Reset keeps), or a smaller
-// mesh with fewer, shallower VCs.
+// mesh with fewer, shallower VCs. The stuck-VC watchdog configuration
+// is also Reset from itself run past the watchdog's first firing, in
+// the middle of the stall it fired on.
 func TestResetMatchesNew(t *testing.T) {
 	cases := stepGoldenCases()
 	small := Config{
@@ -25,15 +27,20 @@ func TestResetMatchesNew(t *testing.T) {
 	}
 	for i, c := range cases {
 		next := cases[(i+1)%len(cases)]
-		priors := []struct {
-			name string
-			cfg  Config
-			kill bool
-		}{
-			{"after-" + next.name, next.cfg, false},
-			{"after-itself", c.cfg, false},
-			{"after-itself-with-a-kill", c.cfg, true},
-			{"after-small-mesh", small, false},
+		type prior struct {
+			name  string
+			cfg   Config
+			kill  bool
+			stall bool
+		}
+		priors := []prior{
+			{"after-" + next.name, next.cfg, false, false},
+			{"after-itself", c.cfg, false, false},
+			{"after-itself-with-a-kill", c.cfg, true, false},
+			{"after-small-mesh", small, false, false},
+		}
+		if c.name == "stuck-vc-watchdog" {
+			priors = append(priors, prior{"after-itself-mid-stall", c.cfg, false, true})
 		}
 		for _, p := range priors {
 			t.Run(c.name+"/"+p.name, func(t *testing.T) {
@@ -41,7 +48,16 @@ func TestResetMatchesNew(t *testing.T) {
 				n := New(p.cfg)
 				stale := newDigestObserver()
 				n.AttachObserver(stale)
-				goldenTraffic(n, p.cfg, rand.New(rand.NewSource(7)), 700)
+				if p.stall {
+					// The golden run's own traffic: its watchdog fires
+					// on a stall at cycle 1198.
+					goldenTraffic(n, p.cfg, rand.New(rand.NewSource(42)), 1200)
+					if !n.wd.stalled {
+						t.Fatal("earlier run left no watchdog stall")
+					}
+				} else {
+					goldenTraffic(n, p.cfg, rand.New(rand.NewSource(7)), 700)
+				}
 				if p.kill {
 					var err error
 					if len(p.cfg.Shortcuts) > 0 {
@@ -60,6 +76,12 @@ func TestResetMatchesNew(t *testing.T) {
 				staleEvents := stale.events
 				if err := n.Reset(c.cfg); err != nil {
 					t.Fatal(err)
+				}
+				// The golden run's first check (cycle 599) sees no stall
+				// and would clear a kept stall state before it could
+				// change a firing, so the state is checked directly.
+				if n.wd != (watchdogState{}) {
+					t.Errorf("Reset kept the watchdog's stall state %+v", n.wd)
 				}
 				got := driveGolden(t, n, c.cfg, 42)
 				if !reflect.DeepEqual(got.stats, c.want.stats) {

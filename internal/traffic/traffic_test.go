@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -404,29 +403,29 @@ func TestFutureQueueMatchesContainerHeap(t *testing.T) {
 }
 
 // TestProbTickAllocFree checks that a warmed-up probabilistic trace
-// schedules and injects its replies without allocating. The count comes
-// from runtime.MemStats: testing.AllocsPerRun truncates an average
-// below one per run to zero.
+// schedules and injects its replies without allocating. AllocsPerRun
+// warms up with one call, then counts the mallocs of one more at
+// GOMAXPROCS 1, so the whole 20000-Tick window is one run and a single
+// allocation by Tick fails the test. Measured at full GOMAXPROCS, the
+// window's closing runtime.ReadMemStats can block on the stop-the-world
+// semaphore while a concurrent GC phase change holds it, and the sudog
+// that blocking allocates would be counted against Tick.
 func TestProbTickAllocFree(t *testing.T) {
 	const cycles = 20000
 	g := NewProbabilistic(topology.New10x10(), HotBiDF, DefaultRate, 1)
 	var sent int
 	inject := func(noc.Message) { sent++ }
 	now := int64(0)
-	for ; now < cycles; now++ {
-		g.Tick(now, inject)
-	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for ; now < 2*cycles; now++ {
-		g.Tick(now, inject)
-	}
-	runtime.ReadMemStats(&after)
+	allocs := testing.AllocsPerRun(1, func() {
+		for end := now + cycles; now < end; now++ {
+			g.Tick(now, inject)
+		}
+	})
 	if sent == 0 {
 		t.Fatal("no traffic generated")
 	}
-	if n := after.Mallocs - before.Mallocs; n != 0 {
-		t.Errorf("%d mallocs over %d warmed-up Ticks, want 0", n, cycles)
+	if allocs != 0 {
+		t.Errorf("%v mallocs over %d warmed-up Ticks, want 0", allocs, cycles)
 	}
 }
 
