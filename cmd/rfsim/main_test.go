@@ -2,7 +2,10 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"io"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -179,6 +182,54 @@ func TestSelfHealingRunSmoke(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestHeatmapGolden pins -heatmap's grid and hottest-link lines to
+// recorded text, alone and beside a -timeline export, and the
+// timeline CSV to its recorded SHA-256.
+func TestHeatmapGolden(t *testing.T) {
+	const want = "link-load heatmap (bottom row is mesh row 0):\n" +
+		". : - : : . : : : . \n" +
+		". . . . . . : : . . \n" +
+		"  . . . . . . .     \n" +
+		"  . . . . . . . .   \n" +
+		". . . . . . . . .   \n" +
+		". . . . . . . . . . \n" +
+		". . . . . . . . .   \n" +
+		"    . . . . . .     \n" +
+		". . . . . . . . . . \n" +
+		". : : : : : : - : . \n" +
+		"\n" +
+		"hottest links:\n" +
+		"  (7,0)->W 0.664 flits/cycle\n" +
+		"  (0,0)->L 0.613 flits/cycle\n" +
+		"  (2,9)->E 0.607 flits/cycle\n" +
+		"  (0,0)->E 0.602 flits/cycle\n" +
+		"  (6,0)->W 0.575 flits/cycle\n" +
+		"  (1,0)->E 0.542 flits/cycle\n" +
+		"  (3,9)->E 0.530 flits/cycle\n" +
+		"  (7,0)->E 0.513 flits/cycle\n"
+	const wantCSV = "7b5615843c4738863db5673fe886efe26a5aabe875b22c4329cc98a15f76db18"
+	args := []string{"-design", "baseline", "-width", "4", "-workload", "2hotspot", "-cycles", "3000", "-seed", "2", "-heatmap"}
+	csvPath := filepath.Join(t.TempDir(), "tl.csv")
+	for _, extra := range [][]string{nil, {"-timeline", csvPath, "-window", "500"}} {
+		var out bytes.Buffer
+		if code := realMain(append(args, extra...), &out, io.Discard); code != exitOK {
+			t.Fatalf("%v: exit code = %d, want 0\n%s", extra, code, out.String())
+		}
+		_, got, _ := strings.Cut(out.String(), "\nlink-load heatmap")
+		got, _, _ = strings.Cut("link-load heatmap"+got, "\ntimeline: ")
+		if got != want {
+			t.Errorf("%v: heatmap section:\n got %q\nwant %q", extra, got, want)
+		}
+	}
+	blob, err := os.ReadFile(csvPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum := sha256.Sum256(blob); hex.EncodeToString(sum[:]) != wantCSV {
+		t.Errorf("timeline CSV (%d bytes) has SHA-256 %x, want %s", len(blob), sum, wantCSV)
 	}
 }
 
