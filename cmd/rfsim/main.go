@@ -62,6 +62,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -464,13 +465,17 @@ func runSim(f *simFlags, stdout, stderr io.Writer) int {
 		frec = obs.NewFaultRecorder()
 		observers = append(observers, inj, frec)
 	}
-	var tl *obs.LinkTimeline
+	var tl *obs.LinkTimeline // the heatmap and the -timeline export read it
 	if f.timeline != "" {
 		tl = obs.NewLinkTimeline(f.window)
+	} else if f.heatmap {
+		tl = obs.NewLinkTimeline(math.MaxInt64) // one window for the whole run
+	}
+	if tl != nil {
 		observers = append(observers, tl)
 	}
-	var probe *netProbe // the heatmap and fault sections read the network
-	if f.heatmap || faulty {
+	var probe *netProbe // the fault section reads the network
+	if faulty {
 		probe = &netProbe{}
 		observers = append(observers, probe)
 	}
@@ -502,14 +507,15 @@ func runSim(f *simFlags, stdout, stderr io.Writer) int {
 			r.Stats.Cycles, elapsed.Round(time.Millisecond), float64(elapsed.Nanoseconds())/float64(r.Stats.Cycles))
 	}
 	if f.heatmap {
+		u := tl.Total(r.Stats.Cycles)
 		fmt.Fprintln(stdout, "\nlink-load heatmap (bottom row is mesh row 0):")
-		fmt.Fprintln(stdout, net.Heatmap())
+		fmt.Fprintln(stdout, u.Heatmap(m))
 		fmt.Fprintln(stdout, "hottest links:")
-		for _, l := range net.HottestLinks(8) {
+		for _, l := range u.HottestLinks(m, 8) {
 			fmt.Fprintln(stdout, "  "+l)
 		}
 	}
-	if tl != nil {
+	if f.timeline != "" {
 		if err := writeTimeline(f.timeline, tl, r.Stats.Cycles); err != nil {
 			fmt.Fprintf(stderr, "timeline: %v\n", err)
 			return exitRunError

@@ -59,9 +59,6 @@ type Network struct {
 	mc  *mcChannel
 	vct *vctTable
 
-	// linkUse[r][p] counts flits leaving router r through port p.
-	linkUse [][numPorts]int64
-
 	// freq[x][y] counts unicast messages injected x->y (the event
 	// counters application-specific selection reads). A row is nil until
 	// x first injects; it then takes its zeroed N entries from freqRows,
@@ -336,13 +333,11 @@ func (n *Network) Reset(cfg Config) error {
 		n.shortcutFrom = make([]int, N)
 		n.shortcutTo = make([]int, N)
 		n.shortcutLat = make([]int64, N)
-		n.linkUse = make([][numPorts]int64, N)
 		n.freq = make([][]int64, N)
 		n.freqRows = nil
 		n.stats = Stats{MsgsByDistance: make([]int64, m.W+m.H-1)}
 	} else {
 		clear(n.live)
-		clear(n.linkUse)
 		clear(n.freq)
 		clear(n.stats.MsgsByDistance)
 		n.stats = Stats{MsgsByDistance: n.stats.MsgsByDistance}

@@ -261,7 +261,6 @@ func (n *Network) depart(rs *routerState, vc *vcState) {
 	vc.sent++
 	vc.retries = 0
 	n.stats.RouterTraversals++
-	n.linkUse[rs.id][vc.outPort]++
 	if len(n.observers) != 0 {
 		for _, o := range n.observers {
 			o.FlitSent(rs.id, int(vc.outPort), n.now)

@@ -131,6 +131,90 @@ func TestLinkTimelineWindowsAndExport(t *testing.T) {
 	}
 }
 
+// A timeline's Total counts every flit on the link it crossed: a 3-flit
+// message four hops east loads each eastbound link and the ejection
+// port with 3 flits and leaves off-path links idle.
+func TestTimelineTotalCountsFlits(t *testing.T) {
+	m := topology.New10x10()
+	tl := obs.NewLinkTimeline(7)
+	n := noc.New(noc.Config{Mesh: m, Width: tech.Width16B})
+	n.AttachObserver(tl)
+	n.Inject(noc.Message{Src: m.ID(2, 4), Dst: m.ID(6, 4), Class: noc.Data, Inject: 0})
+	if !n.Drain(10000) {
+		t.Fatal("no drain")
+	}
+	u := tl.Total(n.Now())
+	for x := 2; x < 6; x++ {
+		if got := u.Flits[m.ID(x, 4)][noc.PortEast]; got != 3 {
+			t.Errorf("link (%d,4)->E carried %d flits, want 3", x, got)
+		}
+	}
+	if got := u.Flits[m.ID(2, 4)][noc.PortNorth]; got != 0 {
+		t.Errorf("off-path link carried %d flits", got)
+	}
+	if got := u.Flits[m.ID(6, 4)][noc.PortLocal]; got != 3 {
+		t.Errorf("ejection port carried %d flits, want 3", got)
+	}
+}
+
+// Mesh-link utilization stays in [0,1] and the row-5 eastbound
+// corridor a stream crosses is the hottest link.
+func TestTimelineUtilizationAndHottest(t *testing.T) {
+	m := topology.New10x10()
+	tl := obs.NewLinkTimeline(1000)
+	n := noc.New(noc.Config{Mesh: m, Width: tech.Width16B})
+	n.AttachObserver(tl)
+	for i := 0; i < 50; i++ {
+		n.Inject(noc.Message{Src: m.ID(0, 5), Dst: m.ID(9, 5), Class: noc.Data, Inject: n.Now()})
+		n.Run(10)
+	}
+	if !n.Drain(50000) {
+		t.Fatal("no drain")
+	}
+	u := tl.Total(n.Now())
+	var busiest float64
+	for r := range u.Flits {
+		for p := noc.PortNorth; p <= noc.PortWest; p++ {
+			util := u.Utilization(r, p)
+			if util < 0 || util > 1 {
+				t.Errorf("link %d port %d utilization = %v, want [0,1]", r, p, util)
+			}
+			busiest = max(busiest, util)
+		}
+	}
+	if busiest == 0 {
+		t.Error("no mesh link carried a flit")
+	}
+	hot := u.HottestLinks(m, 3)
+	if len(hot) != 3 {
+		t.Fatalf("hottest = %v", hot)
+	}
+	if !strings.Contains(hot[0], "->E") || !strings.Contains(hot[0], ",5)") {
+		t.Errorf("hottest link %q not on the eastbound corridor", hot[0])
+	}
+}
+
+// The heatmap has one row per mesh row and shows the load it saw.
+func TestTimelineHeatmapRenders(t *testing.T) {
+	m := topology.New10x10()
+	tl := obs.NewLinkTimeline(1000)
+	n := noc.New(noc.Config{Mesh: m, Width: tech.Width4B})
+	n.AttachObserver(tl)
+	for i := 0; i < 200; i++ {
+		n.Inject(noc.Message{Src: m.ID(1, 1), Dst: m.ID(8, 8), Class: noc.Data, Inject: n.Now()})
+		n.Run(5)
+	}
+	n.Drain(100000)
+	hm := tl.Total(n.Now()).Heatmap(m)
+	lines := strings.Split(strings.TrimRight(hm, "\n"), "\n")
+	if len(lines) != 10 {
+		t.Fatalf("heatmap has %d rows, want 10", len(lines))
+	}
+	if !strings.ContainsAny(hm, ".:-=+*#%@") {
+		t.Error("heatmap shows no load at all")
+	}
+}
+
 // A healthy network must pass every audit.
 func TestInvariantCheckerCleanRun(t *testing.T) {
 	chk := obs.NewInvariantChecker()
