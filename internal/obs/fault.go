@@ -9,8 +9,6 @@ import (
 // FaultRecorder is an Observer that condenses the fault-injection event
 // stream into the recovery metrics noc.Stats does not hold:
 //
-//   - the retransmission rate (link-layer retransmissions per flit
-//     crossing a link — the fault model's effective overhead);
 //   - MTTR: mean cycles from a link failure to the replan that restores
 //     the overlay (faults still unrepaired when the run ends are not
 //     counted);
@@ -22,12 +20,12 @@ import (
 //
 // The raw counts (corruptions, retransmissions, link failures, degraded
 // reroutes, replans) are noc.Stats counters; Render takes the run's
-// Stats for them. Memory is O(1); attach alongside an Injector
+// Stats for them and for the retransmission rate (link-layer
+// retransmissions per flit crossing a link — the fault model's
+// effective overhead). Memory is O(1); attach alongside an Injector
 // (internal/fault) or any other kill site.
 type FaultRecorder struct {
 	noc.BaseObserver
-
-	flitsSent int64
 
 	// MTTR bookkeeping: openFaultAt is the cycle of the oldest failure
 	// not yet covered by a replan (-1 when none).
@@ -56,14 +54,6 @@ type FaultRecorder struct {
 // NewFaultRecorder returns an empty recorder.
 func NewFaultRecorder() *FaultRecorder {
 	return &FaultRecorder{openFaultAt: -1, firstFailureAt: -1, lastFailureAt: -1}
-}
-
-// FlitSent implements noc.Observer (the retransmission-rate denominator:
-// flits leaving through non-local ports).
-func (r *FaultRecorder) FlitSent(_, outPort int, _ int64) {
-	if outPort != noc.PortLocal {
-		r.flitsSent++
-	}
 }
 
 // LinkFailed implements noc.Observer.
@@ -134,12 +124,14 @@ func (r *FaultRecorder) CycleEnd(n *noc.Network) {
 }
 
 // RetransmissionRate returns s.Retransmits, the link-layer
-// retransmissions, per flit sent over a link (0 when nothing was sent).
+// retransmissions, per flit sent over a link: every crossbar traversal
+// but the ejections (0 when nothing was sent).
 func (r *FaultRecorder) RetransmissionRate(s noc.Stats) float64 {
-	if r.flitsSent == 0 {
+	sent := s.RouterTraversals - s.FlitsEjected
+	if sent == 0 {
 		return 0
 	}
-	return float64(s.Retransmits) / float64(r.flitsSent)
+	return float64(s.Retransmits) / float64(sent)
 }
 
 // MTTR returns the mean cycles from a link failure to the replan that

@@ -16,13 +16,11 @@ import (
 // from the Stats it is given.
 func TestFaultRecorderMetrics(t *testing.T) {
 	r := NewFaultRecorder()
-	// The counters the event stream below implies.
-	s := noc.Stats{FlitsCorrupted: 1, Retransmits: 1, LinkFailures: 2, Reconfigurations: 1}
+	// The counters the event stream below implies, with three crossbar
+	// traversals: two link-crossing flits and one local ejection.
+	s := noc.Stats{FlitsCorrupted: 1, Retransmits: 1, LinkFailures: 2, Reconfigurations: 1,
+		RouterTraversals: 3, FlitsEjected: 1}
 
-	// Two link-crossing flits, one local ejection, one retransmission.
-	r.FlitSent(0, noc.PortRF, 10)
-	r.FlitSent(0, noc.PortRF, 11)
-	r.FlitSent(0, noc.PortLocal, 12)
 	if got := r.RetransmissionRate(s); got != 0.5 {
 		t.Errorf("retransmission rate = %v, want 0.5 (1 retransmit / 2 link flits)", got)
 	}
