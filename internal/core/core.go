@@ -103,15 +103,7 @@ func (c *Controller) ReconfigureForProfile(freq [][]int64) (*State, error) {
 	edges := shortcut.Adaptive(c.mesh, c.rfEnabled, freq, c.Budget())
 	var mcRx []int
 	if c.Multicast {
-		taken := map[int]bool{}
-		for _, e := range edges {
-			taken[e.To] = true
-		}
-		for _, id := range c.rfEnabled {
-			if !taken[id] {
-				mcRx = append(mcRx, id)
-			}
-		}
+		mcRx = noc.DefaultMulticastReceivers(c.rfEnabled, edges)
 	}
 	plan, err := rfi.NewPlan(edges, c.ShortcutWidthBytes, mcRx)
 	if err != nil {

@@ -208,7 +208,7 @@ func (c Config) withDefaults() Config {
 		c.ShortcutWidthBytes = tech.ShortcutWidthBytes
 	}
 	if c.Multicast == MulticastRF && c.MulticastReceivers == nil {
-		c.MulticastReceivers = defaultMulticastReceivers(c)
+		c.MulticastReceivers = DefaultMulticastReceivers(c.RFEnabled, c.Shortcuts)
 	}
 	c.Watchdog = c.Watchdog.withDefaults()
 	return c
@@ -304,15 +304,17 @@ func (c Config) Validate() error {
 	return errors.Join(errs...)
 }
 
-// defaultMulticastReceivers is the RF-enabled set minus shortcut
-// destination routers (whose receivers are tuned to their shortcut band).
-func defaultMulticastReceivers(c Config) []int {
+// DefaultMulticastReceivers is the RF-enabled set minus shortcut
+// destination routers (whose receivers are tuned to their shortcut
+// band), in rfEnabled's order: the receivers an RF multicast config
+// gets when it names none.
+func DefaultMulticastReceivers(rfEnabled []int, shortcuts []shortcut.Edge) []int {
 	taken := map[int]bool{}
-	for _, e := range c.Shortcuts {
+	for _, e := range shortcuts {
 		taken[e.To] = true
 	}
 	var out []int
-	for _, id := range c.RFEnabled {
+	for _, id := range rfEnabled {
 		if !taken[id] {
 			out = append(out, id)
 		}
