@@ -389,6 +389,10 @@ func serve(f *daemonFlags, stdout, stderr io.Writer) error {
 	if err := httpSrv.Shutdown(shutCtx); err != nil {
 		return fmt.Errorf("shutdown: %w", err)
 	}
-	fmt.Fprintln(stdout, srv.metrics.Snapshot().Render())
+	var workers string
+	if srv.pool != nil {
+		workers = srv.pool.Stats().Render()
+	}
+	fmt.Fprintln(stdout, srv.metrics.Snapshot().Render(workers))
 	return nil
 }

@@ -302,7 +302,6 @@ func newServer(drainCtx context.Context, cfg serverConfig) (*server, error) {
 			Workers:  n,
 			MemLimit: cfg.workerMem,
 			Deadline: cfg.workerDeadline,
-			OnEvent:  s.workerEvent,
 			ChaosJob: func(_ *experiments.PointPayload, fp string) string {
 				if s.chaosWorkerJob == nil {
 					return ""
@@ -316,24 +315,6 @@ func newServer(drainCtx context.Context, cfg serverConfig) (*server, error) {
 		s.pool = pool
 	}
 	return s, nil
-}
-
-// workerEvent bridges pool lifecycle events into the service metrics.
-func (s *server) workerEvent(e experiments.WorkerEvent) {
-	switch e {
-	case experiments.WorkerSpawned:
-		s.metrics.WorkerSpawned()
-	case experiments.WorkerCrashed:
-		s.metrics.WorkerCrashed()
-	case experiments.WorkerKilledHeartbeat:
-		s.metrics.WorkerKilledHeartbeat()
-	case experiments.WorkerKilledDeadline:
-		s.metrics.WorkerKilledDeadline()
-	case experiments.WorkerOOM:
-		s.metrics.WorkerOOM()
-	case experiments.WorkerRestartBackoff:
-		s.metrics.WorkerRestartBackoff()
-	}
 }
 
 // close releases the server's process-level resources (worker pool,

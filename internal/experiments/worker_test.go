@@ -187,6 +187,21 @@ func TestWorkerOOMIsCrisp(t *testing.T) {
 	}
 }
 
+// TestWorkerPoolStatsRender: the pool's status line carries every
+// lifecycle counter, and a pool that never ran a worker has none.
+func TestWorkerPoolStatsRender(t *testing.T) {
+	st := WorkerPoolStats{Spawned: 2, Crashed: 1, KilledHeartbeat: 1, KilledDeadline: 1, OOM: 1, RestartBackoffs: 1}
+	out := st.Render()
+	for _, want := range []string{"workers: 2 spawned", "1 crashed (1 heartbeat kills, 1 deadline kills, 1 oom), 1 restart backoffs"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("render missing %q:\n%s", want, out)
+		}
+	}
+	if idle := (WorkerPoolStats{}).Render(); strings.Contains(idle, "workers:") {
+		t.Errorf("idle render shows isolation lines:\n%s", idle)
+	}
+}
+
 // TestWorkerHeartbeatLossKilled: a worker that stops heartbeating is
 // SIGKILLed and the point fails with the heartbeat reason.
 func TestWorkerHeartbeatLossKilled(t *testing.T) {

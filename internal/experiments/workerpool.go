@@ -15,17 +15,14 @@ import (
 	"repro/internal/frame"
 )
 
-// WorkerEvent classifies worker-pool lifecycle events for metrics.
-type WorkerEvent int
-
-// Worker-pool events, in rough lifecycle order.
+// A cancelled job may take cancelGrace to answer with its Interrupted
+// result before the SIGKILL. After a crash the respawn waits
+// restartBackoff, doubling per consecutive crash up to
+// maxRestartBackoff; a successful outcome resets the streak.
 const (
-	WorkerSpawned         WorkerEvent = iota // a child process started
-	WorkerCrashed                            // a child died (or was killed) mid-job
-	WorkerKilledHeartbeat                    // SIGKILL: heartbeats stopped
-	WorkerKilledDeadline                     // SIGKILL: hard wall-clock deadline
-	WorkerOOM                                // child self-terminated at its memory limit
-	WorkerRestartBackoff                     // a respawn was delayed by crash backoff
+	cancelGrace       = 2 * time.Second
+	restartBackoff    = 50 * time.Millisecond
+	maxRestartBackoff = 2 * time.Second
 )
 
 // WorkerPoolConfig tunes a WorkerPool.
@@ -57,19 +54,6 @@ type WorkerPoolConfig struct {
 	Heartbeat       time.Duration
 	HeartbeatMisses int
 
-	// CancelGrace is how long a cancelled job may take to answer with its
-	// Interrupted result before the SIGKILL (default 2s).
-	CancelGrace time.Duration
-
-	// RestartBackoff is the base respawn delay after a crash, doubling
-	// per consecutive crash up to MaxRestartBackoff (defaults 50ms / 2s).
-	// A successful outcome resets the streak.
-	RestartBackoff    time.Duration
-	MaxRestartBackoff time.Duration
-
-	// OnEvent, when non-nil, observes lifecycle events (concurrently).
-	OnEvent func(WorkerEvent)
-
 	// ChaosJob, when non-nil, lets the chaos harness tag a dispatched
 	// point with a worker-hostile fault directive ("panic", "alloc",
 	// "hang"). Production never sets it.
@@ -86,15 +70,6 @@ func (c WorkerPoolConfig) withDefaults() WorkerPoolConfig {
 	if c.HeartbeatMisses <= 0 {
 		c.HeartbeatMisses = 20
 	}
-	if c.CancelGrace <= 0 {
-		c.CancelGrace = 2 * time.Second
-	}
-	if c.RestartBackoff <= 0 {
-		c.RestartBackoff = 50 * time.Millisecond
-	}
-	if c.MaxRestartBackoff <= 0 {
-		c.MaxRestartBackoff = 2 * time.Second
-	}
 	return c
 }
 
@@ -109,6 +84,16 @@ type WorkerPoolStats struct {
 	JobsDispatched  int64 `json:"jobs_dispatched"`
 	JobsCompleted   int64 `json:"jobs_completed"` // outcomes received, success or failure
 	Live            int   `json:"live"`           // current child processes
+}
+
+// Render is the pool's line in rfsimd's status block, or "" when no
+// worker has spawned or crashed.
+func (s WorkerPoolStats) Render() string {
+	if s.Spawned == 0 && s.Crashed == 0 {
+		return ""
+	}
+	return fmt.Sprintf("workers: %d spawned, %d crashed (%d heartbeat kills, %d deadline kills, %d oom), %d restart backoffs",
+		s.Spawned, s.Crashed, s.KilledHeartbeat, s.KilledDeadline, s.OOM, s.RestartBackoffs)
 }
 
 // WorkerPool supervises a pool of out-of-process workers and implements
@@ -179,27 +164,11 @@ func (t *tailBuffer) String() string {
 	return string(t.buf)
 }
 
-func (p *WorkerPool) event(e WorkerEvent) {
+// count increments one of the pool's counters (a p.stats field).
+func (p *WorkerPool) count(c *int64) {
 	p.mu.Lock()
-	switch e {
-	case WorkerSpawned:
-		p.stats.Spawned++
-	case WorkerCrashed:
-		p.stats.Crashed++
-	case WorkerKilledHeartbeat:
-		p.stats.KilledHeartbeat++
-	case WorkerKilledDeadline:
-		p.stats.KilledDeadline++
-	case WorkerOOM:
-		p.stats.OOM++
-	case WorkerRestartBackoff:
-		p.stats.RestartBackoffs++
-	}
-	cb := p.cfg.OnEvent
+	*c++
 	p.mu.Unlock()
-	if cb != nil {
-		cb(e)
-	}
 }
 
 // Stats snapshots the counters.
@@ -239,9 +208,7 @@ func (p *WorkerPool) Execute(ctx context.Context, payload *PointPayload, fp stri
 		p.release(w, true)
 		return Result{}, fmt.Errorf("experiments: encoding worker job: %w", err)
 	}
-	p.mu.Lock()
-	p.stats.JobsDispatched++
-	p.mu.Unlock()
+	p.count(&p.stats.JobsDispatched)
 	if err := frame.Write(w.stdin, FrameJob, blob); err != nil {
 		return Result{}, p.crashed(w, "rejected its job: "+err.Error(), false)
 	}
@@ -284,11 +251,9 @@ func (p *WorkerPool) supervise(ctx context.Context, w *worker) (Result, error) {
 				if err := json.Unmarshal(fr.payload, &out); err != nil {
 					return Result{}, p.crashed(w, "sent a malformed outcome: "+err.Error(), false)
 				}
-				p.mu.Lock()
-				p.stats.JobsCompleted++
-				p.mu.Unlock()
+				p.count(&p.stats.JobsCompleted)
 				if out.OOM {
-					p.event(WorkerOOM)
+					p.count(&p.stats.OOM)
 					err := p.crashed(w, "exceeded its memory limit", true)
 					var wc *WorkerCrash
 					if errors.As(err, &wc) {
@@ -304,17 +269,17 @@ func (p *WorkerPool) supervise(ctx context.Context, w *worker) (Result, error) {
 				return convertOutcome(ctx, out)
 			}
 		case <-hbTimer.C:
-			p.event(WorkerKilledHeartbeat)
+			p.count(&p.stats.KilledHeartbeat)
 			return Result{}, p.crashed(w, fmt.Sprintf("stopped heartbeating for %v", hbTimeout), true)
 		case <-deadlineC:
-			p.event(WorkerKilledDeadline)
+			p.count(&p.stats.KilledDeadline)
 			return Result{}, p.crashed(w, fmt.Sprintf("overran the %v hard deadline", p.cfg.Deadline), true)
 		case <-ctxDone:
 			// Graceful first: ask the child to stop and answer, which
 			// keeps the worker for the next job.
 			ctxDone = nil
 			_ = frame.Write(w.stdin, FrameCancel, nil)
-			graceC = time.After(p.cfg.CancelGrace)
+			graceC = time.After(cancelGrace)
 		case <-graceC:
 			// The child ignored the cancel; reclaim the worker. This is a
 			// cancellation, not a point failure — no WorkerCrash.
@@ -386,11 +351,8 @@ func (p *WorkerPool) checkout(ctx context.Context) (*worker, error) {
 			if shift > 16 {
 				shift = 16
 			}
-			backoff := p.cfg.RestartBackoff << uint(shift)
-			if backoff > p.cfg.MaxRestartBackoff {
-				backoff = p.cfg.MaxRestartBackoff
-			}
-			p.event(WorkerRestartBackoff)
+			backoff := min(restartBackoff<<uint(shift), maxRestartBackoff)
+			p.count(&p.stats.RestartBackoffs)
 			select {
 			case <-time.After(backoff):
 			case <-ctx.Done():
@@ -447,8 +409,8 @@ func (p *WorkerPool) spawn() (*worker, error) {
 	}
 	p.live[w] = struct{}{}
 	p.busy[w] = struct{}{}
+	p.stats.Spawned++
 	p.mu.Unlock()
-	p.event(WorkerSpawned)
 	return w, nil
 }
 
@@ -474,8 +436,8 @@ func (p *WorkerPool) release(w *worker, drop bool) {
 // kill forces a SIGKILL first (heartbeat loss, deadline, OOM reap).
 func (p *WorkerPool) crashed(w *worker, reason string, kill bool) error {
 	p.reap(w, kill)
-	p.event(WorkerCrashed)
 	p.mu.Lock()
+	p.stats.Crashed++
 	p.streak++
 	p.mu.Unlock()
 

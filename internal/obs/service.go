@@ -34,13 +34,6 @@ type ServiceMetrics struct {
 	pointsFailed    int64
 	pointsCached    int64
 
-	workersSpawned         int64
-	workersCrashed         int64
-	workersKilledHeartbeat int64
-	workersKilledDeadline  int64
-	workersOOM             int64
-	workerRestartBackoffs  int64
-
 	jobsAttached        int64
 	resumeReads         int64
 	resultFrames        int64
@@ -149,28 +142,6 @@ func (m *ServiceMetrics) PointDone(cached, failed bool, wall time.Duration) {
 	m.pointLatencyUS.Observe(wall.Microseconds())
 }
 
-// WorkerSpawned through WorkerRestartBackoff mirror the worker pool's
-// lifecycle events into the service's own counter set, so one /v1/metrics
-// read tells the whole isolation story.
-
-// WorkerSpawned records a worker child process starting.
-func (m *ServiceMetrics) WorkerSpawned() { m.bump(&m.workersSpawned) }
-
-// WorkerCrashed records a worker dying (or being killed) mid-job.
-func (m *ServiceMetrics) WorkerCrashed() { m.bump(&m.workersCrashed) }
-
-// WorkerKilledHeartbeat records a SIGKILL for heartbeat loss.
-func (m *ServiceMetrics) WorkerKilledHeartbeat() { m.bump(&m.workersKilledHeartbeat) }
-
-// WorkerKilledDeadline records a SIGKILL for hard-deadline overrun.
-func (m *ServiceMetrics) WorkerKilledDeadline() { m.bump(&m.workersKilledDeadline) }
-
-// WorkerOOM records a worker self-terminating at its memory limit.
-func (m *ServiceMetrics) WorkerOOM() { m.bump(&m.workersOOM) }
-
-// WorkerRestartBackoff records a respawn delayed by crash backoff.
-func (m *ServiceMetrics) WorkerRestartBackoff() { m.bump(&m.workerRestartBackoffs) }
-
 // JobAttached records a POST served from an existing job (live tail or
 // completed result log) instead of recomputation — the idempotent
 // re-submit path.
@@ -209,13 +180,6 @@ type ServiceSnapshot struct {
 	PointsFailed    int64 `json:"points_failed"`
 	PointsCached    int64 `json:"points_cached"`
 
-	WorkersSpawned         int64 `json:"workers_spawned,omitempty"`
-	WorkersCrashed         int64 `json:"workers_crashed,omitempty"`
-	WorkersKilledHeartbeat int64 `json:"workers_killed_heartbeat,omitempty"`
-	WorkersKilledDeadline  int64 `json:"workers_killed_deadline,omitempty"`
-	WorkersOOM             int64 `json:"workers_oom,omitempty"`
-	WorkerRestartBackoffs  int64 `json:"worker_restart_backoffs,omitempty"`
-
 	JobsAttached        int64 `json:"jobs_attached,omitempty"`
 	ResumeReads         int64 `json:"resume_reads,omitempty"`
 	ResultFrames        int64 `json:"result_frames,omitempty"`
@@ -243,13 +207,6 @@ func (m *ServiceMetrics) Snapshot() ServiceSnapshot {
 		PointsFailed:    m.pointsFailed,
 		PointsCached:    m.pointsCached,
 
-		WorkersSpawned:         m.workersSpawned,
-		WorkersCrashed:         m.workersCrashed,
-		WorkersKilledHeartbeat: m.workersKilledHeartbeat,
-		WorkersKilledDeadline:  m.workersKilledDeadline,
-		WorkersOOM:             m.workersOOM,
-		WorkerRestartBackoffs:  m.workerRestartBackoffs,
-
 		JobsAttached:        m.jobsAttached,
 		ResumeReads:         m.resumeReads,
 		ResultFrames:        m.resultFrames,
@@ -260,8 +217,9 @@ func (m *ServiceMetrics) Snapshot() ServiceSnapshot {
 }
 
 // Render formats the snapshot as the service's human-readable status
-// block.
-func (s ServiceSnapshot) Render() string {
+// block. Each non-empty line of more (rfsimd passes its worker pool's)
+// follows the point-latency line.
+func (s ServiceSnapshot) Render(more ...string) string {
 	out := fmt.Sprintf(
 		"jobs: %d admitted, %d rejected (%d batch shed, %d quarantined), %d completed, %d failed (queue %d, peak %d, active %d)\n"+
 			"points: %d completed (%d cached, %d failed)\n"+
@@ -270,11 +228,10 @@ func (s ServiceSnapshot) Render() string {
 		s.QueueDepth, s.QueuePeak, s.ActiveJobs,
 		s.PointsCompleted, s.PointsCached, s.PointsFailed,
 		s.PointLatencyUS)
-	if s.WorkersSpawned > 0 || s.WorkersCrashed > 0 {
-		out += fmt.Sprintf(
-			"\nworkers: %d spawned, %d crashed (%d heartbeat kills, %d deadline kills, %d oom), %d restart backoffs",
-			s.WorkersSpawned, s.WorkersCrashed, s.WorkersKilledHeartbeat, s.WorkersKilledDeadline,
-			s.WorkersOOM, s.WorkerRestartBackoffs)
+	for _, line := range more {
+		if line != "" {
+			out += "\n" + line
+		}
 	}
 	if s.ResultFrames > 0 || s.JobsAttached > 0 || s.ResumeReads > 0 {
 		out += fmt.Sprintf(
