@@ -14,8 +14,8 @@ package main
 //     producer (live handler, boot replay, keyed re-run) finishes it
 //     first; the frame's 1-based seq is its position, and the bytes at
 //     a given seq never change — the resume contract;
-//   - visibility: streams see frames only up to the durable watermark
-//     (synced to disk), so a crash can never retract a seq a client
+//   - visibility: a frame joins the sequence streams read only after
+//     its fsync returns, so a crash can never retract a seq a client
 //     has already consumed;
 //   - completion: exactly one summary frame, appended only when every
 //     index has a logged success. A run that is cancelled or fails
@@ -106,8 +106,7 @@ type jobEntry struct {
 
 	mu      sync.Mutex
 	cond    *sync.Cond
-	lines   [][]byte     // frame payloads (NDJSON sans newline); seq = index+1
-	durable int          // frames covered by an fsync: the visible prefix
+	lines   [][]byte     // synced frame payloads (NDJSON sans newline); seq = index+1
 	seen    map[int]bool // point indices with a logged outcome
 	done    bool
 	settled bool      // the log's last frame is an 'X'
@@ -115,8 +114,8 @@ type jobEntry struct {
 	active  int       // producers (handlers/replay) appending now
 	readers int       // attached streams
 	last    time.Time // last producer/reader activity, for the keep window
-	log     *resultLog
-	logErr  bool // an append failed; durability degraded to memory-only
+	log     *os.File  // the open result log (appendResultFrame)
+	logErr  bool      // an append failed; durability degraded to memory-only
 }
 
 func (e *jobEntry) broadcast() {
@@ -149,7 +148,6 @@ type lineIndex struct {
 // frame), so snapshot cursors stay aligned.
 func (e *jobEntry) absorbLocked(d resultLogData) {
 	e.lines = d.lines
-	e.durable = len(d.lines) // everything on disk is synced
 	e.done = d.done
 	e.settled = d.settled
 	e.seen = make(map[int]bool, len(d.lines))
@@ -164,27 +162,25 @@ func (e *jobEntry) absorbLocked(d resultLogData) {
 // jobRegistry owns every in-memory entry and the artifact-directory
 // mapping. Safe for concurrent use.
 type jobRegistry struct {
-	dir       string        // "" = memory-only (no durable logs)
-	keep      time.Duration // recently-touched pin/retention window
-	syncEvery int
-	metrics   *obs.ServiceMetrics
-	now       func() time.Time
+	dir     string        // "" = memory-only (no durable logs)
+	keep    time.Duration // recently-touched pin/retention window
+	metrics *obs.ServiceMetrics
+	now     func() time.Time
 
 	mu      sync.Mutex
 	entries map[string]*jobEntry
 }
 
-func newJobRegistry(dir string, keep time.Duration, syncEvery int, m *obs.ServiceMetrics) *jobRegistry {
+func newJobRegistry(dir string, keep time.Duration, m *obs.ServiceMetrics) *jobRegistry {
 	if keep <= 0 {
 		keep = 5 * time.Minute
 	}
 	return &jobRegistry{
-		dir:       dir,
-		keep:      keep,
-		syncEvery: syncEvery,
-		metrics:   m,
-		now:       time.Now,
-		entries:   map[string]*jobEntry{},
+		dir:     dir,
+		keep:    keep,
+		metrics: m,
+		now:     time.Now,
+		entries: map[string]*jobEntry{},
 	}
 }
 
@@ -265,7 +261,7 @@ func (r *jobRegistry) startProducer(e *jobEntry) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if r.dir != "" && e.log == nil && !e.logErr {
-		lg, d, err := openResultLog(r.path(e.id), e.header, r.syncEvery)
+		lg, d, err := openResultLog(r.path(e.id), e.header)
 		if err != nil {
 			return err
 		}
@@ -289,7 +285,7 @@ func (r *jobRegistry) endProducer(e *jobEntry, settle bool) {
 	e.mu.Lock()
 	e.active--
 	if settle && e.active == 0 && !e.held && !e.done && !e.settled && e.log != nil {
-		e.appendLocked(resultFrameSettled, nil, true)
+		e.appendLocked(resultFrameSettled, nil)
 	}
 	e.last = r.now()
 	e.cond.Broadcast()
@@ -354,93 +350,66 @@ func (r *jobRegistry) heldEntries() int {
 	return n
 }
 
-// appendOutcome logs one successful point outcome, assigning its seq.
-// Exactly the first producer to finish an index appends it; later
-// producers get appended=false and stream their own (transient,
-// seq-less) line instead. expose means the caller will put the returned
-// blob on a client stream itself, so the frame must be synced before
-// returning; without it, appends from an unattended producer (boot
-// replay) may batch.
-func (r *jobRegistry) appendOutcome(e *jobEntry, line outcomeLine, expose bool) (blob []byte, appended bool) {
+// appendOutcome logs one successful point outcome, assigning its seq,
+// and reports whether it did. Exactly the first producer to finish an
+// index appends it; later producers stream their own (transient,
+// seq-less) line instead.
+func (r *jobRegistry) appendOutcome(e *jobEntry, line outcomeLine) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.done || e.seen[line.Index] {
-		return nil, false
+		return false
 	}
 	line.Seq = int64(len(e.lines) + 1)
 	blob, err := json.Marshal(line)
 	if err != nil {
-		return nil, false
+		return false
 	}
-	e.appendLocked(resultFrameOutcome, blob, expose || e.readers > 0)
+	e.appendLocked(resultFrameOutcome, blob)
 	e.seen[line.Index] = true
 	r.metrics.ResultFrameAppended()
-	return blob, true
+	return true
 }
 
 // appendSummary seals a complete job: every index has a logged success.
 // Incomplete or failed runs append nothing — the job stays idle and
 // resumable.
-func (r *jobRegistry) appendSummary(e *jobEntry, sum summaryLine, expose bool) (blob []byte, appended bool) {
+func (r *jobRegistry) appendSummary(e *jobEntry, sum summaryLine) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.done || len(e.seen) < e.header.Points {
-		return nil, false
+		return false
 	}
 	sum.Seq = int64(len(e.lines) + 1)
 	blob, err := json.Marshal(sum)
 	if err != nil {
-		return nil, false
+		return false
 	}
-	e.appendLocked(resultFrameSummary, blob, expose || e.readers > 0)
+	e.appendLocked(resultFrameSummary, blob)
 	e.done = true
 	r.metrics.ResultFrameAppended()
-	return blob, true
+	return true
 }
 
-// appendLocked writes one frame to memory and (when backed) to disk,
-// advancing the durable watermark only once the frame is fsync'd. An
-// 'X' frame is on disk only: it has no seq and is never streamed. A
-// disk append failure degrades the entry to memory-only durability —
-// honest degraded service beats refusing results we already computed;
-// the on-disk prefix stays valid for a later resume. Callers hold e.mu.
-func (e *jobEntry) appendLocked(kind byte, blob []byte, force bool) {
+// appendLocked writes one frame to disk (when backed) and fsyncs it,
+// and only then makes it visible: it joins lines and waiting streams
+// wake. An 'X' frame is on disk only: it has no seq and is never
+// streamed. A disk append failure degrades the entry to memory-only
+// durability — honest degraded service beats refusing results we
+// already computed; the on-disk prefix stays valid for a later resume.
+// Callers hold e.mu.
+func (e *jobEntry) appendLocked(kind byte, blob []byte) {
+	if e.log != nil {
+		if err := appendResultFrame(e.log, kind, blob); err != nil {
+			e.log.Close()
+			e.log = nil
+			e.logErr = true
+		}
+	}
 	e.settled = kind == resultFrameSettled
 	if !e.settled {
 		e.lines = append(e.lines, blob)
 	}
-	if e.log != nil {
-		// Group commit: sync immediately whenever a stream is waiting on
-		// this frame (readers, the producer's own follower, or a direct
-		// response about to carry it), batch otherwise (boot replay with
-		// nobody attached).
-		synced, err := e.log.Append(kind, blob, force)
-		if err != nil {
-			e.log.Close()
-			e.log = nil
-			e.logErr = true
-		} else if !synced {
-			// Batched: the frame is in memory but not yet durable; the
-			// watermark advances at the next covering sync.
-			return
-		}
-	}
-	e.durable = len(e.lines)
-	e.cond.Broadcast()
-}
-
-// syncEntry flushes batched append debt and publishes the frames.
-func (r *jobRegistry) syncEntry(e *jobEntry) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.log != nil {
-		if err := e.log.Sync(); err != nil {
-			e.log.Close()
-			e.log = nil
-			e.logErr = true
-		}
-	}
-	e.durable = len(e.lines)
 	e.cond.Broadcast()
 }
 
@@ -485,7 +454,6 @@ func (r *jobRegistry) prune() {
 		e.mu.Lock()
 		idle := !e.held && e.active == 0 && e.readers == 0 && now.Sub(e.last) >= r.keep
 		if idle && e.log != nil {
-			e.log.Sync()
 			e.log.Close()
 			e.log = nil
 		}
@@ -496,15 +464,14 @@ func (r *jobRegistry) prune() {
 	}
 }
 
-// closeAll syncs and closes every open log handle (graceful shutdown;
-// a crash, by definition, does not get to call it).
+// closeAll closes every open log handle (graceful shutdown; a crash,
+// by definition, does not get to call it).
 func (r *jobRegistry) closeAll() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, e := range r.entries {
 		e.mu.Lock()
 		if e.log != nil {
-			e.log.Sync()
 			e.log.Close()
 			e.log = nil
 		}
@@ -530,10 +497,9 @@ func (r *jobRegistry) liveEntries() int {
 
 // jobSnapshot reads one consistent view of the streamable state.
 type jobSnapshot struct {
-	lines  [][]byte // full visible prefix (durable frames only)
+	lines  [][]byte // visible frames past the cursor
 	done   bool
 	active int
-	points int
 }
 
 // snapshotFrom returns the visible frames past cursor (a 0-based frame
@@ -542,19 +508,19 @@ type jobSnapshot struct {
 func (e *jobEntry) snapshotFrom(cursor int) jobSnapshot {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	s := jobSnapshot{done: e.done, active: e.active, points: e.header.Points}
-	if cursor < e.durable {
-		s.lines = e.lines[cursor:e.durable]
+	s := jobSnapshot{done: e.done, active: e.active}
+	if cursor < len(e.lines) {
+		s.lines = e.lines[cursor:]
 	}
 	return s
 }
 
-// waitChange blocks until the visible prefix grows past cursor, the job
+// waitChange blocks until the visible frames grow past cursor, the job
 // completes or goes idle, or the caller's context (bridged via
 // broadcast) fires. It returns the fresh snapshot.
 func (e *jobEntry) waitChange(cursor int, cancelled func() bool) jobSnapshot {
 	e.mu.Lock()
-	for cursor >= e.durable && !e.done && e.active > 0 && !cancelled() {
+	for cursor >= len(e.lines) && !e.done && e.active > 0 && !cancelled() {
 		e.cond.Wait()
 	}
 	e.mu.Unlock()

@@ -11,7 +11,7 @@
 //	       [-read-header-timeout D] [-read-timeout D] [-idle-timeout D]
 //	       [-gc-max-bytes N] [-gc-max-age D] [-gc-interval D]
 //	       [-isolate] [-worker-mem N] [-worker-deadline D]
-//	       [-results-keep D] [-results-sync N]
+//	       [-results-keep D]
 //	rfsimd -worker   (internal: spawned by the daemon under -isolate)
 //
 // Serve mode: clients POST sweep specs to /v1/sweep and read per-point
@@ -107,7 +107,6 @@ type daemonFlags struct {
 
 	// Exactly-once delivery knobs (PR 9).
 	resultsKeep time.Duration
-	resultsSync int
 
 	// Test seams, not flags: the worker argv and extra environment
 	// (tests re-exec the test binary gated by RFSIMD_TEST_WORKER=1;
@@ -193,9 +192,6 @@ func (f *daemonFlags) validate() error {
 	if f.resultsKeep < 0 {
 		fail("-results-keep must be non-negative, got %v", f.resultsKeep)
 	}
-	if f.resultsSync < 0 {
-		fail("-results-sync must be non-negative, got %d", f.resultsSync)
-	}
 	return errors.Join(errs...)
 }
 
@@ -222,7 +218,6 @@ func (f *daemonFlags) serverConfig() serverConfig {
 		workerCommand:      f.workerCommand,
 		workerEnv:          f.workerEnv,
 		resultsKeep:        f.resultsKeep,
-		resultsSync:        f.resultsSync,
 	}
 }
 
@@ -262,7 +257,6 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	fs.DurationVar(&f.workerDeadline, "worker-deadline", 0, "hard wall-clock budget per worker attempt before SIGKILL (0 = none, requires -isolate)")
 	fs.String("journal", "", "ignored (deprecated): accepted sweeps survive a crash through their result logs in -dir")
 	fs.DurationVar(&f.resultsKeep, "results-keep", 5*time.Minute, "how long an idle job's result log stays pinned after its last producer or reader (0 = default 5m)")
-	fs.IntVar(&f.resultsSync, "results-sync", 16, "fsync batch for result-log appends nobody is streaming; live streams sync every frame (0 = default 16)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}

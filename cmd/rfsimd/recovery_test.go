@@ -263,3 +263,57 @@ func TestReplayHoldPinsOpenLog(t *testing.T) {
 		t.Fatalf("replayed log outlived -results-keep and -gc-max-age: %v", err)
 	}
 }
+
+// breakerFails reads the failure count of cfgFP's breaker.
+func breakerFails(srv *server, cfgFP string) int {
+	srv.quar.mu.Lock()
+	defer srv.quar.mu.Unlock()
+	if e, ok := srv.quar.entries[cfgFP]; ok {
+		return e.fails
+	}
+	return 0
+}
+
+// TestReplayRunsChaosSeam: boot replay runs a point through the same
+// wrapper a live POST does, so a config the chaos seam panics fails in
+// replay too: the replay writes a crash dump, leaves the job unsealed
+// and settled (not open, so the next boot leaves it alone), and counts
+// one failure on the config's breaker, exactly as a POST of the same
+// request does.
+func TestReplayRunsChaosSeam(t *testing.T) {
+	dir := t.TempDir()
+	req := SweepRequest{Points: []PointSpec{{Workload: "uniform", Cycles: 5_000, Seed: 81}}}
+	path := crashMidJob(t, dir, req)
+
+	srv, _ := e2eServer(t, serverConfig{dir: dir})
+	pt := compileOne(t, srv, req)
+	cfgFP := pt.Meta["config"]
+	if cfgFP == "" {
+		t.Fatal("the point has no config fingerprint")
+	}
+	srv.chaosPanic = func(fp string) bool { return fp == cfgFP }
+	srv.replayRecovered(context.Background())
+
+	if _, err := os.Stat(filepath.Join(dir, pt.ID+".crash.json")); err != nil {
+		t.Errorf("replay wrote no crash dump: %v", err)
+	}
+	d, err := loadResultLog(path)
+	if err != nil || d.done || !d.settled {
+		t.Fatalf("log after replay: sealed=%v settled=%v err=%v, want settled and unsealed", d.done, d.settled, err)
+	}
+	if got := srv.jobs.heldEntries(); got != 0 {
+		t.Errorf("%d jobs still held after replay", got)
+	}
+	if got := breakerFails(srv, cfgFP); got != 1 {
+		t.Errorf("replay counted %d failures on the breaker, want 1", got)
+	}
+
+	live, ts := e2eServer(t, serverConfig{dir: t.TempDir()})
+	live.chaosPanic = srv.chaosPanic
+	if resp, body := postSweep(t, ts, req); resp.StatusCode != http.StatusOK || !bytes.Contains(body, []byte(`"failed":1`)) {
+		t.Fatalf("live POST: status %d, want its point failed:\n%s", resp.StatusCode, body)
+	}
+	if got := breakerFails(live, cfgFP); got != 1 {
+		t.Errorf("live POST counted %d failures on the breaker, want 1", got)
+	}
+}

@@ -29,11 +29,10 @@ package main
 //
 //   - the header is fsync'd, and so is the directory entry of a new
 //     file, before any simulation runs;
-//   - a frame's seq is exposed to a stream only AFTER the fsync covering
-//     it returns, so a crash can tear off only frames no client has ever
-//     seen — the resume cursor never moves backwards;
-//   - appends are fsync-batched (-results-sync) only while nothing is
-//     attached (boot replay); a live stream syncs every frame;
+//   - every frame is fsync'd as it is appended, and its seq is exposed
+//     to a stream only AFTER that fsync returns, so a crash can tear off
+//     only frames no client has ever seen — the resume cursor never
+//     moves backwards;
 //   - a torn tail (crash mid-append) is truncated at reopen and counted
 //     — losing the record the crash interrupted is the crash-only
 //     contract, losing the log is not;
@@ -59,9 +58,6 @@ const (
 	resultFrameSummary = 'S'
 	resultFrameSettled = 'X'
 )
-
-// defaultResultsSyncEvery is the unattached-append fsync batch size.
-const defaultResultsSyncEvery = 16
 
 // resultLogSuffix is the artifact-directory suffix the janitor matches
 // and the registry pins.
@@ -154,25 +150,13 @@ func loadResultLog(path string) (resultLogData, error) {
 	return parseResultLog(data)
 }
 
-// resultLog is an open-for-append handle. Callers (jobEntry) serialize
-// access; the handle itself only tracks the fsync debt.
-type resultLog struct {
-	f         *os.File
-	path      string
-	syncEvery int
-	pending   int // appended frames not yet covered by an fsync
-}
-
 // openResultLog opens (or creates) the log for appending: it parses the
 // existing prefix, truncates any torn tail so the next append cannot
 // fuse with a half-written frame, verifies (or writes) the header, and
-// returns the handle positioned at the end. The parsed data is the
-// authoritative resume state — the caller replaces its in-memory view
-// with it.
-func openResultLog(path string, hdr resultLogHeader, syncEvery int) (*resultLog, resultLogData, error) {
-	if syncEvery <= 0 {
-		syncEvery = defaultResultsSyncEvery
-	}
+// returns the file positioned at the end, for appendResultFrame. The
+// parsed data is the authoritative resume state — the caller replaces
+// its in-memory view with it.
+func openResultLog(path string, hdr resultLogHeader) (*os.File, resultLogData, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, resultLogData{}, fmt.Errorf("result log: %w", err)
@@ -187,7 +171,6 @@ func openResultLog(path string, hdr resultLogHeader, syncEvery int) (*resultLog,
 		f.Close()
 		return nil, resultLogData{}, err
 	}
-	lg := &resultLog{f: f, path: path, syncEvery: syncEvery}
 	if d.header.Job == "" {
 		// Fresh (or wholly torn) log: start it with the header frame.
 		if d.torn > 0 {
@@ -217,7 +200,7 @@ func openResultLog(path string, hdr resultLogHeader, syncEvery int) (*resultLog,
 			return nil, d, err
 		}
 		d.header = hdr
-		return lg, d, nil
+		return f, d, nil
 	}
 	if d.header.Job != hdr.Job || d.header.Req != hdr.Req {
 		f.Close()
@@ -234,7 +217,7 @@ func openResultLog(path string, hdr resultLogHeader, syncEvery int) (*resultLog,
 		f.Close()
 		return nil, d, fmt.Errorf("result log: %w", err)
 	}
-	return lg, d, nil
+	return f, d, nil
 }
 
 // syncDir fsyncs a directory, making the entries created in it durable.
@@ -250,43 +233,15 @@ func syncDir(dir string) error {
 	return nil
 }
 
-// Append writes one frame. force (or a summary frame, or syncEvery of
-// accumulated debt) fsyncs before returning; the caller must expose the
-// frame's seq to streams only when synced is true.
-func (lg *resultLog) Append(kind byte, payload []byte, force bool) (synced bool, err error) {
-	if err := frame.Write(lg.f, kind, payload); err != nil {
-		return false, fmt.Errorf("result log: %w", err)
-	}
-	lg.pending++
-	if !force && kind != resultFrameSummary && lg.pending < lg.syncEvery {
-		return false, nil
-	}
-	if err := lg.f.Sync(); err != nil {
-		return false, fmt.Errorf("result log: %w", err)
-	}
-	lg.pending = 0
-	return true, nil
-}
-
-// Sync flushes any batched append debt.
-func (lg *resultLog) Sync() error {
-	if lg.pending == 0 {
-		return nil
-	}
-	if err := lg.f.Sync(); err != nil {
+// appendResultFrame writes one frame to an open log and fsyncs it
+// before returning; callers serialize appends, and expose the frame's
+// seq to streams only after a nil error.
+func appendResultFrame(f *os.File, kind byte, payload []byte) error {
+	if err := frame.Write(f, kind, payload); err != nil {
 		return fmt.Errorf("result log: %w", err)
 	}
-	lg.pending = 0
-	return nil
-}
-
-// Close releases the handle without syncing batched debt — mirroring
-// what a crash would do, which is the only other way a log handle dies.
-func (lg *resultLog) Close() error {
-	if lg.f == nil {
-		return nil
+	if err := f.Sync(); err != nil {
+		return fmt.Errorf("result log: %w", err)
 	}
-	err := lg.f.Close()
-	lg.f = nil
-	return err
+	return nil
 }

@@ -26,7 +26,7 @@ func testHeader(job string) resultLogHeader {
 // writeLog creates a log at path with the given frames after the header.
 func writeLog(t *testing.T, path string, hdr resultLogHeader, frames ...byte) {
 	t.Helper()
-	lg, _, err := openResultLog(path, hdr, 1)
+	lg, _, err := openResultLog(path, hdr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func writeLog(t *testing.T, path string, hdr resultLogHeader, frames ...byte) {
 		if kind != resultFrameSettled {
 			payload = []byte(fmt.Sprintf(`{"type":"outcome","seq":%d,"index":%d}`, i+1, i))
 		}
-		if _, err := lg.Append(kind, payload, true); err != nil {
+		if err := appendResultFrame(lg, kind, payload); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -76,7 +76,7 @@ func TestResultLogTornTail(t *testing.T) {
 	}
 
 	m := obs.NewServiceMetrics()
-	reg := newJobRegistry(dir, 0, 1, m)
+	reg := newJobRegistry(dir, 0, m)
 	e, _, err := reg.attach(hdr.Job, hdr.Req, hdr.Points, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -90,7 +90,7 @@ func TestResultLogTornTail(t *testing.T) {
 	if st, _ := os.Stat(path); st.Size() != whole.Size() {
 		t.Errorf("reopened log is %d bytes, want the %d-byte good prefix", st.Size(), whole.Size())
 	}
-	reg.appendOutcome(e, outcomeLine{Type: "outcome", Index: 2}, true)
+	reg.appendOutcome(e, outcomeLine{Type: "outcome", Index: 2})
 	reg.endProducer(e, false)
 	reg.closeAll()
 	if d := mustLoad(t, path); len(d.lines) != 3 || d.torn != 0 {
@@ -141,7 +141,7 @@ func TestResultLogHeaderMismatchRefused(t *testing.T) {
 		{Job: "other", Req: hdr.Req, Points: hdr.Points},
 		{Job: hdr.Job, Req: "other", Points: hdr.Points},
 	} {
-		if lg, _, err := openResultLog(path, bad, 1); err == nil {
+		if lg, _, err := openResultLog(path, bad); err == nil {
 			lg.Close()
 			t.Errorf("openResultLog accepted header %+v over job %s req %s", bad, hdr.Job, hdr.Req)
 		}
@@ -223,7 +223,7 @@ func TestResultLogClassification(t *testing.T) {
 // and the next producer's outcome takes the next seq after it.
 func TestResultLogSettleNeverServed(t *testing.T) {
 	dir := t.TempDir()
-	reg := newJobRegistry(dir, 0, 1, obs.NewServiceMetrics())
+	reg := newJobRegistry(dir, 0, obs.NewServiceMetrics())
 	hdr := testHeader(jobIDFromKey("e")) // a servable ID
 	e, _, err := reg.attach(hdr.Job, hdr.Req, 2, hdr.Spec)
 	if err != nil {
@@ -232,7 +232,7 @@ func TestResultLogSettleNeverServed(t *testing.T) {
 	if err := reg.startProducer(e); err != nil {
 		t.Fatal(err)
 	}
-	reg.appendOutcome(e, outcomeLine{Type: "outcome", Index: 0}, true)
+	reg.appendOutcome(e, outcomeLine{Type: "outcome", Index: 0})
 	reg.endProducer(e, true) // client went away: settled incomplete
 	if d := mustLoad(t, reg.path(e.id)); !d.settled || d.open() || len(d.lines) != 1 {
 		t.Fatalf("after settle: settled=%v open=%v lines=%d, want settled with 1 line", d.settled, d.open(), len(d.lines))
@@ -241,12 +241,11 @@ func TestResultLogSettleNeverServed(t *testing.T) {
 	if err := reg.startProducer(e); err != nil {
 		t.Fatal(err)
 	}
-	blob, ok := reg.appendOutcome(e, outcomeLine{Type: "outcome", Index: 1}, true)
-	if !ok {
+	if !reg.appendOutcome(e, outcomeLine{Type: "outcome", Index: 1}) {
 		t.Fatal("second producer's outcome not appended")
 	}
 	var li streamLine
-	json.Unmarshal(blob, &li)
+	json.Unmarshal(e.snapshotFrom(1).lines[0], &li)
 	if li.Seq != 2 {
 		t.Errorf("outcome after an X got seq %d, want 2", li.Seq)
 	}
@@ -298,7 +297,7 @@ func TestResultLogSettleNeverServed(t *testing.T) {
 // contiguous seqs, while readers snapshot and the loser settles.
 func TestResultLogConcurrentProducers(t *testing.T) {
 	const points = 64
-	reg := newJobRegistry(t.TempDir(), 0, 4, obs.NewServiceMetrics())
+	reg := newJobRegistry(t.TempDir(), 0, obs.NewServiceMetrics())
 	hdr := testHeader("f")
 	e, _, err := reg.attach(hdr.Job, hdr.Req, points, hdr.Spec)
 	if err != nil {
@@ -317,10 +316,9 @@ func TestResultLogConcurrentProducers(t *testing.T) {
 				if p == 1 {
 					idx = points - 1 - i
 				}
-				reg.appendOutcome(e, outcomeLine{Type: "outcome", Index: idx}, p == 0)
+				reg.appendOutcome(e, outcomeLine{Type: "outcome", Index: idx})
 			}
-			reg.appendSummary(e, summaryLine{Type: "summary", Points: points}, false)
-			reg.syncEntry(e)
+			reg.appendSummary(e, summaryLine{Type: "summary", Points: points})
 			reg.endProducer(e, true)
 		}(p)
 		go func() {

@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"repro/internal/netchaos"
+	"repro/internal/obs"
 	"repro/internal/rfclient"
 )
 
@@ -319,5 +320,46 @@ func TestPostStreamCarriesEarlierFrames(t *testing.T) {
 	}
 	if !carried[0] || !carried[1] || !seen[3] {
 		t.Errorf("second POST: indices carried %v, seqs %v; want both indices and the summary at seq 3", carried, seen)
+	}
+}
+
+// TestPostStreamOneSummaryWhenSealedElsewhere drives a POST stream's
+// end-of-run step directly. The stream logs index 0 of a 1-point job,
+// then a second producer seals the job before this run's own summary
+// can: the stream must end on the logged summary alone, never on it and
+// a transient one besides.
+func TestPostStreamOneSummaryWhenSealedElsewhere(t *testing.T) {
+	reg := newJobRegistry(t.TempDir(), 0, obs.NewServiceMetrics())
+	hdr := testHeader("g")
+	e, _, err := reg.attach(hdr.Job, hdr.Req, 1, hdr.Spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p := 0; p < 2; p++ {
+		if err := reg.startProducer(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rec := httptest.NewRecorder()
+	st := newJobStream(rec, e)
+	st.logOutcome(reg, outcomeLine{Type: "outcome", Index: 0})
+	if !reg.appendSummary(e, summaryLine{Type: "summary", Points: 1}) {
+		t.Fatal("the second producer could not seal the job")
+	}
+	reg.endProducer(e, true)
+	if reg.appendSummary(e, summaryLine{Type: "summary", Points: 1}) {
+		t.Fatal("the job sealed twice")
+	}
+	st.finish(summaryLine{Type: "summary", Points: 1})
+	reg.endProducer(e, true)
+
+	var summaries []streamLine
+	for _, l := range decodeStream(t, rec.Body.Bytes()) {
+		if l.Type == "summary" {
+			summaries = append(summaries, l)
+		}
+	}
+	if len(summaries) != 1 || summaries[0].Seq != 2 {
+		t.Fatalf("stream ended on summaries %+v, want exactly one, at seq 2:\n%s", summaries, rec.Body.Bytes())
 	}
 }

@@ -134,9 +134,6 @@ type serverConfig struct {
 	// its entry in memory) after the last producer or reader touched it;
 	// past it the janitor may collect the log (0 = 5 minutes).
 	resultsKeep time.Duration
-	// resultsSync is the fsync batch for result-log appends nobody is
-	// streaming (boot replay); live streams sync every frame (0 = 16).
-	resultsSync int
 }
 
 func (c serverConfig) withDefaults() serverConfig {
@@ -268,7 +265,7 @@ func newServer(drainCtx context.Context, cfg serverConfig) (*server, error) {
 		pins:     map[string]int{},
 		drainCtx: drainCtx,
 	}
-	s.jobs = newJobRegistry(cfg.dir, cfg.resultsKeep, cfg.resultsSync, s.metrics)
+	s.jobs = newJobRegistry(cfg.dir, cfg.resultsKeep, s.metrics)
 	replay, err := s.jobs.recoverOpen()
 	if err != nil {
 		return nil, err
@@ -698,6 +695,29 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	s.metrics.JobAdmitted()
 	defer s.adm.release()
 
+	// The job dies with the client connection, its deadline or a server
+	// drain, whichever comes first. The deadline wraps the context
+	// *before* the queue wait, so time spent queued counts against the
+	// budget.
+	ctx := r.Context()
+	if deadline > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, deadline)
+		defer cancel()
+	}
+	if err := s.runJob(ctx, ent, pts, w, claims); err != nil {
+		httpError(w, http.StatusServiceUnavailable, "%v", err)
+	}
+}
+
+// runJob produces an admitted job into ent's result log. It is the one
+// producer path: a POST passes its response writer, which then streams
+// the job as NDJSON; a boot replay passes neither a writer nor probe
+// claims. claims holds the half-open probe claims the request owns;
+// verdicts settle them as points finish. A non-nil error means the job
+// never ran — its log would not open, or ctx ended while it waited for
+// a run slot — and nothing was written to w.
+func (s *server) runJob(ctx context.Context, ent *jobEntry, pts []experiments.SweepPoint, w http.ResponseWriter, claims *probeClaims) error {
 	// Durability point: the producer claim opens (or resumes) the job's
 	// result log, whose header — request included — is fsync'd before
 	// any simulation starts, so from here on a daemon crash leaves an
@@ -709,26 +729,17 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// leaves it open so the restarted daemon finishes the job.
 	if err := s.jobs.startProducer(ent); err != nil {
 		s.metrics.JobDone(false, true)
-		httpError(w, http.StatusServiceUnavailable, "result log open failed: %v", err)
-		return
+		return fmt.Errorf("result log open failed: %w", err)
 	}
 
 	// Pin this job's crash dumps for the janitor while it is in flight.
 	defer s.pinArtifacts(pts)()
 
-	// The job dies with the client connection, its deadline or a server
-	// drain, whichever comes first; either way running points stop
-	// (a drained job re-runs them from cycle 0 at next boot). The
-	// deadline wraps the context *before* the queue
-	// wait, so time spent queued counts against the budget.
-	ctx, cancel := context.WithCancel(r.Context())
+	// A server drain stops the running points; the restarted daemon
+	// re-runs them from cycle 0.
+	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	if deadline > 0 {
-		ctx, cancel = context.WithTimeout(ctx, deadline)
-		defer cancel()
-	}
-	stop := context.AfterFunc(s.drainCtx, cancel)
-	defer stop()
+	defer context.AfterFunc(s.drainCtx, cancel)()
 
 	// Queued: wait for a run slot.
 	select {
@@ -736,77 +747,15 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	case <-ctx.Done():
 		s.jobs.endProducer(ent, s.drainCtx.Err() == nil)
 		s.metrics.JobDone(false, true)
-		httpError(w, http.StatusServiceUnavailable, "cancelled while queued: %v", ctx.Err())
-		return
+		return fmt.Errorf("cancelled while queued: %w", ctx.Err())
 	}
 	s.metrics.JobStarted()
 	defer func() { <-s.runTok }()
 
-	failed := s.streamSweep(ctx, w, pts, claims, ent)
-	s.jobs.endProducer(ent, s.drainCtx.Err() == nil)
-	s.metrics.JobDone(true, failed)
-}
-
-// streamSweep runs the admitted job and streams NDJSON outcomes,
-// teeing every successful one into the job's durable result log: the
-// line a client reads off this response carries the seq its fsync'd
-// frame got, so a disconnect at any byte can resume via
-// GET /v1/jobs/{id}/results?from=<seq+1> without losing or repeating a
-// point. claims holds the half-open probe claims this request owns;
-// verdicts settle them as points finish. Returns whether any point
-// failed.
-func (s *server) streamSweep(ctx context.Context, w http.ResponseWriter, pts []experiments.SweepPoint, claims *probeClaims, ent *jobEntry) bool {
 	start := time.Now()
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	// Flush through the ResponseController, which unwraps middleware
-	// ResponseWriter wrappers; the old direct http.Flusher assertion
-	// panicked under any non-flushing wrapper. A transport that truly
-	// cannot flush just buffers — degraded, not dead.
-	rc := http.NewResponseController(w)
-
-	var mu sync.Mutex // serializes stream writes from supervisor workers
-	newline := []byte{'\n'}
-	writeLocked := func(blob []byte) {
-		w.Write(blob)
-		w.Write(newline)
-		rc.Flush()
-	}
-	emit := func(line interface{}) {
-		blob, err := json.Marshal(line)
-		if err != nil {
-			return
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		writeLocked(blob)
-	}
-
-	// Every stream opens by naming the job: the ID (and cursor protocol)
-	// the client resumes with after a disconnect.
-	emit(jobLine{Type: "job", ID: ent.id, Points: ent.header.Points})
-
-	// written counts the log frames this stream has passed. It passes
-	// them in seq order and carries each, other producers' frames
-	// included (an earlier run's, a boot replay's): a client resumes
-	// from the last seq it read, so a frame skipped here would never
-	// reach it. The one frame it may skip is an outcome whose index the
-	// stream already carried as a transient line, which the client has
-	// read before any later seq. Callers hold mu.
-	written := 0
-	carried := make(map[int]bool, len(pts)) // point indices on this stream
-	writeFrames := func() {
-		for _, blob := range ent.snapshotFrom(written).lines {
-			written++
-			var li lineIndex
-			if json.Unmarshal(blob, &li) == nil && li.Type == "outcome" {
-				if carried[li.Index] {
-					continue
-				}
-				carried[li.Index] = true
-			}
-			writeLocked(blob)
-		}
+	var st *jobStream
+	if w != nil {
+		st = newJobStream(w, ent)
 	}
 
 	// Per-point wall clocks, written by the instrumented Run wrappers
@@ -842,7 +791,7 @@ func (s *server) streamSweep(ctx context.Context, w http.ResponseWriter, pts []e
 		// settles only this request's own probe claim, if it held
 		// one, and never touches a probe another request is running.
 		if cfgFP := pts[i].Meta["config"]; cfgFP != "" {
-			probe := claims.settle(cfgFP)
+			probe := claims != nil && claims.settle(cfgFP)
 			switch {
 			case o.Err == nil && !o.Cached:
 				s.quar.reportSuccess(cfgFP)
@@ -870,30 +819,17 @@ func (s *server) streamSweep(ctx context.Context, w http.ResponseWriter, pts []e
 			// failed indices through the cache.
 			failures.Add(1)
 			line.Error = o.Err.Error()
-			emit(line)
+			if st != nil {
+				st.emit(line)
+			}
 			return
 		}
 		line.Result = &o.Result
-		// Tee into the durable log. First producer to finish the
-		// index owns its frame; the append fsyncs it and every frame
-		// before it, and the stream then carries all the logged
-		// frames it has not carried yet, its own last. A collision —
-		// an index another run already logged — streams its own
-		// transient view instead. Logging and writing happen under
-		// one lock: a client takes seqs in stream order as its
-		// resume cursor, so a frame written ahead of one logged
-		// before it would make the client drop the earlier frame as
-		// already seen.
-		mu.Lock()
-		defer mu.Unlock()
-		if _, appended := s.jobs.appendOutcome(ent, line, true); appended {
-			writeFrames()
+		if st == nil {
+			s.jobs.appendOutcome(ent, line)
 			return
 		}
-		if blob, err := json.Marshal(line); err == nil && !carried[i] {
-			carried[i] = true
-			writeLocked(blob)
-		}
+		st.logOutcome(s.jobs, line)
 	})
 
 	summary := summaryLine{
@@ -908,18 +844,124 @@ func (s *server) streamSweep(ctx context.Context, w http.ResponseWriter, pts []e
 	}
 	// A clean, failure-free run seals the job: the summary frame is the
 	// durable terminal a resumed GET ends on. Interrupted or failing
-	// runs emit only a transient summary — the job stays idle and
-	// resumable, and the client knows to re-POST.
+	// runs leave the job idle and resumable, and the client knows to
+	// re-POST.
 	if err == nil && summary.Failed == 0 && summary.Error == "" {
-		if _, appended := s.jobs.appendSummary(ent, summary, true); appended {
-			mu.Lock()
-			writeFrames() // the summary is the last frame
-			mu.Unlock()
-			return false
-		}
+		s.jobs.appendSummary(ent, summary)
 	}
-	emit(summary)
-	return err != nil
+	if st != nil {
+		st.finish(summary)
+	}
+	s.jobs.endProducer(ent, s.drainCtx.Err() == nil)
+	s.metrics.JobDone(true, err != nil)
+	return nil
+}
+
+// jobStream is a POST's NDJSON response. It opens with the job line,
+// carries every successful outcome as a log frame with its seq, and
+// writes transient lines (no seq, never replayed) for failures, for a
+// duplicate computation's view of an index another run logged, and for
+// the summary of a run that did not seal the job. Its methods are safe
+// for concurrent use by supervisor workers.
+type jobStream struct {
+	w   http.ResponseWriter
+	rc  *http.ResponseController
+	ent *jobEntry
+
+	mu sync.Mutex // serializes writes
+	// written counts the log frames this stream has passed. It passes
+	// them in seq order and carries each, other producers' frames
+	// included (an earlier run's, a boot replay's): a client resumes
+	// from the last seq it read, so a frame skipped here would never
+	// reach it. The one frame it may skip is an outcome whose index the
+	// stream already carried as a transient line, which the client has
+	// read before any later seq.
+	written int
+	carried map[int]bool // point indices on this stream
+}
+
+// newJobStream starts the response: every stream opens by naming the
+// job, the ID (and cursor protocol) the client resumes with after a
+// disconnect.
+func newJobStream(w http.ResponseWriter, ent *jobEntry) *jobStream {
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.WriteHeader(http.StatusOK)
+	// Flush through the ResponseController, which unwraps middleware
+	// ResponseWriter wrappers; a direct http.Flusher assertion panics
+	// under any non-flushing wrapper. A transport that truly cannot
+	// flush just buffers — degraded, not dead.
+	st := &jobStream{w: w, rc: http.NewResponseController(w), ent: ent, carried: map[int]bool{}}
+	st.emit(jobLine{Type: "job", ID: ent.id, Points: ent.header.Points})
+	return st
+}
+
+var newline = []byte{'\n'}
+
+func (st *jobStream) writeLocked(blob []byte) {
+	st.w.Write(blob)
+	st.w.Write(newline)
+	st.rc.Flush()
+}
+
+// emit writes one transient line.
+func (st *jobStream) emit(line interface{}) {
+	blob, err := json.Marshal(line)
+	if err != nil {
+		return
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	st.writeLocked(blob)
+}
+
+// carryLocked passes the log frames past written, by the carried rule.
+func (st *jobStream) carryLocked() {
+	for _, blob := range st.ent.snapshotFrom(st.written).lines {
+		st.written++
+		var li lineIndex
+		if json.Unmarshal(blob, &li) == nil && li.Type == "outcome" {
+			if st.carried[li.Index] {
+				continue
+			}
+			st.carried[li.Index] = true
+		}
+		st.writeLocked(blob)
+	}
+}
+
+// logOutcome tees one successful outcome into the durable log. The
+// first producer to finish the index owns its frame; the append fsyncs
+// it, and the stream then carries all the logged frames it has not
+// carried yet, its own last. A collision — an index another run
+// already logged — streams its own transient view instead. Logging and
+// writing happen under one lock: a client takes seqs in stream order as
+// its resume cursor, so a frame written ahead of one logged before it
+// would make the client drop the earlier frame as already seen.
+func (st *jobStream) logOutcome(jobs *jobRegistry, line outcomeLine) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if jobs.appendOutcome(st.ent, line) {
+		st.carryLocked()
+		return
+	}
+	if blob, err := json.Marshal(line); err == nil && !st.carried[line.Index] {
+		st.carried[line.Index] = true
+		st.writeLocked(blob)
+	}
+}
+
+// finish ends the stream with exactly one summary line. A sealed job —
+// sealed by this run or by another producer — ends on its logged
+// summary, carried after every frame before it; an unsealed one ends
+// on this run's transient summary.
+func (st *jobStream) finish(sum summaryLine) {
+	if !st.ent.snapshotFrom(0).done {
+		st.emit(sum)
+		return
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	st.carryLocked()
 }
 
 // serveJobStream streams a job's durable frames from a 1-based cursor,
@@ -943,7 +985,6 @@ func (s *server) serveJobStream(ctx context.Context, w http.ResponseWriter, ent 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	rc := http.NewResponseController(w)
-	newline := []byte{'\n'}
 	write := func(blob []byte) bool {
 		if _, err := w.Write(blob); err != nil {
 			return false
@@ -1012,15 +1053,15 @@ func (s *server) handleJobResults(w http.ResponseWriter, r *http.Request) {
 
 // replayRecovered drains the open logs found at boot, oldest accept
 // first: each job is recompiled from the request in its log header and
-// re-run through the same run-slot, pinning and cache machinery a live
-// request uses — no HTTP response, the outcomes resume the job's log
-// where the crashed run stopped, so a client that was mid-stream
-// re-reads the missed frames via GET and a re-submitted request hits
-// the cache. Admission control is bypassed on purpose (these jobs were
-// already admitted, and a full queue at boot must not orphan them), but
-// the metrics job ledger still balances: every replay counts as
-// admitted and done. A drain during replay leaves the remaining logs
-// open for the next boot.
+// re-run through runJob, the path a live request takes, with no
+// response to stream — the outcomes resume the job's log where the
+// crashed run stopped, so a client that was mid-stream re-reads the
+// missed frames via GET and a re-submitted request hits the cache.
+// Admission control is bypassed on purpose (these jobs were already
+// admitted, and a full queue at boot must not orphan them), but the
+// metrics job ledger still balances: every replay counts as admitted
+// and done. A drain during replay leaves the remaining logs open for
+// the next boot.
 func (s *server) replayRecovered(ctx context.Context) {
 	jobs := s.replay
 	s.replay = nil
@@ -1051,71 +1092,27 @@ func (s *server) replayOne(ctx context.Context, ent *jobEntry) {
 		// The logged spec no longer compiles to the same job (caps
 		// tightened across the restart, or the compiler changed).
 		// Settle it so it cannot replay forever.
-		s.jobs.releaseHold(ent)
-		if s.jobs.startProducer(ent) == nil {
-			s.jobs.endProducer(ent, true)
-		}
+		s.endReplay(ent, true)
 		return
 	}
 	s.replayed.Add(1)
 	s.metrics.JobAdmitted()
-
-	select {
-	case s.runTok <- struct{}{}:
-	case <-ctx.Done():
-		// Drained before the replay started: the log stays open; only
-		// the metrics ledger settles.
-		s.metrics.JobDone(false, true)
-		return
+	// The hold keeps runJob from settling the log. A drain leaves the
+	// log open and held, so the next boot re-runs the points that were
+	// running from cycle 0; a log that would not reopen stays open for
+	// the next boot too.
+	err := s.runJob(ctx, ent, pts, nil, nil)
+	if ctx.Err() == nil {
+		s.endReplay(ent, err == nil)
 	}
-	s.metrics.JobStarted()
-	defer func() { <-s.runTok }()
+}
 
-	// Appends batch (-results-sync) unless a resumed reader is already
-	// tailing. A log that will not reopen stays open for the next boot.
-	if err := s.jobs.startProducer(ent); err != nil {
-		s.jobs.releaseHold(ent)
-		s.metrics.JobDone(true, true)
-		return
+// endReplay ends ent's replay hold. settle also settles its log unless
+// it is sealed, so the next boot leaves it alone.
+func (s *server) endReplay(ent *jobEntry, settle bool) {
+	settle = settle && s.jobs.startProducer(ent) == nil
+	s.jobs.releaseHold(ent)
+	if settle {
+		s.jobs.endProducer(ent, true)
 	}
-
-	defer s.pinArtifacts(pts)()
-
-	var failures atomic.Int64
-	start := time.Now()
-	err := s.supervise(ctx, pts, func(i int, o experiments.PointOutcome) {
-		s.metrics.PointDone(o.Cached, o.Err != nil, 0)
-		if o.Err != nil {
-			failures.Add(1)
-			return
-		}
-		s.jobs.appendOutcome(ent, outcomeLine{
-			Type:        "outcome",
-			Index:       i,
-			ID:          o.ID,
-			Fingerprint: o.Fingerprint,
-			Cached:      o.Cached,
-			Recovered:   o.Recovered,
-			Attempts:    o.Attempts,
-			Result:      &o.Result,
-		}, false)
-	})
-	failed := err != nil || failures.Load() > 0
-	if !failed {
-		s.jobs.appendSummary(ent, summaryLine{
-			Type:         "summary",
-			Points:       len(pts),
-			CacheHitRate: s.cache.Stats().HitRate(),
-			ElapsedMS:    time.Since(start).Milliseconds(),
-		}, false)
-	}
-	s.jobs.syncEntry(ent)
-	// Drained mid-replay: running points were cancelled; the log stays
-	// open (and held) so the next boot re-runs them from cycle 0.
-	drained := ctx.Err() != nil
-	if !drained {
-		s.jobs.releaseHold(ent)
-	}
-	s.jobs.endProducer(ent, !drained)
-	s.metrics.JobDone(true, failed)
 }

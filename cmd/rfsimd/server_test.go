@@ -321,8 +321,8 @@ func TestRealMainFlagValidation(t *testing.T) {
 		{[]string{"-worker-mem", "1048576"}, "-worker-mem requires -isolate"},
 		{[]string{"-worker-deadline", "30s"}, "-worker-deadline requires -isolate"},
 		{[]string{"-results-keep", "-1s"}, "-results-keep must be non-negative"},
-		{[]string{"-results-sync", "-1"}, "-results-sync must be non-negative"},
-		// The test rigs' flags are gone from the binary.
+		// The test rigs' flags and the fsync batch are gone from the binary.
+		{[]string{"-results-sync", "-1"}, "flag provided but not defined: -results-sync"},
 		{[]string{"-loadtest"}, "flag provided but not defined: -loadtest"},
 		{[]string{"-requests", "1000"}, "flag provided but not defined: -requests"},
 		{[]string{"-clients", "64"}, "flag provided but not defined: -clients"},

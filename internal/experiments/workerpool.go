@@ -283,7 +283,7 @@ func (p *WorkerPool) supervise(ctx context.Context, w *worker) (Result, error) {
 		case <-graceC:
 			// The child ignored the cancel; reclaim the worker. This is a
 			// cancellation, not a point failure — no WorkerCrash.
-			p.reap(w, true)
+			p.destroy(w, true)
 			return Result{}, ctx.Err()
 		}
 	}
@@ -334,12 +334,12 @@ func (p *WorkerPool) checkout(ctx context.Context) (*worker, error) {
 			select {
 			case _, ok := <-w.frames:
 				if !ok { // died while idle
-					p.reap(w, false)
+					p.destroy(w, false)
 					continue
 				}
 				// A stray frame from an idle worker is a protocol
 				// violation; treat the worker as unusable.
-				p.reap(w, true)
+				p.destroy(w, true)
 				continue
 			default:
 				return w, nil
@@ -435,7 +435,7 @@ func (p *WorkerPool) release(w *worker, drop bool) {
 // *WorkerCrash, removes it from the pool, and bumps the crash streak.
 // kill forces a SIGKILL first (heartbeat loss, deadline, OOM reap).
 func (p *WorkerPool) crashed(w *worker, reason string, kill bool) error {
-	p.reap(w, kill)
+	p.destroy(w, kill)
 	p.mu.Lock()
 	p.stats.Crashed++
 	p.streak++
@@ -453,11 +453,9 @@ func (p *WorkerPool) crashed(w *worker, reason string, kill bool) error {
 	return wc
 }
 
-// reap removes a worker from the pool: SIGKILL when kill is set (a
+// destroy removes a worker from the pool: SIGKILL when kill is set (a
 // stdin close otherwise, letting a live child exit cleanly on EOF), and
 // a drain of its frame channel so the reader goroutine can exit.
-func (p *WorkerPool) reap(w *worker, kill bool) { p.destroy(w, kill) }
-
 func (p *WorkerPool) destroy(w *worker, kill bool) {
 	if kill && w.cmd.Process != nil {
 		w.cmd.Process.Kill()
