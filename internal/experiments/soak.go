@@ -412,9 +412,6 @@ type SoakConfig struct {
 
 	// ShrinkBudget bounds candidate runs per failing spec (default 64).
 	ShrinkBudget int
-
-	// Workers bounds soak parallelism (default: package Workers).
-	Workers int
 }
 
 // SoakOutcome describes one soak run's fate.
@@ -426,10 +423,10 @@ type SoakOutcome struct {
 }
 
 // Soak runs sc.Runs randomized soak specs under the fault-isolating
-// supervisor, applies the health verdict to each, and shrinks every
-// failure to a minimal repro (written to Dir as <id>.repro.json when Dir
-// is set). The error is non-nil when any run failed; outcomes carry the
-// details either way.
+// supervisor on the package Workers, applies the health verdict to each,
+// and shrinks every failure to a minimal repro (written to Dir as
+// <id>.repro.json when Dir is set). The error is non-nil when any run
+// failed; outcomes carry the details either way.
 func Soak(ctx context.Context, sc SoakConfig) ([]SoakOutcome, error) {
 	if sc.Runs <= 0 {
 		sc.Runs = 1
@@ -453,7 +450,7 @@ func Soak(ctx context.Context, sc SoakConfig) ([]SoakOutcome, error) {
 		}
 	}
 	results, supErr := Supervise(ctx, SuperviseConfig{
-		Workers: sc.Workers, Retries: 0, Dir: sc.Dir,
+		Retries: 0, Dir: sc.Dir,
 	}, points)
 	if ctx.Err() != nil {
 		return outcomes, ctx.Err()

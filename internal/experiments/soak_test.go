@@ -166,7 +166,7 @@ func TestSoakPanicWritesCrashDump(t *testing.T) {
 // shrunken repro lands in the artifact directory.
 func TestSoakEndToEnd(t *testing.T) {
 	ctx := context.Background()
-	if _, err := Soak(ctx, SoakConfig{Runs: 2, Seed: 11, Workers: 2}); err != nil {
+	if _, err := Soak(ctx, SoakConfig{Runs: 2, Seed: 11}); err != nil {
 		t.Fatalf("healthy soak failed: %v", err)
 	}
 }

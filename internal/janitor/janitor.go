@@ -64,11 +64,6 @@ type Config struct {
 	// every live or recently read job's result log.
 	Pinned func(name string) bool
 
-	// Match, when non-nil, selects which files the janitor manages.
-	// The default matches "*.crash.json" and "*.results" and nothing
-	// else, so foreign files in the directory are never deleted.
-	Match func(name string) bool
-
 	// FS is the filesystem seam (default OSFS()).
 	FS FS
 
@@ -76,18 +71,16 @@ type Config struct {
 	Now func() time.Time
 }
 
-// DefaultMatch is the default file filter: the two artifact kinds the
-// sweep service writes, crash dumps and per-job result logs.
-func DefaultMatch(name string) bool {
+// managed selects the files the janitor manages: the two artifact kinds
+// the sweep service writes, crash dumps and per-job result logs. Foreign
+// files in the directory are never deleted.
+func managed(name string) bool {
 	return strings.HasSuffix(name, ".crash.json") || strings.HasSuffix(name, ".results")
 }
 
 func (c Config) withDefaults() Config {
 	if c.Interval <= 0 {
 		c.Interval = 30 * time.Second
-	}
-	if c.Match == nil {
-		c.Match = DefaultMatch
 	}
 	if c.FS == nil {
 		c.FS = OSFS()
@@ -191,7 +184,7 @@ func (j *Janitor) Sweep() Report {
 
 	var files []managedFile
 	for _, e := range entries {
-		if e.IsDir() || !j.cfg.Match(e.Name()) {
+		if e.IsDir() || !managed(e.Name()) {
 			continue
 		}
 		info, err := e.Info()

@@ -87,7 +87,7 @@ type Config struct {
 
 	// WireShortcuts implements the paper's "Mesh Wire Shortcuts"
 	// comparison point: the same shortcut edges, realized in buffered RC
-	// wire at WireMMPerCycle signal velocity instead of RF-I.
+	// wire at wireMMPerCycle signal velocity instead of RF-I.
 	WireShortcuts bool
 
 	// RFEnabled lists the RF-enabled routers (access points). Used for
@@ -101,29 +101,6 @@ type Config struct {
 	// to the multicast band (MulticastRF only). Defaults to RFEnabled
 	// minus any shortcut destination routers.
 	MulticastReceivers []int
-
-	// MulticastEpoch is the coarse-grain band-arbitration epoch in
-	// cycles: for each epoch one cache cluster's central bank owns the
-	// multicast band (round-robin over clusters with pending messages).
-	// Default 256.
-	MulticastEpoch int64
-
-	// VCTTableSize bounds the number of trees the VCT table can hold
-	// per source (FIFO eviction). Default 64.
-	VCTTableSize int
-
-	// WireMMPerCycle is the signal velocity of conventional repeated
-	// wire in mm per network cycle, used for wire shortcuts. Default 2.5
-	// (so a neighbor hop's 2 mm stays single-cycle and a cross-chip wire
-	// shortcut pays several cycles, per Ho/Mai/Horowitz projections).
-	WireMMPerCycle float64
-
-	// LocalSpeedup is how many flits per cycle the NI<->router local
-	// channel moves. The paper's bandwidth-reduction study narrows the
-	// expensive inter-router links; the short local connection keeps its
-	// 16 B width, so narrower meshes inject and eject proportionally more
-	// (narrower) flits per cycle. Defaults to 16B / link width.
-	LocalSpeedup int
 
 	// ShortcutWidthBytes is the width of one RF-I shortcut band (16 B in
 	// the paper regardless of mesh width). On meshes narrower than the
@@ -189,21 +166,6 @@ func (c Config) withDefaults() Config {
 	if c.EscapeTimeout == 0 {
 		c.EscapeTimeout = 16
 	}
-	if c.MulticastEpoch == 0 {
-		c.MulticastEpoch = 256
-	}
-	if c.VCTTableSize == 0 {
-		c.VCTTableSize = 64
-	}
-	if c.WireMMPerCycle == 0 {
-		c.WireMMPerCycle = 2.5
-	}
-	if c.LocalSpeedup == 0 {
-		c.LocalSpeedup = int(tech.Width16B) / c.Width.Bytes()
-		if c.LocalSpeedup < 1 {
-			c.LocalSpeedup = 1
-		}
-	}
 	if c.ShortcutWidthBytes == 0 {
 		c.ShortcutWidthBytes = tech.ShortcutWidthBytes
 	}
@@ -212,6 +174,15 @@ func (c Config) withDefaults() Config {
 	}
 	c.Watchdog = c.Watchdog.withDefaults()
 	return c
+}
+
+// localSpeedup is how many flits per cycle the NI<->router local channel
+// moves. The paper's bandwidth-reduction study narrows the expensive
+// inter-router links; the short local connection keeps its 16 B width,
+// so narrower meshes inject and eject proportionally more (narrower)
+// flits per cycle.
+func (c Config) localSpeedup() int {
+	return max(1, int(tech.Width16B)/c.Width.Bytes())
 }
 
 // Validate checks the configuration for user errors — invalid knob
@@ -233,18 +204,6 @@ func (c Config) Validate() error {
 	}
 	if c.EscapeTimeout < 1 {
 		errs = append(errs, fmt.Errorf("noc: escape timeout must be positive, got %d", c.EscapeTimeout))
-	}
-	if c.MulticastEpoch < 1 {
-		errs = append(errs, fmt.Errorf("noc: multicast epoch must be positive, got %d", c.MulticastEpoch))
-	}
-	if c.VCTTableSize < 1 {
-		errs = append(errs, fmt.Errorf("noc: VCT table size must be positive, got %d", c.VCTTableSize))
-	}
-	if c.WireMMPerCycle <= 0 {
-		errs = append(errs, fmt.Errorf("noc: wire signal velocity must be positive, got %v", c.WireMMPerCycle))
-	}
-	if c.LocalSpeedup < 1 {
-		errs = append(errs, fmt.Errorf("noc: local speedup must be positive, got %d", c.LocalSpeedup))
 	}
 	if c.Multicast < MulticastExpand || c.Multicast > MulticastRF {
 		errs = append(errs, fmt.Errorf("noc: unknown multicast mode %d", int(c.Multicast)))

@@ -31,10 +31,6 @@ func TestConfigValidate(t *testing.T) {
 		{"too many vcs", func(c *Config) { c.VCsPerClass = maxVCsPerClass + 1 }, "VCs per class"},
 		{"too deep", func(c *Config) { c.BufDepth = maxBufDepth + 1 }, "buffer depth"},
 		{"negative escape timeout", func(c *Config) { c.EscapeTimeout = -1 }, "escape timeout"},
-		{"negative epoch", func(c *Config) { c.MulticastEpoch = -8 }, "multicast epoch"},
-		{"negative vct table", func(c *Config) { c.VCTTableSize = -1 }, "VCT table size"},
-		{"negative wire velocity", func(c *Config) { c.WireMMPerCycle = -0.5 }, "wire signal velocity"},
-		{"negative local speedup", func(c *Config) { c.LocalSpeedup = -3 }, "local speedup"},
 		{"unknown multicast mode", func(c *Config) { c.Multicast = MulticastMode(42) }, "unknown multicast mode 42"},
 		{"mesh BER above one", func(c *Config) { c.Fault.MeshBER = 1.5 }, "mesh flit-error rate"},
 		{"RF BER negative", func(c *Config) { c.Fault.RFBER = -0.1 }, "RF flit-error rate"},

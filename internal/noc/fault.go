@@ -84,13 +84,6 @@ type FaultConfig struct {
 	// integrity layer's NACK-style retransmissions. Default 8.
 	RetryLimit int
 
-	// BackoffBase is the stall, in cycles, before the first
-	// retransmission (the NACK round trip: link traversal back plus CRC
-	// check). Subsequent retries double it up to BackoffMax.
-	// Defaults: base 4, max 256.
-	BackoffBase int64
-	BackoffMax  int64
-
 	// Seed makes the corruption draws reproducible. Default 1.
 	Seed int64
 }
@@ -106,12 +99,6 @@ func (f FaultConfig) enabled() bool {
 func (f FaultConfig) withDefaults() FaultConfig {
 	if f.RetryLimit == 0 {
 		f.RetryLimit = 8
-	}
-	if f.BackoffBase == 0 {
-		f.BackoffBase = 4
-	}
-	if f.BackoffMax == 0 {
-		f.BackoffMax = 256
 	}
 	if f.Seed == 0 {
 		f.Seed = 1
@@ -192,17 +179,22 @@ func (fs *faultState) corrupts(r, p int) bool {
 	return ber > 0 && fs.rng.Float64() < ber
 }
 
+// backoffBase is the stall, in cycles, before the first retransmission
+// (the NACK round trip: link traversal back plus CRC check). Subsequent
+// retries double it up to backoffMax.
+const (
+	backoffBase = 4
+	backoffMax  = 256
+)
+
 // backoff returns the retransmission stall for the given attempt number
-// (1-based): BackoffBase doubling per attempt, capped at BackoffMax.
-func (fs *faultState) backoff(attempt int) int64 {
-	d := fs.cfg.BackoffBase
-	for i := 1; i < attempt && d < fs.cfg.BackoffMax; i++ {
+// (1-based): backoffBase doubling per attempt, capped at backoffMax.
+func backoff(attempt int) int64 {
+	d := int64(backoffBase)
+	for i := 1; i < attempt && d < backoffMax; i++ {
 		d *= 2
 	}
-	if d > fs.cfg.BackoffMax {
-		d = fs.cfg.BackoffMax
-	}
-	return d
+	return min(d, backoffMax)
 }
 
 // retransmit handles a corrupted transmission from vc: the flit stays at
@@ -232,7 +224,7 @@ func (n *Network) retransmit(rs *routerState, vc *vcState) {
 		vc.retries = 0
 	}
 	n.stats.Retransmits++
-	delay := fs.backoff(int(vc.retries))
+	delay := backoff(int(vc.retries))
 	if f := vc.front(); f != nil {
 		f.setEligibleAt(n.now + delay)
 	}

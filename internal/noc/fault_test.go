@@ -437,10 +437,9 @@ func (r *replanTap) Replanned(edges int, _ int64) {
 
 // TestFaultBackoffSchedule pins the exponential-backoff curve.
 func TestFaultBackoffSchedule(t *testing.T) {
-	fs := &faultState{cfg: FaultConfig{}.withDefaults()}
 	want := []int64{4, 8, 16, 32, 64, 128, 256, 256, 256}
 	for i, w := range want {
-		if got := fs.backoff(i + 1); got != w {
+		if got := backoff(i + 1); got != w {
 			t.Errorf("backoff(%d) = %d, want %d", i+1, got, w)
 		}
 	}

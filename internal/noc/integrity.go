@@ -8,7 +8,7 @@ package noc
 // retransmission from the sender-side outstanding table, and a sequence
 // number that was already delivered is dropped as a duplicate (RF band
 // re-trigger). Retransmissions share the link layer's retry budget and
-// exponential backoff (FaultConfig.RetryLimit/BackoffBase/BackoffMax);
+// exponential backoff (FaultConfig.RetryLimit, backoffBase/backoffMax);
 // when the budget runs out the packet is abandoned and counted in
 // Stats.PacketsLost, closing the exactly-once ledger as
 // injected = delivered + lost.
@@ -151,7 +151,7 @@ func (n *Network) scheduleRetx(key integrityKey, attempt int) {
 	}
 	n.stats.IntegrityRetransmits++
 	ig.pending = append(ig.pending, pendingRetx{
-		at:      n.now + fs.backoff(attempt),
+		at:      n.now + backoff(attempt),
 		msg:     msg,
 		seq:     key.seq,
 		attempt: attempt,

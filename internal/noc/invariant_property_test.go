@@ -30,9 +30,6 @@ func randomConfig(rng *rand.Rand) noc.Config {
 		EscapeTimeout:   int64(4 << rng.Intn(4)),
 		AdaptiveRouting: rng.Intn(2) == 0,
 	}
-	if rng.Intn(2) == 0 {
-		cfg.LocalSpeedup = 1 + rng.Intn(4)
-	}
 	switch rng.Intn(3) {
 	case 0: // plain mesh, no shortcuts
 	case 1: // heuristic selection, as the real designs use

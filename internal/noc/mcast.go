@@ -168,8 +168,12 @@ func (mc *mcChannel) step() {
 	mc.transmitFlit()
 }
 
+// multicastEpoch is the coarse-grain band-arbitration epoch in cycles:
+// for each epoch one cache cluster's central bank owns the multicast band.
+const multicastEpoch = 256
+
 // arbitrate rotates band ownership between cache clusters with pending
-// multicasts; ownership persists for MulticastEpoch cycles once granted
+// multicasts; ownership persists for multicastEpoch cycles once granted
 // (the paper's coarse-grain amortization), but an owner with an empty
 // queue yields immediately.
 func (mc *mcChannel) arbitrate() {
@@ -183,7 +187,7 @@ func (mc *mcChannel) arbitrate() {
 		c := ((mc.owner+i)%k + k) % k
 		if len(mc.queues[c]) > 0 {
 			mc.owner = c
-			mc.epochEnd = n.now + n.cfg.MulticastEpoch
+			mc.epochEnd = n.now + multicastEpoch
 			mc.begin(c)
 			return
 		}
@@ -281,18 +285,22 @@ func (mc *mcChannel) finish(int64) {
 // eviction. A lookup miss means the tree must be built, which charges the
 // packet a per-router setup penalty.
 type vctTable struct {
-	size int
 	keys map[vctKey]bool
 	fifo []vctKey
 }
+
+// vctTableSize bounds the number of trees the VCT table holds; the
+// oldest is evicted first. The bound covers the whole table, every source
+// together.
+const vctTableSize = 64
 
 type vctKey struct {
 	src int
 	dbv uint64
 }
 
-func newVCTTable(size int) *vctTable {
-	return &vctTable{size: size, keys: map[vctKey]bool{}}
+func newVCTTable() *vctTable {
+	return &vctTable{keys: map[vctKey]bool{}}
 }
 
 // lookup returns true when the tree must be set up (miss) and installs it.
@@ -301,7 +309,7 @@ func (t *vctTable) lookup(src int, dbv uint64) bool {
 	if t.keys[k] {
 		return false
 	}
-	if len(t.fifo) >= t.size {
+	if len(t.fifo) >= vctTableSize {
 		old := t.fifo[0]
 		t.fifo = t.fifo[1:]
 		delete(t.keys, old)

@@ -43,7 +43,6 @@ func TestMulticastEpochArbitrationRotates(t *testing.T) {
 	cfg := Config{
 		Mesh: m, Width: tech.Width16B,
 		Multicast: MulticastRF, RFEnabled: m.RFPlacement(50),
-		MulticastEpoch: 64,
 	}
 	n := New(cfg)
 	dbv := uint64(1<<3 | 1<<40 | 1<<60)
@@ -122,7 +121,7 @@ func TestVCTSetupPenaltySlowsFirstSend(t *testing.T) {
 
 func TestVCTTableEviction(t *testing.T) {
 	m := topology.New10x10()
-	cfg := Config{Mesh: m, Width: tech.Width16B, Multicast: MulticastVCT, VCTTableSize: 2}
+	cfg := Config{Mesh: m, Width: tech.Width16B, Multicast: MulticastVCT}
 	n := New(cfg)
 	send := func(dbv uint64) {
 		n.Inject(Message{Src: m.Caches()[0], Class: Invalidate, Multicast: true, DBV: dbv, Inject: n.Now()})
@@ -130,13 +129,15 @@ func TestVCTTableEviction(t *testing.T) {
 			t.Fatal("no drain")
 		}
 	}
-	send(1 << 1) // miss, installs A
-	send(1 << 2) // miss, installs B
-	send(1 << 3) // miss, evicts A
-	send(1 << 1) // miss again: A was evicted
+	// One tree more than the table holds: each is a miss, and the last
+	// evicts the first.
+	for i := 1; i <= vctTableSize+1; i++ {
+		send(uint64(i) << 1)
+	}
+	send(1 << 1) // miss again: the first tree was evicted
 	s := n.Stats()
-	if s.VCTMisses != 4 || s.VCTHits != 0 {
-		t.Errorf("hits/misses = %d/%d, want 0/4 with FIFO eviction", s.VCTHits, s.VCTMisses)
+	if want := int64(vctTableSize + 2); s.VCTMisses != want || s.VCTHits != 0 {
+		t.Errorf("hits/misses = %d/%d, want 0/%d with FIFO eviction", s.VCTHits, s.VCTMisses, want)
 	}
 }
 
