@@ -105,29 +105,6 @@ func (s Schedule) sorted() Schedule {
 	return out
 }
 
-// RandomSchedule draws a reproducible schedule that kills `kills`
-// distinct bands of a plan with `bands` total bands (shortcuts first,
-// then optionally the multicast band — the KillBand index convention),
-// at cycles uniform in [1, window]. kills is clamped to bands.
-func RandomSchedule(seed int64, bands, kills int, window int64) Schedule {
-	if kills > bands {
-		kills = bands
-	}
-	if kills <= 0 || window < 1 {
-		return nil
-	}
-	r := rng.New(seed)
-	var s Schedule
-	for _, i := range r.Perm(bands)[:kills] {
-		s = append(s, Event{
-			Cycle: 1 + r.Int63n(window),
-			Kind:  KillBand,
-			A:     i,
-		})
-	}
-	return s.sorted()
-}
-
 // RandomChaosSchedule draws a reproducible mixed-fault schedule for
 // chaos soaking: `events` faults at cycles uniform in [1, window], each
 // drawn among mesh-link kills, RF band kills, credit leaks and stuck

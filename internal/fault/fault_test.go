@@ -43,33 +43,6 @@ func TestFaultParseBandKill(t *testing.T) {
 	}
 }
 
-func TestFaultRandomScheduleDeterministic(t *testing.T) {
-	a := RandomSchedule(42, 8, 5, 10000)
-	b := RandomSchedule(42, 8, 5, 10000)
-	if !reflect.DeepEqual(a, b) {
-		t.Error("same seed produced different schedules")
-	}
-	if len(a) != 5 {
-		t.Fatalf("schedule has %d events, want 5", len(a))
-	}
-	seen := map[int]bool{}
-	for i, e := range a {
-		if e.Kind != KillBand || e.A < 0 || e.A >= 8 || e.Cycle < 1 || e.Cycle > 10000 {
-			t.Errorf("event %d out of range: %+v", i, e)
-		}
-		if seen[e.A] {
-			t.Errorf("band %d killed twice", e.A)
-		}
-		seen[e.A] = true
-		if i > 0 && a[i-1].Cycle > e.Cycle {
-			t.Error("schedule not cycle-ordered")
-		}
-	}
-	if got := RandomSchedule(1, 4, 9, 100); len(got) != 4 {
-		t.Errorf("kills not clamped to bands: %d", len(got))
-	}
-}
-
 // testConfig is a small shortcut design for injector tests.
 func testConfig() noc.Config {
 	m := topology.New(6, 6)

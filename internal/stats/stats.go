@@ -37,18 +37,6 @@ func GeoMeanRatios(xs []float64) float64 {
 	return math.Exp(logSum / float64(len(xs)))
 }
 
-// Normalize divides each value by base. Panics when base is zero.
-func Normalize(vals []float64, base float64) []float64 {
-	if base == 0 {
-		panic("stats: zero baseline")
-	}
-	out := make([]float64, len(vals))
-	for i, v := range vals {
-		out[i] = v / base
-	}
-	return out
-}
-
 // Table renders a fixed-width text table with a header row.
 type Table struct {
 	header []string

@@ -34,22 +34,6 @@ func TestGeoMean(t *testing.T) {
 	GeoMeanRatios([]float64{1, 0})
 }
 
-func TestNormalize(t *testing.T) {
-	got := Normalize([]float64{2, 4, 6}, 2)
-	want := []float64{1, 2, 3}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("normalize = %v", got)
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic on zero base")
-		}
-	}()
-	Normalize([]float64{1}, 0)
-}
-
 func TestTableRendering(t *testing.T) {
 	tab := NewTable("name", "value")
 	tab.AddRow("alpha", "1.0")

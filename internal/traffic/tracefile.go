@@ -139,6 +139,3 @@ func (r *Replay) Tick(now int64, inject func(noc.Message)) {
 
 // Len reports the total number of recorded messages.
 func (r *Replay) Len() int { return len(r.msgs) }
-
-// Rewind resets the replay to the beginning.
-func (r *Replay) Rewind() { r.next = 0 }
