@@ -222,11 +222,15 @@ func AblationVCConfig(m *topology.Mesh, vcs, depths []int, opts Options) map[[2]
 
 // RoutingRow is one permutation pattern of the routing study: per-flit
 // latency under deterministic XY and minimal-adaptive routing on the
-// 4 B baseline mesh.
+// 4 B baseline mesh, with each point's Drained flag. A point that did
+// not drain averages only the flits that got out, so its latency
+// understates the run's.
 type RoutingRow struct {
-	Pattern       string
-	Deterministic float64
-	Adaptive      float64
+	Pattern              string
+	Deterministic        float64
+	Adaptive             float64
+	DeterministicDrained bool
+	AdaptiveDrained      bool
 }
 
 // RoutingStudy compares the two routing functions over the permutation
@@ -251,18 +255,29 @@ func RoutingStudy(m *topology.Mesh, opts Options) []RoutingRow {
 	res := newPlan(pts).run(m, opts)
 	out := make([]RoutingRow, len(perms))
 	for i, p := range perms {
-		out[i] = RoutingRow{p.String(), res[pts[2*i]].AvgLatency, res[pts[2*i+1]].AvgLatency}
+		xy, ad := res[pts[2*i]], res[pts[2*i+1]]
+		out[i] = RoutingRow{p.String(), xy.AvgLatency, ad.AvgLatency, xy.Drained, ad.Drained}
 	}
 	return out
 }
 
-// RenderRoutingStudy draws the comparison.
+// RenderRoutingStudy draws the comparison. A latency from a point that
+// did not drain is marked, and its row prints no gain.
 func RenderRoutingStudy(rows []RoutingRow) string {
 	t := stats.NewTable("pattern", "XY latency/flit", "adaptive latency/flit", "gain")
+	cell := func(lat float64, drained bool) string {
+		if !drained {
+			return fmt.Sprintf("%.1f (not drained)", lat)
+		}
+		return fmt.Sprintf("%.1f", lat)
+	}
 	for _, r := range rows {
-		t.AddRow(r.Pattern, fmt.Sprintf("%.1f", r.Deterministic),
-			fmt.Sprintf("%.1f", r.Adaptive),
-			fmt.Sprintf("%.2fx", r.Deterministic/r.Adaptive))
+		gain := "-"
+		if r.DeterministicDrained && r.AdaptiveDrained {
+			gain = fmt.Sprintf("%.2fx", r.Deterministic/r.Adaptive)
+		}
+		t.AddRow(r.Pattern, cell(r.Deterministic, r.DeterministicDrained),
+			cell(r.Adaptive, r.AdaptiveDrained), gain)
 	}
 	return t.String()
 }
