@@ -35,19 +35,10 @@
 // re-running it from cycle 0 gives the same result. Bad flags exit
 // with 2.
 //
-// Self-healing: -integrity adds per-packet sequence numbers and an
-// end-to-end checksum (receiver-side dedup, misdelivery detection,
-// NACK-style source retransmission), -watchdog arms stall recovery
-// (leaked-credit repair and stuck-VC release). The adversarial fault modes -misroute-rate,
-// -misdeliver-rate, -duplicate-rate, -credit-leak-rate and
-// -stuck-vc-rate inject seeded faults (misdeliver/duplicate need
-// -integrity), and -leak-credit A-B@CYCLE / -stick-vc R-P@CYCLE
-// schedule deterministic ones. Any of these prints an
-// integrity/recovery summary.
-//
-// Chaos soak: -soak N runs N randomized fault-heavy simulations under
-// the crash-isolating supervisor; each failure is automatically shrunk
-// to a minimal still-failing repro written to -soak-dir as JSON.
+// Chaos soak: -soak N runs N randomized faulty simulations (flit
+// corruption plus scheduled link and band kills) under the
+// crash-isolating supervisor; each failure is automatically shrunk to a
+// minimal still-failing repro written to -soak-dir as JSON.
 // -shrink FILE replays such a repro and exits 0 only if it no longer
 // fails.
 //
@@ -119,16 +110,6 @@ type simFlags struct {
 	killLinks  listFlag
 	killBands  listFlag
 
-	integrity      bool
-	watchdog       bool
-	misrouteRate   float64
-	misdeliverRate float64
-	duplicateRate  float64
-	creditLeakRate float64
-	stuckVCRate    float64
-	leakCredits    listFlag
-	stickVCs       listFlag
-
 	soak         int
 	soakDir      string
 	shrink       string
@@ -139,14 +120,6 @@ type simFlags struct {
 	cpuProfile  string
 	memProfile  string
 	benchCycles int64
-}
-
-// adversarial reports whether any self-healing machinery is in play.
-func (f *simFlags) adversarial() bool {
-	return f.integrity || f.watchdog ||
-		f.misrouteRate > 0 || f.misdeliverRate > 0 || f.duplicateRate > 0 ||
-		f.creditLeakRate > 0 || f.stuckVCRate > 0 ||
-		len(f.leakCredits) > 0 || len(f.stickVCs) > 0
 }
 
 // validate rejects flag combinations before any simulation state is
@@ -196,33 +169,6 @@ func (f *simFlags) validate() error {
 			errs = append(errs, err)
 		}
 	}
-	for _, s := range f.leakCredits {
-		if _, err := fault.ParseLeakCredit(s); err != nil {
-			errs = append(errs, err)
-		}
-	}
-	for _, s := range f.stickVCs {
-		if _, err := fault.ParseStickVC(s); err != nil {
-			errs = append(errs, err)
-		}
-	}
-	for _, r := range []struct {
-		name string
-		v    float64
-	}{
-		{"-misroute-rate", f.misrouteRate},
-		{"-misdeliver-rate", f.misdeliverRate},
-		{"-duplicate-rate", f.duplicateRate},
-		{"-credit-leak-rate", f.creditLeakRate},
-		{"-stuck-vc-rate", f.stuckVCRate},
-	} {
-		if r.v < 0 || r.v > 1 {
-			fail("%s must be in [0,1], got %g", r.name, r.v)
-		}
-	}
-	if !f.integrity && (f.misdeliverRate > 0 || f.duplicateRate > 0) {
-		fail("-misdeliver-rate and -duplicate-rate need -integrity (without sequence numbers these faults are undetectable)")
-	}
 	if f.soak < 0 {
 		fail("-soak must be non-negative, got %d", f.soak)
 	}
@@ -267,16 +213,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	fs.BoolVar(&f.replan, "replan", false, "re-select shortcuts around failed endpoints after a band loss")
 	fs.Var(&f.killLinks, "kill-link", "fail a mesh link: A-B@CYCLE (repeatable)")
 	fs.Var(&f.killBands, "kill-band", "fail RF band I (shortcuts first, then multicast): I@CYCLE (repeatable)")
-	fs.BoolVar(&f.integrity, "integrity", false, "end-to-end packet integrity: sequence numbers, checksum, dedup, source retransmission")
-	fs.BoolVar(&f.watchdog, "watchdog", false, "arm the stall-recovery watchdog (leaked-credit repair, stuck-VC release)")
-	fs.Float64Var(&f.misrouteRate, "misroute-rate", 0, "probability a packet is diverted to a wrong output port at route computation")
-	fs.Float64Var(&f.misdeliverRate, "misdeliver-rate", 0, "probability an RF-band arrival ejects at the wrong router (needs -integrity)")
-	fs.Float64Var(&f.duplicateRate, "duplicate-rate", 0, "probability an RF band re-trigger duplicates a packet (needs -integrity)")
-	fs.Float64Var(&f.creditLeakRate, "credit-leak-rate", 0, "probability per credit return that the credit is destroyed")
-	fs.Float64Var(&f.stuckVCRate, "stuck-vc-rate", 0, "probability per cycle that a busy VC wedges")
-	fs.Var(&f.leakCredits, "leak-credit", "destroy one credit on mesh link A->B: A-B@CYCLE (repeatable)")
-	fs.Var(&f.stickVCs, "stick-vc", "wedge router R's input port P (0=N 1=E 2=S 3=W): R-P@CYCLE (repeatable)")
-	fs.IntVar(&f.soak, "soak", 0, "chaos soak: run N randomized fault-heavy simulations, shrinking each failure to a minimal repro")
+	fs.IntVar(&f.soak, "soak", 0, "chaos soak: run N randomized faulty simulations, shrinking each failure to a minimal repro")
 	fs.StringVar(&f.soakDir, "soak-dir", "", "directory for soak crash dumps and shrunken repro JSONs (empty: no artifacts)")
 	fs.StringVar(&f.shrink, "shrink", "", "replay a soak repro JSON; exits 0 only if it no longer fails")
 	fs.IntVar(&f.shrinkBudget, "shrink-budget", 0, "max candidate runs the shrinker may spend per failure (0 = default 64)")
@@ -399,15 +336,7 @@ func runSim(f *simFlags, stdout, stderr io.Writer) int {
 		e, _ := fault.ParseBandKill(s)
 		schedule = append(schedule, e)
 	}
-	for _, s := range f.leakCredits {
-		e, _ := fault.ParseLeakCredit(s)
-		schedule = append(schedule, e)
-	}
-	for _, s := range f.stickVCs {
-		e, _ := fault.ParseStickVC(s)
-		schedule = append(schedule, e)
-	}
-	faulty := f.faultRate > 0 || len(schedule) > 0 || f.adversarial()
+	faulty := f.faultRate > 0 || len(schedule) > 0
 
 	m := topology.New10x10()
 	cycles := f.cycles
@@ -432,18 +361,6 @@ func runSim(f *simFlags, stdout, stderr io.Writer) int {
 	cfg := experiments.Build(m, d, profile, 0)
 	if f.faultRate > 0 {
 		cfg.Fault = noc.FaultConfig{MeshBER: f.faultRate, RFBER: f.faultRate, Seed: f.faultSeed}
-	}
-	if f.adversarial() {
-		cfg.Fault.Seed = f.faultSeed
-		cfg.Fault.MisrouteRate = f.misrouteRate
-		cfg.Fault.MisdeliverRate = f.misdeliverRate
-		cfg.Fault.DuplicateRate = f.duplicateRate
-		cfg.Fault.CreditLeakRate = f.creditLeakRate
-		cfg.Fault.StuckVCRate = f.stuckVCRate
-		cfg.Integrity = f.integrity
-		if f.watchdog {
-			cfg.Watchdog = noc.WatchdogConfig{Enabled: true}
-		}
 	}
 	gen, err := f.generator(m, opts.WithDefaults().Rate)
 	if err != nil {
@@ -501,7 +418,7 @@ func runSim(f *simFlags, stdout, stderr io.Writer) int {
 		}
 	}
 
-	printReport(stdout, m, net, cfg, d, gen, r, rec, frec, inj, f.adversarial())
+	printReport(stdout, m, net, cfg, d, gen, r, rec, frec, inj)
 	if f.benchCycles > 0 && r.Stats.Cycles > 0 {
 		fmt.Fprintf(stdout, "\nbench: %d cycles (injection + drain) in %s, %.0f ns/cycle\n",
 			r.Stats.Cycles, elapsed.Round(time.Millisecond), float64(elapsed.Nanoseconds())/float64(r.Stats.Cycles))
@@ -529,7 +446,7 @@ func runSim(f *simFlags, stdout, stderr io.Writer) int {
 	return exitOK
 }
 
-func printReport(w io.Writer, m *topology.Mesh, net *noc.Network, cfg noc.Config, d experiments.Design, gen traffic.Generator, r experiments.Result, rec *obs.LatencyRecorder, frec *obs.FaultRecorder, inj *fault.Injector, adversarial bool) {
+func printReport(w io.Writer, m *topology.Mesh, net *noc.Network, cfg noc.Config, d experiments.Design, gen traffic.Generator, r experiments.Result, rec *obs.LatencyRecorder, frec *obs.FaultRecorder, inj *fault.Injector) {
 	fmt.Fprintf(w, "design:   %s\n", d.Name())
 	fmt.Fprintf(w, "workload: %s\n", gen.Name())
 	fmt.Fprintf(w, "cycles:   %d (drained: %v)\n", r.Stats.Cycles, r.Drained)
@@ -588,17 +505,6 @@ func printReport(w io.Writer, m *topology.Mesh, net *noc.Network, cfg noc.Config
 		}
 		for _, sk := range inj.Skipped() {
 			fmt.Fprintf(w, "skipped %s: %v\n", sk.Event, sk.Err)
-		}
-	}
-	if adversarial {
-		fmt.Fprintln(w, "\nintegrity/recovery:")
-		fmt.Fprintf(w, "adversarial: misroutes %d, misdeliveries %d, duplicates %d, credit leaks %d, stuck VCs %d\n",
-			s.MisroutedPackets, s.MisdeliveredPackets, s.DuplicatesInjected, s.CreditLeaks, s.StuckVCs)
-		fmt.Fprintf(w, "integrity: duplicates dropped %d, retransmits %d, packets lost %d\n",
-			s.DuplicatesDropped, s.IntegrityRetransmits, s.PacketsLost)
-		if s.WatchdogRecoveries > 0 {
-			fmt.Fprintf(w, "watchdog: %d recoveries (%d credit repairs, %d VC unsticks)\n",
-				s.WatchdogRecoveries, s.RecoveryCreditRepairs, s.RecoveryVCUnsticks)
 		}
 	}
 	if len(cfg.Shortcuts) > 0 {

@@ -84,16 +84,14 @@ type PointSpec struct {
 	Histograms bool `json:"histograms,omitempty"`
 
 	// Low-level overrides, validated by Config.Validate. The router
-	// fields travel on the experiments.Point; the fault, integrity and
-	// watchdog fields are set on the built noc.Config.
+	// fields travel on the experiments.Point; the fault fields are set
+	// on the built noc.Config.
 	VCsPerClass   int     `json:"vcs_per_class,omitempty"`
 	BufDepth      int     `json:"buf_depth,omitempty"`
 	EscapeTimeout int64   `json:"escape_timeout,omitempty"`
 	MeshBER       float64 `json:"mesh_ber,omitempty"`
 	RFBER         float64 `json:"rf_ber,omitempty"`
 	FaultSeed     int64   `json:"fault_seed,omitempty"`
-	Integrity     bool    `json:"integrity,omitempty"`
-	Watchdog      bool    `json:"watchdog,omitempty"`
 }
 
 // specLimits are the server-side caps a spec must respect; they bound
@@ -214,10 +212,6 @@ func (p PointSpec) compile(m *topology.Mesh, lim specLimits, check bool) (experi
 	cfg.Fault.MeshBER = p.MeshBER
 	cfg.Fault.RFBER = p.RFBER
 	cfg.Fault.Seed = p.FaultSeed
-	cfg.Integrity = p.Integrity
-	if p.Watchdog {
-		cfg.Watchdog = noc.WatchdogConfig{Enabled: true}
-	}
 	if err := cfg.Validate(); err != nil {
 		return experiments.SweepPoint{}, err
 	}

@@ -55,7 +55,7 @@ func (g *cancelAtGen) Tick(now int64, inject func(noc.Message)) {
 
 // TestRunContextReuseMatchesFresh runs a mixed sequence of points —
 // link widths, shortcut sets, wire shortcuts, mesh sizes, VC counts and
-// depths, faults with integrity, a cancelled run — through RunContext,
+// depths, link faults, a cancelled run — through RunContext,
 // each on the network the previous one gave back, and wants the
 // MarshalResult bytes of the same point on a new network.
 func TestRunContextReuseMatchesFresh(t *testing.T) {
@@ -77,9 +77,8 @@ func TestRunContextReuseMatchesFresh(t *testing.T) {
 		{"2-VCs-depth-2", noc.Config{Mesh: m10, Width: tech.Width8B, VCsPerClass: 2, BufDepth: 2}, traffic.BiDF, false, 0},
 		{"half-shortcuts-adaptive", noc.Config{Mesh: m10, Width: tech.Width4B, Shortcuts: static[:8], AdaptiveRouting: true}, traffic.UniDF, false, 0},
 		{"faulty-integrity", noc.Config{
-			Mesh: m10, Width: tech.Width16B, Shortcuts: static, Integrity: true,
-			Fault:    noc.FaultConfig{MeshBER: 1e-3, DuplicateRate: 1e-3, Seed: 9},
-			Watchdog: noc.WatchdogConfig{Enabled: true},
+			Mesh: m10, Width: tech.Width16B, Shortcuts: static,
+			Fault: noc.FaultConfig{MeshBER: 1e-3, Seed: 9},
 		}, traffic.Hotspot4, false, 0},
 		{"baseline-16B-again", noc.Config{Mesh: m10, Width: tech.Width16B}, traffic.Uniform, false, 0},
 	}

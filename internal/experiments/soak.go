@@ -48,14 +48,8 @@ type SoakSpec struct {
 	DrainCycles int64 `json:"drain_cycles"`
 	Seed        int64 `json:"seed"`
 
-	// Integrity enables end-to-end sequence/checksum protection;
-	// Watchdog enables credit and VC stall recovery (with soak-scaled
-	// horizons so it actually fires inside short runs).
-	Integrity bool `json:"integrity"`
-	Watchdog  bool `json:"watchdog"`
-
-	// Fault carries the stochastic fault rates (noc.FaultConfig);
-	// Schedule carries the deterministic fault events.
+	// Fault carries the flit-corruption model (noc.FaultConfig);
+	// Schedule carries the deterministic link and band kills.
 	Fault    noc.FaultConfig `json:"fault"`
 	Schedule fault.Schedule  `json:"schedule,omitempty"`
 
@@ -64,13 +58,6 @@ type SoakSpec struct {
 	// exercise the failure → shrink → replay path on demand; real soaks
 	// leave it false.
 	Sabotage bool `json:"sabotage,omitempty"`
-}
-
-// soakWatchdog is the watchdog tuning for soak runs: horizons scaled to
-// the short run lengths so recovery fires (and can be observed) inside
-// the drain budget.
-var soakWatchdog = noc.WatchdogConfig{
-	Enabled: true, CheckEvery: 512, StallHorizon: 8_192, Grace: 1_024,
 }
 
 func patternByName(name string) (traffic.Pattern, bool) {
@@ -119,17 +106,13 @@ func (s SoakSpec) config() (noc.Config, *topology.Mesh) {
 		BufDepth:    s.BufDepth,
 		Shortcuts:   append([]shortcut.Edge(nil), s.Shortcuts...),
 		Fault:       s.Fault,
-		Integrity:   s.Integrity,
-	}
-	if s.Watchdog {
-		cfg.Watchdog = soakWatchdog
 	}
 	return cfg, m
 }
 
 // RandomSoakSpec draws a reproducible random soak spec: mesh size, link
-// width, buffering, overlay plan, traffic, stochastic fault rates and a
-// deterministic chaos schedule all derive from the seed.
+// width, buffering, overlay plan, traffic, flit-corruption rates and a
+// deterministic kill schedule all derive from the seed.
 func RandomSoakSpec(seed int64) SoakSpec {
 	r := rng.New(seed)
 	meshes := [][2]int{{6, 6}, {8, 6}, {8, 8}}
@@ -146,8 +129,6 @@ func RandomSoakSpec(seed int64) SoakSpec {
 		Cycles:      4_000 + r.Int63n(8_000),
 		DrainCycles: 120_000,
 		Seed:        seed,
-		Integrity:   r.Intn(4) != 0, // 3 in 4 runs carry integrity headers
-		Watchdog:    true,
 	}
 	m := topology.New(s.MeshW, s.MeshH)
 	if budget := r.Intn(5); budget > 0 {
@@ -157,17 +138,10 @@ func RandomSoakSpec(seed int64) SoakSpec {
 	}
 	pick := func(vals ...float64) float64 { return vals[r.Intn(len(vals))] }
 	s.Fault = noc.FaultConfig{
-		MeshBER:        pick(0, 0, 1e-5, 5e-5),
-		RFBER:          pick(0, 1e-5, 1e-4),
-		MisrouteRate:   pick(0, 1e-3, 5e-3),
-		CreditLeakRate: pick(0, 0, 2e-4),
-		StuckVCRate:    pick(0, 0, 1e-4),
-		RetryLimit:     5 + r.Intn(4),
-		Seed:           seed + 1,
-	}
-	if s.Integrity {
-		s.Fault.MisdeliverRate = pick(0, 2e-3)
-		s.Fault.DuplicateRate = pick(0, 2e-3)
+		MeshBER:    pick(0, 0, 1e-5, 5e-5),
+		RFBER:      pick(0, 1e-5, 1e-4),
+		RetryLimit: 5 + r.Intn(4),
+		Seed:       seed + 1,
 	}
 	bands := len(s.Shortcuts)
 	if events := r.Intn(6); events > 0 {
@@ -219,8 +193,8 @@ func RunSoakSpec(ctx context.Context, spec SoakSpec) (Result, error) {
 
 // CheckSoak is the soak health verdict for a completed run: the drain
 // must finish within budget and the exactly-once delivery ledger must
-// close — every injected packet either ejected exactly once or was
-// explicitly abandoned after its retry budget. Valid only for unicast
+// close — every injected packet ejected, or counted lost (no remaining
+// mechanism abandons one, so lost stays 0). Valid only for unicast
 // workloads (which soak specs are).
 func CheckSoak(res Result) error {
 	if !res.Drained {
@@ -258,7 +232,7 @@ func soakFailure(ctx context.Context, spec SoakSpec) (reason string) {
 
 // shrinkCandidates proposes one-step reductions of a failing spec, most
 // aggressive first: drop schedule halves, then single events, then zero
-// each stochastic rate, then shrink the run and the fabric.
+// each corruption rate, then shrink the run and the fabric.
 func shrinkCandidates(s SoakSpec) []SoakSpec {
 	var out []SoakSpec
 	mut := func(f func(*SoakSpec)) {
@@ -277,23 +251,12 @@ func shrinkCandidates(s SoakSpec) []SoakSpec {
 		i := i
 		mut(func(c *SoakSpec) { c.Schedule = append(c.Schedule[:i], c.Schedule[i+1:]...) })
 	}
-	// Zero each stochastic fault rate.
-	rates := []struct {
-		get func(*noc.FaultConfig) *float64
-	}{
-		{func(f *noc.FaultConfig) *float64 { return &f.MeshBER }},
-		{func(f *noc.FaultConfig) *float64 { return &f.RFBER }},
-		{func(f *noc.FaultConfig) *float64 { return &f.MisrouteRate }},
-		{func(f *noc.FaultConfig) *float64 { return &f.MisdeliverRate }},
-		{func(f *noc.FaultConfig) *float64 { return &f.DuplicateRate }},
-		{func(f *noc.FaultConfig) *float64 { return &f.CreditLeakRate }},
-		{func(f *noc.FaultConfig) *float64 { return &f.StuckVCRate }},
+	// Zero each corruption rate.
+	if s.Fault.MeshBER != 0 {
+		mut(func(c *SoakSpec) { c.Fault.MeshBER = 0 })
 	}
-	for _, rt := range rates {
-		if *rt.get(&s.Fault) != 0 {
-			rt := rt
-			mut(func(c *SoakSpec) { *rt.get(&c.Fault) = 0 })
-		}
+	if s.Fault.RFBER != 0 {
+		mut(func(c *SoakSpec) { c.Fault.RFBER = 0 })
 	}
 	// Shrink the run and the fabric.
 	if s.Cycles > 512 {

@@ -58,11 +58,7 @@ func TestSoakSpecValidate(t *testing.T) {
 		{"zero rate", func(s *SoakSpec) { s.Rate = 0 }},
 		{"rate > 1", func(s *SoakSpec) { s.Rate = 1.5 }},
 		{"zero cycles", func(s *SoakSpec) { s.Cycles = 0 }},
-		{"bad fault rate", func(s *SoakSpec) { s.Fault.MisrouteRate = 2 }},
-		{"misdeliver sans integrity", func(s *SoakSpec) {
-			s.Integrity = false
-			s.Fault.MisdeliverRate = 0.001
-		}},
+		{"bad fault rate", func(s *SoakSpec) { s.Fault.MeshBER = 2 }},
 	}
 	if err := good.Validate(); err != nil {
 		t.Fatalf("baseline spec invalid: %v", err)

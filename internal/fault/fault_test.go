@@ -247,36 +247,6 @@ func TestFaultScheduleStrings(t *testing.T) {
 	}
 }
 
-func TestFaultParseLeakCredit(t *testing.T) {
-	e, err := ParseLeakCredit("12-13@5000")
-	if err != nil {
-		t.Fatalf("valid spec rejected: %v", err)
-	}
-	if want := (Event{Cycle: 5000, Kind: LeakCredit, A: 12, B: 13}); e != want {
-		t.Errorf("parsed %+v, want %+v", e, want)
-	}
-	for _, bad := range []string{"", "12-13", "12@5000", "a-b@5", "1-2@-3", "-1-2@5"} {
-		if _, err := ParseLeakCredit(bad); err == nil {
-			t.Errorf("accepted %q", bad)
-		}
-	}
-}
-
-func TestFaultParseStickVC(t *testing.T) {
-	e, err := ParseStickVC("7-2@900")
-	if err != nil {
-		t.Fatalf("valid spec rejected: %v", err)
-	}
-	if want := (Event{Cycle: 900, Kind: StickVC, A: 7, B: 2}); e != want {
-		t.Errorf("parsed %+v, want %+v", e, want)
-	}
-	for _, bad := range []string{"", "7-2", "7@900", "x-2@9", "7-2@"} {
-		if _, err := ParseStickVC(bad); err == nil {
-			t.Errorf("accepted %q", bad)
-		}
-	}
-}
-
 func TestFaultRandomChaosScheduleDeterministic(t *testing.T) {
 	a := RandomChaosSchedule(42, 6, 6, 4, 12, 10000)
 	b := RandomChaosSchedule(42, 6, 6, 4, 12, 10000)
@@ -294,7 +264,7 @@ func TestFaultRandomChaosScheduleDeterministic(t *testing.T) {
 			t.Error("chaos schedule not cycle-ordered")
 		}
 		switch e.Kind {
-		case KillMeshLink, LeakCredit:
+		case KillMeshLink:
 			if e.A < 0 || e.A >= 36 || e.B < 0 || e.B >= 36 {
 				t.Errorf("event %d targets off-mesh routers: %+v", i, e)
 			}
@@ -302,15 +272,11 @@ func TestFaultRandomChaosScheduleDeterministic(t *testing.T) {
 			if e.A < 0 || e.A >= 4 {
 				t.Errorf("event %d targets unknown band: %+v", i, e)
 			}
-		case StickVC:
-			if e.A < 0 || e.A >= 36 || e.B < 0 || e.B > 3 {
-				t.Errorf("event %d targets bad router/port: %+v", i, e)
-			}
 		default:
 			t.Errorf("event %d has unexpected kind %v", i, e.Kind)
 		}
 	}
-	// With no bands, the draw must remap away from KillBand.
+	// With no bands, every event is a mesh-link kill.
 	for _, e := range RandomChaosSchedule(7, 6, 6, 0, 20, 5000) {
 		if e.Kind == KillBand {
 			t.Fatalf("bandless mesh drew a band kill: %+v", e)
@@ -318,31 +284,5 @@ func TestFaultRandomChaosScheduleDeterministic(t *testing.T) {
 	}
 	if got := RandomChaosSchedule(1, 6, 6, 2, 0, 100); got != nil {
 		t.Errorf("zero events should yield nil, got %v", got)
-	}
-}
-
-func TestFaultInjectorAppliesChaosKinds(t *testing.T) {
-	cfg := testConfig()
-	cfg.Integrity = true
-	sched := Schedule{
-		{Cycle: 40, Kind: LeakCredit, A: 14, B: 15},
-		{Cycle: 50, Kind: StickVC, A: 21, B: 1},
-		{Cycle: 60, Kind: LeakCredit, A: 0, B: 35}, // not adjacent
-		{Cycle: 70, Kind: StickVC, A: 21, B: 99},   // no such port
-	}
-	inj := NewInjector(sched)
-	n := noc.New(cfg)
-	n.AttachObserver(inj)
-	n.Run(100)
-
-	if got := inj.Applied(); len(got) != 2 {
-		t.Fatalf("applied %v, want the two valid chaos events", got)
-	}
-	if got := inj.Skipped(); len(got) != 2 {
-		t.Errorf("skipped %d events, want 2: %v", len(got), got)
-	}
-	s := n.Stats()
-	if s.CreditLeaks != 1 || s.StuckVCs == 0 {
-		t.Errorf("chaos events not reflected in stats: leaks %d, stuck %d", s.CreditLeaks, s.StuckVCs)
 	}
 }

@@ -116,22 +116,6 @@ type Config struct {
 	// through an internal/fault schedule), with or without this model.
 	Fault FaultConfig
 
-	// Integrity enables the end-to-end packet integrity layer: every
-	// plain unicast carries a per-source sequence number and a checksum
-	// in its head flit; the receiver dedups by sequence number, detects
-	// misdelivery (wrong ejection router) and checksum mismatches, and
-	// triggers NACK-style source retransmission bounded by the
-	// Fault.RetryLimit budget. Required by the duplication and
-	// misdelivery fault modes, which are silent data corruption without
-	// it.
-	Integrity bool
-
-	// Watchdog configures stall recovery: when forward progress stalls
-	// past a horizon, the network restores leaked credits and unsticks
-	// wedged VCs. A stall that outlasts that repair is left to the
-	// drain report. The zero value disables it.
-	Watchdog WatchdogConfig
-
 	// AdaptiveRouting enables the HPCA-2008 paper's contention-avoiding
 	// adaptive routing: at each router a head flit may choose any output
 	// port on a minimal path through the augmented topology, picking the
@@ -172,7 +156,6 @@ func (c Config) withDefaults() Config {
 	if c.Multicast == MulticastRF && c.MulticastReceivers == nil {
 		c.MulticastReceivers = DefaultMulticastReceivers(c.RFEnabled, c.Shortcuts)
 	}
-	c.Watchdog = c.Watchdog.withDefaults()
 	return c
 }
 
@@ -213,37 +196,9 @@ func (c Config) Validate() error {
 		v    float64
 	}{
 		{"mesh flit-error", c.Fault.MeshBER}, {"RF flit-error", c.Fault.RFBER},
-		{"misroute", c.Fault.MisrouteRate}, {"misdeliver", c.Fault.MisdeliverRate},
-		{"duplicate", c.Fault.DuplicateRate}, {"credit-leak", c.Fault.CreditLeakRate},
-		{"stuck-VC", c.Fault.StuckVCRate},
 	} {
 		if f.v < 0 || f.v > 1 {
 			errs = append(errs, fmt.Errorf("noc: %s rate %v outside [0,1]", f.name, f.v))
-		}
-	}
-	if !c.Integrity {
-		// Without end-to-end sequence numbers these two modes are silent
-		// data corruption (lost or double-delivered packets with no
-		// detection), so they refuse to run blind.
-		if c.Fault.MisdeliverRate > 0 {
-			errs = append(errs, fmt.Errorf("noc: misdeliver rate %v requires Integrity (misdelivery is undetectable without it)", c.Fault.MisdeliverRate))
-		}
-		if c.Fault.DuplicateRate > 0 {
-			errs = append(errs, fmt.Errorf("noc: duplicate rate %v requires Integrity (duplicates are undetectable without it)", c.Fault.DuplicateRate))
-		}
-	}
-	if c.Watchdog.Enabled {
-		for _, k := range []struct {
-			name string
-			v    int64
-		}{
-			{"check interval", c.Watchdog.CheckEvery},
-			{"stall horizon", c.Watchdog.StallHorizon},
-			{"grace period", c.Watchdog.Grace},
-		} {
-			if k.v < 1 {
-				errs = append(errs, fmt.Errorf("noc: watchdog %s must be positive, got %d", k.name, k.v))
-			}
 		}
 	}
 	N := c.Mesh.N()

@@ -43,45 +43,9 @@ type FaultConfig struct {
 	// typically set RFBER well above MeshBER.
 	RFBER float64
 
-	// Adversarial fault modes. Each is a per-event probability drawn from
-	// the same seeded RNG as the corruption model; all four are
-	// conservation-accounted so Network.Audit balances throughout.
-	//
-	// MisrouteRate is the per-route-computation probability that a plain
-	// unicast packet is granted a wrong-but-live output port instead of
-	// its computed one. The packet is diverted whole (never sheared
-	// mid-wormhole) and the next router re-routes it by destination, so
-	// misrouting costs latency, not correctness.
-	MisrouteRate float64
-
-	// MisdeliverRate is the probability, per head flit arriving over an
-	// RF shortcut band, that the receiver mis-tunes and ejects the packet
-	// locally at the wrong router. Detection and retransmission are the
-	// integrity layer's job; Config.Validate refuses this rate without
-	// Config.Integrity.
-	MisdeliverRate float64
-
-	// DuplicateRate is the probability, per head flit transmitted onto an
-	// RF shortcut band, that the band re-triggers and a second copy of
-	// the packet materializes at the shortcut's destination router. The
-	// copy carries the original's sequence number, so receiver-side dedup
-	// drops whichever arrives second. Requires Config.Integrity.
-	DuplicateRate float64
-
-	// CreditLeakRate is the per-cycle probability that one randomly
-	// chosen VC silently loses a buffer credit (its effective capacity
-	// shrinks until the watchdog repairs it).
-	CreditLeakRate float64
-
-	// StuckVCRate is the per-cycle probability that one randomly chosen
-	// normal-class VC wedges out of arbitration (it still accepts flits
-	// but never advances or grants until the watchdog unsticks it).
-	StuckVCRate float64
-
 	// RetryLimit is how many consecutive corrupted transmissions of one
 	// packet's flit stream a link sustains before being declared
-	// permanently dead, and also the end-to-end attempt budget of the
-	// integrity layer's NACK-style retransmissions. Default 8.
+	// permanently dead. Default 8.
 	RetryLimit int
 
 	// Seed makes the corruption draws reproducible. Default 1.
@@ -90,9 +54,7 @@ type FaultConfig struct {
 
 // enabled reports whether any probabilistic fault draws are configured.
 func (f FaultConfig) enabled() bool {
-	return f.MeshBER > 0 || f.RFBER > 0 ||
-		f.MisrouteRate > 0 || f.MisdeliverRate > 0 || f.DuplicateRate > 0 ||
-		f.CreditLeakRate > 0 || f.StuckVCRate > 0
+	return f.MeshBER > 0 || f.RFBER > 0
 }
 
 // withDefaults fills the zero knobs of an enabled config.
@@ -612,187 +574,4 @@ func (n *Network) DeadMeshLinks() [][2]int {
 // configured) is still operational.
 func (n *Network) MulticastBandAlive() bool {
 	return n.mc != nil && !n.mcDead
-}
-
-// misroutePort draws the adversarial misroute for a packet finishing
-// route computation at router r: with MisrouteRate probability it
-// returns a wrong-but-live output port (never local, never the computed
-// one), diverting the whole packet; the next router re-routes it by
-// destination. Returns -1 when the draw misses or no alternative port is
-// live. Only plain normal-class unicasts are diverted: multicast forks
-// and escape-class packets must stay on their deadlock-free routes.
-func (n *Network) misroutePort(r int, vc *vcState) int {
-	fs := n.faults
-	if fs == nil || fs.cfg.MisrouteRate <= 0 {
-		return -1
-	}
-	p := vc.pkt
-	if p.class != vcClassNormal || p.destSet != nil || p.mcFwd != nil ||
-		vc.outPort == portLocal {
-		return -1
-	}
-	if fs.rng.Float64() >= fs.cfg.MisrouteRate {
-		return -1
-	}
-	var cands [numPorts]int
-	nc := 0
-	for port := portNorth; port <= portWest; port++ {
-		if port == int(vc.outPort) || fs.meshDead[r][port] {
-			continue
-		}
-		if neighborThrough(n, r, port) < 0 {
-			continue
-		}
-		cands[nc] = port
-		nc++
-	}
-	if vc.outPort != portRF && n.shortcutFrom[r] >= 0 && !fs.shortcutDead[r] {
-		cands[nc] = portRF
-		nc++
-	}
-	if nc == 0 {
-		return -1
-	}
-	wrong := cands[fs.rng.Intn(nc)]
-	n.stats.MisroutedPackets++
-	return wrong
-}
-
-// drawMisdeliver draws the RF band mis-tune for a head flit that arrived
-// at router r over a shortcut band: with MisdeliverRate probability the
-// packet ejects locally here instead of continuing toward its true
-// destination. Only integrity-tracked packets are eligible (the receiver
-// must be able to detect and repair the misdelivery).
-func (n *Network) drawMisdeliver(r int, vc *vcState) bool {
-	fs := n.faults
-	if fs == nil || fs.cfg.MisdeliverRate <= 0 || vc.port != portRF {
-		return false
-	}
-	p := vc.pkt
-	if !p.hasSeq || !p.integrityEligible() || r == p.msg.Dst {
-		return false
-	}
-	return fs.rng.Float64() < fs.cfg.MisdeliverRate
-}
-
-// maybeDuplicate draws the RF band re-trigger for a head flit granted
-// onto router r's shortcut band: with DuplicateRate probability a full
-// copy of the packet materializes at the band's destination router
-// (entering its NI with reinjection priority, so its flits are counted
-// injected as they are fed — conservation holds by construction). The
-// copy keeps the original's sequence number; receiver-side dedup drops
-// whichever arrives second.
-func (n *Network) maybeDuplicate(r int, p *packet) {
-	fs := n.faults
-	if fs == nil || fs.cfg.DuplicateRate <= 0 {
-		return
-	}
-	if !p.hasSeq || !p.integrityEligible() {
-		return
-	}
-	dst := n.shortcutFrom[r]
-	if dst < 0 || fs.rng.Float64() >= fs.cfg.DuplicateRate {
-		return
-	}
-	n.stats.DuplicatesInjected++
-	dup := n.newPacket()
-	dup.msg = p.msg
-	dup.numFlits = p.numFlits
-	dup.hasSeq = true
-	dup.seq = p.seq
-	dup.sum = p.sum
-	dup.attempt = p.attempt
-	n.enqueueFront(dst, dup)
-}
-
-// stepChaos runs the per-cycle rate-driven credit-leak and stuck-VC
-// draws. Called from Step at the end-of-cycle safe point.
-func (n *Network) stepChaos() {
-	fs := n.faults
-	if fs.cfg.CreditLeakRate > 0 && fs.rng.Float64() < fs.cfg.CreditLeakRate {
-		r := fs.rng.Intn(len(n.routers))
-		p := fs.rng.Intn(numPorts)
-		vcs := n.routers[r].vcs[p]
-		vc := vcs[fs.rng.Intn(len(vcs))]
-		n.leakCredit(vc)
-	}
-	if fs.cfg.StuckVCRate > 0 && fs.rng.Float64() < fs.cfg.StuckVCRate {
-		r := fs.rng.Intn(len(n.routers))
-		p := fs.rng.Intn(numPorts)
-		vc := n.routers[r].vcs[p][fs.rng.Intn(n.cfg.VCsPerClass)]
-		n.stickVC(vc)
-	}
-}
-
-// leakCredit removes one credit from vc if it has headroom to lose.
-func (n *Network) leakCredit(vc *vcState) bool {
-	if !vc.space(n.bufDepth) {
-		return false
-	}
-	vc.leaked++
-	n.stats.CreditLeaks++
-	return true
-}
-
-// stickVC wedges vc out of arbitration (idempotent).
-func (n *Network) stickVC(vc *vcState) bool {
-	if vc.stuck || vc.class != vcClassNormal {
-		return false
-	}
-	vc.stuck = true
-	n.stats.StuckVCs++
-	return true
-}
-
-// LeakLinkCredit injects a scheduled credit-leak fault on the mesh link
-// from router a to adjacent router b: the first normal-class input VC at
-// b's receiving port with headroom loses one credit. Safe between cycles
-// (e.g. from Observer.CycleEnd), like the Kill* methods.
-func (n *Network) LeakLinkCredit(a, b int) error {
-	N := n.cfg.Mesh.N()
-	if a < 0 || a >= N || b < 0 || b >= N {
-		return fmt.Errorf("noc: leak credit: unknown router index %d-%d", a, b)
-	}
-	port := -1
-	for p := portNorth; p <= portWest; p++ {
-		if neighborThrough(n, a, p) == b {
-			port = p
-			break
-		}
-	}
-	if port < 0 {
-		return fmt.Errorf("noc: leak credit: routers %d and %d are not adjacent", a, b)
-	}
-	n.ensureFaults()
-	in := oppositePort(port)
-	for _, vc := range n.routers[b].vcs[in] {
-		if n.leakCredit(vc) {
-			return nil
-		}
-	}
-	return fmt.Errorf("noc: leak credit: no VC at router %d port %s has a credit to lose", b, portName(in))
-}
-
-// StickVC injects a scheduled stuck-VC fault: every normal-class input
-// VC at (router, port) stops arbitrating until a watchdog recovery
-// unsticks it. Escape-class VCs are never stuck by this fault,
-// preserving the Duato escape layer. Safe between cycles.
-func (n *Network) StickVC(router, port int) error {
-	if router < 0 || router >= n.cfg.Mesh.N() {
-		return fmt.Errorf("noc: stick VC: unknown router index %d", router)
-	}
-	if port < 0 || port >= numPorts {
-		return fmt.Errorf("noc: stick VC: unknown port %d", port)
-	}
-	n.ensureFaults()
-	stuck := false
-	for _, vc := range n.routers[router].vcs[port] {
-		if n.stickVC(vc) {
-			stuck = true
-		}
-	}
-	if !stuck {
-		return fmt.Errorf("noc: stick VC: all normal-class VCs at router %d port %s already stuck", router, portName(port))
-	}
-	return nil
 }

@@ -444,3 +444,139 @@ func TestFaultBackoffSchedule(t *testing.T) {
 		}
 	}
 }
+
+// soakTraffic injects random unicast traffic for cycles steps and
+// returns the per-message injection ledger.
+func soakTraffic(n *Network, m *topology.Mesh, seed int64, cycles int, rate float64, mid func(*Network, int)) map[[3]int64]bool {
+	rng := rand.New(rand.NewSource(seed))
+	injected := map[[3]int64]bool{}
+	for i := 0; i < cycles; i++ {
+		if mid != nil {
+			mid(n, i)
+		}
+		if rng.Float64() < rate {
+			src, dst := rng.Intn(m.N()), rng.Intn(m.N())
+			if src != dst {
+				k := [3]int64{n.Now(), int64(src), int64(dst)}
+				if !injected[k] {
+					injected[k] = true
+					n.Inject(Message{Src: src, Dst: dst, Class: Data, Inject: n.Now()})
+				}
+			}
+		}
+		n.Step()
+	}
+	return injected
+}
+
+// assertExactlyOnce checks the end-to-end ledger after a drained run:
+// every injected message was delivered exactly once or explicitly
+// abandoned, and the flit conservation identity holds.
+func assertExactlyOnce(t *testing.T, n *Network, ledger *faultLedger, injected map[[3]int64]bool) {
+	t.Helper()
+	s := n.Stats()
+	if ledger.dups != 0 {
+		t.Errorf("duplicate deliveries: %d", ledger.dups)
+	}
+	if got, want := int64(len(ledger.delivered))+s.PacketsLost, int64(len(injected)); got != want {
+		t.Errorf("delivery ledger broken: %d delivered + %d lost != %d injected",
+			len(ledger.delivered), s.PacketsLost, want)
+	}
+	if s.PacketsInjected != s.PacketsEjected+s.PacketsLost {
+		t.Errorf("stats ledger broken: injected %d != ejected %d + lost %d",
+			s.PacketsInjected, s.PacketsEjected, s.PacketsLost)
+	}
+	rep := n.Audit()
+	if err := rep.ConservationError(); err != 0 {
+		t.Errorf("flit conservation broken: %+d (%+v)", err, rep)
+	}
+	if rep.FlitsBuffered != 0 {
+		t.Errorf("drained network still buffers %d flits", rep.FlitsBuffered)
+	}
+}
+
+// exactlyOnceConfig returns a 6×6 mesh with a four-band RF overlay
+// under the given fault model.
+func exactlyOnceConfig(m *topology.Mesh, fault FaultConfig) Config {
+	return Config{
+		Mesh:      m,
+		Width:     tech.Width16B,
+		Shortcuts: shortcut.SelectMaxCost(m.Graph(), shortcut.Params{Budget: 4}),
+		Fault:     fault,
+	}
+}
+
+// TestPropertyExactlyOnceUnderFaultModes: under flit corruption on the
+// mesh links or on the RF bands, every injected packet is delivered
+// exactly once, and flit conservation survives whatever retransmission
+// and link death the corruption caused.
+func TestPropertyExactlyOnceUnderFaultModes(t *testing.T) {
+	t.Parallel()
+	modes := []struct {
+		name  string
+		fault FaultConfig
+	}{
+		{"mesh-ber", FaultConfig{MeshBER: 2e-3, Seed: 3}},
+		{"rf-ber", FaultConfig{RFBER: 2e-2, Seed: 5}},
+	}
+	for _, mode := range modes {
+		mode := mode
+		t.Run(mode.name, func(t *testing.T) {
+			t.Parallel()
+			m := topology.New(6, 6)
+			n := New(exactlyOnceConfig(m, mode.fault))
+			ledger := newFaultLedger()
+			n.AttachObserver(ledger)
+			injected := soakTraffic(n, m, 21, 6000, 0.4, nil)
+			if !n.Drain(200_000) {
+				rep := n.Audit()
+				t.Fatalf("network wedged: %d in flight, oldest head %d cycles\n%s",
+					n.InFlight(), rep.OldestHeadAge, n.DumpRouter(rep.OldestRouter))
+			}
+			if n.Stats().FlitsCorrupted == 0 {
+				t.Fatalf("fault mode %s never fired — rate too low for the test to mean anything", mode.name)
+			}
+			assertExactlyOnce(t, n, ledger, injected)
+		})
+	}
+}
+
+// TestPropertyExactlyOnceBERAndBandKill combines flit corruption with
+// deterministic band kills mid-run — the RF overlay degrades while
+// senders are retransmitting — and requires the exactly-once ledger to
+// survive.
+func TestPropertyExactlyOnceBERAndBandKill(t *testing.T) {
+	t.Parallel()
+	m := topology.New(6, 6)
+	cfg := exactlyOnceConfig(m, FaultConfig{MeshBER: 1e-3, RFBER: 1e-2, RetryLimit: 6, Seed: 13})
+	n := New(cfg)
+	ledger := newFaultLedger()
+	n.AttachObserver(ledger)
+	bands := n.Config().Shortcuts
+	if len(bands) < 2 {
+		t.Fatalf("want >= 2 bands for the kill schedule, got %d", len(bands))
+	}
+	injected := soakTraffic(n, m, 51, 6000, 0.4, func(n *Network, i int) {
+		switch i {
+		case 2000:
+			if err := n.KillShortcut(bands[0].From); err != nil {
+				t.Fatalf("KillShortcut(%d): %v", bands[0].From, err)
+			}
+		case 3500:
+			if err := n.KillShortcut(bands[1].From); err != nil {
+				t.Fatalf("KillShortcut(%d): %v", bands[1].From, err)
+			}
+		}
+	})
+	if !n.Drain(200_000) {
+		t.Fatalf("network wedged: %d in flight", n.InFlight())
+	}
+	s := n.Stats()
+	if s.FlitsCorrupted == 0 {
+		t.Fatal("corruption never fired")
+	}
+	if s.LinkFailures < 2 {
+		t.Fatalf("band kills not registered: %d link failures", s.LinkFailures)
+	}
+	assertExactlyOnce(t, n, ledger, injected)
+}

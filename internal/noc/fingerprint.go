@@ -28,11 +28,13 @@ func (c Config) Fingerprint() string {
 	e.ints(c.RFEnabled)
 	e.i(int(c.Multicast))
 	e.ints(c.MulticastReceivers)
-	// The next four slots and the two zero slots after RetryLimit hash no
+	// The next four slots and every zero slot after RetryLimit hash no
 	// settable field: they hold fixed model values (and the speedup derived
-	// from Width) where stored results hashed them, with 0 for the retry
-	// backoff pair, so digests and the point IDs, job identities and cache
-	// keys built on them stay valid.
+	// from Width) where stored results hashed them, and the value every
+	// expressible config hashed in the slots of removed settings (the retry
+	// backoff pair; the five adversarial fault rates, the integrity and
+	// watchdog switches and the three watchdog horizons), so digests and
+	// the point IDs, job identities and cache keys built on them stay valid.
 	e.i64(multicastEpoch)
 	e.i(vctTableSize)
 	e.f64(wireMMPerCycle)
@@ -49,16 +51,16 @@ func (c Config) Fingerprint() string {
 	e.i64(0)
 	e.i64(0)
 	e.i64(c.Fault.Seed)
-	e.f64(c.Fault.MisrouteRate)
-	e.f64(c.Fault.MisdeliverRate)
-	e.f64(c.Fault.DuplicateRate)
-	e.f64(c.Fault.CreditLeakRate)
-	e.f64(c.Fault.StuckVCRate)
-	e.b(c.Integrity)
-	e.b(c.Watchdog.Enabled)
-	e.i64(c.Watchdog.CheckEvery)
-	e.i64(c.Watchdog.StallHorizon)
-	e.i64(c.Watchdog.Grace)
+	e.f64(0)
+	e.f64(0)
+	e.f64(0)
+	e.f64(0)
+	e.f64(0)
+	e.b(false)
+	e.b(false)
+	e.i64(0)
+	e.i64(0)
+	e.i64(0)
 	e.b(c.AdaptiveRouting)
 	sum := h.Sum(nil)
 	return hex.EncodeToString(sum[:16])

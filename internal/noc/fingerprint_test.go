@@ -51,8 +51,6 @@ func TestFingerprintSensitivity(t *testing.T) {
 		"multicast":    func(c *Config) { c.Multicast = MulticastVCT },
 		"mesh-ber":     func(c *Config) { c.Fault.MeshBER = 1e-6 },
 		"fault-seed":   func(c *Config) { c.Fault.Seed = 99 },
-		"integrity":    func(c *Config) { c.Integrity = true },
-		"watchdog":     func(c *Config) { c.Watchdog = WatchdogConfig{Enabled: true} },
 		"adaptive-rte": func(c *Config) { c.AdaptiveRouting = true },
 		"mesh-size":    func(c *Config) { c.Mesh = topology.New(8, 8) },
 	}

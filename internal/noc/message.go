@@ -145,27 +145,10 @@ type packet struct {
 	// of normal ejection bookkeeping.
 	mcFwd *mcForward
 
-	// End-to-end integrity header, carried in the head flit when
-	// Config.Integrity is on (hasSeq set): a per-source sequence number,
-	// a checksum over the message fields, and the end-to-end delivery
-	// attempt (0 for the first transmission, incremented per NACK-style
-	// retransmission).
-	hasSeq  bool
-	seq     uint64
-	sum     uint64
-	attempt int
-
 	// pooled marks a packet currently owned by the Network freelist;
 	// freePacket panics on a double free instead of silently handing one
 	// packet to two owners. Cleared on reuse.
 	pooled bool
-}
-
-// integrityEligible reports whether this packet participates in the
-// end-to-end integrity protocol: plain unicasts only (multicast
-// machinery has its own delivery bookkeeping).
-func (p *packet) integrityEligible() bool {
-	return p.destSet == nil && p.mcFwd == nil && p.deliverCore < 0
 }
 
 // mcForward is the payload of a central-bank forward (see packet.mcFwd).

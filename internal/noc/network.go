@@ -76,11 +76,6 @@ type Network struct {
 	faults *faultState
 	mcDead bool
 
-	// integ is the end-to-end integrity state (nil unless
-	// Config.Integrity); wd is the watchdog's stall tracking.
-	integ *integrityState
-	wd    watchdogState
-
 	inFlightPackets int64 // injected (incl. internal) minus retired
 
 	// Hot-path freelists and scratch (see pool.go): retired packets and
@@ -177,13 +172,6 @@ type vcState struct {
 	sent    int32
 	retries int32
 
-	// leaked is the number of buffer credits this VC has silently lost
-	// to the credit-leak fault (effective capacity shrinks by leaked
-	// until the watchdog repairs it). stuck wedges the VC out of
-	// arbitration entirely (stuck-VC fault; the watchdog unsticks it).
-	leaked int32
-	stuck  bool
-
 	port    int8
 	idx     int8
 	class   int8
@@ -239,7 +227,7 @@ func (v *vcState) slot(i, depth int32) *flitSlot {
 }
 
 func (v *vcState) space(depth int32) bool {
-	return v.count+v.incoming+v.leaked < depth
+	return v.count+v.incoming < depth
 }
 
 func (v *vcState) push(s flitSlot, depth int32) {
@@ -296,8 +284,8 @@ func NewChecked(cfg Config) (*Network, error) {
 // VCsPerClass and BufDepth match; the per-router counters when the mesh
 // W×H matches; and the route table when it was built from exactly cfg's
 // shortcut list on a fault-free mesh of the same W×H. Everything else —
-// faults, integrity, multicast and VCT state, the watchdog, observers,
-// statistics and the clock — starts as construction starts it.
+// faults, multicast and VCT state, observers, statistics and the clock —
+// starts as construction starts it.
 //
 // On an invalid cfg Reset returns every violation found and leaves n
 // unchanged.
@@ -318,8 +306,6 @@ func (n *Network) Reset(cfg Config) error {
 	n.observers = nil
 	n.faults = nil
 	n.mcDead = false
-	n.integ = nil
-	n.wd = watchdogState{}
 	n.mc = nil
 	n.vct = nil
 	n.inFlightPackets = 0
@@ -416,10 +402,6 @@ func (n *Network) Reset(cfg Config) error {
 	if cfg.Fault.enabled() {
 		n.ensureFaults()
 	}
-	if cfg.Integrity {
-		n.integ = newIntegrityState(N)
-		n.ensureFaults() // the retry budget and the retx RNG
-	}
 	return nil
 }
 
@@ -470,17 +452,12 @@ func (n *Network) Stats() Stats {
 }
 
 // InFlight returns the number of packets injected but not yet retired,
-// plus queued multicast transmissions and pending integrity
-// retransmissions (a drain is not complete while a NACK'd packet still
-// awaits its re-injection). Used to drain the network at the end of a
-// measurement run.
+// plus queued multicast transmissions. Used to drain the network at the
+// end of a measurement run.
 func (n *Network) InFlight() int64 {
 	v := n.inFlightPackets
 	if n.mc != nil {
 		v += n.mc.pending()
-	}
-	if n.integ != nil {
-		v += int64(len(n.integ.pending))
 	}
 	return v
 }
@@ -524,9 +501,6 @@ func (n *Network) InjectChecked(msg Message) error {
 		p := n.newPacket()
 		p.msg = msg
 		p.numFlits = msg.Flits(n.cfg.Width)
-		if n.integ != nil {
-			n.integ.tag(p)
-		}
 		n.enqueue(msg.Src, p)
 		n.stats.PacketsInjected++
 		return nil
@@ -688,9 +662,6 @@ func (n *Network) recordMulticastDelivery(msg Message, numFlits int, at int64) {
 
 // Step advances the simulation one network cycle.
 func (n *Network) Step() {
-	if n.integ != nil && len(n.integ.pending) != 0 {
-		n.reinjectDue()
-	}
 	n.deliverArrivals()
 	n.injectFromNIs()
 	// Routers with no active VC have nothing to do. advanceRouter enlists
@@ -705,16 +676,8 @@ func (n *Network) Step() {
 	if n.mc != nil {
 		n.mc.step()
 	}
-	if n.faults != nil {
-		if len(n.faults.pendingKills) > 0 {
-			n.applyPendingKills()
-		}
-		if n.faults.cfg.CreditLeakRate > 0 || n.faults.cfg.StuckVCRate > 0 {
-			n.stepChaos()
-		}
-	}
-	if n.cfg.Watchdog.Enabled {
-		n.watchdogStep()
+	if n.faults != nil && len(n.faults.pendingKills) > 0 {
+		n.applyPendingKills()
 	}
 	n.now++
 	n.stats.Cycles = n.now
@@ -744,8 +707,7 @@ type DrainReport struct {
 	CyclesUsed int64
 
 	// Stranded is the in-flight count left when the drain stopped
-	// (packets plus queued multicasts plus pending retransmissions;
-	// zero when Drained).
+	// (packets plus queued multicasts; zero when Drained).
 	Stranded int64
 
 	// OldestHeadAge is the age of the oldest head flit still occupying a

@@ -20,8 +20,7 @@ import (
 //
 // Events carry what an observer needs per occurrence: timing, ports or
 // the delivered message. Activity that only needs counting (injections,
-// corruptions, retransmissions, adversarial faults, integrity and
-// watchdog actions) is in Stats and has no event.
+// corruptions, retransmissions) is in Stats and has no event.
 //
 // Embed BaseObserver to implement only the events you care about.
 type Observer interface {
@@ -127,17 +126,9 @@ type AuditReport struct {
 	PacketsInFlight int64
 
 	// CreditViolations counts VCs whose occupancy bookkeeping is out of
-	// range (negative counts, or buffered+incoming+leaked exceeding
-	// capacity — i.e. a credit went negative). Intentionally leaked
-	// credits (the credit-leak fault) are accounted, not violations.
+	// range (negative counts, or buffered+incoming exceeding capacity —
+	// i.e. a credit went negative).
 	CreditViolations int
-
-	// LeakedCredits is the total credits currently leaked across all VCs
-	// (capacity the fabric has silently lost; the watchdog repairs it).
-	LeakedCredits int64
-
-	// StuckVCs is the number of VCs currently wedged out of arbitration.
-	StuckVCs int64
 
 	// Forward progress: the oldest head flit still occupying a VC.
 	// OldestHeadAge is Now minus its arrival cycle (0 when the network
@@ -175,12 +166,8 @@ func (n *Network) Audit() AuditReport {
 		for p := 0; p < numPorts; p++ {
 			for _, vc := range rs.vcs[p] {
 				rep.FlitsBuffered += int64(vc.count)
-				rep.LeakedCredits += int64(vc.leaked)
-				if vc.stuck {
-					rep.StuckVCs++
-				}
-				if vc.count < 0 || vc.incoming < 0 || vc.leaked < 0 ||
-					vc.count+vc.incoming+vc.leaked > n.bufDepth {
+				if vc.count < 0 || vc.incoming < 0 ||
+					vc.count+vc.incoming > n.bufDepth {
 					rep.CreditViolations++
 				}
 				if vc.pkt != nil {

@@ -5,9 +5,9 @@ package noc
 // VC/wheel ensemble carrying its flits (released jointly at tail
 // ejection), the RF channel's pending local-delivery list, or the pool.
 // freePacket may only be called by the path that just dropped the last
-// live reference: retire (all branches), an integrity reject, RF
-// local-delivery retirement, or a transient forking parent. Allocation and recycling both happen only in the serial
-// phases of a cycle, so the freelist needs no locking.
+// live reference: retire (all branches), RF local-delivery retirement,
+// or a transient forking parent. Allocation and recycling both happen
+// only in the serial phases of a cycle, so the freelist needs no locking.
 
 // newPacket returns a zeroed packet (deliverCore -1, the "plain
 // unicast" sentinel) from the pool, or a fresh one.

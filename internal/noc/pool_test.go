@@ -74,34 +74,29 @@ func assertNoPoolAliases(t *testing.T, n *Network, cycle int64) {
 	}
 }
 
-// Freelist recycling under chaos: with corruption, duplication, credit
-// leaks, watchdog recoveries and the integrity layer all churning
-// packets through retire/free/reallocate, no live structure may ever
-// hold a recycled packet, and the exactly-once delivery ledger must
-// still close after a drain.
+// Freelist recycling under chaos: with link-level corruption and a band
+// kill rerouting in-flight packets while they churn through
+// retire/free/reallocate, no live structure may ever hold a recycled
+// packet, and the exactly-once delivery ledger must still close after a
+// drain.
 func TestFreelistNeverAliasesLivePackets(t *testing.T) {
 	m := topology.New10x10()
 	edges := shortcut.SelectMaxCost(m.Graph(), shortcut.Params{
 		Budget: 16, Eligible: m.ShortcutEligible,
 	})
 	cases := []struct {
-		name string
-		cfg  Config
+		name   string
+		cfg    Config
+		killAt int64 // cycle at which the first shortcut band dies (0: never)
 	}{
 		{"unicast-chaos", Config{
 			Mesh: m, Width: tech.Width16B, Shortcuts: edges,
-			Integrity: true,
-			Fault: FaultConfig{
-				MeshBER: 5e-4, RFBER: 2e-3, DuplicateRate: 3e-3,
-				MisrouteRate: 1e-3, MisdeliverRate: 1e-3,
-				CreditLeakRate: 1e-3, Seed: 23,
-			},
-			Watchdog: WatchdogConfig{Enabled: true, CheckEvery: 256, StallHorizon: 2000, Grace: 256},
-		}},
+			Fault: FaultConfig{MeshBER: 5e-4, RFBER: 2e-3, Seed: 23},
+		}, 1500},
 		{"rf-multicast", Config{
 			Mesh: m, Width: tech.Width16B, Multicast: MulticastRF,
 			RFEnabled: m.RFPlacement(50),
-		}},
+		}, 0},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -126,6 +121,11 @@ func TestFreelistNeverAliasesLivePackets(t *testing.T) {
 						Src: banks[rng.Intn(len(banks))], Class: Invalidate, Multicast: true,
 						DBV: rng.Uint64() | 1, Inject: n.Now(),
 					})
+				}
+				if c.killAt != 0 && cyc == c.killAt {
+					if err := n.KillShortcut(c.cfg.Shortcuts[0].From); err != nil {
+						t.Fatal(err)
+					}
 				}
 				n.Step()
 				assertNoPoolAliases(t, n, n.Now())

@@ -111,38 +111,6 @@ func snapScenarios() []snapScenario {
 			cycles:  800,
 			persist: true,
 		},
-		{
-			name: "integrity-adversarial",
-			cfg: func() Config {
-				c := static()
-				c.Integrity = true
-				c.Watchdog = WatchdogConfig{Enabled: true, CheckEvery: 128, StallHorizon: 2_048, Grace: 256}
-				c.Fault = FaultConfig{MisrouteRate: 0.01, MisdeliverRate: 0.1, DuplicateRate: 0.1, RetryLimit: 4, Seed: 11}
-				return c
-			},
-			rate:   0.4,
-			cycles: 900,
-		},
-		{
-			name: "chaos-leak-stick",
-			cfg: func() Config {
-				c := static()
-				c.Integrity = true
-				c.Watchdog = WatchdogConfig{Enabled: true, CheckEvery: 128, StallHorizon: 2_048, Grace: 256}
-				c.Fault = FaultConfig{CreditLeakRate: 0.002, StuckVCRate: 0.001, RetryLimit: 4, Seed: 13}
-				return c
-			},
-			rate:   0.3,
-			cycles: 900,
-			events: func(n *Network, now int64) {
-				switch now {
-				case 150:
-					_ = n.LeakLinkCredit(12, 13)
-				case 300:
-					_ = n.StickVC(45, portNorth)
-				}
-			},
-		},
 	}
 }
 

@@ -16,31 +16,24 @@ import (
 // golden configuration, the same one after a band or mesh-link kill
 // (whose rebuilt route table Reset must not keep), the same one
 // untouched (whose arrays and route table Reset keeps), or a smaller
-// mesh with fewer, shallower VCs. The stuck-VC watchdog configuration
-// is also Reset from itself run past the watchdog's first firing, in
-// the middle of the stall it fired on.
+// mesh with fewer, shallower VCs.
 func TestResetMatchesNew(t *testing.T) {
 	cases := stepGoldenCases()
 	small := Config{
 		Mesh: topology.New(6, 6), Width: tech.Width8B, VCsPerClass: 2, BufDepth: 2,
-		Integrity: true, Fault: FaultConfig{MeshBER: 1e-3, Seed: 3},
+		Fault: FaultConfig{MeshBER: 1e-3, Seed: 3},
 	}
 	for i, c := range cases {
 		next := cases[(i+1)%len(cases)]
-		type prior struct {
-			name  string
-			cfg   Config
-			kill  bool
-			stall bool
-		}
-		priors := []prior{
-			{"after-" + next.name, next.cfg, false, false},
-			{"after-itself", c.cfg, false, false},
-			{"after-itself-with-a-kill", c.cfg, true, false},
-			{"after-small-mesh", small, false, false},
-		}
-		if c.name == "stuck-vc-watchdog" {
-			priors = append(priors, prior{"after-itself-mid-stall", c.cfg, false, true})
+		priors := []struct {
+			name string
+			cfg  Config
+			kill bool
+		}{
+			{"after-" + next.name, next.cfg, false},
+			{"after-itself", c.cfg, false},
+			{"after-itself-with-a-kill", c.cfg, true},
+			{"after-small-mesh", small, false},
 		}
 		for _, p := range priors {
 			t.Run(c.name+"/"+p.name, func(t *testing.T) {
@@ -48,16 +41,7 @@ func TestResetMatchesNew(t *testing.T) {
 				n := New(p.cfg)
 				stale := newDigestObserver()
 				n.AttachObserver(stale)
-				if p.stall {
-					// The golden run's own traffic: its watchdog fires
-					// on a stall at cycle 1198.
-					goldenTraffic(n, p.cfg, rand.New(rand.NewSource(42)), 1200)
-					if !n.wd.stalled {
-						t.Fatal("earlier run left no watchdog stall")
-					}
-				} else {
-					goldenTraffic(n, p.cfg, rand.New(rand.NewSource(7)), 700)
-				}
+				goldenTraffic(n, p.cfg, rand.New(rand.NewSource(7)), 700)
 				if p.kill {
 					var err error
 					if len(p.cfg.Shortcuts) > 0 {
@@ -76,12 +60,6 @@ func TestResetMatchesNew(t *testing.T) {
 				staleEvents := stale.events
 				if err := n.Reset(c.cfg); err != nil {
 					t.Fatal(err)
-				}
-				// The golden run's first check (cycle 599) sees no stall
-				// and would clear a kept stall state before it could
-				// change a firing, so the state is checked directly.
-				if n.wd != (watchdogState{}) {
-					t.Errorf("Reset kept the watchdog's stall state %+v", n.wd)
 				}
 				got := driveGolden(t, n, c.cfg, 42)
 				if !reflect.DeepEqual(got.stats, c.want.stats) {

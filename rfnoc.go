@@ -109,10 +109,9 @@ type (
 	// Observer receives simulation events from the router pipeline:
 	// flit departures and ejections, unicast and multicast deliveries,
 	// link failures, overlay replans and cycle boundaries. Counts with
-	// no per-event payload (injections, corruptions, retransmissions,
-	// integrity and watchdog activity) are in NetStats instead. Attach
-	// with Network.AttachObserver or SimulateObserved; embed
-	// BaseObserver to implement a subset.
+	// no per-event payload (injections, corruptions, retransmissions)
+	// are in NetStats instead. Attach with Network.AttachObserver or
+	// SimulateObserved; embed BaseObserver to implement a subset.
 	Observer = noc.Observer
 
 	// BaseObserver is a no-op Observer for embedding.
